@@ -29,6 +29,7 @@ from .evaluation import (
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
     NflInstance,
+    check_diagonal_budget,
     diagonalize,
     memorize_constant_trainer,
     nfl_brute_force,
@@ -96,11 +97,11 @@ def _string(alphabet: Alphabet, value) -> Str:
 
 def _cdf_bound(doc: dict) -> CdfLowerBound:
     spec = _require(doc, "cdf_bound")
-    table = tuple(float(v) for v in _require(spec, "table"))
+    table = tuple(_float_value(v, "cdf_bound.table entry") for v in _list_field(spec, "table"))
     tail_spec = _require(spec, "tail")
     kind = _require(tail_spec, "kind")
     if kind == "geometric":
-        tail = GeometricTail(float(_require(tail_spec, "ratio")))
+        tail = GeometricTail(_float_value(_require(tail_spec, "ratio"), "cdf_bound.tail.ratio"))
     elif kind == "one_at_n":
         tail = ReachesOne()
     else:
@@ -121,9 +122,12 @@ def _distribution(alphabet: Alphabet, doc: dict):
         members = tuple(_string(alphabet, s) for s in _require(spec, "members"))
         return UniformOverSet(members)
     if kind == "length_factored":
-        probs = tuple(float(v) for v in _require(spec, "length_probs"))
+        probs = tuple(_float_value(v, "mu.length_probs entry")
+                      for v in _list_field(spec, "length_probs"))
         ratio = spec.get("tail_ratio")
-        return LengthFactored(alphabet, probs, None if ratio is None else float(ratio))
+        if ratio is not None:
+            ratio = _float_value(ratio, "mu.tail_ratio")
+        return LengthFactored(alphabet, probs, ratio)
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
@@ -157,13 +161,41 @@ def _labeler(doc: dict) -> Labeler:
         raise ConfigError(f"unknown labeler {name!r}") from exc
 
 
-def _int_field(doc: dict, key: str, minimum: int) -> int:
-    value = _require(doc, key)
+def _int_value(value, key: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
+
+
+def _int_field(doc: dict, key: str, minimum: int, default: int | None = None) -> int:
+    """An integer field; required unless a default is given."""
+    value = _require(doc, key) if default is None else doc.get(key, default)
+    return _int_value(value, key, minimum)
+
+
+def _float_value(value, key: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _list_field(doc: dict, key: str) -> list:
+    value = _require(doc, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _budget(cfg: dict, args, default: int) -> int:
+    """Enumeration budget: --budget, else the config's `budget`, else default."""
+    if args.budget is not None:
+        return args.budget
+    return _int_field(cfg, "budget", 0, default)
 
 
 # ---------------------------------------------------------------- output
@@ -207,8 +239,8 @@ def _emit_json(doc: dict, out_path):
 def cmd_bounds(cfg: dict, args) -> int:
     alphabet = _alphabet(cfg)
     bound = _cdf_bound(cfg)
-    eps_h = float(_require(cfg, "epsilon_h"))
-    eps_t = float(_require(cfg, "epsilon_t"))
+    eps_h = _float_value(_require(cfg, "epsilon_h"), "epsilon_h")
+    eps_t = _float_value(_require(cfg, "epsilon_t"), "epsilon_t")
     suff = required_sample_size(eps_h, eps_t, alphabet, bound)
     nec = nfl_sizes(alphabet, bound)
     doc = _meta(cfg, args.seed)
@@ -230,8 +262,8 @@ def cmd_train_eval(cfg: dict, args) -> int:
     gt = _ground_truth(alphabet, cfg)
     labeler = _labeler(cfg)
     m = _int_field(cfg, "m", 0)
-    mc_samples = int(cfg.get("mc_samples", 10_000))
-    confidence = float(cfg.get("confidence", 0.95))
+    mc_samples = _int_field(cfg, "mc_samples", 1, 10_000)
+    confidence = _float_value(cfg.get("confidence", 0.95), "confidence")
     rng = derive_stream(args.seed, 0)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = train(t, alphabet, bound)
@@ -260,10 +292,10 @@ def cmd_sweep(cfg: dict, args) -> int:
     mu = _distribution(alphabet, cfg)
     gt = _ground_truth(alphabet, cfg)
     labeler = _labeler(cfg)
-    m_grid = [int(m) for m in _require(cfg, "m_grid")]
+    m_grid = [_int_value(m, "m_grid entry", 0) for m in _list_field(cfg, "m_grid")]
     trials = _int_field(cfg, "trials", 1)
-    eps_h = float(cfg.get("epsilon_h", 0.2))
-    mc_samples = int(cfg.get("mc_samples", 10_000))
+    eps_h = _float_value(cfg.get("epsilon_h", 0.2), "epsilon_h")
+    mc_samples = _int_field(cfg, "mc_samples", 1, 10_000)
     horizon = len(bound.table) + 63
     if isinstance(mu, LengthFactored):
         horizon = max(horizon, len(mu.length_probs))
@@ -309,7 +341,7 @@ def cmd_nfl(cfg: dict, args) -> int:
     else:
         raise ConfigError(f"unknown learner kind {kind!r}")
     grid = tuple(_fraction(v) for v in cfg.get("lambda_h_grid", ["1/8", "1/4"]))
-    budget = args.budget if args.budget is not None else int(cfg.get("budget", 10**8))
+    budget = _budget(cfg, args, 10**8)
     inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner)
     report = nfl_brute_force(inst, grid, budget)
     doc = _meta(cfg, args.seed)
@@ -335,11 +367,14 @@ def cmd_diag(cfg: dict, args) -> int:
     alphabet = _alphabet(cfg)
     count = _int_field(cfg, "models", 1)
     horizon = _int_field(cfg, "horizon", 1)
-    table_size = int(cfg.get("table_size", 8))
-    max_len = int(cfg.get("max_len", 6))
+    table_size = _int_field(cfg, "table_size", 0, 8)
+    max_len = _int_field(cfg, "max_len", 0, 6)
+    budget = _budget(cfg, args, 10**8)
+    # Checked before the models are built as well as inside diagonalize.
+    check_diagonal_budget(horizon, count, budget)
     rng = derive_stream(args.seed)
     models = random_table_models(alphabet, count, rng, table_size=table_size, max_len=max_len)
-    construction = diagonalize(models, alphabet, horizon)
+    construction = diagonalize(models, alphabet, horizon, budget)
     ok = verify_diagonal(construction)
     lines = [f"# {line}" for line in _preamble(cfg, args.seed)]
     lines.append("i,psi_i,f0_of_s_i")
@@ -351,10 +386,10 @@ def cmd_diag(cfg: dict, args) -> int:
 
 
 def cmd_typical(cfg: dict, args) -> int:
-    pmf = tuple(float(v) for v in _require(cfg, "pmf"))
+    pmf = tuple(_float_value(v, "pmf entry") for v in _list_field(cfg, "pmf"))
     m = _int_field(cfg, "m", 1)
-    delta = float(_require(cfg, "delta"))
-    budget = args.budget if args.budget is not None else int(cfg.get("budget", 10**7))
+    delta = _float_value(_require(cfg, "delta"), "delta")
+    budget = _budget(cfg, args, 10**7)
     report = smallest_high_mass_set(SourceModel(pmf), m, delta, budget)
     lines = [f"# {line}" for line in _preamble(cfg, args.seed)]
     lines.append("m,delta,set_size,rate,mass,entropy_gap")

@@ -8,7 +8,7 @@ ranks and counts stay correct at any length.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -34,18 +34,33 @@ class Alphabet:
                 raise DomainError("labels must be distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Str:
-    """Immutable string: a tuple of symbol indices over a fixed alphabet."""
+    """Immutable string: a tuple of symbol indices over a fixed alphabet.
+
+    The hash is computed once, at construction. It equals the hash of the
+    tuple (alphabet, symbols), the value a generated dataclass hash returns,
+    so sets and dicts of strings iterate in the same order either way.
+    """
 
     alphabet: Alphabet
     symbols: tuple[int, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         q = self.alphabet.size
         for sym in self.symbols:
             if not 0 <= sym < q:
                 raise DomainError(f"symbol {sym} outside alphabet of size {q}")
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.symbols)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild rather than restore the cached hash: hashes of the alphabet
+        # can differ between processes.
+        return (Str, (self.alphabet, self.symbols))
 
     def __len__(self):
         return len(self.symbols)

@@ -47,11 +47,12 @@ def threshold_length(m: int, alphabet: Alphabet, bound: CdfLowerBound) -> int:
 @dataclass(frozen=True)
 class MemorizerModel:
     """Finite lookup table capped at a length threshold; unknown inputs map
-    to the empty string."""
+    to the empty string, built once per model as `default_output`."""
 
     alphabet: Alphabet
     table: dict[Str, Str] = field(default_factory=dict)
     threshold: int = -1
+    default_output: Str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.threshold < -1:
@@ -65,10 +66,7 @@ class MemorizerModel:
             if s.alphabet != self.alphabet or y.alphabet != self.alphabet:
                 raise DomainError("table entries must use the model's alphabet")
         object.__setattr__(self, "table", frozen)
-
-    @property
-    def default_output(self) -> Str:
-        return empty_string(self.alphabet)
+        object.__setattr__(self, "default_output", empty_string(self.alphabet))
 
     def predict(self, s: Str) -> Str:
         return self.table.get(s, self.default_output)

@@ -4,9 +4,10 @@ The numba path is used when numba imports cleanly and the environment
 variable HALLUSTAT_DISABLE_NUMBA is unset (or "0"); otherwise the numpy
 twin runs. Both twins perform the same floating point operations in the
 same order, so their outputs are bitwise identical; benchmarks/bench_kernels.py
-measures both and asserts agreement. product_probs is the exception in
-dispatch: its numpy form wins outright, so the numba twin is kept only for
-the agreement check.
+measures both and asserts agreement. product_probs is no longer called by
+the library (shannon works on type classes, not on all K^m blocks): its
+numpy form is the brute-force reference the tests check shannon against,
+and its numba twin is kept only for the agreement check.
 
 Strings appear here only as int64 shortlex codes. Code layout for alphabet
 size q: base[L] = number of strings shorter than L, code = base[L] + offset

@@ -265,16 +265,19 @@ def nfl_brute_force(
             cache[key] = found
         return found
 
+    # A labeling's labels on a sequence's columns, read as one mixed-radix
+    # integer (first column most significant): sorting these keys orders the
+    # label rows lexicographically, as a row sort would.
+    radix = p ** np.arange(inst.m - 1, -1, -1, dtype=np.int64)
     expected_counts = np.zeros(q_total, dtype=np.int64)
     for seq in sequences:
         cols = np.array(seq, dtype=np.int64)
-        labels_all = f_matrix[:, cols]
-        uniq, inverse = np.unique(labels_all, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).ravel()
-        h_rows = np.empty((uniq.shape[0], n), dtype=np.int64)
-        for r in range(uniq.shape[0]):
-            labels = tuple(int(v) for v in uniq[r])
-            h_rows[r] = outputs_for(seq, labels)
+        keys = f_matrix[:, cols] @ radix
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq_labels = (uniq[:, None] // radix) % p
+        h_rows = np.empty((uniq.size, n), dtype=np.int64)
+        for r, labels in enumerate(uniq_labels.tolist()):
+            h_rows[r] = outputs_for(seq, tuple(labels))
         mismatches = np.count_nonzero(h_rows[inverse] != f_matrix, axis=1)
         expected_counts += mismatches
 
@@ -348,13 +351,29 @@ class DiagonalConstruction:
         return self.f0_of(shortlex_index(s) + 1)
 
 
-def diagonalize(models, alphabet: Alphabet, horizon: int) -> DiagonalConstruction:
+def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
+    """Bound the work of diagonalizing k_models models over `horizon` strings
+    by horizon * k_models model queries."""
+    work = horizon * k_models
+    if work > budget:
+        raise BudgetExceeded(
+            f"diagonalizing {k_models} models over {horizon} strings needs "
+            f"{work} model queries (budget {budget})",
+            required=work,
+            budget=budget,
+        )
+
+
+def diagonalize(
+    models, alphabet: Alphabet, horizon: int, budget: int = 10**8
+) -> DiagonalConstruction:
     """Pick, for each of the first `horizon` strings, the shortlex-least
     string avoided by the first min(i, K) models' answers."""
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     models = tuple(models)
     k_models = len(models)
+    check_diagonal_budget(horizon, k_models, budget)
     psi = []
     for i in range(1, horizon + 1):
         s_i = shortlex_string(alphabet, i - 1)

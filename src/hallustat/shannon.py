@@ -1,20 +1,24 @@
 """Smallest high-probability sets of i.i.d. symbol blocks.
 
-Brute-force companion to the asymptotic equipartition story: enumerate all
-K^m blocks, sort by probability, and take the shortest prefix whose mass
-clears 1 - delta. Comparing log2(size)/m against the source entropy shows
-the compression rate an optimal fixed set achieves at small m.
+Exact companion to the asymptotic equipartition story. The probability of an
+i.i.d. block depends only on its type (how often each symbol occurs), so the
+greedy smallest set whose mass clears 1 - delta is built from the
+C(m+K-1, K-1) type classes, each of multinomial size, rather than from the
+K^m blocks (the method of types: Csiszar, IEEE Trans. IT 1998; Cover &
+Thomas, ch. 11). All mass arithmetic is exact: every float pmf entry is an
+integer over a common power-of-two denominator. Comparing log2(size)/m
+against the source entropy shows the compression rate an optimal fixed set
+achieves at small m.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
-from . import kernels
 from .errors import BudgetExceeded, DomainError
 
 
@@ -27,7 +31,7 @@ class SourceModel:
     def __post_init__(self):
         if len(self.pmf) < 1:
             raise DomainError("pmf must be non-empty")
-        if any(p < 0.0 for p in self.pmf):
+        if not all(p >= 0.0 for p in self.pmf):  # also rejects NaN
             raise DomainError("pmf entries must be nonnegative")
         total = math.fsum(self.pmf)
         if abs(total - 1.0) > 1e-12:
@@ -52,11 +56,25 @@ class TypicalSetReport:
     entropy_gap: float  # rate - source entropy
 
 
+def _dyadic_numerators(pmf) -> tuple[list[int], int]:
+    """Integers n_i and one power of two D with pmf[i] == n_i / D exactly."""
+    ratios = [float(p).as_integer_ratio() for p in pmf]
+    denom = max(den for _, den in ratios)
+    return [num * (denom // den) for num, den in ratios], denom
+
+
 def smallest_high_mass_set(
     source: SourceModel, m: int, delta: float, budget: int = 10**7
 ) -> TypicalSetReport:
-    """Exhaustively find the size of the smallest set of m-blocks with mass
-    above 1 - delta (greedy by probability, which is optimal)."""
+    """Exactly find the size of the smallest set of m-blocks with mass above
+    1 - delta (greedy by probability, which is optimal).
+
+    Types are taken in decreasing block probability; whole type classes join
+    the set while the mass stays at or below 1 - delta, and the boundary type
+    contributes just enough blocks to pass it. `mass` is the exact mass of
+    the set, rounded once to float. The budget bounds the K^m blocks the set
+    is chosen from; the number of types never exceeds it.
+    """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 1.0:
@@ -69,14 +87,44 @@ def smallest_high_mass_set(
             required=total,
             budget=budget,
         )
-    probs = kernels.product_probs(np.asarray(source.pmf, dtype=np.float64), m)
-    order = np.argsort(-probs, kind="stable")
-    cumulative = np.cumsum(probs[order])
-    idx = int(np.searchsorted(cumulative, 1.0 - delta, side="right"))
-    if idx >= total:
-        idx = total - 1
-    size = idx + 1
-    mass = float(cumulative[idx])
+    nums, denom = _dyadic_numerators(source.pmf)
+    target = Fraction(1.0 - delta)
+    # Work in integers over one power-of-two denominator shared by the block
+    # weights (denom^m) and the target.
+    scale = max(denom**m, target.denominator)
+    weight_scale = scale // denom**m
+    target_num = target.numerator * (scale // target.denominator)
+    types = []
+    # One sorted block per type. Each run of c equal symbols s multiplies its
+    # weight by n_s^c and its class size by comb(symbols left, c), which
+    # gives the multinomial m! / prod(c_s!).
+    for block in itertools.combinations_with_replacement(range(k), m):
+        weight = weight_scale
+        count = 1
+        left = m
+        run_start = 0
+        for i in range(1, m + 1):
+            if i == m or block[i] != block[run_start]:
+                run = i - run_start
+                weight *= nums[block[run_start]] ** run
+                count *= math.comb(left, run)
+                left -= run
+                run_start = i
+        types.append((weight, count))
+    types.sort(key=lambda wc: wc[0], reverse=True)
+
+    cum = 0
+    size = 0
+    for weight, count in types:
+        if cum + count * weight > target_num:
+            # weight > 0 here, since cum <= target_num.
+            take = (target_num - cum) // weight + 1
+            size += take
+            cum += take * weight
+            break
+        size += count
+        cum += count * weight
+    mass = cum / scale
     rate = math.log2(size) / m
     return TypicalSetReport(
         m=m,

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 import hallustat.cli as cli
 from hallustat.limits import NflReport, TailCheck
 
@@ -57,6 +59,17 @@ def test_bounds_zero_epsilon_exit_3(tmp_path):
         "epsilon_t": 0.1,
     })
     assert run(["bounds", "--config", cfg]) == 3
+
+
+def test_bounds_non_numeric_epsilon_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "alphabet": {"size": 2},
+        "cdf_bound": HALF_BOUND_DOC,
+        "epsilon_h": "x",
+        "epsilon_t": 0.1,
+    })
+    assert run(["bounds", "--config", cfg]) == 2
+    assert "epsilon_h" in capsys.readouterr().err
 
 
 def test_unreadable_or_invalid_config_exit_2(tmp_path):
@@ -136,6 +149,21 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
     assert run(["train-eval", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mc_samples", "x"),
+    ("confidence", "x"),
+    ("mu", {"kind": "length_factored", "length_probs": ["x"], "tail_ratio": 0.5}),
+    ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "x"}),
+], ids=["mc_samples", "confidence", "mu-length_probs", "mu-tail_ratio"])
+def test_train_eval_bad_field_exit_2(tmp_path, capsys, field, value):
+    doc = train_eval_cfg()
+    doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}
+    doc[field] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["train-eval", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -181,6 +209,26 @@ def test_sweep_domination_failure_exit_4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     assert run(["sweep", "--config", cfg]) == 4
     assert "does not dominate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mc_samples", 0),
+    ("mc_samples", "x"),
+    ("epsilon_h", "x"),
+    ("m_grid", [-3]),
+    ("m_grid", 5),
+    ("m_grid", [1.5]),
+    ("cdf_bound", {"table": ["x"], "tail": {"kind": "geometric", "ratio": 0.5}}),
+    ("cdf_bound", {"table": [0.5], "tail": {"kind": "geometric", "ratio": "x"}}),
+], ids=["mc_samples-zero", "mc_samples-text", "epsilon_h-text",
+        "m_grid-negative", "m_grid-scalar", "m_grid-fraction",
+        "cdf_bound-table-text", "cdf_bound-ratio-text"])
+def test_sweep_bad_field_exit_2(tmp_path, capsys, field, value):
+    doc = sweep_cfg()
+    doc[field] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["sweep", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- nfl-verify
@@ -254,6 +302,14 @@ def test_nfl_verify_exit_1_when_not_verified(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
+def test_nfl_verify_bad_budget_exit_2(tmp_path, capsys):
+    doc = nfl_cfg()
+    doc["budget"] = "x"
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["nfl-verify", "--config", cfg]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- diagonalize
 
 
@@ -271,6 +327,25 @@ def test_diagonalize_csv(tmp_path):
     assert [r[0] for r in rows] == [str(i) for i in range(1, 31)]
     for r in rows:
         assert int(r[2]) == int(r[1]) - 1  # index column is rank minus one
+
+
+@pytest.mark.parametrize("field", ["table_size", "max_len"])
+def test_diagonalize_non_integer_field_exit_2(tmp_path, capsys, field):
+    cfg = write_cfg(tmp_path, {"alphabet": {"size": 2}, "models": 5, "horizon": 30,
+                               field: "x"})
+    assert run(["diagonalize", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_diagonalize_budget_exit_5(tmp_path, capsys):
+    # 5 models over 30 strings: 150 model queries
+    doc = {"alphabet": {"size": 2}, "models": 5, "horizon": 30}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["diagonalize", "--config", cfg, "--budget", "10"]) == 5
+    assert "budget" in capsys.readouterr().err
+    assert run(["diagonalize", "--config", cfg, "--budget", "150"]) == 0
+    doc["budget"] = 149
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 5
 
 
 # -------------------------------------------------------------- typical-set
@@ -302,3 +377,16 @@ def test_typical_set_budget_override(tmp_path):
 def test_typical_set_bad_delta_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, {"pmf": [0.9, 0.1], "m": 5, "delta": 0.0})
     assert run(["typical-set", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pmf", ["x", 0.5]),
+    ("delta", "x"),
+    ("budget", "x"),
+], ids=["pmf", "delta", "budget"])
+def test_typical_set_non_numeric_field_exit_2(tmp_path, capsys, field, value):
+    doc = {"pmf": [0.5, 0.5], "m": 5, "delta": 0.1}
+    doc[field] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["typical-set", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err

@@ -149,3 +149,9 @@ def test_brute_force_rank_table():
     for rank, s in enumerate(brute):
         assert shortlex_index(s) == rank
         assert shortlex_string(a, rank) == s
+
+
+def test_str_hash_is_tuple_hash():
+    a = Alphabet(3, ("x", "y", "z"))
+    for syms in ((), (0,), (2, 1, 0)):
+        assert hash(Str(a, syms)) == hash((a, syms))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hallustat.core import Alphabet, count_upto, empty_string, shortlex_string
 from hallustat.errors import BudgetExceeded, DomainError
-from hallustat.flrm import FlrmTrainer
+from hallustat.flrm import FlrmTrainer, MemorizerModel
 from hallustat.limits import (
     DiagonalConstruction,
     NflInstance,
@@ -335,6 +335,33 @@ def test_nfl_arbitrary_learner_output_counts_as_wrong():
     assert r.worst_expected_hp == 1
 
 
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("learner_kind", ["memorize_constant", "flrm"])
+def test_nfl_4_2_m_against_per_labeling_loop(learner_kind, m):
+    # no deduplication of training sets: every labeling trains on every sequence
+    dom, cod = domain_strings(4), domain_strings(2)
+    learner = (memorize_constant_trainer(cod) if learner_kind == "memorize_constant"
+               else FlrmTrainer(A2, HALF_BOUND))
+    grid = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+    r = nfl_brute_force(NflInstance(domain=dom, codomain=cod, m=m, learner=learner), grid)
+
+    sequences = list(itertools.product(range(4), repeat=m))
+    hp_counts = []
+    for f in itertools.product(range(2), repeat=4):
+        counts = []
+        for seq in sequences:
+            h = learner(TrainingSequence(tuple((dom[x], cod[f[x]]) for x in seq)))
+            counts.append(sum(1 for j in range(4) if h(dom[j]) != cod[f[j]]))
+        hp_counts.append(counts)
+    totals = [sum(c) for c in hp_counts]
+    worst = totals.index(max(totals))
+    assert r.worst_f_index == worst
+    assert r.worst_expected_hp == Fraction(totals[worst], len(sequences) * 4)
+    for ch, lh in zip(r.tail_check, grid):
+        hits = sum(1 for c in hp_counts[worst] if Fraction(c, 4) >= lh)
+        assert ch.probability == Fraction(hits, len(sequences))
+
+
 # --------------------------------------------------------------- diagonals
 
 
@@ -389,3 +416,11 @@ def test_f0_outside_window_rejected():
         c.f0_of(4)
     with pytest.raises(DomainError):
         c.f0_of(0)
+
+
+def test_diagonal_budget_enforced():
+    models = [MemorizerModel(A2) for _ in range(5)]
+    with pytest.raises(BudgetExceeded) as err:
+        diagonalize(models, A2, 30, budget=149)
+    assert err.value.required == 150
+    assert diagonalize(models, A2, 30, budget=150).horizon == 30

@@ -1,9 +1,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hallustat.errors import BudgetExceeded, DomainError
+from hallustat.kernels import product_probs_np
 from hallustat.shannon import (
     SourceModel,
     check_source_coding,
@@ -20,6 +22,12 @@ def test_source_validation():
     with pytest.raises(DomainError):
         SourceModel((-0.1, 1.1))
     SourceModel((0.25, 0.25, 0.25, 0.25))
+
+
+def test_source_rejects_nan_entry():
+    # NaN passes both "p < 0" and the sum check, and has no integer ratio
+    with pytest.raises(DomainError):
+        SourceModel((float("nan"), 1.0))
 
 
 def test_entropy_values():
@@ -92,3 +100,44 @@ def test_single_symbol_source():
     assert r.set_size == 1
     assert r.mass == 1.0
     assert r.rate == 0.0
+
+
+def _brute_force_set(pmf, m, delta):
+    """Reference: every K^m block's float probability, sorted, float cumsum."""
+    probs = product_probs_np(np.asarray(pmf, dtype=np.float64), m)
+    cumulative = np.cumsum(probs[np.argsort(-probs, kind="stable")])
+    idx = min(int(np.searchsorted(cumulative, 1.0 - delta, side="right")), probs.size - 1)
+    return idx + 1, float(cumulative[idx])
+
+
+@pytest.mark.parametrize(
+    "pmf, max_m",
+    [
+        ((1.0,), 12),
+        ((0.5, 0.5), 12),  # uniform: every block ties
+        ((0.9, 0.1), 12),
+        ((0.7, 0.0, 0.3), 10),  # a zero-probability symbol
+        ((1 / 3, 1 / 3, 1 / 3), 10),
+        ((0.6, 0.3, 0.1), 10),
+        ((0.25, 0.25, 0.25, 0.25), 8),
+        ((0.4, 0.3, 0.2, 0.1), 8),
+    ],
+)
+def test_type_classes_match_block_enumeration(pmf, max_m):
+    # Each 1 - delta lies off the sums of these block masses. Where a prefix
+    # mass equals 1 - delta in exact arithmetic (0.4 + 0.3 against 1 - 0.3),
+    # the reference's float cumsum may land on either side of it.
+    src = SourceModel(pmf)
+    for m in range(1, max_m + 1):
+        for delta in (0.013, 0.047, 0.11, 0.29, 0.53, 0.87):
+            r = smallest_high_mass_set(src, m, delta)
+            size, mass = _brute_force_set(pmf, m, delta)
+            assert r.set_size == size, (pmf, m, delta)
+            assert abs(r.mass - mass) <= 1e-12, (pmf, m, delta)
+
+
+def test_large_alphabet_single_symbol_blocks():
+    # types come from an iterator, not recursion, so K = 1000 is fine
+    r = smallest_high_mass_set(SourceModel((0.001,) * 1000), 1, 0.4995)
+    assert r.set_size == 501
+    assert r.mass == pytest.approx(0.501, abs=1e-12)
