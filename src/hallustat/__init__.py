@@ -30,6 +30,7 @@ from .evaluation import (
     NegligibilityReport,
     SweepRow,
     derive_stream,
+    evaluate_hp,
     exact_hp,
     hoeffding_halfwidth,
     mc_hp,

@@ -19,13 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
 from .errors import ConfigError, DominationError, WorkbenchError
-from .evaluation import (
-    derive_stream,
-    exact_hp,
-    mc_hp,
-    sweep,
-    sweep_csv,
-)
+from .evaluation import derive_stream, evaluate_hp, sweep, sweep_csv
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
     NflInstance,
@@ -54,9 +48,13 @@ from .shannon import SourceModel, smallest_high_mass_set
 # ---------------------------------------------------------------- config
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, name: str | None = None):
+    """doc[key]; `name` is the field's full path for error messages."""
+    name = name or key
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config field {name!r} needs an enclosing object, got {doc!r}")
     if key not in doc:
-        raise ConfigError(f"missing config field: {key!r}")
+        raise ConfigError(f"missing config field: {name!r}")
     return doc[key]
 
 
@@ -111,19 +109,21 @@ def _cdf_bound(doc: dict) -> CdfLowerBound:
 
 def _distribution(alphabet: Alphabet, doc: dict):
     spec = _require(doc, "mu")
-    kind = _require(spec, "kind")
+    kind = _require(spec, "kind", "mu.kind")
     if kind == "finite":
         atoms = tuple(
-            (_string(alphabet, a["s"]), _fraction(a["prob"]))
-            for a in _require(spec, "atoms")
+            (_string(alphabet, _require(a, "s", f"mu.atoms[{i}].s")),
+             _fraction(_require(a, "prob", f"mu.atoms[{i}].prob")))
+            for i, a in enumerate(_list_field(spec, "atoms", "mu.atoms"))
         )
         return FiniteSupport(atoms)
     if kind == "uniform_set":
-        members = tuple(_string(alphabet, s) for s in _require(spec, "members"))
+        members = tuple(_string(alphabet, s)
+                        for s in _list_field(spec, "members", "mu.members"))
         return UniformOverSet(members)
     if kind == "length_factored":
         probs = tuple(_float_value(v, "mu.length_probs entry")
-                      for v in _list_field(spec, "length_probs"))
+                      for v in _list_field(spec, "length_probs", "mu.length_probs"))
         ratio = spec.get("tail_ratio")
         if ratio is not None:
             ratio = _float_value(ratio, "mu.tail_ratio")
@@ -133,22 +133,26 @@ def _distribution(alphabet: Alphabet, doc: dict):
 
 def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
     spec = _require(doc, "ground_truth")
-    default = _require(spec, "default")
-    kind = _require(default, "kind")
+    default = _require(spec, "default", "ground_truth.default")
+    kind = _require(default, "kind", "ground_truth.default.kind")
     if kind == "echo":
         rule = Echo()
     elif kind == "constant":
-        rule = Constant(_string(alphabet, _require(default, "output")))
+        output = _require(default, "output", "ground_truth.default.output")
+        rule = Constant(_string(alphabet, output))
     elif kind == "index_shift":
-        rule = IndexShift(int(_require(default, "shift")))
+        shift = _require(default, "shift", "ground_truth.default.shift")
+        rule = IndexShift(_int_value(shift, "ground_truth.default.shift", 0))
     else:
         raise ConfigError(f"unknown default rule kind {kind!r}")
+    entries = _list_field(spec, "overrides", "ground_truth.overrides", default=[])
     overrides = tuple(
         (
-            _string(alphabet, entry["s"]),
-            tuple(_string(alphabet, y) for y in entry["accept"]),
+            _string(alphabet, _require(entry, "s", f"ground_truth.overrides[{i}].s")),
+            tuple(_string(alphabet, y)
+                  for y in _list_field(entry, "accept", f"ground_truth.overrides[{i}].accept")),
         )
-        for entry in spec.get("overrides", ())
+        for i, entry in enumerate(entries)
     )
     return GroundTruth(alphabet, rule, overrides)
 
@@ -184,10 +188,11 @@ def _float_value(value, key: str) -> float:
     raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
-def _list_field(doc: dict, key: str) -> list:
-    value = _require(doc, key)
+def _list_field(doc: dict, key: str, name: str | None = None, default=None) -> list:
+    """A list field; required unless a default is given."""
+    value = _require(doc, key, name) if default is None else doc.get(key, default)
     if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
+        raise ConfigError(f"{name or key} must be a list, got {value!r}")
     return value
 
 
@@ -267,10 +272,7 @@ def cmd_train_eval(cfg: dict, args) -> int:
     rng = derive_stream(args.seed, 0)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = train(t, alphabet, bound)
-    if isinstance(mu, (FiniteSupport, UniformOverSet)):
-        report = exact_hp(model, mu, gt)
-    else:
-        report = mc_hp(model, mu, gt, mc_samples, confidence, rng)
+    report = evaluate_hp(model, mu, gt, mc_samples, confidence, rng)
     doc = _meta(cfg, args.seed)
     doc["m"] = m
     doc["model"] = model_to_json(model)
@@ -320,7 +322,7 @@ def cmd_sweep(cfg: dict, args) -> int:
 
 def _nfl_strings(alphabet: Alphabet, cfg: dict, list_key: str, size_key: str):
     if list_key in cfg:
-        return tuple(_string(alphabet, v) for v in cfg[list_key])
+        return tuple(_string(alphabet, v) for v in _list_field(cfg, list_key))
     size = _int_field(cfg, size_key, 1)
     if size > count_upto(alphabet, 32):
         raise ConfigError(f"{size_key} {size} is too large to enumerate")
@@ -340,7 +342,7 @@ def cmd_nfl(cfg: dict, args) -> int:
         learner = FlrmTrainer(alphabet, _cdf_bound(learner_spec))
     else:
         raise ConfigError(f"unknown learner kind {kind!r}")
-    grid = tuple(_fraction(v) for v in cfg.get("lambda_h_grid", ["1/8", "1/4"]))
+    grid = tuple(_fraction(v) for v in _list_field(cfg, "lambda_h_grid", default=["1/8", "1/4"]))
     budget = _budget(cfg, args, 10**8)
     inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner)
     report = nfl_brute_force(inst, grid, budget)
@@ -436,7 +438,7 @@ def _load_config(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")

@@ -5,10 +5,16 @@ Randomness contract: every trial draws from its own stream derived as
 (master_seed, indices...), so results are independent of execution order and
 thread count. Monte Carlo confidence intervals are two-sided Hoeffding.
 
-A fast path covers the common experiment shape (length-factored inputs,
-override-free ground truth, threshold memorizer): it runs on int64 shortlex
-codes through the array kernels while consuming exactly the same uniform
-stream as the general object path, so both produce identical results.
+evaluate_hp is the one place that chooses exact evaluation (enumerable
+finite supports) or Monte Carlo (everything else).
+
+A trial takes one of two paths, chosen by the instance, never by the caller.
+build_fast_plan returns a plan for the common experiment shape
+(length-factored inputs, override-free ground truth, threshold memorizer,
+codes below 2^62); such trials run on int64 shortlex codes through the array
+kernels, consuming the same uniform stream as generate_qualified + mc_hp
+would. Every other instance runs on Str objects: generate_qualified, the
+trainer, evaluate_hp.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .measures import FiniteSupport, LengthFactored, UniformOverSet
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 
 _FAST_CODE_LIMIT = 2**62
+_ENUMERABLE = (FiniteSupport, UniformOverSet)
 
 
 def derive_stream(master_seed: int, *branch: int):
@@ -82,7 +89,7 @@ CSV_COLUMNS = ("m", "trials", "mean_hp", "std_hp", "exceed_fraction", "ci_halfwi
 
 def exact_hp(predict, mu, gt: GroundTruth) -> HallucinationReport:
     """Exact hallucination probability by support enumeration."""
-    if not isinstance(mu, (FiniteSupport, UniformOverSet)):
+    if not isinstance(mu, _ENUMERABLE):
         raise DomainError(
             f"exact evaluation needs an enumerable finite support, not "
             f"{type(mu).__name__}; use mc_hp"
@@ -106,6 +113,15 @@ def mc_hp(predict, mu, gt: GroundTruth, n_samples: int, confidence: float, rng) 
         ci_halfwidth=halfwidth,
         confidence=confidence,
     )
+
+
+def evaluate_hp(predict, mu, gt: GroundTruth, mc_samples: int, confidence: float,
+                rng) -> HallucinationReport:
+    """Exact HP when mu has an enumerable finite support, else Monte Carlo
+    with mc_samples draws from rng."""
+    if isinstance(mu, _ENUMERABLE):
+        return exact_hp(predict, mu, gt)
+    return mc_hp(predict, mu, gt, mc_samples, confidence, rng)
 
 
 @dataclass(frozen=True)
@@ -182,27 +198,23 @@ def run_trial(
     *,
     mc_samples: int = 10_000,
     confidence: float = 0.95,
-    allow_fast: bool = True,
 ):
     """One qualified draw, one training run, one HP evaluation."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    if allow_fast:
-        plan = build_fast_plan(trainer, mu, gt)
-        if plan is not None:
-            return _fast_trial(plan, m, labeler, rng, mc_samples)
+    plan = build_fast_plan(trainer, mu, gt)
+    if plan is not None:
+        return _fast_trial(plan, m, labeler, rng, mc_samples)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = trainer(t)
-    if isinstance(mu, (FiniteSupport, UniformOverSet)):
-        return exact_hp(model, mu, gt).estimate
-    return mc_hp(model, mu, gt, mc_samples, confidence, rng).estimate
+    return evaluate_hp(model, mu, gt, mc_samples, confidence, rng).estimate
 
 
 def _trial_hps(
     trainer, mu, gt, m, labeler, trials, master_seed, branch_prefix,
-    mc_samples, confidence, threads, allow_fast,
+    mc_samples, confidence, threads,
 ) -> np.ndarray:
-    plan = build_fast_plan(trainer, mu, gt) if allow_fast else None
+    plan = build_fast_plan(trainer, mu, gt)
 
     def one(index: int) -> float:
         rng = derive_stream(master_seed, *branch_prefix, index)
@@ -210,7 +222,7 @@ def _trial_hps(
             return _fast_trial(plan, m, labeler, rng, mc_samples)
         return run_trial(
             trainer, mu, gt, m, labeler, rng,
-            mc_samples=mc_samples, confidence=confidence, allow_fast=False,
+            mc_samples=mc_samples, confidence=confidence,
         )
 
     if threads > 1:
@@ -219,6 +231,16 @@ def _trial_hps(
     else:
         hps = [one(i) for i in range(trials)]
     return np.asarray(hps, dtype=np.float64)
+
+
+def _exceedance(hps: np.ndarray, epsilon_h: float) -> tuple[int, float, float]:
+    """Trials whose HP reaches epsilon_h: count, fraction, and the fraction's
+    normal-approximation 95% half-width."""
+    trials = hps.size
+    exceed = int(np.count_nonzero(hps >= epsilon_h))
+    fraction = exceed / trials
+    halfwidth = 1.96 * math.sqrt(fraction * (1.0 - fraction) / trials)
+    return exceed, fraction, halfwidth
 
 
 def negligibility_experiment(
@@ -235,7 +257,6 @@ def negligibility_experiment(
     mc_samples: int = 10_000,
     confidence: float = 0.95,
     threads: int = 1,
-    allow_fast: bool = True,
 ) -> NegligibilityReport:
     """Fraction of independent trials whose HP reaches epsilon_h.
 
@@ -246,11 +267,9 @@ def negligibility_experiment(
         raise DomainError(f"trials must be >= 1, got {trials}")
     hps = _trial_hps(
         trainer, mu, gt, m, labeler, trials, master_seed, (),
-        mc_samples, confidence, threads, allow_fast,
+        mc_samples, confidence, threads,
     )
-    exceed = int(np.count_nonzero(hps >= epsilon_h))
-    fraction = exceed / trials
-    halfwidth = 1.96 * math.sqrt(fraction * (1.0 - fraction) / trials)
+    exceed, fraction, halfwidth = _exceedance(hps, epsilon_h)
     return NegligibilityReport(
         m=m,
         trials=trials,
@@ -275,7 +294,6 @@ def sweep(
     mc_samples: int = 10_000,
     confidence: float = 0.95,
     threads: int = 1,
-    allow_fast: bool = True,
 ) -> list[SweepRow]:
     """One row of trial statistics per grid point; rows use disjoint streams."""
     if not m_grid:
@@ -284,11 +302,9 @@ def sweep(
     for row_index, m in enumerate(m_grid):
         hps = _trial_hps(
             trainer, mu, gt, m, labeler, trials, master_seed, (row_index,),
-            mc_samples, confidence, threads, allow_fast,
+            mc_samples, confidence, threads,
         )
-        exceed = int(np.count_nonzero(hps >= epsilon_h))
-        fraction = exceed / trials
-        halfwidth = 1.96 * math.sqrt(fraction * (1.0 - fraction) / trials)
+        _, fraction, halfwidth = _exceedance(hps, epsilon_h)
         rows.append(
             SweepRow(
                 m=int(m),

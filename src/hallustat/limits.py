@@ -236,7 +236,8 @@ def nfl_brute_force(
     work = p**n * n**inst.m * n
     if work > budget:
         raise BudgetExceeded(
-            f"enumeration needs {work} elementary evaluations (budget {budget})",
+            f"enumeration needs {p}^{n} * {n}^{inst.m} * {n} elementary evaluations "
+            f"(budget {budget})",
             required=work,
             budget=budget,
         )
@@ -358,7 +359,7 @@ def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
     if work > budget:
         raise BudgetExceeded(
             f"diagonalizing {k_models} models over {horizon} strings needs "
-            f"{work} model queries (budget {budget})",
+            f"{horizon} * {k_models} model queries (budget {budget})",
             required=work,
             budget=budget,
         )

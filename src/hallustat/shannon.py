@@ -72,19 +72,20 @@ def smallest_high_mass_set(
     Types are taken in decreasing block probability; whole type classes join
     the set while the mass stays at or below 1 - delta, and the boundary type
     contributes just enough blocks to pass it. `mass` is the exact mass of
-    the set, rounded once to float. The budget bounds the K^m blocks the set
-    is chosen from; the number of types never exceeds it.
+    the set, rounded once to float. The budget bounds max(K^m, m): the K^m
+    blocks the set is chosen from, which the number of types never exceeds,
+    and the block length m of each type, which exceeds K^m only at K = 1.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
     k = len(source.pmf)
-    total = k**m
-    if total > budget:
+    required = max(k**m, m)
+    if required > budget:
         raise BudgetExceeded(
-            f"enumerating {total} blocks exceeds budget {budget}",
-            required=total,
+            f"enumerating {k}^{m} blocks of length {m} exceeds budget {budget}",
+            required=required,
             budget=budget,
         )
     nums, denom = _dyadic_numerators(source.pmf)

@@ -80,6 +80,12 @@ def test_unreadable_or_invalid_config_exit_2(tmp_path):
     nonobj = tmp_path / "arr.json"
     nonobj.write_text("[1,2]")
     assert run(["bounds", "--config", str(nonobj)]) == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"alphabet": "\xe9"}')
+    assert run(["bounds", "--config", str(not_utf8)]) == 2
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"m": ' + "9" * 5000 + "}")
+    assert run(["bounds", "--config", str(long_int)]) == 2
 
 
 def test_negative_seed_exit_2(tmp_path):
@@ -154,7 +160,15 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
     ("confidence", "x"),
     ("mu", {"kind": "length_factored", "length_probs": ["x"], "tail_ratio": 0.5}),
     ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "x"}),
-], ids=["mc_samples", "confidence", "mu-length_probs", "mu-tail_ratio"])
+    ("mu", {"kind": "finite", "atoms": [{"s": []}]}),
+    ("ground_truth", {"default": {"kind": "index_shift", "shift": "x"}}),
+    ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0]}]}),
+    ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0], "accept": 3}]}),
+    ("ground_truth", {"default": {"kind": "echo"}, "overrides": 5}),
+], ids=["mc_samples", "confidence", "mu-length_probs", "mu-tail_ratio",
+        "mu-atom-without-prob", "ground_truth-shift-text",
+        "ground_truth-override-without-accept", "ground_truth-accept-scalar",
+        "ground_truth-overrides-scalar"])
 def test_train_eval_bad_field_exit_2(tmp_path, capsys, field, value):
     doc = train_eval_cfg()
     doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}
@@ -278,6 +292,10 @@ def test_nfl_verify_budget_exit_5(tmp_path, capsys):
     cfg = write_cfg(tmp_path, nfl_cfg())
     assert run(["nfl-verify", "--config", cfg, "--budget", "10"]) == 5
     assert "budget" in capsys.readouterr().err
+    # 2^20000 labelings: a work count too long to print in full
+    doc = nfl_cfg()
+    doc["domain_size"] = 20_000
+    assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
 
 
 def test_nfl_verify_m_out_of_regime_exit_3(tmp_path):
@@ -308,6 +326,18 @@ def test_nfl_verify_bad_budget_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     assert run(["nfl-verify", "--config", cfg]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_h_grid", 5),
+    ("domain", 5),
+], ids=["lambda_h_grid-scalar", "domain-scalar"])
+def test_nfl_verify_bad_field_exit_2(tmp_path, capsys, field, value):
+    doc = nfl_cfg()
+    doc[field] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["nfl-verify", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- diagonalize
@@ -365,6 +395,16 @@ def test_typical_set_row(tmp_path, capsys):
 def test_typical_set_budget_exit_5(tmp_path):
     cfg = write_cfg(tmp_path, {"pmf": [0.9, 0.1], "m": 25, "delta": 0.1})
     assert run(["typical-set", "--config", cfg]) == 5
+
+
+def test_typical_set_single_symbol_budget_exit_5(tmp_path, capsys):
+    # one type, but it is a length-m tuple: the budget bounds m as well
+    cfg = write_cfg(tmp_path, {"pmf": [1.0], "m": 10**8, "delta": 0.1})
+    assert run(["typical-set", "--config", cfg]) == 5
+    assert "budget" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, {"pmf": [1.0], "m": 11, "delta": 0.1})
+    assert run(["typical-set", "--config", cfg, "--budget", "10"]) == 5
+    assert run(["typical-set", "--config", cfg, "--budget", "11"]) == 0
 
 
 def test_typical_set_budget_override(tmp_path):

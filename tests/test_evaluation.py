@@ -10,6 +10,7 @@ from hallustat.evaluation import (
     CSV_COLUMNS,
     build_fast_plan,
     derive_stream,
+    evaluate_hp,
     exact_hp,
     hoeffding_halfwidth,
     mc_hp,
@@ -34,6 +35,7 @@ from hallustat.oracle import (
     IndexShift,
     Labeler,
     TrainingSequence,
+    generate_qualified,
 )
 
 A2 = Alphabet(2)
@@ -116,6 +118,20 @@ def test_mc_hp_matches_exact_within_halfwidth():
     assert abs(rep.estimate - exact) <= rep.ci_halfwidth
 
 
+def test_evaluate_hp_exact_on_finite_supports_else_monte_carlo():
+    gt = GroundTruth(A2, Echo())
+    always_empty = lambda x: empty_string(A2)
+    finite = (UniformOverSet((empty_string(A2), s(0))),
+              FiniteSupport(((s(0), Fraction(1, 2)), (s(1), Fraction(1, 2)))))
+    for mu in finite:
+        rep = evaluate_hp(always_empty, mu, gt, 100, 0.95, derive_stream(0, 0))
+        assert rep == exact_hp(always_empty, mu, gt)
+    mu = half_geometric()
+    rep = evaluate_hp(always_empty, mu, gt, 100, 0.95, derive_stream(0, 0))
+    assert rep == mc_hp(always_empty, mu, gt, 100, 0.95, derive_stream(0, 0))
+    assert rep.method == "monte_carlo"
+
+
 # ------------------------------------------------------------------- trials
 
 
@@ -157,12 +173,15 @@ def test_fast_plan_active_only_for_length_factored():
 def test_fast_path_equals_general_path(rule, labeler):
     mu = half_geometric()
     gt = GroundTruth(A2, rule)
+    assert build_fast_plan(TRAINER, mu, gt) is not None
     for m in (0, 1, 23, 150):
         for seed in (0, 5):
             fast = run_trial(TRAINER, mu, gt, m, labeler, derive_stream(seed, 0),
-                             mc_samples=2000, allow_fast=True)
-            slow = run_trial(TRAINER, mu, gt, m, labeler, derive_stream(seed, 0),
-                             mc_samples=2000, allow_fast=False)
+                             mc_samples=2000)
+            # The object path on the same stream: draw, train, Monte Carlo.
+            rng = derive_stream(seed, 0)
+            model = TRAINER(generate_qualified(mu, gt, m, labeler, rng))
+            slow = mc_hp(model, mu, gt, 2000, 0.95, rng).estimate
             assert fast == slow  # bitwise, not approximately
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from hallustat import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-
 
 def _layout(q, top):
     # base/pow tables for lengths 0..top
@@ -15,21 +13,12 @@ def _layout(q, top):
     return base, pow_i.astype(np.float64), pow_i
 
 
-def test_env_flag_disables_numba(monkeypatch):
-    monkeypatch.setenv("HALLUSTAT_DISABLE_NUMBA", "1")
-    assert not kernels.numba_enabled()
-    monkeypatch.setenv("HALLUSTAT_DISABLE_NUMBA", "0")
-    assert kernels.numba_enabled() == kernels.HAVE_NUMBA
-    monkeypatch.delenv("HALLUSTAT_DISABLE_NUMBA")
-    assert kernels.numba_enabled() == kernels.HAVE_NUMBA
-
-
 def test_sample_codes_np_decodes_lengths_and_offsets():
     base, pow_f, pow_i = _layout(2, 3)
     cum = np.array([0.5, 0.75, 0.875, 1.0])
     u_len = np.array([0.0, 0.49, 0.5, 0.74, 0.875, 0.999])
     u_off = np.array([0.0, 0.99, 0.0, 0.99, 0.5, 0.999])
-    codes, lengths = kernels.sample_codes_np(u_len, u_off, cum, base, pow_f, pow_i)
+    codes, lengths = kernels.sample_codes(u_len, u_off, cum, base, pow_f, pow_i)
     assert lengths.tolist() == [0, 0, 1, 1, 3, 3]
     assert codes.tolist() == [0, 0, 1, 2, 7 + 4, 7 + 7]
 
@@ -48,20 +37,20 @@ def test_count_misses_np_brute():
                 for c in codes.tolist()
                 if c not in key_set and not (mode == 0 and c == 0)
             )
-        assert kernels.count_misses_np(codes, keys, mode) == expected
+        assert kernels.count_misses(codes, keys, mode) == expected
 
 
 def test_count_misses_np_empty_keys():
     codes = np.array([0, 1, 2, 0], dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
-    assert kernels.count_misses_np(codes, empty, 1) == 4
-    assert kernels.count_misses_np(codes, empty, 0) == 2  # the two zeros survive
-    assert kernels.count_misses_np(codes, empty, 2) == 0
+    assert kernels.count_misses(codes, empty, 1) == 4
+    assert kernels.count_misses(codes, empty, 0) == 2  # the two zeros survive
+    assert kernels.count_misses(codes, empty, 2) == 0
 
 
 def test_product_probs_np_brute():
     pmf = np.array([0.5, 0.3, 0.2])
-    got = kernels.product_probs_np(pmf, 3)
+    got = kernels.product_probs(pmf, 3)
     brute = [
         pmf[a] * pmf[b] * pmf[c]
         for a, b, c in itertools.product(range(3), repeat=3)
@@ -72,57 +61,4 @@ def test_product_probs_np_brute():
 
 def test_product_probs_m1():
     pmf = np.array([0.9, 0.1])
-    assert kernels.product_probs_np(pmf, 1).tolist() == [0.9, 0.1]
-
-
-@needs_numba
-def test_sample_codes_twins_bitwise_equal():
-    rng = np.random.default_rng(7)
-    for q, top in ((2, 8), (3, 5)):
-        base, pow_f, pow_i = _layout(q, top)
-        cum_raw = np.cumsum(rng.dirichlet(np.ones(top + 1)))
-        cum = np.append(cum_raw[:-1], 1.0)
-        u_len = rng.random(5000)
-        u_off = rng.random(5000)
-        c_np, l_np = kernels.sample_codes_np(u_len, u_off, cum, base, pow_f, pow_i)
-        c_nb, l_nb = kernels._sample_codes_nb(u_len, u_off, cum, base, pow_f, pow_i)
-        assert np.array_equal(c_np, c_nb)
-        assert np.array_equal(l_np, l_nb)
-
-
-@needs_numba
-def test_count_misses_twins_agree():
-    rng = np.random.default_rng(8)
-    for trial in range(20):
-        n_keys = int(rng.integers(0, 10))
-        keys = np.array(
-            sorted(rng.choice(63, size=n_keys, replace=False)), dtype=np.int64
-        )
-        codes = rng.integers(0, 63, size=500).astype(np.int64)
-        for mode in (0, 1, 2):
-            assert kernels.count_misses_np(codes, keys, mode) == kernels._count_misses_nb(
-                codes, keys, np.int64(mode)
-            )
-
-
-@needs_numba
-def test_product_probs_twins_bitwise_equal():
-    rng = np.random.default_rng(9)
-    for k, m in ((2, 12), (3, 7), (5, 4)):
-        pmf = rng.dirichlet(np.ones(k))
-        a = kernels.product_probs_np(pmf, m)
-        b = kernels._product_probs_nb(pmf, np.int64(m))
-        assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_dispatch_respects_env_flag(monkeypatch):
-    base, pow_f, pow_i = _layout(2, 2)
-    cum = np.array([0.5, 0.75, 1.0])
-    u = np.linspace(0.0, 0.999, 64)
-    monkeypatch.setenv("HALLUSTAT_DISABLE_NUMBA", "1")
-    via_np = kernels.sample_codes(u, u[::-1].copy(), cum, base, pow_f, pow_i)
-    monkeypatch.setenv("HALLUSTAT_DISABLE_NUMBA", "0")
-    via_nb = kernels.sample_codes(u, u[::-1].copy(), cum, base, pow_f, pow_i)
-    assert np.array_equal(via_np[0], via_nb[0])
-    assert np.array_equal(via_np[1], via_nb[1])
+    assert kernels.product_probs(pmf, 1).tolist() == [0.9, 0.1]

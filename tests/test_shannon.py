@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hallustat.errors import BudgetExceeded, DomainError
-from hallustat.kernels import product_probs_np
+from hallustat.kernels import product_probs
 from hallustat.shannon import (
     SourceModel,
     check_source_coding,
@@ -93,6 +93,19 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded) as err:
         smallest_high_mass_set(src, 25, 0.1)  # 2^25 > 10^7
     assert err.value.required == 2**25
+    # 2^20000 has more digits than int-to-str conversion allows
+    with pytest.raises(BudgetExceeded) as err:
+        smallest_high_mass_set(src, 20_000, 0.1)
+    assert err.value.required == 2**20_000
+    # 1^m = 1 block, but its one type is a length-m tuple: m is bounded too
+    one = SourceModel((1.0,))
+    with pytest.raises(BudgetExceeded) as err:
+        smallest_high_mass_set(one, 10**8, 0.1)
+    assert err.value.required == 10**8
+    with pytest.raises(BudgetExceeded) as err:
+        smallest_high_mass_set(one, 11, 0.1, budget=10)
+    assert err.value.required == 11
+    assert smallest_high_mass_set(one, 10, 0.1, budget=10).set_size == 1
 
 
 def test_single_symbol_source():
@@ -104,7 +117,7 @@ def test_single_symbol_source():
 
 def _brute_force_set(pmf, m, delta):
     """Reference: every K^m block's float probability, sorted, float cumsum."""
-    probs = product_probs_np(np.asarray(pmf, dtype=np.float64), m)
+    probs = product_probs(np.asarray(pmf, dtype=np.float64), m)
     cumulative = np.cumsum(probs[np.argsort(-probs, kind="stable")])
     idx = min(int(np.searchsorted(cumulative, 1.0 - delta, side="right")), probs.size - 1)
     return idx + 1, float(cumulative[idx])
