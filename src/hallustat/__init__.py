@@ -45,7 +45,6 @@ from .flrm import (
     MemorizerModel,
     model_from_json,
     model_to_json,
-    predict,
     threshold_length,
     train,
 )
@@ -75,11 +74,7 @@ from .measures import (
     GeometricTail,
     LengthFactored,
     ReachesOne,
-    UniformOverSet,
     dominates,
-    length_cdf,
-    pmf,
-    sample,
 )
 from .oracle import (
     Constant,
@@ -88,8 +83,6 @@ from .oracle import (
     IndexShift,
     Labeler,
     TrainingSequence,
-    accepts,
-    canonical,
     generate_qualified,
     is_qualified,
 )
@@ -97,7 +90,6 @@ from .shannon import (
     SourceModel,
     TypicalSetReport,
     check_source_coding,
-    entropy_bits,
     smallest_high_mass_set,
 )
 

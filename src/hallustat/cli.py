@@ -24,6 +24,7 @@ from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
     NflInstance,
     check_diagonal_budget,
+    check_nfl_budget,
     diagonalize,
     memorize_constant_trainer,
     nfl_brute_force,
@@ -38,7 +39,6 @@ from .measures import (
     GeometricTail,
     LengthFactored,
     ReachesOne,
-    UniformOverSet,
     dominates,
 )
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
@@ -118,9 +118,10 @@ def _distribution(alphabet: Alphabet, doc: dict):
         )
         return FiniteSupport(atoms)
     if kind == "uniform_set":
-        members = tuple(_string(alphabet, s)
-                        for s in _list_field(spec, "members", "mu.members"))
-        return UniformOverSet(members)
+        members = [_string(alphabet, s)
+                   for s in _list_field(spec, "members", "mu.members")]
+        mass = Fraction(1, max(len(members), 1))  # no members: FiniteSupport rejects ()
+        return FiniteSupport(tuple((s, mass) for s in members))
     if kind == "length_factored":
         probs = tuple(_float_value(v, "mu.length_probs entry")
                       for v in _list_field(spec, "length_probs", "mu.length_probs"))
@@ -320,20 +321,32 @@ def cmd_sweep(cfg: dict, args) -> int:
     return 0
 
 
-def _nfl_strings(alphabet: Alphabet, cfg: dict, list_key: str, size_key: str):
+def _nfl_size(alphabet: Alphabet, cfg: dict, list_key: str, size_key: str) -> int:
+    """Length of the explicit string list, else the validated size field."""
     if list_key in cfg:
-        return tuple(_string(alphabet, v) for v in _list_field(cfg, list_key))
+        return len(_list_field(cfg, list_key))
     size = _int_field(cfg, size_key, 1)
     if size > count_upto(alphabet, 32):
         raise ConfigError(f"{size_key} {size} is too large to enumerate")
+    return size
+
+
+def _nfl_strings(alphabet: Alphabet, cfg: dict, list_key: str, size: int):
+    if list_key in cfg:
+        return tuple(_string(alphabet, v) for v in cfg[list_key])
     return tuple(shortlex_string(alphabet, i) for i in range(size))
 
 
 def cmd_nfl(cfg: dict, args) -> int:
     alphabet = _alphabet(cfg)
-    domain = _nfl_strings(alphabet, cfg, "domain", "domain_size")
-    codomain = _nfl_strings(alphabet, cfg, "codomain", "codomain_size")
+    n = _nfl_size(alphabet, cfg, "domain", "domain_size")
+    p = _nfl_size(alphabet, cfg, "codomain", "codomain_size")
     m = _int_field(cfg, "m", 0)
+    budget = _budget(cfg, args, 10**8)
+    # Checked before any string is built as well as inside nfl_brute_force.
+    check_nfl_budget(n, p, m, budget)
+    domain = _nfl_strings(alphabet, cfg, "domain", n)
+    codomain = _nfl_strings(alphabet, cfg, "codomain", p)
     learner_spec = _require(cfg, "learner")
     kind = _require(learner_spec, "kind")
     if kind == "memorize_constant":
@@ -343,7 +356,6 @@ def cmd_nfl(cfg: dict, args) -> int:
     else:
         raise ConfigError(f"unknown learner kind {kind!r}")
     grid = tuple(_fraction(v) for v in _list_field(cfg, "lambda_h_grid", default=["1/8", "1/4"]))
-    budget = _budget(cfg, args, 10**8)
     inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner)
     report = nfl_brute_force(inst, grid, budget)
     doc = _meta(cfg, args.seed)

@@ -34,3 +34,18 @@ class BudgetExceeded(WorkbenchError):
         super().__init__(message)
         self.required = required
         self.budget = budget
+
+
+def check_budget(message: str, budget: int, low_bits: int, work) -> None:
+    """Raise BudgetExceeded when work() exceeds the budget.
+
+    low_bits is a cheap lower bound on the bit length of the work. Past
+    max(budget.bit_length(), 2^16) bits the request is rejected without
+    calling work(), whose exact integer could take seconds to form, and
+    `required` is then None.
+    """
+    if low_bits > max(budget.bit_length(), 2**16):
+        raise BudgetExceeded(message, required=None, budget=budget)
+    required = work()
+    if required > budget:
+        raise BudgetExceeded(message, required=required, budget=budget)

@@ -20,6 +20,7 @@ trainer, evaluate_hp.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +31,10 @@ from . import kernels
 from .core import count_upto
 from .errors import DomainError
 from .flrm import FlrmTrainer, threshold_length
-from .measures import FiniteSupport, LengthFactored, UniformOverSet
+from .measures import FiniteSupport, LengthFactored
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 
 _FAST_CODE_LIMIT = 2**62
-_ENUMERABLE = (FiniteSupport, UniformOverSet)
 
 
 def derive_stream(master_seed: int, *branch: int):
@@ -89,7 +89,7 @@ CSV_COLUMNS = ("m", "trials", "mean_hp", "std_hp", "exceed_fraction", "ci_halfwi
 
 def exact_hp(predict, mu, gt: GroundTruth) -> HallucinationReport:
     """Exact hallucination probability by support enumeration."""
-    if not isinstance(mu, _ENUMERABLE):
+    if not isinstance(mu, FiniteSupport):
         raise DomainError(
             f"exact evaluation needs an enumerable finite support, not "
             f"{type(mu).__name__}; use mc_hp"
@@ -119,7 +119,7 @@ def evaluate_hp(predict, mu, gt: GroundTruth, mc_samples: int, confidence: float
                 rng) -> HallucinationReport:
     """Exact HP when mu has an enumerable finite support, else Monte Carlo
     with mc_samples draws from rng."""
-    if isinstance(mu, _ENUMERABLE):
+    if isinstance(mu, FiniteSupport):
         return exact_hp(predict, mu, gt)
     return mc_hp(predict, mu, gt, mc_samples, confidence, rng)
 
@@ -197,7 +197,6 @@ def run_trial(
     rng,
     *,
     mc_samples: int = 10_000,
-    confidence: float = 0.95,
 ):
     """One qualified draw, one training run, one HP evaluation."""
     if m < 0:
@@ -207,12 +206,13 @@ def run_trial(
         return _fast_trial(plan, m, labeler, rng, mc_samples)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = trainer(t)
-    return evaluate_hp(model, mu, gt, mc_samples, confidence, rng).estimate
+    # Only the estimate is kept, so the interval's confidence level is moot.
+    return evaluate_hp(model, mu, gt, mc_samples, 0.95, rng).estimate
 
 
 def _trial_hps(
     trainer, mu, gt, m, labeler, trials, master_seed, branch_prefix,
-    mc_samples, confidence, threads,
+    mc_samples, threads,
 ) -> np.ndarray:
     plan = build_fast_plan(trainer, mu, gt)
 
@@ -220,17 +220,21 @@ def _trial_hps(
         rng = derive_stream(master_seed, *branch_prefix, index)
         if plan is not None:
             return _fast_trial(plan, m, labeler, rng, mc_samples)
-        return run_trial(
-            trainer, mu, gt, m, labeler, rng,
-            mc_samples=mc_samples, confidence=confidence,
-        )
+        return run_trial(trainer, mu, gt, m, labeler, rng, mc_samples=mc_samples)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # More workers than trials or cores only adds threads.
+    workers = min(threads, trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             hps = list(pool.map(one, range(trials)))
     else:
         hps = [one(i) for i in range(trials)]
     return np.asarray(hps, dtype=np.float64)
+
+
+def _check_level(name: str, epsilon: float) -> None:
+    if not 0.0 < epsilon <= 1.0:  # also rejects NaN
+        raise DomainError(f"{name} must lie in (0,1], got {epsilon}")
 
 
 def _exceedance(hps: np.ndarray, epsilon_h: float) -> tuple[int, float, float]:
@@ -255,7 +259,6 @@ def negligibility_experiment(
     master_seed: int,
     *,
     mc_samples: int = 10_000,
-    confidence: float = 0.95,
     threads: int = 1,
 ) -> NegligibilityReport:
     """Fraction of independent trials whose HP reaches epsilon_h.
@@ -265,9 +268,10 @@ def negligibility_experiment(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    _check_level("epsilon_h", epsilon_h)
+    _check_level("epsilon_t", epsilon_t)
     hps = _trial_hps(
-        trainer, mu, gt, m, labeler, trials, master_seed, (),
-        mc_samples, confidence, threads,
+        trainer, mu, gt, m, labeler, trials, master_seed, (), mc_samples, threads,
     )
     exceed, fraction, halfwidth = _exceedance(hps, epsilon_h)
     return NegligibilityReport(
@@ -292,17 +296,17 @@ def sweep(
     *,
     epsilon_h: float = 0.2,
     mc_samples: int = 10_000,
-    confidence: float = 0.95,
     threads: int = 1,
 ) -> list[SweepRow]:
     """One row of trial statistics per grid point; rows use disjoint streams."""
     if not m_grid:
         raise DomainError("m grid must be non-empty")
+    _check_level("epsilon_h", epsilon_h)
     rows = []
     for row_index, m in enumerate(m_grid):
         hps = _trial_hps(
             trainer, mu, gt, m, labeler, trials, master_seed, (row_index,),
-            mc_samples, confidence, threads,
+            mc_samples, threads,
         )
         _, fraction, halfwidth = _exceedance(hps, epsilon_h)
         rows.append(

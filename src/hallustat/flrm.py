@@ -83,10 +83,6 @@ def train(t: TrainingSequence, alphabet: Alphabet, bound: CdfLowerBound) -> Memo
     return MemorizerModel(alphabet, table, n_bar)
 
 
-def predict(model: MemorizerModel, s: Str) -> Str:
-    return model.predict(s)
-
-
 @dataclass(frozen=True)
 class FlrmTrainer:
     """Trainer closure over (alphabet, bound); callable on a TrainingSequence."""

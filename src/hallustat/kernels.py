@@ -1,9 +1,5 @@
-"""Hot array kernels, in numpy.
-
-sample_codes and count_misses are the coded trial path's sampling and miss
-counting. product_probs is not called by the library (shannon works on type
-classes, not on all K^m blocks); it is the brute-force reference the tests
-check shannon against.
+"""Hot array kernels, in numpy: the coded trial path's sampling
+(sample_codes) and miss counting (count_misses).
 
 Strings appear here only as int64 shortlex codes. Code layout for alphabet
 size q: base[L] = number of strings shorter than L, code = base[L] + offset
@@ -45,11 +41,3 @@ def count_misses(codes, keys_sorted, empty_mode):
     if empty_mode == 0:
         miss &= codes != 0
     return int(np.count_nonzero(miss))
-
-
-def product_probs(pmf, m):
-    """Probabilities of all len(pmf)^m symbol sequences, lexicographic order."""
-    out = pmf.astype(np.float64).copy()
-    for _ in range(m - 1):
-        out = np.multiply.outer(out, pmf).ravel()
-    return out

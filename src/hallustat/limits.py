@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, check_budget
 from .flrm import MemorizerModel
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
@@ -200,6 +200,19 @@ class NflInstance:
             )
 
 
+def check_nfl_budget(n: int, p: int, m: int, budget: int) -> None:
+    """Bound the work of an NFL enumeration over n domain strings, p codomain
+    strings and training size m by p^n * n^m * n elementary evaluations,
+    of at least n*floor(log2 p) + (m+1)*floor(log2 n) bits."""
+    check_budget(
+        f"enumeration needs {p}^{n} * {n}^{m} * {n} elementary evaluations "
+        f"(budget {budget})",
+        budget,
+        n * (p.bit_length() - 1) + (m + 1) * (n.bit_length() - 1),
+        lambda: p**n * n**m * n,
+    )
+
+
 @dataclass(frozen=True)
 class TailCheck:
     lambda_h: Fraction
@@ -233,14 +246,7 @@ def nfl_brute_force(
     """
     n = len(inst.domain)
     p = len(inst.codomain)
-    work = p**n * n**inst.m * n
-    if work > budget:
-        raise BudgetExceeded(
-            f"enumeration needs {p}^{n} * {n}^{inst.m} * {n} elementary evaluations "
-            f"(budget {budget})",
-            required=work,
-            budget=budget,
-        )
+    check_nfl_budget(n, p, inst.m, budget)
     q_total = p**n
     # F[q, j] = codomain index assigned to domain[j] by labeling q.
     qs = np.arange(q_total, dtype=np.int64)

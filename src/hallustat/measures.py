@@ -1,9 +1,9 @@
 """String distributions and length-CDF lower bounds.
 
-Three distribution families over the strings of an alphabet:
+Two distribution families over the strings of an alphabet:
 
-  FiniteSupport   explicit atoms with exact rational masses
-  UniformOverSet  uniform over a finite set of strings
+  FiniteSupport   explicit atoms with exact rational masses (a uniform law
+                  over a finite set is the case of equal masses)
   LengthFactored  a law on lengths (table plus optional geometric tail),
                   uniform over all strings of a given length
 
@@ -13,7 +13,7 @@ table plus an analytic tail rule; the tail rule is what makes both the
 sampled.
 
 Sampling consumes a fixed number of uniforms per draw: two for LengthFactored
-(length, then offset within the level), one for the other variants. Batch
+(length, then offset within the level), one for FiniteSupport. Batch
 draws consume whole uniform arrays in that order, so alternative samplers
 sharing the uniform stream reproduce draws bit for bit.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -99,29 +99,45 @@ class CdfLowerBound:
 
 @dataclass(frozen=True)
 class FiniteSupport:
-    """Explicit atoms (string, mass) with exact rational masses summing to 1."""
+    """Explicit atoms (string, mass) with exact rational masses summing to 1.
+
+    The length CDF is a table: `_lengths` holds the distinct atom lengths in
+    increasing order and `_cdf[i]` the exact mass of atoms no longer than
+    `_lengths[i - 1]` (`_cdf[0]` is 0), both built once by the pass that
+    checks the masses.
+    """
 
     atoms: tuple[tuple[Str, Fraction], ...]
+    _lengths: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _cdf: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.atoms:
             raise DomainError("finite-support distribution needs at least one atom")
-        norm = tuple((s, Fraction(p)) for s, p in self.atoms)
+        norm = tuple((s, p if isinstance(p, Fraction) else Fraction(p))
+                     for s, p in self.atoms)
         object.__setattr__(self, "atoms", norm)
         alphabet = norm[0][0].alphabet
         seen = set()
-        total = Fraction(0)
+        mass_by_length = {}
         for s, p in norm:
             if s.alphabet != alphabet:
                 raise DomainError("atoms must share one alphabet")
             if s.symbols in seen:
                 raise DomainError(f"duplicate atom {s.symbols}")
             seen.add(s.symbols)
-            if not 0 <= p <= 1:
+            if not 0 <= p.numerator <= p.denominator:  # denominators are positive
                 raise DomainError(f"mass {p} outside [0,1]")
-            total += p
-        if total != 1:
-            raise DomainError(f"masses must sum to exactly 1, got {total}")
+            n = len(s)
+            mass_by_length[n] = mass_by_length.get(n, 0) + p
+        lengths = sorted(mass_by_length)
+        cdf = [Fraction(0)]
+        for n in lengths:
+            cdf.append(cdf[-1] + mass_by_length[n])
+        if cdf[-1] != 1:
+            raise DomainError(f"masses must sum to exactly 1, got {cdf[-1]}")
+        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "_cdf", tuple(cdf))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -133,7 +149,7 @@ class FiniteSupport:
 
     @property
     def max_length(self) -> int:
-        return max(len(s) for s, _ in self.atoms)
+        return self._lengths[-1]
 
     @cached_property
     def _mass_map(self):
@@ -154,73 +170,14 @@ class FiniteSupport:
     def length_cdf(self, n: int) -> Fraction:
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
-        return sum((p for s, p in self.atoms if len(s) <= n), Fraction(0))
+        return self._cdf[bisect.bisect_right(self._lengths, n)]
 
     def sample_batch(self, rng, size: int) -> list[Str]:
         u = rng.random(size)
         idx = np.searchsorted(self._sampling_cum, u, side="right")
         idx = np.minimum(idx, len(self.atoms) - 1)
-        return [self.atoms[int(i)][0] for i in idx]
-
-
-@dataclass(frozen=True)
-class UniformOverSet:
-    """Uniform distribution over a finite set of distinct strings."""
-
-    members: tuple[Str, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise DomainError("uniform-over-set needs at least one member")
-        alphabet = self.members[0].alphabet
-        seen = set()
-        for s in self.members:
-            if s.alphabet != alphabet:
-                raise DomainError("members must share one alphabet")
-            if s.symbols in seen:
-                raise DomainError(f"duplicate member {s.symbols}")
-            seen.add(s.symbols)
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.members[0].alphabet
-
-    @property
-    def is_support_infinite(self) -> bool:
-        return False
-
-    @property
-    def max_length(self) -> int:
-        return max(len(s) for s in self.members)
-
-    @cached_property
-    def _member_set(self):
-        return frozenset(self.members)
-
-    @cached_property
-    def _sorted_lengths(self):
-        return sorted(len(s) for s in self.members)
-
-    def support(self):
-        p = Fraction(1, len(self.members))
-        return ((s, p) for s in self.members)
-
-    def pmf(self, s: Str) -> Fraction:
-        if s in self._member_set:
-            return Fraction(1, len(self.members))
-        return Fraction(0)
-
-    def length_cdf(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
-        k = bisect.bisect_right(self._sorted_lengths, n)
-        return Fraction(k, len(self.members))
-
-    def sample_batch(self, rng, size: int) -> list[Str]:
-        u = rng.random(size)
-        k = len(self.members)
-        idx = np.minimum((u * k).astype(np.int64), k - 1)
-        return [self.members[int(i)] for i in idx]
+        atoms = self.atoms
+        return [atoms[i][0] for i in idx.tolist()]
 
 
 @dataclass(frozen=True)
@@ -240,8 +197,8 @@ class LengthFactored:
     def __post_init__(self):
         total = 0.0
         for p in self.length_probs:
-            if p < 0.0:
-                raise DomainError(f"length probability {p} is negative")
+            if not p >= 0.0:  # also rejects NaN
+                raise DomainError(f"length probability {p} is not a nonnegative number")
             total += p
         if total > 1.0 + _SUM_TOL:
             raise DomainError(f"length probabilities sum to {total} > 1")
@@ -359,25 +316,10 @@ class LengthFactored:
         return out
 
 
-StringDistribution = FiniteSupport | UniformOverSet | LengthFactored
-
-
-def sample(dist: StringDistribution, rng) -> Str:
-    return dist.sample_batch(rng, 1)[0]
-
-
-def pmf(dist: StringDistribution, s: Str):
-    return dist.pmf(s)
-
-
-def length_cdf(dist: StringDistribution, n: int):
-    return dist.length_cdf(n)
-
-
 def _dist_tail(dist):
     """("one", a): CDF is 1 for n >= a. ("geom", anchor, defect, ratio):
     defect(n) = defect * ratio^(n - anchor) for n >= anchor."""
-    if isinstance(dist, (FiniteSupport, UniformOverSet)):
+    if isinstance(dist, FiniteSupport):
         return ("one", dist.max_length)
     if isinstance(dist, LengthFactored):
         table_len = len(dist.length_probs)
@@ -399,8 +341,8 @@ def _bound_tail(bound: CdfLowerBound):
     return ("geom", last, defect, bound.tail.ratio)
 
 
-def dominates(dist: StringDistribution, bound: CdfLowerBound, horizon: int) -> bool:
-    """True iff length_cdf(dist, n) >= bound(n) for every n, checked pointwise
+def dominates(dist: FiniteSupport | LengthFactored, bound: CdfLowerBound, horizon: int) -> bool:
+    """True iff dist.length_cdf(n) >= bound(n) for every n, checked pointwise
     up to max(horizon, table and support extents) and analytically beyond."""
     table_last = len(bound.table) - 1
     if horizon < table_last:
@@ -408,7 +350,7 @@ def dominates(dist: StringDistribution, bound: CdfLowerBound, horizon: int) -> b
     d_tail = _dist_tail(dist)
     b_tail = _bound_tail(bound)
     high = max(horizon, table_last, d_tail[1], b_tail[1]) + 1
-    exact = isinstance(dist, (FiniteSupport, UniformOverSet))
+    exact = isinstance(dist, FiniteSupport)
     for n in range(high + 1):
         cdf_n = dist.length_cdf(n)
         b_n = bound.value(n)

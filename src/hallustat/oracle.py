@@ -112,14 +112,6 @@ class GroundTruth:
         return y == self._default_output(s)
 
 
-def accepts(gt: GroundTruth, s: Str, y: Str) -> bool:
-    return gt.accepts(s, y)
-
-
-def canonical(gt: GroundTruth, s: Str) -> Str:
-    return gt.canonical(s)
-
-
 class Labeler(enum.Enum):
     CANONICAL = "canonical"
     UNIFORM_ACCEPTABLE = "uniform_acceptable"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError, check_budget
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class SourceModel:
     @cached_property
     def entropy_bits(self) -> float:
         return -math.fsum(p * math.log2(p) for p in self.pmf if p > 0.0)
-
-
-def entropy_bits(pmf) -> float:
-    return SourceModel(tuple(pmf)).entropy_bits
 
 
 @dataclass(frozen=True)
@@ -75,19 +71,19 @@ def smallest_high_mass_set(
     the set, rounded once to float. The budget bounds max(K^m, m): the K^m
     blocks the set is chosen from, which the number of types never exceeds,
     and the block length m of each type, which exceeds K^m only at K = 1.
+    K^m has at least m*floor(log2 K) bits, which check_budget compares first.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
     k = len(source.pmf)
-    required = max(k**m, m)
-    if required > budget:
-        raise BudgetExceeded(
-            f"enumerating {k}^{m} blocks of length {m} exceeds budget {budget}",
-            required=required,
-            budget=budget,
-        )
+    check_budget(
+        f"enumerating {k}^{m} blocks of length {m} exceeds budget {budget}",
+        budget,
+        m * (k.bit_length() - 1),
+        lambda: max(k**m, m),
+    )
     nums, denom = _dyadic_numerators(source.pmf)
     target = Fraction(1.0 - delta)
     # Work in integers over one power-of-two denominator shared by the block

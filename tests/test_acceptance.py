@@ -12,6 +12,8 @@ import numpy as np
 
 import hallustat as h
 
+from helpers import uniform_support
+
 A2 = h.Alphabet(2)
 HALF_BOUND = h.CdfLowerBound((0.5,), h.GeometricTail(0.5))
 
@@ -101,7 +103,7 @@ def test_criterion_05_hard_support_construction():
                 bound.value(nec.n_lower)
             )
             assert len(support) == objective.numerator // objective.denominator
-            assert h.dominates(h.UniformOverSet(tuple(support)), bound, 64)
+            assert h.dominates(uniform_support(support), bound, 64)
 
 
 def test_criterion_06_reverse_markov_randomized():

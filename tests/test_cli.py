@@ -225,6 +225,25 @@ def test_sweep_domination_failure_exit_4(tmp_path, capsys):
     assert "does not dominate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["-5", "7", "NaN", "0"])
+def test_sweep_epsilon_outside_unit_interval_exit_3(tmp_path, capsys, raw):
+    # spliced into the JSON text, so NaN is written as the bare token
+    text = json.dumps(sweep_cfg())[:-1] + f', "epsilon_h": {raw}}}'
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run(["sweep", "--config", str(path)]) == 3
+    assert "epsilon_h" in capsys.readouterr().err
+
+
+def test_sweep_nan_length_probability_exit_3(tmp_path, capsys):
+    text = json.dumps(sweep_cfg()).replace(
+        '"length_probs": []', '"length_probs": [0.5, 0.25, NaN]')
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run(["sweep", "--config", str(path)]) == 3
+    assert "length probability" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("mc_samples", 0),
     ("mc_samples", "x"),
@@ -296,6 +315,17 @@ def test_nfl_verify_budget_exit_5(tmp_path, capsys):
     doc = nfl_cfg()
     doc["domain_size"] = 20_000
     assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
+
+
+def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a domain string was built before the budget check")
+
+    monkeypatch.setattr(cli, "shortlex_string", refuse)
+    doc = nfl_cfg()
+    doc["domain_size"] = 10**6
+    assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
+    assert "budget" in capsys.readouterr().err
 
 
 def test_nfl_verify_m_out_of_regime_exit_3(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hallustat import evaluation
 from hallustat.core import Alphabet, Str, empty_string, shortlex_string
 from hallustat.errors import DomainError
 from hallustat.evaluation import (
@@ -26,7 +27,6 @@ from hallustat.measures import (
     FiniteSupport,
     GeometricTail,
     LengthFactored,
-    UniformOverSet,
 )
 from hallustat.oracle import (
     Constant,
@@ -37,6 +37,8 @@ from hallustat.oracle import (
     TrainingSequence,
     generate_qualified,
 )
+
+from helpers import uniform_support
 
 A2 = Alphabet(2)
 HALF_BOUND = CdfLowerBound((0.5,), GeometricTail(0.5))
@@ -85,7 +87,7 @@ def test_hoeffding_halfwidth_value():
 
 def test_exact_hp_simple_fraction():
     members = tuple(shortlex_string(A2, r) for r in range(4))
-    mu = UniformOverSet(members)
+    mu = uniform_support(members)
     gt = GroundTruth(A2, Echo())
     always_empty = lambda x: empty_string(A2)
     rep = exact_hp(always_empty, mu, gt)
@@ -108,7 +110,7 @@ def test_exact_hp_rejects_infinite_support():
 
 def test_mc_hp_matches_exact_within_halfwidth():
     members = tuple(shortlex_string(A2, r) for r in range(8))
-    mu = UniformOverSet(members)
+    mu = uniform_support(members)
     gt = GroundTruth(A2, Echo())
     always_empty = lambda x: empty_string(A2)
     exact = exact_hp(always_empty, mu, gt).estimate
@@ -121,7 +123,7 @@ def test_mc_hp_matches_exact_within_halfwidth():
 def test_evaluate_hp_exact_on_finite_supports_else_monte_carlo():
     gt = GroundTruth(A2, Echo())
     always_empty = lambda x: empty_string(A2)
-    finite = (UniformOverSet((empty_string(A2), s(0))),
+    finite = (uniform_support((empty_string(A2), s(0))),
               FiniteSupport(((s(0), Fraction(1, 2)), (s(1), Fraction(1, 2)))))
     for mu in finite:
         rep = evaluate_hp(always_empty, mu, gt, 100, 0.95, derive_stream(0, 0))
@@ -137,14 +139,14 @@ def test_evaluate_hp_exact_on_finite_supports_else_monte_carlo():
 
 def test_run_trial_m_zero_exact_on_finite_support():
     members = tuple(shortlex_string(A2, r) for r in range(4))
-    mu = UniformOverSet(members)
+    mu = uniform_support(members)
     gt = GroundTruth(A2, Echo())
     hp = run_trial(TRAINER, mu, gt, 0, Labeler.CANONICAL, derive_stream(0, 0))
     assert hp == 0.75  # empty model answers "" everywhere
 
 
 def test_run_trial_full_memorization_reaches_zero():
-    mu = UniformOverSet((empty_string(A2), s(0)))
+    mu = uniform_support((empty_string(A2), s(0)))
     gt = GroundTruth(A2, Echo())
     # m = 40 -> threshold 1; both members are drawn with overwhelming probability
     hp = run_trial(TRAINER, mu, gt, 40, Labeler.CANONICAL, derive_stream(1, 0))
@@ -160,7 +162,7 @@ def test_run_trial_rejects_negative_m():
 def test_fast_plan_active_only_for_length_factored():
     gt = GroundTruth(A2, Echo())
     assert build_fast_plan(TRAINER, half_geometric(), gt) is not None
-    mu_fin = UniformOverSet((empty_string(A2), s(0)))
+    mu_fin = uniform_support((empty_string(A2), s(0)))
     assert build_fast_plan(TRAINER, mu_fin, gt) is None
     gt_override = GroundTruth(A2, Echo(), overrides=((s(0), (s(1),)),))
     assert build_fast_plan(TRAINER, half_geometric(), gt_override) is None
@@ -212,6 +214,21 @@ def test_negligibility_single_trial_fraction_is_zero_or_one():
                                    0.2, 0.2, 5, mc_samples=500)
     assert rep.exceed_fraction in (0.0, 1.0)
     assert rep.exceed_count in (0, 1)
+
+
+@pytest.mark.parametrize("epsilon_h, epsilon_t", [
+    (-5.0, 0.2), (7.0, 0.2), (float("nan"), 0.2), (0.0, 0.2),
+    (0.2, 1.5), (0.2, float("nan")),
+])
+def test_experiments_reject_levels_outside_unit_interval(epsilon_h, epsilon_t):
+    mu, gt = half_geometric(), GroundTruth(A2, Echo())
+    with pytest.raises(DomainError):
+        negligibility_experiment(TRAINER, mu, gt, 10, Labeler.CANONICAL, 2,
+                                 epsilon_h, epsilon_t, 5, mc_samples=50)
+    if epsilon_t == 0.2:
+        with pytest.raises(DomainError):
+            sweep(TRAINER, mu, gt, [10], 2, Labeler.CANONICAL, 5,
+                  epsilon_h=epsilon_h, mc_samples=50)
 
 
 def test_negligibility_rejects_zero_trials():
@@ -272,6 +289,36 @@ def test_trial_results_do_not_depend_on_thread_count():
     r3 = sweep(TRAINER, mu, gt, [25, 50], 12, Labeler.CANONICAL, 11,
                mc_samples=400, threads=3)
     assert r1 == r3
+
+
+def test_worker_pool_capped_by_trials_and_cores(monkeypatch):
+    # A recording stand-in for the executor: no thread is ever started.
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    mu, gt = half_geometric(), GroundTruth(A2, Echo())
+    serial = sweep(TRAINER, mu, gt, [10], 6, Labeler.CANONICAL, 1, mc_samples=50)
+    for cores, trials, workers in ((8, 3, [3]), (2, 6, [2]), (None, 6, [])):
+        monkeypatch.setattr(evaluation.os, "cpu_count", lambda c=cores: c)
+        made.clear()
+        rows = sweep(TRAINER, mu, gt, [10], trials, Labeler.CANONICAL, 1,
+                     mc_samples=50, threads=5000)
+        assert made == workers
+        if trials == 6:
+            assert rows == serial
 
 
 # ------------------------------------------------------------- diagnostics

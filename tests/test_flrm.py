@@ -9,7 +9,6 @@ from hallustat.flrm import (
     MemorizerModel,
     model_from_json,
     model_to_json,
-    predict,
     threshold_length,
     train,
 )
@@ -93,7 +92,7 @@ def test_unmemorized_prediction_is_empty_string():
     model = train(TrainingSequence(()), A2, HALF_BOUND)
     assert model.threshold == -1
     assert model(s(1, 0, 1)) == empty_string(A2)
-    assert predict(model, s(1)) == empty_string(A2)
+    assert model.predict(s(1)) == empty_string(A2)
 
 
 def test_trainer_object_matches_free_function():

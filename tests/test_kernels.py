@@ -5,6 +5,8 @@ import pytest
 
 from hallustat import kernels
 
+from helpers import product_probs
+
 
 def _layout(q, top):
     # base/pow tables for lengths 0..top
@@ -50,7 +52,7 @@ def test_count_misses_np_empty_keys():
 
 def test_product_probs_np_brute():
     pmf = np.array([0.5, 0.3, 0.2])
-    got = kernels.product_probs(pmf, 3)
+    got = product_probs(pmf, 3)
     brute = [
         pmf[a] * pmf[b] * pmf[c]
         for a, b, c in itertools.product(range(3), repeat=3)
@@ -61,4 +63,4 @@ def test_product_probs_np_brute():
 
 def test_product_probs_m1():
     pmf = np.array([0.9, 0.1])
-    assert kernels.product_probs(pmf, 1).tolist() == [0.9, 0.1]
+    assert product_probs(pmf, 1).tolist() == [0.9, 0.1]

@@ -12,6 +12,7 @@ from hallustat.flrm import FlrmTrainer, MemorizerModel
 from hallustat.limits import (
     DiagonalConstruction,
     NflInstance,
+    check_nfl_budget,
     construct_hard_support,
     diagonalize,
     general_lambda_t,
@@ -28,10 +29,11 @@ from hallustat.measures import (
     CdfLowerBound,
     GeometricTail,
     ReachesOne,
-    UniformOverSet,
     dominates,
 )
 from hallustat.oracle import TrainingSequence
+
+from helpers import uniform_support
 
 A2 = Alphabet(2)
 HALF_BOUND = CdfLowerBound((0.5,), GeometricTail(0.5))
@@ -130,7 +132,7 @@ def test_hard_support_uniform_dominates_bound():
     for q, b in ((2, HALF_BOUND), (3, CdfLowerBound((0.25,), GeometricTail(0.5)))):
         a = Alphabet(q)
         support = construct_hard_support(a, b)
-        uni = UniformOverSet(tuple(support))
+        uni = uniform_support(tuple(support))
         assert dominates(uni, b, 64)
 
 
@@ -320,6 +322,18 @@ def test_nfl_budget_enforced():
     with pytest.raises(BudgetExceeded) as err:
         nfl_brute_force(inst, budget=1000)
     assert err.value.required == 3**6 * 6**3 * 6
+
+
+def test_nfl_budget_rejects_huge_work_without_forming_it():
+    # 2^(10^6) labelings: rejected from the bit-length bound alone
+    with pytest.raises(BudgetExceeded) as err:
+        check_nfl_budget(10**6, 2, 1, 10**8)
+    assert err.value.required is None
+    # below the cap the exact work is reported
+    with pytest.raises(BudgetExceeded) as err:
+        check_nfl_budget(6, 3, 3, 1000)
+    assert err.value.required == 3**6 * 6**3 * 6
+    check_nfl_budget(4, 2, 2, 4096)  # exactly 2^4 * 4^2 * 4 fits
 
 
 def test_nfl_arbitrary_learner_output_counts_as_wrong():

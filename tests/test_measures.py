@@ -12,9 +12,10 @@ from hallustat.measures import (
     GeometricTail,
     LengthFactored,
     ReachesOne,
-    UniformOverSet,
     dominates,
 )
+
+from helpers import uniform_support
 
 A2 = Alphabet(2)
 
@@ -85,23 +86,29 @@ def test_finite_support_exact_queries():
     assert d.length_cdf(0) == Fraction(1, 2)
     assert d.length_cdf(1) == 1
     assert not d.is_support_infinite
+    # atoms out of length order, with a gap at length 2
+    s3 = shortlex_string(A2, 7)  # length 3
+    d = FiniteSupport(((s3, Fraction(1, 4)), (s0, Fraction(1, 4)), (s2, Fraction(1, 2))))
+    assert [d.length_cdf(n) for n in range(5)] == [
+        Fraction(1, 4), Fraction(3, 4), Fraction(3, 4), 1, 1]
+    assert d.max_length == 3
 
 
 def test_uniform_over_set_exact_queries():
     members = tuple(shortlex_string(A2, r) for r in range(4))
-    d = UniformOverSet(members)
+    d = uniform_support(members)
     assert d.pmf(members[0]) == Fraction(1, 4)
     assert d.pmf(shortlex_string(A2, 9)) == 0
     assert d.length_cdf(0) == Fraction(1, 4)
     assert d.length_cdf(1) == Fraction(3, 4)
     assert d.length_cdf(2) == 1
     with pytest.raises(DomainError):
-        UniformOverSet(members + (members[0],))
+        uniform_support(members + (members[0],))
 
 
 def test_uniform_over_set_sampling_frequencies():
     members = tuple(shortlex_string(A2, r) for r in range(4))
-    d = UniformOverSet(members)
+    d = uniform_support(members)
     rng = np.random.default_rng(11)
     draws = d.sample_batch(rng, 1_000_000)
     counts = {}
@@ -125,6 +132,8 @@ def test_length_factored_validation():
         LengthFactored(A2, (), None)  # nothing at all
     with pytest.raises(DomainError):
         LengthFactored(A2, (), 1.0)
+    with pytest.raises(DomainError):
+        LengthFactored(A2, (0.5, 0.25, float("nan")), 0.5)  # NaN compares false
 
 
 def test_half_geometric_length_probabilities():
@@ -254,7 +263,7 @@ def test_dominates_boundary_equality_counts():
 def test_finite_support_vs_geometric_tail_bound():
     # finite support reaches CDF 1; geometric bound never does -> dominated
     members = tuple(shortlex_string(A2, r) for r in range(3))
-    d = UniformOverSet(members)
+    d = uniform_support(members)
     b = CdfLowerBound((1.0 / 3.0,), GeometricTail(0.5))
     assert dominates(d, b, 64)
 

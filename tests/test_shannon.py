@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from hallustat.errors import BudgetExceeded, DomainError
-from hallustat.kernels import product_probs
 from hallustat.shannon import (
     SourceModel,
     check_source_coding,
-    entropy_bits,
     smallest_high_mass_set,
 )
+
+from helpers import product_probs
 
 
 def test_source_validation():
@@ -36,7 +36,7 @@ def test_entropy_values():
     b = SourceModel((0.9, 0.1))
     expected = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
     assert b.entropy_bits == pytest.approx(expected, rel=1e-15)
-    assert entropy_bits([0.25] * 4) == 2.0
+    assert SourceModel((0.25,) * 4).entropy_bits == 2.0
 
 
 def test_uniform_binary_small_block():
@@ -106,6 +106,13 @@ def test_budget_guard():
         smallest_high_mass_set(one, 11, 0.1, budget=10)
     assert err.value.required == 11
     assert smallest_high_mass_set(one, 10, 0.1, budget=10).set_size == 1
+
+
+def test_budget_rejects_huge_block_counts_without_forming_them():
+    # 3^(10^6) has about 1.6 million bits; the bit-length bound rejects it
+    with pytest.raises(BudgetExceeded) as err:
+        smallest_high_mass_set(SourceModel((0.5, 0.3, 0.2)), 10**6, 0.1)
+    assert err.value.required is None
 
 
 def test_single_symbol_source():
