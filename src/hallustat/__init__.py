@@ -27,14 +27,12 @@ from .errors import (
 )
 from .evaluation import (
     HallucinationReport,
-    NegligibilityReport,
     SweepRow,
     derive_stream,
     evaluate_hp,
     exact_hp,
     hoeffding_halfwidth,
     mc_hp,
-    negligibility_experiment,
     run_trial,
     sweep,
     sweep_csv,

@@ -75,21 +75,20 @@ def _fraction(value) -> Fraction:
 
 def _alphabet(doc: dict) -> Alphabet:
     spec = _require(doc, "alphabet")
-    try:
-        labels = spec.get("labels")
-        return Alphabet(int(spec["size"]), tuple(labels) if labels is not None else None)
-    except WorkbenchError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad alphabet: {exc}") from exc
+    # A size below 2 is a domain error (exit 3), raised by Alphabet.
+    size = _int_value(_require(spec, "size", "alphabet.size"), "alphabet.size")
+    labels = spec.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    ):
+        raise ConfigError(f"alphabet.labels must be a list of strings, got {labels!r}")
+    return Alphabet(size, None if labels is None else tuple(labels))
 
 
 def _string(alphabet: Alphabet, value) -> Str:
     try:
         return Str(alphabet, tuple(int(x) for x in value))
-    except WorkbenchError as exc:
-        raise ConfigError(f"bad string {value!r}: {exc}") from exc
-    except Exception as exc:
+    except Exception as exc:  # a DomainError from Str, or what int() raises
         raise ConfigError(f"bad string {value!r}: {exc}") from exc
 
 
@@ -166,10 +165,10 @@ def _labeler(doc: dict) -> Labeler:
         raise ConfigError(f"unknown labeler {name!r}") from exc
 
 
-def _int_value(value, key: str, minimum: int) -> int:
+def _int_value(value, key: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
 
@@ -200,7 +199,7 @@ def _list_field(doc: dict, key: str, name: str | None = None, default=None) -> l
 def _budget(cfg: dict, args, default: int) -> int:
     """Enumeration budget: --budget, else the config's `budget`, else default."""
     if args.budget is not None:
-        return args.budget
+        return _int_value(args.budget, "--budget", 0)
     return _int_field(cfg, "budget", 0, default)
 
 

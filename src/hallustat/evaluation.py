@@ -1,20 +1,20 @@
 """Hallucination probability: exact computation, Monte Carlo estimation, and
-the negligibility experiment.
+the sweep, the one experiment driver.
 
 Randomness contract: every trial draws from its own stream derived as
-(master_seed, indices...), so results are independent of execution order and
+(master_seed, row, trial), so results are independent of execution order and
 thread count. Monte Carlo confidence intervals are two-sided Hoeffding.
 
 evaluate_hp is the one place that chooses exact evaluation (enumerable
 finite supports) or Monte Carlo (everything else).
 
-A trial takes one of two paths, chosen by the instance, never by the caller.
-build_fast_plan returns a plan for the common experiment shape
-(length-factored inputs, override-free ground truth, threshold memorizer,
-codes below 2^62); such trials run on int64 shortlex codes through the array
-kernels, consuming the same uniform stream as generate_qualified + mc_hp
-would. Every other instance runs on Str objects: generate_qualified, the
-trainer, evaluate_hp.
+run_trial is the one place a trial picks its path, from the instance, never
+from the caller. build_fast_plan returns a plan for the common experiment
+shape (length-factored inputs, override-free ground truth, threshold
+memorizer, codes below 2^62); such trials run on int64 shortlex codes
+through the array kernels, consuming the same uniform stream as
+generate_qualified + mc_hp would. Every other instance runs on Str objects:
+generate_qualified, the trainer, evaluate_hp.
 """
 
 from __future__ import annotations
@@ -60,17 +60,6 @@ class HallucinationReport:
     sample_count: int | None = None
     ci_halfwidth: float | None = None
     confidence: float | None = None
-
-
-@dataclass(frozen=True)
-class NegligibilityReport:
-    m: int
-    trials: int
-    epsilon_h: float
-    epsilon_t: float
-    exceed_count: int
-    exceed_fraction: float
-    binomial_ci_halfwidth: float
 
 
 @dataclass(frozen=True)
@@ -154,18 +143,10 @@ def build_fast_plan(trainer, mu, gt: GroundTruth):
     top = mu.max_sample_length
     if count_upto(mu.alphabet, top) >= _FAST_CODE_LIMIT:
         return None
-    q = mu.alphabet.size
-    base = np.empty(top + 1, np.int64)
-    pow_i = np.empty(top + 1, np.int64)
-    level = 1
-    below = 0
-    for length in range(top + 1):
-        base[length] = below
-        pow_i[length] = level
-        below += level
-        level *= q
-    pow_f = pow_i.astype(np.float64)
-    return _FastPlan(trainer, mu._sampling_cum, base, pow_f, pow_i, mode)
+    # q exceeds int64 only when top = 0, where no positive power is taken.
+    pow_i = min(mu.alphabet.size, _FAST_CODE_LIMIT) ** np.arange(top + 1, dtype=np.int64)
+    base = np.cumsum(pow_i) - pow_i
+    return _FastPlan(trainer, mu._sampling_cum, base, pow_i.astype(np.float64), pow_i, mode)
 
 
 def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng, mc_samples: int) -> float:
@@ -201,6 +182,8 @@ def run_trial(
     """One qualified draw, one training run, one HP evaluation."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
+    if mc_samples < 1:
+        raise DomainError(f"mc_samples must be >= 1, got {mc_samples}")
     plan = build_fast_plan(trainer, mu, gt)
     if plan is not None:
         return _fast_trial(plan, m, labeler, rng, mc_samples)
@@ -211,15 +194,10 @@ def run_trial(
 
 
 def _trial_hps(
-    trainer, mu, gt, m, labeler, trials, master_seed, branch_prefix,
-    mc_samples, threads,
+    trainer, mu, gt, m, labeler, trials, master_seed, row, mc_samples, threads,
 ) -> np.ndarray:
-    plan = build_fast_plan(trainer, mu, gt)
-
     def one(index: int) -> float:
-        rng = derive_stream(master_seed, *branch_prefix, index)
-        if plan is not None:
-            return _fast_trial(plan, m, labeler, rng, mc_samples)
+        rng = derive_stream(master_seed, row, index)
         return run_trial(trainer, mu, gt, m, labeler, rng, mc_samples=mc_samples)
 
     # More workers than trials or cores only adds threads.
@@ -230,59 +208,6 @@ def _trial_hps(
     else:
         hps = [one(i) for i in range(trials)]
     return np.asarray(hps, dtype=np.float64)
-
-
-def _check_level(name: str, epsilon: float) -> None:
-    if not 0.0 < epsilon <= 1.0:  # also rejects NaN
-        raise DomainError(f"{name} must lie in (0,1], got {epsilon}")
-
-
-def _exceedance(hps: np.ndarray, epsilon_h: float) -> tuple[int, float, float]:
-    """Trials whose HP reaches epsilon_h: count, fraction, and the fraction's
-    normal-approximation 95% half-width."""
-    trials = hps.size
-    exceed = int(np.count_nonzero(hps >= epsilon_h))
-    fraction = exceed / trials
-    halfwidth = 1.96 * math.sqrt(fraction * (1.0 - fraction) / trials)
-    return exceed, fraction, halfwidth
-
-
-def negligibility_experiment(
-    trainer,
-    mu,
-    gt: GroundTruth,
-    m: int,
-    labeler: Labeler,
-    trials: int,
-    epsilon_h: float,
-    epsilon_t: float,
-    master_seed: int,
-    *,
-    mc_samples: int = 10_000,
-    threads: int = 1,
-) -> NegligibilityReport:
-    """Fraction of independent trials whose HP reaches epsilon_h.
-
-    This checks the sufficiency direction empirically for the configured
-    labeler; it is an experiment, not a proof.
-    """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    _check_level("epsilon_h", epsilon_h)
-    _check_level("epsilon_t", epsilon_t)
-    hps = _trial_hps(
-        trainer, mu, gt, m, labeler, trials, master_seed, (), mc_samples, threads,
-    )
-    exceed, fraction, halfwidth = _exceedance(hps, epsilon_h)
-    return NegligibilityReport(
-        m=m,
-        trials=trials,
-        epsilon_h=epsilon_h,
-        epsilon_t=epsilon_t,
-        exceed_count=exceed,
-        exceed_fraction=fraction,
-        binomial_ci_halfwidth=halfwidth,
-    )
 
 
 def sweep(
@@ -298,17 +223,26 @@ def sweep(
     mc_samples: int = 10_000,
     threads: int = 1,
 ) -> list[SweepRow]:
-    """One row of trial statistics per grid point; rows use disjoint streams."""
+    """One row of trial statistics per grid point; rows use disjoint streams.
+
+    A row's exceed_fraction is the share of its trials whose HP reaches
+    epsilon_h, and ci_halfwidth that fraction's normal-approximation 95%
+    half-width. At one m this is the negligibility experiment: it checks the
+    sufficiency statement Pr(HP >= epsilon_h) <= epsilon_t empirically for the
+    configured labeler; it is an experiment, not a proof.
+    """
     if not m_grid:
         raise DomainError("m grid must be non-empty")
-    _check_level("epsilon_h", epsilon_h)
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < epsilon_h <= 1.0:  # also rejects NaN
+        raise DomainError(f"epsilon_h must lie in (0,1], got {epsilon_h}")
     rows = []
-    for row_index, m in enumerate(m_grid):
+    for row, m in enumerate(m_grid):
         hps = _trial_hps(
-            trainer, mu, gt, m, labeler, trials, master_seed, (row_index,),
-            mc_samples, threads,
+            trainer, mu, gt, m, labeler, trials, master_seed, row, mc_samples, threads,
         )
-        _, fraction, halfwidth = _exceedance(hps, epsilon_h)
+        fraction = int(np.count_nonzero(hps >= epsilon_h)) / trials
         rows.append(
             SweepRow(
                 m=int(m),
@@ -316,7 +250,7 @@ def sweep(
                 mean_hp=float(np.mean(hps)),
                 std_hp=float(np.std(hps)),
                 exceed_fraction=fraction,
-                ci_halfwidth=halfwidth,
+                ci_halfwidth=1.96 * math.sqrt(fraction * (1.0 - fraction) / trials),
                 seed=master_seed,
             )
         )

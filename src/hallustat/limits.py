@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string
-from .errors import BudgetExceeded, DomainError, check_budget
+from .errors import DomainError, check_budget
 from .flrm import MemorizerModel
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
@@ -111,12 +111,10 @@ def construct_hard_support(
     floor(objective) strings."""
     _, objective = _necessity_argmin(alphabet, bound)
     size = objective.numerator // objective.denominator
-    if size > max_size:
-        raise BudgetExceeded(
-            f"hard support would hold {size} strings (cap {max_size})",
-            required=size,
-            budget=max_size,
-        )
+    check_budget(
+        lambda: f"hard support would hold {size} strings (cap {max_size})",
+        max_size, 0, lambda: size,
+    )
     return [shortlex_string(alphabet, i) for i in range(size)]
 
 
@@ -205,8 +203,8 @@ def check_nfl_budget(n: int, p: int, m: int, budget: int) -> None:
     strings and training size m by p^n * n^m * n elementary evaluations,
     of at least n*floor(log2 p) + (m+1)*floor(log2 n) bits."""
     check_budget(
-        f"enumeration needs {p}^{n} * {n}^{m} * {n} elementary evaluations "
-        f"(budget {budget})",
+        lambda: (f"enumeration needs {p}^{n} * {n}^{m} * {n} elementary evaluations "
+                 f"(budget {budget})"),
         budget,
         n * (p.bit_length() - 1) + (m + 1) * (n.bit_length() - 1),
         lambda: p**n * n**m * n,
@@ -361,14 +359,11 @@ class DiagonalConstruction:
 def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
     """Bound the work of diagonalizing k_models models over `horizon` strings
     by horizon * k_models model queries."""
-    work = horizon * k_models
-    if work > budget:
-        raise BudgetExceeded(
-            f"diagonalizing {k_models} models over {horizon} strings needs "
-            f"{horizon} * {k_models} model queries (budget {budget})",
-            required=work,
-            budget=budget,
-        )
+    check_budget(
+        lambda: (f"diagonalizing {k_models} models over {horizon} strings needs "
+                 f"{horizon} * {k_models} model queries (budget {budget})"),
+        budget, 0, lambda: horizon * k_models,
+    )
 
 
 def diagonalize(

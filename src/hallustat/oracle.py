@@ -74,10 +74,6 @@ class GroundTruth:
     def _override_map(self):
         return {s: acc for s, acc in self.overrides}
 
-    @cached_property
-    def _override_sets(self):
-        return {s: frozenset(acc) for s, acc in self.overrides}
-
     def acceptable(self, s: Str) -> tuple[Str, ...]:
         """The acceptable set of s, shortlex-sorted."""
         found = self._override_map.get(s)
@@ -95,20 +91,12 @@ class GroundTruth:
 
     def canonical(self, s: Str) -> Str:
         """Shortlex-least acceptable output for s."""
-        found = self._override_map.get(s)
-        if found is not None:
-            return found[0]
-        return self._default_output(s)
+        return self.acceptable(s)[0]
 
     def accepts(self, s: Str, y: Str) -> bool:
-        found = self._override_sets.get(s)
+        found = self._override_map.get(s)
         if found is not None:
             return y in found
-        rule = self.default_rule
-        if isinstance(rule, Echo):
-            return y == s
-        if isinstance(rule, Constant):
-            return y == rule.output
         return y == self._default_output(s)
 
 

@@ -13,7 +13,6 @@ achieves at small m.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +58,25 @@ def _dyadic_numerators(pmf) -> tuple[list[int], int]:
     return [num * (denom // den) for num, den in ratios], denom
 
 
+def _types(m: int, k: int):
+    """Every type of an m-block over k symbols (m >= 1) as its nonzero
+    (symbol, count) pairs, in one list updated in place between yields.
+
+    Successor: set aside the last symbol's count t, take one from the last
+    nonzero count before it, and give t + 1 to the symbol after that one.
+    """
+    counts = [(0, m)]
+    while True:
+        yield counts
+        t = counts.pop()[1] if counts[-1][0] == k - 1 else 0
+        if not counts:
+            return
+        s, c = counts.pop()
+        if c > 1:
+            counts.append((s, c - 1))
+        counts.append((s + 1, t + 1))
+
+
 def smallest_high_mass_set(
     source: SourceModel, m: int, delta: float, budget: int = 10**7
 ) -> TypicalSetReport:
@@ -79,7 +97,7 @@ def smallest_high_mass_set(
         raise DomainError(f"delta must lie in (0,1), got {delta}")
     k = len(source.pmf)
     check_budget(
-        f"enumerating {k}^{m} blocks of length {m} exceeds budget {budget}",
+        lambda: f"enumerating {k}^{m} blocks of length {m} exceeds budget {budget}",
         budget,
         m * (k.bit_length() - 1),
         lambda: max(k**m, m),
@@ -92,21 +110,17 @@ def smallest_high_mass_set(
     weight_scale = scale // denom**m
     target_num = target.numerator * (scale // target.denominator)
     types = []
-    # One sorted block per type. Each run of c equal symbols s multiplies its
-    # weight by n_s^c and its class size by comb(symbols left, c), which
-    # gives the multinomial m! / prod(c_s!).
-    for block in itertools.combinations_with_replacement(range(k), m):
+    # Each count c of a symbol s multiplies the type's weight by n_s^c and its
+    # class size by comb(positions left, c), which gives the multinomial
+    # m! / prod(c_s!).
+    for counts in _types(m, k):
         weight = weight_scale
         count = 1
         left = m
-        run_start = 0
-        for i in range(1, m + 1):
-            if i == m or block[i] != block[run_start]:
-                run = i - run_start
-                weight *= nums[block[run_start]] ** run
-                count *= math.comb(left, run)
-                left -= run
-                run_start = i
+        for s, c in counts:
+            weight *= nums[s] ** c
+            count *= math.comb(left, c)
+            left -= c
         types.append((weight, count))
     types.sort(key=lambda wc: wc[0], reverse=True)
 

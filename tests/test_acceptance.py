@@ -57,13 +57,12 @@ def test_criterion_03_sufficiency_at_desk_scale():
         gt = h.GroundTruth(A2, h.Echo())
         trainer = h.FlrmTrainer(A2, HALF_BOUND)
         suff = h.required_sample_size(0.2, 0.2, A2, HALF_BOUND)
-        report = h.negligibility_experiment(
-            trainer, mu, gt, suff.m_bar, h.Labeler.CANONICAL,
-            trials=200, epsilon_h=0.2, epsilon_t=0.2, master_seed=2024,
-            mc_samples=10_000,
+        (row,) = h.sweep(
+            trainer, mu, gt, [suff.m_bar], trials=200, labeler=h.Labeler.CANONICAL,
+            master_seed=2024, epsilon_h=0.2, mc_samples=10_000,
         )
         sigma = math.sqrt(0.2 * 0.8 / 200)
-        assert report.exceed_fraction < 0.2 + 3 * sigma
+        assert row.exceed_fraction < 0.2 + 3 * sigma
 
 
 def test_criterion_04_nfl_exact_verification():

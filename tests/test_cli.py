@@ -1,7 +1,12 @@
+import copy
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hallustat.cli as cli
 from hallustat.limits import NflReport, TailCheck
@@ -198,8 +203,8 @@ def test_sweep_rows_and_byte_determinism(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(["sweep", "--config", cfg, "--seed", "42", "--out", out1]) == 0
     assert run(["sweep", "--config", cfg, "--seed", "42", "--out", out2]) == 0
-    b1 = open(out1, "rb").read()
-    assert b1 == open(out2, "rb").read()
+    b1 = Path(out1).read_bytes()
+    assert b1 == Path(out2).read_bytes()
     lines = b1.decode().splitlines()
     assert lines[0].startswith("# tool: hallustat ")
     assert lines[1] == "# seed: 42"
@@ -214,7 +219,7 @@ def test_sweep_seed_changes_bytes(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(["sweep", "--config", cfg, "--seed", "1", "--out", out1]) == 0
     assert run(["sweep", "--config", cfg, "--seed", "2", "--out", out2]) == 0
-    assert open(out1, "rb").read() != open(out2, "rb").read()
+    assert Path(out1).read_bytes() != Path(out2).read_bytes()
 
 
 def test_sweep_domination_failure_exit_4(tmp_path, capsys):
@@ -253,15 +258,30 @@ def test_sweep_nan_length_probability_exit_3(tmp_path, capsys):
     ("m_grid", [1.5]),
     ("cdf_bound", {"table": ["x"], "tail": {"kind": "geometric", "ratio": 0.5}}),
     ("cdf_bound", {"table": [0.5], "tail": {"kind": "geometric", "ratio": "x"}}),
+    ("alphabet", {"size": 2.9}),
+    ("alphabet", {"size": "3"}),
+    ("alphabet", {"size": True}),
+    ("alphabet", {"size": 2, "labels": "ab"}),
+    ("alphabet", {"size": 2, "labels": ["a", 1]}),
 ], ids=["mc_samples-zero", "mc_samples-text", "epsilon_h-text",
         "m_grid-negative", "m_grid-scalar", "m_grid-fraction",
-        "cdf_bound-table-text", "cdf_bound-ratio-text"])
+        "cdf_bound-table-text", "cdf_bound-ratio-text",
+        "alphabet-size-fraction", "alphabet-size-text", "alphabet-size-bool",
+        "alphabet-labels-text", "alphabet-labels-number"])
 def test_sweep_bad_field_exit_2(tmp_path, capsys, field, value):
     doc = sweep_cfg()
     doc[field] = value
     cfg = write_cfg(tmp_path, doc)
     assert run(["sweep", "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [1, -1])
+def test_sweep_alphabet_size_below_two_exit_3(tmp_path, capsys, size):
+    doc = sweep_cfg()
+    doc["alphabet"] = {"size": size}
+    assert run(["sweep", "--config", write_cfg(tmp_path, doc)]) == 3
+    assert "alphabet size" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- nfl-verify
@@ -378,8 +398,8 @@ def test_diagonalize_csv(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(["diagonalize", "--config", cfg, "--seed", "7", "--out", out1]) == 0
     assert run(["diagonalize", "--config", cfg, "--seed", "7", "--out", out2]) == 0
-    b1 = open(out1, "rb").read()
-    assert b1 == open(out2, "rb").read()
+    b1 = Path(out1).read_bytes()
+    assert b1 == Path(out2).read_bytes()
     lines = b1.decode().splitlines()
     assert lines[3] == "i,psi_i,f0_of_s_i"
     rows = [line.split(",") for line in lines[4:]]
@@ -444,6 +464,15 @@ def test_typical_set_budget_override(tmp_path):
     assert run(["typical-set", "--config", cfg, "--budget", str(2**25)]) == 0
 
 
+def test_typical_set_negative_budget_exit_2_from_flag_or_config(tmp_path, capsys):
+    doc = {"pmf": [0.9, 0.1], "m": 5, "delta": 0.1}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["typical-set", "--config", cfg, "--budget", "-1"]) == 2
+    assert "--budget" in capsys.readouterr().err
+    doc["budget"] = -1
+    assert run(["typical-set", "--config", write_cfg(tmp_path, doc)]) == 2
+
+
 def test_typical_set_bad_delta_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, {"pmf": [0.9, 0.1], "m": 5, "delta": 0.0})
     assert run(["typical-set", "--config", cfg]) == 3
@@ -460,3 +489,75 @@ def test_typical_set_non_numeric_field_exit_2(tmp_path, capsys, field, value):
     cfg = write_cfg(tmp_path, doc)
     assert run(["typical-set", "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+# ------------------------------------------------------- config properties
+
+
+# One small valid config per subcommand, optional fields included, so that
+# every mutation below runs in milliseconds.
+PROPERTY_CONFIGS = {
+    "bounds": {"alphabet": {"size": 2, "labels": ["a", "b"]}, "cdf_bound": HALF_BOUND_DOC,
+               "epsilon_h": 0.1, "epsilon_t": 0.1},
+    "train-eval": {"alphabet": {"size": 2}, "cdf_bound": HALF_BOUND_DOC,
+                   "mu": {"kind": "finite", "atoms": [{"s": [], "prob": "1/2"},
+                                                      {"s": [1], "prob": {"num": 1, "den": 2}}]},
+                   "ground_truth": {"default": {"kind": "index_shift", "shift": 1},
+                                    "overrides": [{"s": [0], "accept": [[1], [0]]}]},
+                   "labeler": "uniform_acceptable", "m": 5, "mc_samples": 50,
+                   "confidence": 0.9},
+    "sweep": {"alphabet": {"size": 2}, "cdf_bound": HALF_BOUND_DOC,
+              "mu": {"kind": "length_factored", "length_probs": [0.5], "tail_ratio": 0.5},
+              "ground_truth": {"default": {"kind": "constant", "output": [0]}},
+              "m_grid": [10], "trials": 2, "mc_samples": 50, "epsilon_h": 0.2},
+    "nfl-verify": {"alphabet": {"size": 2}, "domain": [[], [0]], "codomain_size": 2, "m": 1,
+                   "learner": {"kind": "flrm", "cdf_bound": HALF_BOUND_DOC},
+                   "lambda_h_grid": ["1/4"], "budget": 1000},
+    "diagonalize": {"alphabet": {"size": 2}, "models": 2, "horizon": 3, "table_size": 2,
+                    "max_len": 2, "budget": 100},
+    "typical-set": {"pmf": [0.9, 0.1], "m": 3, "delta": 0.1, "budget": 100},
+}
+PROPERTY_VALUES = [5, "x", [], {}, None, -1, 1.5, True, [5]]
+
+
+def field_paths(doc, prefix=()):
+    """The key path of every field, nested ones and list entries included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+MUTATION_SITES = [(command, path) for command, doc in PROPERTY_CONFIGS.items()
+                  for path in field_paths(doc)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(site=st.sampled_from(MUTATION_SITES), delete=st.booleans(),
+       value=st.sampled_from(PROPERTY_VALUES))
+def test_mutated_config_exits_with_a_documented_code(site, delete, value):
+    command, path = site
+    doc = copy.deepcopy(PROPERTY_CONFIGS[command])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in range(6)
+
+
+def test_property_configs_are_valid(tmp_path):
+    for command, doc in PROPERTY_CONFIGS.items():
+        assert run([command, "--config", write_cfg(tmp_path, doc),
+                    "--out", str(tmp_path / "out")]) == 0, command

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hallustat import evaluation
-from hallustat.core import Alphabet, Str, empty_string, shortlex_string
+from hallustat.core import Alphabet, Str, count_upto, empty_string, shortlex_string
 from hallustat.errors import DomainError
 from hallustat.evaluation import (
     CSV_COLUMNS,
@@ -15,7 +15,6 @@ from hallustat.evaluation import (
     exact_hp,
     hoeffding_halfwidth,
     mc_hp,
-    negligibility_experiment,
     run_trial,
     sweep,
     sweep_csv,
@@ -168,6 +167,20 @@ def test_fast_plan_active_only_for_length_factored():
     assert build_fast_plan(TRAINER, half_geometric(), gt_override) is None
 
 
+@pytest.mark.parametrize("q, length_probs, tail", [
+    (2, (), 0.5), (3, (0.5, 0.25, 0.25), None), (2**70, (1.0,), None),
+], ids=["q2-geometric", "q3-three-lengths", "q2^70-length-0-only"])
+def test_fast_plan_tables_are_exact_powers_and_offsets(q, length_probs, tail):
+    a = Alphabet(q)
+    mu = LengthFactored(a, length_probs, tail)
+    trainer = FlrmTrainer(a, CdfLowerBound((1.0,), GeometricTail(0.5)))
+    plan = build_fast_plan(trainer, mu, GroundTruth(a, Echo()))
+    top = mu.max_sample_length
+    assert plan.pow_i.tolist() == [q**n for n in range(top + 1)]
+    assert plan.base.tolist() == [count_upto(a, n - 1) if n else 0 for n in range(top + 1)]
+    assert plan.pow_f.tolist() == [float(q**n) for n in range(top + 1)]
+
+
 @pytest.mark.parametrize("rule", [Echo(), Constant(Str(Alphabet(2), ())),
                                   Constant(Str(Alphabet(2), (1,))), IndexShift(0),
                                   IndexShift(3)])
@@ -191,50 +204,46 @@ def test_fast_path_equals_general_path(rule, labeler):
 
 
 def test_negligibility_reproducible_and_parallel_invariant():
+    # The negligibility experiment is a one-point sweep.
     mu = half_geometric()
     gt = GroundTruth(A2, Echo())
-    kw = dict(mc_samples=1000)
-    r1 = negligibility_experiment(TRAINER, mu, gt, 50, Labeler.CANONICAL, 40,
-                                  0.2, 0.2, 99, **kw)
-    r2 = negligibility_experiment(TRAINER, mu, gt, 50, Labeler.CANONICAL, 40,
-                                  0.2, 0.2, 99, **kw)
-    r4 = negligibility_experiment(TRAINER, mu, gt, 50, Labeler.CANONICAL, 40,
-                                  0.2, 0.2, 99, threads=4, **kw)
+    kw = dict(epsilon_h=0.2, mc_samples=1000)
+    r1 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 99, **kw)
+    r2 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 99, **kw)
+    r4 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 99, threads=4, **kw)
     assert r1 == r2 == r4
     # seed sensitivity shows up in a continuous statistic
-    s1 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 99, **kw)
-    s2 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 100, **kw)
-    assert s1[0].mean_hp != s2[0].mean_hp
+    r5 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 100, **kw)
+    assert r1[0].mean_hp != r5[0].mean_hp
 
 
 def test_negligibility_single_trial_fraction_is_zero_or_one():
     mu = half_geometric()
     gt = GroundTruth(A2, Echo())
-    rep = negligibility_experiment(TRAINER, mu, gt, 10, Labeler.CANONICAL, 1,
-                                   0.2, 0.2, 5, mc_samples=500)
-    assert rep.exceed_fraction in (0.0, 1.0)
-    assert rep.exceed_count in (0, 1)
+    (row,) = sweep(TRAINER, mu, gt, [10], 1, Labeler.CANONICAL, 5, mc_samples=500)
+    assert row.exceed_fraction in (0.0, 1.0)
+    assert row.ci_halfwidth == 0.0
 
 
-@pytest.mark.parametrize("epsilon_h, epsilon_t", [
-    (-5.0, 0.2), (7.0, 0.2), (float("nan"), 0.2), (0.0, 0.2),
-    (0.2, 1.5), (0.2, float("nan")),
-])
-def test_experiments_reject_levels_outside_unit_interval(epsilon_h, epsilon_t):
-    mu, gt = half_geometric(), GroundTruth(A2, Echo())
+@pytest.mark.parametrize("epsilon_h", [-5.0, 7.0, float("nan"), 0.0])
+def test_sweep_rejects_epsilon_h_outside_unit_interval(epsilon_h):
     with pytest.raises(DomainError):
-        negligibility_experiment(TRAINER, mu, gt, 10, Labeler.CANONICAL, 2,
-                                 epsilon_h, epsilon_t, 5, mc_samples=50)
-    if epsilon_t == 0.2:
-        with pytest.raises(DomainError):
-            sweep(TRAINER, mu, gt, [10], 2, Labeler.CANONICAL, 5,
-                  epsilon_h=epsilon_h, mc_samples=50)
+        sweep(TRAINER, half_geometric(), GroundTruth(A2, Echo()), [10], 2,
+              Labeler.CANONICAL, 5, epsilon_h=epsilon_h, mc_samples=50)
 
 
-def test_negligibility_rejects_zero_trials():
+@pytest.mark.parametrize("m_grid, trials, mc_samples", [
+    ([10], 0, 50), ([10], 2, 0), ([-1], 2, 50),
+], ids=["trials", "mc_samples", "m"])
+@pytest.mark.parametrize("q", [2, 3])  # 2 takes the coded path, 3 the object path
+def test_sweep_rejects_bad_trial_sizes_on_both_paths(q, m_grid, trials, mc_samples):
+    a = Alphabet(q)
+    mu = LengthFactored(a, (), 0.5)
+    trainer = FlrmTrainer(a, HALF_BOUND)
+    gt = GroundTruth(a, Echo())
+    assert (build_fast_plan(trainer, mu, gt) is not None) == (q == 2)
     with pytest.raises(DomainError):
-        negligibility_experiment(TRAINER, half_geometric(), GroundTruth(A2, Echo()),
-                                 10, Labeler.CANONICAL, 0, 0.2, 0.2, 5)
+        sweep(trainer, mu, gt, m_grid, trials, Labeler.CANONICAL, 5, mc_samples=mc_samples)
 
 
 def test_sweep_rows_and_determinism():

@@ -12,6 +12,7 @@ from hallustat.flrm import FlrmTrainer, MemorizerModel
 from hallustat.limits import (
     DiagonalConstruction,
     NflInstance,
+    check_diagonal_budget,
     check_nfl_budget,
     construct_hard_support,
     diagonalize,
@@ -32,6 +33,7 @@ from hallustat.measures import (
     dominates,
 )
 from hallustat.oracle import TrainingSequence
+from hallustat.shannon import SourceModel, smallest_high_mass_set
 
 from helpers import uniform_support
 
@@ -334,6 +336,14 @@ def test_nfl_budget_rejects_huge_work_without_forming_it():
         check_nfl_budget(6, 3, 3, 1000)
     assert err.value.required == 3**6 * 6**3 * 6
     check_nfl_budget(4, 2, 2, 4096)  # exactly 2^4 * 4^2 * 4 fits
+
+
+def test_budget_message_formed_only_when_exceeded():
+    # 10^5000 has more digits than int-to-str conversion allows; the work fits
+    budget = 10**5000
+    check_nfl_budget(2, 2, 1, budget)
+    check_diagonal_budget(3, 2, budget)
+    assert smallest_high_mass_set(SourceModel((0.9, 0.1)), 3, 0.1, budget=budget).set_size == 4
 
 
 def test_nfl_arbitrary_learner_output_counts_as_wrong():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_single_symbol_source():
     assert r.set_size == 1
     assert r.mass == 1.0
     assert r.rate == 0.0
+
+
+def test_single_symbol_long_block_holds_counts_not_blocks():
+    # one type of length 10^7: its count vector, not a 10^7-entry block
+    tracemalloc.start()
+    try:
+        r = smallest_high_mass_set(SourceModel((1.0,)), 10**7, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.set_size == 1
+    assert peak < 2**21
 
 
 def _brute_force_set(pmf, m, delta):
