@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
-from .errors import ConfigError, DominationError, WorkbenchError
+from .errors import ConfigError, DomainError, DominationError, WorkbenchError
 from .evaluation import derive_stream, evaluate_hp, sweep, sweep_csv
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
@@ -85,11 +85,15 @@ def _alphabet(doc: dict) -> Alphabet:
     return Alphabet(size, None if labels is None else tuple(labels))
 
 
-def _string(alphabet: Alphabet, value) -> Str:
+def _string(alphabet: Alphabet, value, name: str) -> Str:
+    """A string field: a list of JSON integer symbol indices."""
+    # type() rather than isinstance(): true and false are not symbols.
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ConfigError(f"{name} must be a list of integer symbols, got {value!r}")
     try:
-        return Str(alphabet, tuple(int(x) for x in value))
-    except Exception as exc:  # a DomainError from Str, or what int() raises
-        raise ConfigError(f"bad string {value!r}: {exc}") from exc
+        return Str(alphabet, tuple(value))
+    except DomainError as exc:  # a symbol outside the alphabet
+        raise ConfigError(f"bad string {name} {value!r}: {exc}") from exc
 
 
 def _cdf_bound(doc: dict) -> CdfLowerBound:
@@ -111,14 +115,14 @@ def _distribution(alphabet: Alphabet, doc: dict):
     kind = _require(spec, "kind", "mu.kind")
     if kind == "finite":
         atoms = tuple(
-            (_string(alphabet, _require(a, "s", f"mu.atoms[{i}].s")),
+            (_string(alphabet, _require(a, "s", f"mu.atoms[{i}].s"), f"mu.atoms[{i}].s"),
              _fraction(_require(a, "prob", f"mu.atoms[{i}].prob")))
             for i, a in enumerate(_list_field(spec, "atoms", "mu.atoms"))
         )
         return FiniteSupport(atoms)
     if kind == "uniform_set":
-        members = [_string(alphabet, s)
-                   for s in _list_field(spec, "members", "mu.members")]
+        members = [_string(alphabet, s, f"mu.members[{i}]")
+                   for i, s in enumerate(_list_field(spec, "members", "mu.members"))]
         mass = Fraction(1, max(len(members), 1))  # no members: FiniteSupport rejects ()
         return FiniteSupport(tuple((s, mass) for s in members))
     if kind == "length_factored":
@@ -139,7 +143,7 @@ def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
         rule = Echo()
     elif kind == "constant":
         output = _require(default, "output", "ground_truth.default.output")
-        rule = Constant(_string(alphabet, output))
+        rule = Constant(_string(alphabet, output, "ground_truth.default.output"))
     elif kind == "index_shift":
         shift = _require(default, "shift", "ground_truth.default.shift")
         rule = IndexShift(_int_value(shift, "ground_truth.default.shift", 0))
@@ -148,9 +152,11 @@ def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
     entries = _list_field(spec, "overrides", "ground_truth.overrides", default=[])
     overrides = tuple(
         (
-            _string(alphabet, _require(entry, "s", f"ground_truth.overrides[{i}].s")),
-            tuple(_string(alphabet, y)
-                  for y in _list_field(entry, "accept", f"ground_truth.overrides[{i}].accept")),
+            _string(alphabet, _require(entry, "s", f"ground_truth.overrides[{i}].s"),
+                    f"ground_truth.overrides[{i}].s"),
+            tuple(_string(alphabet, y, f"ground_truth.overrides[{i}].accept[{j}]")
+                  for j, y in enumerate(
+                      _list_field(entry, "accept", f"ground_truth.overrides[{i}].accept"))),
         )
         for i, entry in enumerate(entries)
     )
@@ -332,7 +338,8 @@ def _nfl_size(alphabet: Alphabet, cfg: dict, list_key: str, size_key: str) -> in
 
 def _nfl_strings(alphabet: Alphabet, cfg: dict, list_key: str, size: int):
     if list_key in cfg:
-        return tuple(_string(alphabet, v) for v in cfg[list_key])
+        return tuple(_string(alphabet, v, f"{list_key}[{i}]")
+                     for i, v in enumerate(cfg[list_key]))
     return tuple(shortlex_string(alphabet, i) for i in range(size))
 
 

@@ -36,17 +36,29 @@ class BudgetExceeded(WorkbenchError):
         self.budget = budget
 
 
-def check_budget(message, budget: int, low_bits: int, work) -> None:
-    """Raise BudgetExceeded with message() when work() exceeds the budget.
+def _int_text(n: int) -> str:
+    """n in decimal, or its bit length when n has more digits than Python's
+    int-to-str limit allows."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {n.bit_length()}-bit number"
 
-    message() runs only then: Python cannot print an int of over 4300 digits.
+
+def check_budget(template: str, numbers, budget: int, low_bits: int, work) -> None:
+    """Raise BudgetExceeded when work() exceeds the budget; its message is
+    template.format(*numbers), each number rendered by _int_text.
+
     low_bits is a cheap lower bound on the bit length of the work. Past
     max(budget.bit_length(), 2^16) bits the request is rejected without
     calling work(), whose exact integer could take seconds to form, and
     `required` is then None.
     """
     if low_bits > max(budget.bit_length(), 2**16):
-        raise BudgetExceeded(message(), required=None, budget=budget)
-    required = work()
-    if required > budget:
-        raise BudgetExceeded(message(), required=required, budget=budget)
+        required = None
+    else:
+        required = work()
+        if required <= budget:
+            return
+    message = template.format(*map(_int_text, numbers))
+    raise BudgetExceeded(message, required=required, budget=budget)

@@ -15,6 +15,13 @@ memorizer, codes below 2^62); such trials run on int64 shortlex codes
 through the array kernels, consuming the same uniform stream as
 generate_qualified + mc_hp would. Every other instance runs on Str objects:
 generate_qualified, the trainer, evaluate_hp.
+
+A coded trial decodes only short draws, those of length <= n̄ (the
+memorizer's threshold), into a dense seen-table over all count_upto(n̄)
+such strings; a longer draw is never memorized, so it is a miss unless the
+empty output is acceptable everywhere. It stops decoding training draws
+once the table is full, and then counts the long evaluation draws without
+decoding any.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .measures import FiniteSupport, LengthFactored
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 
 _FAST_CODE_LIMIT = 2**62
+_FIRST_CHUNK = 4096  # training draws decoded before the first fullness check
 
 
 def derive_stream(master_seed: int, *branch: int):
@@ -150,22 +158,41 @@ def build_fast_plan(trainer, mu, gt: GroundTruth):
 
 
 def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng, mc_samples: int) -> float:
+    """HP estimate of one coded trial.
+
+    The seen-table over lengths <= top <= max(n̄, 0) is bounded by the
+    sample: n̄ >= 1 implies m > q^(n̄+1)*ln 2, so it holds at most
+    count_upto(n̄) < q^(n̄+1) < 1.45*m entries; for n̄ <= 0 it holds one.
+    """
     # Stream consumption mirrors generate_qualified + mc_hp exactly.
     u1 = rng.random(m)
     u2 = rng.random(m)
-    train_codes, train_lengths = kernels.sample_codes(
-        u1, u2, plan.cum, plan.base, plan.pow_f, plan.pow_i
-    )
     if labeler is Labeler.UNIFORM_ACCEPTABLE:
         rng.random(m)  # the general path's label draws; singleton sets ignore them
-    n_bar = threshold_length(m, plan.trainer.alphabet, plan.trainer.bound)
-    keys = np.unique(train_codes[train_lengths <= n_bar])
     u3 = rng.random(mc_samples)
     u4 = rng.random(mc_samples)
-    eval_codes, _ = kernels.sample_codes(
-        u3, u4, plan.cum, plan.base, plan.pow_f, plan.pow_i
-    )
-    wrong = kernels.count_misses(eval_codes, keys, plan.empty_mode)
+    n_bar = threshold_length(m, plan.trainer.alphabet, plan.trainer.bound)
+    top = min(max(n_bar, 0), len(plan.cum) - 1)
+    cut = plan.cum[top]  # a draw has length <= top iff its u_len < cut
+    tables = (plan.cum[:top + 1], plan.base, plan.pow_f, plan.pow_i)
+    seen = np.zeros(count_upto(plan.trainer.alphabet, top), dtype=bool)
+    full = False
+    start, chunk = 0, _FIRST_CHUNK
+    # With n̄ < 0 nothing is memorized; a full table cannot change.
+    while n_bar >= 0 and start < m and not full:
+        u_len, u_off = u1[start:start + chunk], u2[start:start + chunk]
+        short = u_len < cut
+        train_codes, _ = kernels.sample_codes(u_len[short], u_off[short], *tables)
+        seen[train_codes] = True
+        full = bool(seen.all())
+        start += chunk
+        chunk *= 2
+    short = u3 < cut
+    # A long draw's code is never 0, so only mode 2 accepts its empty output.
+    wrong = 0 if plan.empty_mode == 2 else mc_samples - int(np.count_nonzero(short))
+    if not full:  # on a full table every short draw is memorized
+        eval_codes, _ = kernels.sample_codes(u3[short], u4[short], *tables)
+        wrong += kernels.count_misses(eval_codes, seen, plan.empty_mode)
     return wrong / mc_samples
 
 

@@ -16,6 +16,8 @@ def sample_codes(u_len, u_off, cum, base, pow_f, pow_i):
 
     u_len picks the length by inverse CDF on cum (first index with
     cum > u); u_off picks the offset as floor(u * q^L), clamped into range.
+    A caller may pass a prefix cum[:top+1] when every u_len < cum[top]; the
+    lengths, and so the codes, are the same as on the whole table.
     """
     lengths = np.searchsorted(cum, u_len, side="right").astype(np.int64)
     offs = (u_off * pow_f[lengths]).astype(np.int64)
@@ -23,21 +25,17 @@ def sample_codes(u_len, u_off, cum, base, pow_f, pow_i):
     return base[lengths] + offs, lengths
 
 
-def count_misses(codes, keys_sorted, empty_mode):
+def count_misses(codes, seen, empty_mode):
     """Hallucination count for a memorizer on coded draws.
 
-    A draw hallucinates iff its code is absent from keys_sorted and the
-    default (empty) output is unacceptable for it: empty_mode 0 accepts the
-    empty output only on code 0, mode 1 never, mode 2 always.
+    seen is a dense boolean table indexed by code, covering every code
+    passed. A draw hallucinates iff seen[code] is False and the default
+    (empty) output is unacceptable for it: empty_mode 0 accepts the empty
+    output only on code 0, mode 1 never, mode 2 always.
     """
     if empty_mode == 2:
         return 0
-    if keys_sorted.size == 0:
-        miss = np.ones(codes.size, dtype=bool)
-    else:
-        pos = np.searchsorted(keys_sorted, codes)
-        pos_c = np.minimum(pos, keys_sorted.size - 1)
-        miss = keys_sorted[pos_c] != codes
+    miss = ~seen[codes]
     if empty_mode == 0:
         miss &= codes != 0
     return int(np.count_nonzero(miss))

@@ -112,7 +112,7 @@ def construct_hard_support(
     _, objective = _necessity_argmin(alphabet, bound)
     size = objective.numerator // objective.denominator
     check_budget(
-        lambda: f"hard support would hold {size} strings (cap {max_size})",
+        "hard support would hold {} strings (cap {})", (size, max_size),
         max_size, 0, lambda: size,
     )
     return [shortlex_string(alphabet, i) for i in range(size)]
@@ -203,8 +203,8 @@ def check_nfl_budget(n: int, p: int, m: int, budget: int) -> None:
     strings and training size m by p^n * n^m * n elementary evaluations,
     of at least n*floor(log2 p) + (m+1)*floor(log2 n) bits."""
     check_budget(
-        lambda: (f"enumeration needs {p}^{n} * {n}^{m} * {n} elementary evaluations "
-                 f"(budget {budget})"),
+        "enumeration needs {}^{} * {}^{} * {} elementary evaluations (budget {})",
+        (p, n, n, m, n, budget),
         budget,
         n * (p.bit_length() - 1) + (m + 1) * (n.bit_length() - 1),
         lambda: p**n * n**m * n,
@@ -360,8 +360,8 @@ def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
     """Bound the work of diagonalizing k_models models over `horizon` strings
     by horizon * k_models model queries."""
     check_budget(
-        lambda: (f"diagonalizing {k_models} models over {horizon} strings needs "
-                 f"{horizon} * {k_models} model queries (budget {budget})"),
+        "diagonalizing {} models over {} strings needs {} * {} model queries (budget {})",
+        (k_models, horizon, horizon, k_models, budget),
         budget, 0, lambda: horizon * k_models,
     )
 

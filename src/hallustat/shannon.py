@@ -97,7 +97,7 @@ def smallest_high_mass_set(
         raise DomainError(f"delta must lie in (0,1), got {delta}")
     k = len(source.pmf)
     check_budget(
-        lambda: f"enumerating {k}^{m} blocks of length {m} exceeds budget {budget}",
+        "enumerating {}^{} blocks of length {} exceeds budget {}", (k, m, m, budget),
         budget,
         m * (k.bit_length() - 1),
         lambda: max(k**m, m),

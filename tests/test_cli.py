@@ -170,10 +170,23 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
     ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0]}]}),
     ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0], "accept": 3}]}),
     ("ground_truth", {"default": {"kind": "echo"}, "overrides": 5}),
+    ("mu", {"kind": "uniform_set", "members": [[], [1.5]]}),
+    ("mu", {"kind": "uniform_set", "members": [[], ["0"]]}),
+    ("mu", {"kind": "uniform_set", "members": [[], [True, 0]]}),
+    ("mu", {"kind": "uniform_set", "members": ["01"]}),
+    ("mu", {"kind": "finite", "atoms": [{"s": [1.5], "prob": 1}]}),
+    ("ground_truth", {"default": {"kind": "echo"},
+                      "overrides": [{"s": ["0"], "accept": [[0]]}]}),
+    ("ground_truth", {"default": {"kind": "echo"},
+                      "overrides": [{"s": [0], "accept": [[True]]}]}),
+    ("ground_truth", {"default": {"kind": "constant", "output": [1.0]}}),
 ], ids=["mc_samples", "confidence", "mu-length_probs", "mu-tail_ratio",
         "mu-atom-without-prob", "ground_truth-shift-text",
         "ground_truth-override-without-accept", "ground_truth-accept-scalar",
-        "ground_truth-overrides-scalar"])
+        "ground_truth-overrides-scalar", "mu-member-fraction", "mu-member-text",
+        "mu-member-bool", "mu-member-string", "mu-atom-fraction",
+        "ground_truth-override-text", "ground_truth-accept-bool",
+        "ground_truth-constant-float"])
 def test_train_eval_bad_field_exit_2(tmp_path, capsys, field, value):
     doc = train_eval_cfg()
     doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}

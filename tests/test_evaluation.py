@@ -186,18 +186,28 @@ def test_fast_plan_tables_are_exact_powers_and_offsets(q, length_probs, tail):
                                   IndexShift(3)])
 @pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
 def test_fast_path_equals_general_path(rule, labeler):
-    mu = half_geometric()
     gt = GroundTruth(A2, rule)
-    assert build_fast_plan(TRAINER, mu, gt) is not None
-    for m in (0, 1, 23, 150):
-        for seed in (0, 5):
-            fast = run_trial(TRAINER, mu, gt, m, labeler, derive_stream(seed, 0),
-                             mc_samples=2000)
-            # The object path on the same stream: draw, train, Monte Carlo.
-            rng = derive_stream(seed, 0)
-            model = TRAINER(generate_qualified(mu, gt, m, labeler, rng))
-            slow = mc_hp(model, mu, gt, 2000, 0.95, rng).estimate
-            assert fast == slow  # bitwise, not approximately
+    # Three regimes of the coded trial's seen-table over lengths <= n̄: it
+    # fills early (n̄ = 4 at m = 20 000, past the first 4096-draw chunk); it
+    # never fills (lengths 0 and 3 have no mass), while draws past the first
+    # chunk still add length-4 strings of mass 1/3200 each; the law ends
+    # below n̄.
+    regimes = (
+        (half_geometric(), (0, 1, 23, 150, 20_000)),
+        (LengthFactored(A2, (0.0, 0.5, 0.49, 0.0, 0.005), 0.5), (23, 150, 6400)),
+        (LengthFactored(A2, (0.25, 0.25, 0.5)), (150, 1000)),
+    )
+    for mu, ms in regimes:
+        assert build_fast_plan(TRAINER, mu, gt) is not None
+        for m in ms:
+            for seed in (0, 5):
+                fast = run_trial(TRAINER, mu, gt, m, labeler, derive_stream(seed, 0),
+                                 mc_samples=2000)
+                # The object path on the same stream: draw, train, Monte Carlo.
+                rng = derive_stream(seed, 0)
+                model = TRAINER(generate_qualified(mu, gt, m, labeler, rng))
+                slow = mc_hp(model, mu, gt, 2000, 0.95, rng).estimate
+                assert fast == slow  # bitwise, not approximately
 
 
 # -------------------------------------------------------------- experiments

@@ -28,6 +28,8 @@ def test_sample_codes_np_decodes_lengths_and_offsets():
 def test_count_misses_np_brute():
     rng = np.random.default_rng(4)
     keys = np.array(sorted(rng.choice(31, size=6, replace=False)), dtype=np.int64)
+    seen = np.zeros(31, dtype=bool)
+    seen[keys] = True
     codes = rng.integers(0, 31, size=2000).astype(np.int64)
     key_set = set(keys.tolist())
     for mode in (0, 1, 2):
@@ -39,12 +41,12 @@ def test_count_misses_np_brute():
                 for c in codes.tolist()
                 if c not in key_set and not (mode == 0 and c == 0)
             )
-        assert kernels.count_misses(codes, keys, mode) == expected
+        assert kernels.count_misses(codes, seen, mode) == expected
 
 
 def test_count_misses_np_empty_keys():
     codes = np.array([0, 1, 2, 0], dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
+    empty = np.zeros(3, dtype=bool)
     assert kernels.count_misses(codes, empty, 1) == 4
     assert kernels.count_misses(codes, empty, 0) == 2  # the two zeros survive
     assert kernels.count_misses(codes, empty, 2) == 0

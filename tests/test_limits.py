@@ -346,6 +346,20 @@ def test_budget_message_formed_only_when_exceeded():
     assert smallest_high_mass_set(SourceModel((0.9, 0.1)), 3, 0.1, budget=budget).set_size == 4
 
 
+def test_budget_message_renders_huge_numbers_by_bit_length():
+    # The work exceeds a 10^5000 budget, which str() cannot print.
+    budget = 10**5000
+    calls = (
+        lambda: smallest_high_mass_set(SourceModel((0.5, 0.5)), 20000, 0.1, budget=budget),
+        lambda: check_nfl_budget(2, 2, 20000, budget),
+        lambda: check_diagonal_budget(budget, budget, budget),
+    )
+    for call in calls:
+        with pytest.raises(BudgetExceeded) as err:
+            call()
+        assert f"a {budget.bit_length()}-bit number" in str(err.value)
+
+
 def test_nfl_arbitrary_learner_output_counts_as_wrong():
     # a learner that answers outside the codomain hallucinates everywhere
     dom, cod = domain_strings(2), domain_strings(2)
