@@ -4,6 +4,10 @@
 Strings appear here only as int64 shortlex codes. Code layout for alphabet
 size q: base[L] = number of strings shorter than L, code = base[L] + offset
 with offset in [0, q^L). Callers guarantee all codes fit below 2^62.
+
+The coded trial (evaluation._fast_trial) decodes only draws of length
+<= n̄, and stops decoding training draws once its seen-table is full; the
+table has count_upto(n̄) < 1.45*m entries for n̄ >= 1.
 """
 
 from __future__ import annotations
