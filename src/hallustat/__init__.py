@@ -66,14 +66,7 @@ from .limits import (
     required_sample_size,
     verify_diagonal,
 )
-from .measures import (
-    CdfLowerBound,
-    FiniteSupport,
-    GeometricTail,
-    LengthFactored,
-    ReachesOne,
-    dominates,
-)
+from .measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 from .oracle import (
     Constant,
     Echo,

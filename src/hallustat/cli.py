@@ -33,14 +33,7 @@ from .limits import (
     required_sample_size,
     verify_diagonal,
 )
-from .measures import (
-    CdfLowerBound,
-    FiniteSupport,
-    GeometricTail,
-    LengthFactored,
-    ReachesOne,
-    dominates,
-)
+from .measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 from .shannon import SourceModel, smallest_high_mass_set
 
@@ -102,12 +95,12 @@ def _cdf_bound(doc: dict) -> CdfLowerBound:
     tail_spec = _require(spec, "tail")
     kind = _require(tail_spec, "kind")
     if kind == "geometric":
-        tail = GeometricTail(_float_value(_require(tail_spec, "ratio"), "cdf_bound.tail.ratio"))
+        ratio = _float_value(_require(tail_spec, "ratio"), "cdf_bound.tail.ratio")
     elif kind == "one_at_n":
-        tail = ReachesOne()
+        ratio = None
     else:
         raise ConfigError(f"unknown tail kind {kind!r}")
-    return CdfLowerBound(table, tail)
+    return CdfLowerBound(table, ratio)
 
 
 def _distribution(alphabet: Alphabet, doc: dict):
@@ -186,12 +179,13 @@ def _int_field(doc: dict, key: str, minimum: int, default: int | None = None) ->
 
 
 def _float_value(value, key: str) -> float:
-    if not isinstance(value, bool):
+    """A JSON number (int or float, not a bool or a string) that fits a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except OverflowError:
             pass
-    raise ConfigError(f"{key} must be a number, got {value!r}")
+    raise ConfigError(f"{key} must be a number that fits a float, got {value!r}")
 
 
 def _list_field(doc: dict, key: str, name: str | None = None, default=None) -> list:
@@ -200,13 +194,6 @@ def _list_field(doc: dict, key: str, name: str | None = None, default=None) -> l
     if not isinstance(value, list):
         raise ConfigError(f"{name or key} must be a list, got {value!r}")
     return value
-
-
-def _budget(cfg: dict, args, default: int) -> int:
-    """Enumeration budget: --budget, else the config's `budget`, else default."""
-    if args.budget is not None:
-        return _int_value(args.budget, "--budget", 0)
-    return _int_field(cfg, "budget", 0, default)
 
 
 # ---------------------------------------------------------------- output
@@ -304,10 +291,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     trials = _int_field(cfg, "trials", 1)
     eps_h = _float_value(cfg.get("epsilon_h", 0.2), "epsilon_h")
     mc_samples = _int_field(cfg, "mc_samples", 1, 10_000)
-    horizon = len(bound.table) + 63
-    if isinstance(mu, LengthFactored):
-        horizon = max(horizon, len(mu.length_probs))
-    if not dominates(mu, bound, horizon):
+    if not dominates(mu, bound):
         raise DominationError("mu does not dominate CDF bound")
     trainer = FlrmTrainer(alphabet, bound)
     rows = sweep(
@@ -348,7 +332,7 @@ def cmd_nfl(cfg: dict, args) -> int:
     n = _nfl_size(alphabet, cfg, "domain", "domain_size")
     p = _nfl_size(alphabet, cfg, "codomain", "codomain_size")
     m = _int_field(cfg, "m", 0)
-    budget = _budget(cfg, args, 10**8)
+    budget = _int_field(cfg, "budget", 0, 10**8)
     # Checked before any string is built as well as inside nfl_brute_force.
     check_nfl_budget(n, p, m, budget)
     domain = _nfl_strings(alphabet, cfg, "domain", n)
@@ -389,7 +373,7 @@ def cmd_diag(cfg: dict, args) -> int:
     horizon = _int_field(cfg, "horizon", 1)
     table_size = _int_field(cfg, "table_size", 0, 8)
     max_len = _int_field(cfg, "max_len", 0, 6)
-    budget = _budget(cfg, args, 10**8)
+    budget = _int_field(cfg, "budget", 0, 10**8)
     # Checked before the models are built as well as inside diagonalize.
     check_diagonal_budget(horizon, count, budget)
     rng = derive_stream(args.seed)
@@ -409,7 +393,7 @@ def cmd_typical(cfg: dict, args) -> int:
     pmf = tuple(_float_value(v, "pmf entry") for v in _list_field(cfg, "pmf"))
     m = _int_field(cfg, "m", 1)
     delta = _float_value(_require(cfg, "delta"), "delta")
-    budget = _budget(cfg, args, 10**7)
+    budget = _int_field(cfg, "budget", 0, 10**7)
     report = smallest_high_mass_set(SourceModel(pmf), m, delta, budget)
     lines = [f"# {line}" for line in _preamble(cfg, args.seed)]
     lines.append("m,delta,set_size,rate,mass,entropy_gap")
@@ -446,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--threads", type=int, default=1, help="worker cap (default 1)")
-        p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
     return parser
 
 

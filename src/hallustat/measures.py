@@ -7,10 +7,11 @@ Two distribution families over the strings of an alphabet:
   LengthFactored  a law on lengths (table plus optional geometric tail),
                   uniform over all strings of a given length
 
-CdfLowerBound is a nondecreasing lower bound on Pr(len(S) <= n), given as a
-table plus an analytic tail rule; the tail rule is what makes both the
-"converges to 1" premise and tail domination checks decidable rather than
-sampled.
+CdfLowerBound is a nondecreasing lower bound on Pr(len(S) <= n). Every
+length law here, bound or distribution, is a table followed by one tail rule:
+a geometric defect with a given ratio, or exactly 1. The tail rule is what
+makes both the "converges to 1" premise and tail domination checks decidable
+rather than sampled.
 
 Sampling consumes a fixed number of uniforms per draw: two for LengthFactored
 (length, then offset within the level), one for FiniteSupport. Batch
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Alphabet, Str
-from .errors import DomainError, DominationError
+from .errors import DomainError
 
 _SUM_TOL = 1e-12
 # int64 code space; offsets above this use exact big-int arithmetic instead
@@ -38,31 +39,16 @@ _MAX_TAIL_TABLE = 4_000_000
 
 
 @dataclass(frozen=True)
-class GeometricTail:
-    """Defect decays geometrically beyond the table: 1 - value ~ ratio^n."""
-
-    ratio: float
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise DomainError(f"tail ratio must lie in (0,1), got {self.ratio}")
-
-
-@dataclass(frozen=True)
-class ReachesOne:
-    """The bound equals 1 everywhere beyond the table."""
-
-
-@dataclass(frozen=True)
 class CdfLowerBound:
     """Known nondecreasing lower bound on the input-length CDF.
 
-    table[n] is the bound at length n for n <= N = len(table) - 1; beyond the
-    table the tail rule applies. Both tail rules converge to exactly 1.
+    table[n] is the bound at length n for n <= N = len(table) - 1. Beyond the
+    table the defect 1 - value is (1 - table[N]) * tail_ratio^(n - N), or 0
+    when tail_ratio is None; either way the bound converges to 1.
     """
 
     table: tuple[float, ...]
-    tail: GeometricTail | ReachesOne
+    tail_ratio: float | None = None
 
     def __post_init__(self):
         if not self.table:
@@ -74,16 +60,15 @@ class CdfLowerBound:
             if c < prev:
                 raise DomainError("bound table must be non-decreasing")
             prev = c
+        if self.tail_ratio is not None and not 0.0 < self.tail_ratio < 1.0:
+            raise DomainError(f"tail ratio must lie in (0,1), got {self.tail_ratio}")
 
     def value(self, n: int) -> float:
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
-        last = len(self.table) - 1
-        if n <= last:
+        if n < len(self.table):
             return self.table[n]
-        if isinstance(self.tail, ReachesOne):
-            return 1.0
-        return 1.0 - (1.0 - self.table[last]) * self.tail.ratio ** (n - last)
+        return 1.0 - self.defect(n)
 
     def defect(self, n: int) -> float:
         """1 - value(n), computed without cancellation in the tail."""
@@ -92,9 +77,9 @@ class CdfLowerBound:
         last = len(self.table) - 1
         if n <= last:
             return 1.0 - self.table[n]
-        if isinstance(self.tail, ReachesOne):
+        if self.tail_ratio is None:
             return 0.0
-        return (1.0 - self.table[last]) * self.tail.ratio ** (n - last)
+        return (1.0 - self.table[last]) * self.tail_ratio ** (n - last)
 
 
 @dataclass(frozen=True)
@@ -150,6 +135,12 @@ class FiniteSupport:
     @property
     def max_length(self) -> int:
         return self._lengths[-1]
+
+    @property
+    def tail(self) -> tuple[int, None]:
+        """(start, ratio) of the tail rule: the length CDF is exactly 1 from
+        max_length on."""
+        return self.max_length, None
 
     @cached_property
     def _mass_map(self):
@@ -221,6 +212,19 @@ class LengthFactored:
     def is_support_infinite(self) -> bool:
         return self.tail_mass > 0.0
 
+    @property
+    def tail(self) -> tuple[int, float | None]:
+        """(start, ratio) of the tail rule: from length L = len(length_probs)
+        on, the length CDF's defect decays by tail_ratio per length, or is 0
+        (ratio None) when there is no tail mass."""
+        return len(self.length_probs), self.tail_ratio if self.tail_mass > 0.0 else None
+
+    def _tail_defect(self, n: int) -> float:
+        """1 - length_cdf(n) for n >= L: tail_mass * tail_ratio^(n - L + 1)."""
+        if self.tail_ratio is None:
+            return 0.0
+        return self.tail_mass * self.tail_ratio ** (n - len(self.length_probs) + 1)
+
     @cached_property
     def _cdf_table(self):
         out = []
@@ -289,9 +293,7 @@ class LengthFactored:
         table = self._cdf_table
         if n < len(table):
             return table[n]
-        if self.tail_ratio is None:
-            return 1.0
-        return 1.0 - self.tail_mass * self.tail_ratio ** (n - len(table) + 1)
+        return 1.0 - self._tail_defect(n)
 
     def sample_batch(self, rng, size: int) -> list[Str]:
         u_len = rng.random(size)
@@ -316,61 +318,25 @@ class LengthFactored:
         return out
 
 
-def _dist_tail(dist):
-    """("one", a): CDF is 1 for n >= a. ("geom", anchor, defect, ratio):
-    defect(n) = defect * ratio^(n - anchor) for n >= anchor."""
-    if isinstance(dist, FiniteSupport):
-        return ("one", dist.max_length)
-    if isinstance(dist, LengthFactored):
-        table_len = len(dist.length_probs)
-        if dist.tail_mass <= 0.0:
-            # length_cdf returns exactly 1.0 from the end of the table on
-            return ("one", table_len)
-        # defect(n) = tail_mass * ratio^(n - (L-1)) for n >= L-1, L possibly 0
-        return ("geom", table_len - 1, dist.tail_mass, dist.tail_ratio)
-    raise DominationError(
-        f"cannot decide tail domination analytically for {type(dist).__name__}"
-    )
+def dominates(dist: FiniteSupport | LengthFactored, bound: CdfLowerBound) -> bool:
+    """True iff dist.length_cdf(n) >= bound.value(n) for every n.
 
-
-def _bound_tail(bound: CdfLowerBound):
-    last = len(bound.table) - 1
-    defect = 1.0 - bound.table[last]
-    if isinstance(bound.tail, ReachesOne) or defect == 0.0:
-        return ("one", last + 1 if defect > 0.0 else last)
-    return ("geom", last, defect, bound.tail.ratio)
-
-
-def dominates(dist: FiniteSupport | LengthFactored, bound: CdfLowerBound, horizon: int) -> bool:
-    """True iff dist.length_cdf(n) >= bound(n) for every n, checked pointwise
-    up to max(horizon, table and support extents) and analytically beyond."""
-    table_last = len(bound.table) - 1
-    if horizon < table_last:
-        raise DomainError("horizon must be at least the bound table length")
-    d_tail = _dist_tail(dist)
-    b_tail = _bound_tail(bound)
-    high = max(horizon, table_last, d_tail[1], b_tail[1]) + 1
-    exact = isinstance(dist, FiniteSupport)
+    Checked pointwise through length max(len(bound.table) + 64, start + 1),
+    where start is the length at which dist's tail rule begins, and
+    analytically beyond, where both sides follow their tail rules.
+    """
+    start, ratio = dist.tail
+    high = max(len(bound.table) + 63, start) + 1
     for n in range(high + 1):
-        cdf_n = dist.length_cdf(n)
-        b_n = bound.value(n)
-        if exact:
-            if cdf_n < Fraction(b_n):
-                return False
-        elif cdf_n < b_n:
+        if dist.length_cdf(n) < bound.value(n):
             return False
-    # Beyond `high`, both sides follow their tail forms.
-    if d_tail[0] == "one":
-        return True  # dist CDF is exactly 1 there, and the bound never exceeds 1
-    if b_tail[0] == "one":
-        return False  # bound is exactly 1 while the dist keeps a positive defect
-    _, d_anchor, d_defect, d_ratio = d_tail
-    _, b_anchor, b_defect, b_ratio = b_tail
+    if ratio is None:
+        return True  # dist's CDF is exactly 1 there, and the bound never exceeds 1
+    if bound.tail_ratio is None or bound.table[-1] == 1.0:
+        return False  # the bound is exactly 1 while dist keeps a positive defect
     n0 = high + 1
-    dist_defect = d_defect * d_ratio ** (n0 - d_anchor)
-    bound_defect = b_defect * b_ratio ** (n0 - b_anchor)
-    if dist_defect > bound_defect:
+    if dist._tail_defect(n0) > bound.defect(n0):
         return False
     # Equal boundary with a faster-or-equal decay stays dominated forever;
     # a strictly slower decay must eventually cross.
-    return d_ratio <= b_ratio
+    return ratio <= bound.tail_ratio

@@ -15,7 +15,7 @@ import hallustat as h
 from helpers import uniform_support
 
 A2 = h.Alphabet(2)
-HALF_BOUND = h.CdfLowerBound((0.5,), h.GeometricTail(0.5))
+HALF_BOUND = h.CdfLowerBound((0.5,), 0.5)
 
 
 @contextmanager
@@ -88,11 +88,11 @@ def test_criterion_04_nfl_exact_verification():
 def test_criterion_05_hard_support_construction():
     with criterion(5, "hard-support cardinality and domination"):
         configs = (
-            (2, h.CdfLowerBound((0.5,), h.GeometricTail(0.5))),
-            (2, h.CdfLowerBound((0.0, 0.0, 1.0), h.ReachesOne())),
-            (3, h.CdfLowerBound((0.25,), h.GeometricTail(0.5))),
-            (5, h.CdfLowerBound((0.9,), h.GeometricTail(0.5))),
-            (2, h.CdfLowerBound((0.125, 0.25), h.GeometricTail(0.75))),
+            (2, h.CdfLowerBound((0.5,), 0.5)),
+            (2, h.CdfLowerBound((0.0, 0.0, 1.0))),
+            (3, h.CdfLowerBound((0.25,), 0.5)),
+            (5, h.CdfLowerBound((0.9,), 0.5)),
+            (2, h.CdfLowerBound((0.125, 0.25), 0.75)),
         )
         for q, bound in configs:
             a = h.Alphabet(q)
@@ -102,7 +102,7 @@ def test_criterion_05_hard_support_construction():
                 bound.value(nec.n_lower)
             )
             assert len(support) == objective.numerator // objective.denominator
-            assert h.dominates(uniform_support(support), bound, 64)
+            assert h.dominates(uniform_support(support), bound)
 
 
 def test_criterion_06_reverse_markov_randomized():

@@ -93,6 +93,24 @@ def test_unreadable_or_invalid_config_exit_2(tmp_path):
     assert run(["bounds", "--config", str(long_int)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon_h", "0.5"),
+    ("epsilon_t", "1e-1"),
+    ("epsilon_h", 10**400),
+    ("cdf_bound", {"table": ["0.5"], "tail": {"kind": "geometric", "ratio": 0.5}}),
+    ("cdf_bound", {"table": [10**400], "tail": {"kind": "geometric", "ratio": 0.5}}),
+    ("cdf_bound", {"table": [0.5], "tail": {"kind": "geometric", "ratio": "0.5"}}),
+], ids=["epsilon_h-numeric-text", "epsilon_t-numeric-text", "epsilon_h-huge-int",
+        "cdf_bound-table-numeric-text", "cdf_bound-table-huge-int",
+        "cdf_bound-ratio-numeric-text"])
+def test_bounds_bad_number_exit_2(tmp_path, capsys, field, value):
+    doc = {"alphabet": {"size": 2}, "cdf_bound": HALF_BOUND_DOC,
+           "epsilon_h": 0.1, "epsilon_t": 0.1}
+    doc[field] = value
+    assert run(["bounds", "--config", write_cfg(tmp_path, doc)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_negative_seed_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, {
         "alphabet": {"size": 2},
@@ -101,6 +119,23 @@ def test_negative_seed_exit_2(tmp_path):
         "epsilon_t": 0.1,
     })
     assert run(["bounds", "--config", cfg, "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--seed", str(2**64)], ["--threads", "0"]],
+                         ids=["seed-2^64", "threads-0"])
+def test_out_of_range_flag_exit_2(tmp_path, capsys, flags):
+    cfg = write_cfg(tmp_path, {"pmf": [0.5, 0.5], "m": 3, "delta": 0.1})
+    assert run(["typical-set", "--config", cfg] + flags) == 2
+    assert flags[0][2:] in capsys.readouterr().err
+
+
+def test_budget_flag_is_gone(tmp_path, capsys):
+    # a budget outside the config would not be replayed from the artifact
+    cfg = write_cfg(tmp_path, {"pmf": [0.5, 0.5], "m": 24, "delta": 0.05})
+    with pytest.raises(SystemExit) as exc:
+        run(["typical-set", "--config", cfg, "--budget", str(2**24)])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- train-eval
@@ -163,8 +198,12 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("mc_samples", "x"),
     ("confidence", "x"),
+    ("confidence", "0.5"),
+    ("confidence", 10**400),
     ("mu", {"kind": "length_factored", "length_probs": ["x"], "tail_ratio": 0.5}),
+    ("mu", {"kind": "length_factored", "length_probs": ["0.5"], "tail_ratio": 0.5}),
     ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "x"}),
+    ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "0.5"}),
     ("mu", {"kind": "finite", "atoms": [{"s": []}]}),
     ("ground_truth", {"default": {"kind": "index_shift", "shift": "x"}}),
     ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0]}]}),
@@ -180,7 +219,9 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
     ("ground_truth", {"default": {"kind": "echo"},
                       "overrides": [{"s": [0], "accept": [[True]]}]}),
     ("ground_truth", {"default": {"kind": "constant", "output": [1.0]}}),
-], ids=["mc_samples", "confidence", "mu-length_probs", "mu-tail_ratio",
+], ids=["mc_samples", "confidence", "confidence-numeric-text", "confidence-huge-int",
+        "mu-length_probs", "mu-length_probs-numeric-text", "mu-tail_ratio",
+        "mu-tail_ratio-numeric-text",
         "mu-atom-without-prob", "ground_truth-shift-text",
         "ground_truth-override-without-accept", "ground_truth-accept-scalar",
         "ground_truth-overrides-scalar", "mu-member-fraction", "mu-member-text",
@@ -266,19 +307,29 @@ def test_sweep_nan_length_probability_exit_3(tmp_path, capsys):
     ("mc_samples", 0),
     ("mc_samples", "x"),
     ("epsilon_h", "x"),
+    ("epsilon_h", "0.5"),
+    ("epsilon_h", 10**400),
     ("m_grid", [-3]),
     ("m_grid", 5),
     ("m_grid", [1.5]),
     ("cdf_bound", {"table": ["x"], "tail": {"kind": "geometric", "ratio": 0.5}}),
+    ("cdf_bound", {"table": ["0.5"], "tail": {"kind": "geometric", "ratio": 0.5}}),
+    ("cdf_bound", {"table": [10**400], "tail": {"kind": "geometric", "ratio": 0.5}}),
     ("cdf_bound", {"table": [0.5], "tail": {"kind": "geometric", "ratio": "x"}}),
+    ("cdf_bound", {"table": [0.5], "tail": {"kind": "geometric", "ratio": "1e-1"}}),
+    ("mu", {"kind": "length_factored", "length_probs": ["0.5"], "tail_ratio": 0.5}),
+    ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "0.5"}),
     ("alphabet", {"size": 2.9}),
     ("alphabet", {"size": "3"}),
     ("alphabet", {"size": True}),
     ("alphabet", {"size": 2, "labels": "ab"}),
     ("alphabet", {"size": 2, "labels": ["a", 1]}),
 ], ids=["mc_samples-zero", "mc_samples-text", "epsilon_h-text",
+        "epsilon_h-numeric-text", "epsilon_h-huge-int",
         "m_grid-negative", "m_grid-scalar", "m_grid-fraction",
-        "cdf_bound-table-text", "cdf_bound-ratio-text",
+        "cdf_bound-table-text", "cdf_bound-table-numeric-text", "cdf_bound-table-huge-int",
+        "cdf_bound-ratio-text", "cdf_bound-ratio-numeric-text",
+        "mu-length_probs-numeric-text", "mu-tail_ratio-numeric-text",
         "alphabet-size-fraction", "alphabet-size-text", "alphabet-size-bool",
         "alphabet-labels-text", "alphabet-labels-number"])
 def test_sweep_bad_field_exit_2(tmp_path, capsys, field, value):
@@ -341,8 +392,10 @@ def test_nfl_verify_explicit_string_lists(tmp_path, capsys):
 
 
 def test_nfl_verify_budget_exit_5(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, nfl_cfg())
-    assert run(["nfl-verify", "--config", cfg, "--budget", "10"]) == 5
+    doc = nfl_cfg()
+    doc["budget"] = 10
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["nfl-verify", "--config", cfg]) == 5
     assert "budget" in capsys.readouterr().err
     # 2^20000 labelings: a work count too long to print in full
     doc = nfl_cfg()
@@ -432,11 +485,11 @@ def test_diagonalize_non_integer_field_exit_2(tmp_path, capsys, field):
 
 def test_diagonalize_budget_exit_5(tmp_path, capsys):
     # 5 models over 30 strings: 150 model queries
-    doc = {"alphabet": {"size": 2}, "models": 5, "horizon": 30}
-    cfg = write_cfg(tmp_path, doc)
-    assert run(["diagonalize", "--config", cfg, "--budget", "10"]) == 5
+    doc = {"alphabet": {"size": 2}, "models": 5, "horizon": 30, "budget": 10}
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 5
     assert "budget" in capsys.readouterr().err
-    assert run(["diagonalize", "--config", cfg, "--budget", "150"]) == 0
+    doc["budget"] = 150
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 0
     doc["budget"] = 149
     assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 5
 
@@ -465,25 +518,24 @@ def test_typical_set_single_symbol_budget_exit_5(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"pmf": [1.0], "m": 10**8, "delta": 0.1})
     assert run(["typical-set", "--config", cfg]) == 5
     assert "budget" in capsys.readouterr().err
-    cfg = write_cfg(tmp_path, {"pmf": [1.0], "m": 11, "delta": 0.1})
-    assert run(["typical-set", "--config", cfg, "--budget", "10"]) == 5
-    assert run(["typical-set", "--config", cfg, "--budget", "11"]) == 0
+    doc = {"pmf": [1.0], "m": 11, "delta": 0.1, "budget": 10}
+    assert run(["typical-set", "--config", write_cfg(tmp_path, doc)]) == 5
+    doc["budget"] = 11
+    assert run(["typical-set", "--config", write_cfg(tmp_path, doc)]) == 0
 
 
 def test_typical_set_budget_override(tmp_path):
     # 2^24 blocks exceeds the default budget but fits a raised one
-    cfg = write_cfg(tmp_path, {"pmf": [0.9, 0.1], "m": 24, "delta": 0.1})
-    assert run(["typical-set", "--config", cfg]) == 5
-    assert run(["typical-set", "--config", cfg, "--budget", str(2**25)]) == 0
+    doc = {"pmf": [0.9, 0.1], "m": 24, "delta": 0.1}
+    assert run(["typical-set", "--config", write_cfg(tmp_path, doc)]) == 5
+    doc["budget"] = 2**25
+    assert run(["typical-set", "--config", write_cfg(tmp_path, doc)]) == 0
 
 
-def test_typical_set_negative_budget_exit_2_from_flag_or_config(tmp_path, capsys):
-    doc = {"pmf": [0.9, 0.1], "m": 5, "delta": 0.1}
-    cfg = write_cfg(tmp_path, doc)
-    assert run(["typical-set", "--config", cfg, "--budget", "-1"]) == 2
-    assert "--budget" in capsys.readouterr().err
-    doc["budget"] = -1
+def test_typical_set_negative_budget_exit_2(tmp_path, capsys):
+    doc = {"pmf": [0.9, 0.1], "m": 5, "delta": 0.1, "budget": -1}
     assert run(["typical-set", "--config", write_cfg(tmp_path, doc)]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_typical_set_bad_delta_exit_3(tmp_path):
@@ -493,9 +545,14 @@ def test_typical_set_bad_delta_exit_3(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("pmf", ["x", 0.5]),
+    ("pmf", ["0.5", 0.5]),
+    ("pmf", [10**400, 0.5]),
     ("delta", "x"),
+    ("delta", "0.5"),
+    ("delta", 10**400),
     ("budget", "x"),
-], ids=["pmf", "delta", "budget"])
+], ids=["pmf", "pmf-numeric-text", "pmf-huge-int", "delta", "delta-numeric-text",
+        "delta-huge-int", "budget"])
 def test_typical_set_non_numeric_field_exit_2(tmp_path, capsys, field, value):
     doc = {"pmf": [0.5, 0.5], "m": 5, "delta": 0.1}
     doc[field] = value
@@ -574,3 +631,31 @@ def test_property_configs_are_valid(tmp_path):
     for command, doc in PROPERTY_CONFIGS.items():
         assert run([command, "--config", write_cfg(tmp_path, doc),
                     "--out", str(tmp_path / "out")]) == 0, command
+
+
+def artifact_header(text):
+    """(seed, config) as embedded in a JSON or CSV artifact."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        return doc["seed"], doc["config"]
+    lines = text.splitlines()
+    assert lines[1].startswith("# seed: ") and lines[2].startswith("# config: ")
+    return int(lines[1][len("# seed: "):]), json.loads(lines[2][len("# config: "):])
+
+
+REPLAY_CASES = list(PROPERTY_CONFIGS.items()) + [
+    # 2^24 blocks: over the default budget, so only the config's budget lets it run
+    ("typical-set", {"pmf": [0.5, 0.5], "m": 24, "delta": 0.05, "budget": 2**24}),
+]
+
+
+@pytest.mark.parametrize("command, doc", REPLAY_CASES,
+                         ids=[c for c, _ in PROPERTY_CONFIGS.items()] + ["typical-set-budget"])
+def test_artifact_replays_from_its_own_header(tmp_path, command, doc):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run([command, "--config", write_cfg(tmp_path, doc, "a.json"),
+                "--seed", "12345", "--out", str(first)]) == 0
+    seed, config = artifact_header(first.read_text())
+    assert run([command, "--config", write_cfg(tmp_path, config, "b.json"),
+                "--seed", str(seed), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()

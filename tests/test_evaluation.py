@@ -24,7 +24,6 @@ from hallustat.flrm import FlrmTrainer, MemorizerModel, train
 from hallustat.measures import (
     CdfLowerBound,
     FiniteSupport,
-    GeometricTail,
     LengthFactored,
 )
 from hallustat.oracle import (
@@ -40,7 +39,7 @@ from hallustat.oracle import (
 from helpers import uniform_support
 
 A2 = Alphabet(2)
-HALF_BOUND = CdfLowerBound((0.5,), GeometricTail(0.5))
+HALF_BOUND = CdfLowerBound((0.5,), 0.5)
 TRAINER = FlrmTrainer(A2, HALF_BOUND)
 
 
@@ -173,7 +172,7 @@ def test_fast_plan_active_only_for_length_factored():
 def test_fast_plan_tables_are_exact_powers_and_offsets(q, length_probs, tail):
     a = Alphabet(q)
     mu = LengthFactored(a, length_probs, tail)
-    trainer = FlrmTrainer(a, CdfLowerBound((1.0,), GeometricTail(0.5)))
+    trainer = FlrmTrainer(a, CdfLowerBound((1.0,), 0.5))
     plan = build_fast_plan(trainer, mu, GroundTruth(a, Echo()))
     top = mu.max_sample_length
     assert plan.pow_i.tolist() == [q**n for n in range(top + 1)]

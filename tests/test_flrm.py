@@ -12,11 +12,11 @@ from hallustat.flrm import (
     threshold_length,
     train,
 )
-from hallustat.measures import CdfLowerBound, GeometricTail, ReachesOne
+from hallustat.measures import CdfLowerBound
 from hallustat.oracle import TrainingSequence
 
 A2 = Alphabet(2)
-HALF_BOUND = CdfLowerBound((0.5,), GeometricTail(0.5))
+HALF_BOUND = CdfLowerBound((0.5,), 0.5)
 
 
 def s(*symbols):
@@ -54,7 +54,7 @@ def test_threshold_monotone_in_m():
 
 def test_threshold_with_saturated_bound_is_minus_one():
     # bound value 1 everywhere -> zero defect -> no level ever qualifies
-    saturated = CdfLowerBound((1.0,), ReachesOne())
+    saturated = CdfLowerBound((1.0,))
     assert threshold_length(10**9, A2, saturated) == -1
 
 

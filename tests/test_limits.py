@@ -28,8 +28,6 @@ from hallustat.limits import (
 )
 from hallustat.measures import (
     CdfLowerBound,
-    GeometricTail,
-    ReachesOne,
     dominates,
 )
 from hallustat.oracle import TrainingSequence
@@ -38,7 +36,7 @@ from hallustat.shannon import SourceModel, smallest_high_mass_set
 from helpers import uniform_support
 
 A2 = Alphabet(2)
-HALF_BOUND = CdfLowerBound((0.5,), GeometricTail(0.5))
+HALF_BOUND = CdfLowerBound((0.5,), 0.5)
 
 
 # -------------------------------------------------------------- sufficiency
@@ -70,7 +68,7 @@ def test_required_sample_size_epsilon_domain():
 def test_required_sample_size_zero_defect_rejected():
     # defect stays at 0.5 through the table, then drops straight to 0:
     # the first length below target has no positive defect to divide by
-    saturated = CdfLowerBound((0.5,), ReachesOne())
+    saturated = CdfLowerBound((0.5,))
     with pytest.raises(DomainError):
         required_sample_size(0.2, 0.2, A2, saturated)
 
@@ -89,9 +87,9 @@ def test_m_bar_grows_as_epsilon_shrinks():
 def test_nfl_sizes_reference_values():
     r = nfl_sizes(A2, HALF_BOUND)
     assert (r.n_lower, r.m_lower) == (0, 2)
-    r = nfl_sizes(A2, CdfLowerBound((0.0, 0.0, 1.0), ReachesOne()))
+    r = nfl_sizes(A2, CdfLowerBound((0.0, 0.0, 1.0)))
     assert (r.n_lower, r.m_lower) == (2, 7)
-    r = nfl_sizes(A2, CdfLowerBound((0.0,), ReachesOne()))
+    r = nfl_sizes(A2, CdfLowerBound((0.0,)))
     assert (r.n_lower, r.m_lower) == (1, 3)
 
 
@@ -99,7 +97,7 @@ def test_nfl_sizes_exact_argmin_brute():
     # exhaustive argmin over a window comfortably past the formal stop rule
     for q, table, ratio in ((2, (0.3, 0.6), 0.5), (3, (0.1,), 0.7), (5, (0.02,), 0.9)):
         a = Alphabet(q)
-        b = CdfLowerBound(table, GeometricTail(ratio))
+        b = CdfLowerBound(table, ratio)
         vals = {}
         for n in range(0, 40):
             c = b.value(n)
@@ -113,11 +111,11 @@ def test_nfl_sizes_exact_argmin_brute():
 
 def test_hard_support_size_matches_objective():
     cases = [
-        (2, CdfLowerBound((0.5,), GeometricTail(0.5))),
-        (2, CdfLowerBound((0.0, 0.0, 1.0), ReachesOne())),
-        (3, CdfLowerBound((0.25,), GeometricTail(0.5))),
-        (5, CdfLowerBound((0.9,), GeometricTail(0.5))),
-        (2, CdfLowerBound((0.125, 0.25), GeometricTail(0.75))),
+        (2, CdfLowerBound((0.5,), 0.5)),
+        (2, CdfLowerBound((0.0, 0.0, 1.0))),
+        (3, CdfLowerBound((0.25,), 0.5)),
+        (5, CdfLowerBound((0.9,), 0.5)),
+        (2, CdfLowerBound((0.125, 0.25), 0.75)),
     ]
     for q, b in cases:
         a = Alphabet(q)
@@ -131,17 +129,17 @@ def test_hard_support_size_matches_objective():
 
 
 def test_hard_support_uniform_dominates_bound():
-    for q, b in ((2, HALF_BOUND), (3, CdfLowerBound((0.25,), GeometricTail(0.5)))):
+    for q, b in ((2, HALF_BOUND), (3, CdfLowerBound((0.25,), 0.5))):
         a = Alphabet(q)
         support = construct_hard_support(a, b)
         uni = uniform_support(tuple(support))
-        assert dominates(uni, b, 64)
+        assert dominates(uni, b)
 
 
 def test_hard_support_budget():
     # objective 2048 at n = 0; the table is long enough that no later
     # length undercuts it (count alone is 4095 past the table)
-    tiny = CdfLowerBound((1.0 / 2048.0,) * 11, ReachesOne())
+    tiny = CdfLowerBound((1.0 / 2048.0,) * 11)
     with pytest.raises(BudgetExceeded) as err:
         construct_hard_support(A2, tiny, max_size=1000)
     assert err.value.required == 2048

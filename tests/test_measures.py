@@ -6,14 +6,7 @@ import pytest
 
 from hallustat.core import Alphabet, Str, empty_string, shortlex_string, strings_upto
 from hallustat.errors import DomainError
-from hallustat.measures import (
-    CdfLowerBound,
-    FiniteSupport,
-    GeometricTail,
-    LengthFactored,
-    ReachesOne,
-    dominates,
-)
+from hallustat.measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 
 from helpers import uniform_support
 
@@ -30,19 +23,19 @@ def half_geometric():
 
 def test_bound_validation():
     with pytest.raises(DomainError):
-        CdfLowerBound((), ReachesOne())
+        CdfLowerBound(())
     with pytest.raises(DomainError):
-        CdfLowerBound((0.5, 0.4), ReachesOne())  # not nondecreasing
+        CdfLowerBound((0.5, 0.4))  # not nondecreasing
     with pytest.raises(DomainError):
-        CdfLowerBound((0.5, 1.2), ReachesOne())
+        CdfLowerBound((0.5, 1.2))
     with pytest.raises(DomainError):
-        GeometricTail(0.0)
+        CdfLowerBound((0.5,), 0.0)
     with pytest.raises(DomainError):
-        GeometricTail(1.0)
+        CdfLowerBound((0.5,), 1.0)
 
 
 def test_bound_value_and_defect_geometric():
-    b = CdfLowerBound((0.5,), GeometricTail(0.5))
+    b = CdfLowerBound((0.5,), 0.5)
     assert b.value(0) == 0.5
     assert b.value(3) == 1.0 - 0.5**4
     assert b.defect(3) == 0.5**4  # computed without cancellation
@@ -50,7 +43,7 @@ def test_bound_value_and_defect_geometric():
 
 
 def test_bound_value_one_beyond_table():
-    b = CdfLowerBound((0.0, 0.0), ReachesOne())
+    b = CdfLowerBound((0.0, 0.0))
     assert b.value(0) == 0.0
     assert b.value(1) == 0.0
     assert b.value(2) == 1.0
@@ -58,7 +51,7 @@ def test_bound_value_one_beyond_table():
 
 
 def test_bound_negative_index():
-    b = CdfLowerBound((0.5,), ReachesOne())
+    b = CdfLowerBound((0.5,))
     with pytest.raises(DomainError):
         b.value(-1)
 
@@ -228,65 +221,92 @@ def test_sample_batch_zero_is_empty_and_consumes_nothing():
 
 def test_dominates_half_geometric_over_matching_bound():
     d = half_geometric()
-    b = CdfLowerBound((0.5,), GeometricTail(0.5))
-    assert dominates(d, b, 64)
+    b = CdfLowerBound((0.5,), 0.5)
+    assert dominates(d, b)
 
 
 def test_dominates_fails_when_bound_is_strictly_higher():
     d = half_geometric()
-    b = CdfLowerBound((0.9,), GeometricTail(0.5))
-    assert not dominates(d, b, 64)
+    b = CdfLowerBound((0.9,), 0.5)
+    assert not dominates(d, b)
 
 
 def test_point_mass_far_out_fails_early_bound():
     # all mass on a length-10 string: CDF is 0 below length 10
     d = FiniteSupport(((Str(A2, (0,) * 10), Fraction(1)),))
-    b = CdfLowerBound((0.5,), GeometricTail(0.5))
-    assert not dominates(d, b, 64)
+    b = CdfLowerBound((0.5,), 0.5)
+    assert not dominates(d, b)
 
 
 def test_point_mass_at_empty_dominates_everything():
     d = FiniteSupport(((empty_string(A2), Fraction(1)),))
-    b = CdfLowerBound((0.5,), GeometricTail(0.5))
-    assert dominates(d, b, 64)
-    assert dominates(d, CdfLowerBound((1.0,), ReachesOne()), 64)
+    b = CdfLowerBound((0.5,), 0.5)
+    assert dominates(d, b)
+    assert dominates(d, CdfLowerBound((1.0,)))
 
 
 def test_dominates_boundary_equality_counts():
     # CDF equal to the bound everywhere is still >=
     d = half_geometric()
     table = tuple(1.0 - 0.5 ** (i + 1) for i in range(8))
-    b = CdfLowerBound(table, GeometricTail(0.5))
-    assert dominates(d, b, 64)
+    b = CdfLowerBound(table, 0.5)
+    assert dominates(d, b)
 
 
 def test_finite_support_vs_geometric_tail_bound():
     # finite support reaches CDF 1; geometric bound never does -> dominated
     members = tuple(shortlex_string(A2, r) for r in range(3))
     d = uniform_support(members)
-    b = CdfLowerBound((1.0 / 3.0,), GeometricTail(0.5))
-    assert dominates(d, b, 64)
+    b = CdfLowerBound((1.0 / 3.0,), 0.5)
+    assert dominates(d, b)
 
 
 def test_faster_decaying_dist_dominates_slower_bound():
     # dist defect (1/2)^(n+1) <= bound defect (3/4)^(n+1) everywhere
     d = half_geometric()
-    b = CdfLowerBound((0.25,), GeometricTail(0.75))
-    assert dominates(d, b, 64)
+    b = CdfLowerBound((0.25,), 0.75)
+    assert dominates(d, b)
 
 
 def test_slower_dist_tail_caught_analytically():
-    # tiny tail mass but ratio 0.6 > bound ratio 0.5: pointwise fine early,
-    # rejected by the tail-ratio comparison at a short horizon and by the
-    # pointwise scan at a long one
+    # tiny tail mass but ratio 0.6 > bound ratio 0.5: pointwise fine early;
+    # the defects cross near n = 34, so the pointwise window catches it
     d = LengthFactored(A2, (0.999,), 0.6)
-    b = CdfLowerBound((0.5,), GeometricTail(0.5))
-    assert not dominates(d, b, 8)
-    assert not dominates(d, b, 64)
+    b = CdfLowerBound((0.5,), 0.5)
+    assert not dominates(d, b)
 
 
-def test_dominates_rejects_short_horizon():
+def test_slower_dist_tail_crossing_past_the_window_caught_by_ratio():
+    # defects 1e-9 * 0.51^n and 0.5 * 0.5^n cross near n = 1000, far past the
+    # pointwise window: only the tail-ratio comparison rejects the law
+    d = LengthFactored(A2, (1 - 1e-9,), 0.51)
+    b = CdfLowerBound((0.5,), 0.5)
+    assert all(d.length_cdf(n) >= b.value(n) for n in range(200))
+    assert not dominates(d, b)
+
+
+def test_tail_ratio_without_tail_mass_dominates():
+    # the table already sums to 1, so the ratio 0.9 spreads no mass
+    d = LengthFactored(A2, (0.5, 0.5), 0.9)
+    assert d.tail == (2, None)
+    assert dominates(d, CdfLowerBound((0.5,), 0.5))
+    assert dominates(d, CdfLowerBound((0.5, 1.0)))
+
+
+def test_bound_reaching_one_in_its_table_rejects_geometric_law():
+    # past n = 53 the law's float CDF rounds to 1.0, so every pointwise check
+    # passes; its defect stays positive while the bound's is 0
     d = half_geometric()
-    b = CdfLowerBound((0.5, 0.5, 0.5, 0.5), GeometricTail(0.5))
-    with pytest.raises(DomainError):
-        dominates(d, b, 2)
+    b = CdfLowerBound((0.0,) * 60 + (1.0,), 0.5)
+    assert all(d.length_cdf(n) >= b.value(n) for n in range(200))
+    assert not dominates(d, b)
+
+
+def test_law_table_longer_than_the_window_dominates():
+    # the law's table runs past the bound's table plus 64 lengths, so its
+    # geometric tail starts beyond the window the bound alone would set
+    probs = tuple(0.1 * 0.9**i for i in range(100))
+    d = LengthFactored(A2, probs, 0.9)
+    assert d.tail == (100, 0.9)
+    assert dominates(d, CdfLowerBound((0.1,), 0.95))
+    assert not dominates(d, CdfLowerBound((0.1,), 0.85))
