@@ -6,7 +6,8 @@ Randomness contract: every trial draws from its own stream derived as
 thread count. Monte Carlo confidence intervals are two-sided Hoeffding.
 
 evaluate_hp is the one place that chooses exact evaluation (enumerable
-finite supports) or Monte Carlo (everything else).
+finite supports) or Monte Carlo (everything else). mc_hp evaluates each
+distinct draw once, weighted by its count.
 
 run_trial is the one place a trial picks its path, from the instance, never
 from the caller. build_fast_plan returns a plan for the common experiment
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,11 +54,15 @@ def derive_stream(master_seed: int, *branch: int):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=branch))
 
 
+def _check_confidence(confidence: float):
+    if not 0.0 < confidence < 1.0:  # also rejects NaN
+        raise DomainError(f"confidence must lie in (0,1), got {confidence}")
+
+
 def hoeffding_halfwidth(n_samples: int, confidence: float) -> float:
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if not 0.0 < confidence < 1.0:
-        raise DomainError(f"confidence must lie in (0,1), got {confidence}")
+    _check_confidence(confidence)
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples))
 
 
@@ -91,18 +97,21 @@ def exact_hp(predict, mu, gt: GroundTruth) -> HallucinationReport:
             f"exact evaluation needs an enumerable finite support, not "
             f"{type(mu).__name__}; use mc_hp"
         )
-    total = Fraction(0)
+    # Integer numerators per denominator: one Fraction addition per distinct
+    # denominator, not per atom.
+    numerators = Counter()
     for s, p in mu.support():
         if not gt.accepts(s, predict(s)):
-            total += p
+            numerators[p.denominator] += p.numerator
+    total = sum((Fraction(n, d) for d, n in numerators.items()), Fraction(0))
     return HallucinationReport(estimate=float(total), method="exact", exact_value=total)
 
 
 def mc_hp(predict, mu, gt: GroundTruth, n_samples: int, confidence: float, rng) -> HallucinationReport:
     """Monte Carlo estimate with a distribution-free Hoeffding half-width."""
     halfwidth = hoeffding_halfwidth(n_samples, confidence)
-    samples = mu.sample_batch(rng, n_samples)
-    wrong = sum(1 for s in samples if not gt.accepts(s, predict(s)))
+    counts = Counter(mu.sample_batch(rng, n_samples))
+    wrong = sum(c for s, c in counts.items() if not gt.accepts(s, predict(s)))
     return HallucinationReport(
         estimate=wrong / n_samples,
         method="monte_carlo",
@@ -116,6 +125,7 @@ def evaluate_hp(predict, mu, gt: GroundTruth, mc_samples: int, confidence: float
                 rng) -> HallucinationReport:
     """Exact HP when mu has an enumerable finite support, else Monte Carlo
     with mc_samples draws from rng."""
+    _check_confidence(confidence)
     if isinstance(mu, FiniteSupport):
         return exact_hp(predict, mu, gt)
     return mc_hp(predict, mu, gt, mc_samples, confidence, rng)
@@ -151,9 +161,7 @@ def build_fast_plan(trainer, mu, gt: GroundTruth):
     top = mu.max_sample_length
     if count_upto(mu.alphabet, top) >= _FAST_CODE_LIMIT:
         return None
-    # q exceeds int64 only when top = 0, where no positive power is taken.
-    pow_i = min(mu.alphabet.size, _FAST_CODE_LIMIT) ** np.arange(top + 1, dtype=np.int64)
-    base = np.cumsum(pow_i) - pow_i
+    base, pow_i = mu._code_tables  # every level up to top, since q^top < 2^62
     return _FastPlan(trainer, mu._sampling_cum, base, pow_i.astype(np.float64), pow_i, mode)
 
 

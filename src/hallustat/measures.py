@@ -16,7 +16,10 @@ rather than sampled.
 Sampling consumes a fixed number of uniforms per draw: two for LengthFactored
 (length, then offset within the level), one for FiniteSupport. Batch
 draws consume whole uniform arrays in that order, so alternative samplers
-sharing the uniform stream reproduce draws bit for bit.
+sharing the uniform stream reproduce draws bit for bit. Repeated draws of one
+string share one Str: LengthFactored decodes each batch into int shortlex
+codes with numpy and builds one Str per distinct code (levels of q^n >= 2^62
+decode one draw at a time, exactly).
 """
 
 from __future__ import annotations
@@ -265,15 +268,18 @@ class LengthFactored:
         return len(self._sampling_cum) - 1
 
     @cached_property
-    def _offset_scales(self):
-        """Per-length (float_scale_or_None, exact_size) for offset decoding."""
+    def _code_tables(self):
+        """(base, level) int64 arrays over the lengths n whose level q^n is
+        below 2^62: level[n] = q^n exactly and base[n] = number of strings
+        shorter than n, so base[n] + offset is the shortlex code of a draw."""
         q = self.alphabet.size
-        scales = []
+        levels = []
         p = 1
-        for _ in range(self.max_sample_length + 1):
-            scales.append((float(p) if p < _FLOAT_OFFSET_LIMIT else None, p))
+        while p < _FLOAT_OFFSET_LIMIT and len(levels) <= self.max_sample_length:
+            levels.append(p)
             p *= q
-        return scales
+        level = np.asarray(levels, dtype=np.int64)
+        return np.cumsum(level) - level, level
 
     def _length_prob(self, n: int) -> float:
         if n < len(self.length_probs):
@@ -299,23 +305,32 @@ class LengthFactored:
         u_len = rng.random(size)
         u_off = rng.random(size)
         lengths = np.searchsorted(self._sampling_cum, u_len, side="right")
-        scales = self._offset_scales
+        base, level = self._code_tables
+        small = lengths < len(level)
+        n = lengths[small]
+        # floor(u * q^n) through the float q^n, clamped with the exact one
+        offs = np.minimum((u_off[small] * level[n].astype(np.float64)).astype(np.int64),
+                          level[n] - 1)
+        keys, inverse = np.unique(base[n] + offs, return_inverse=True)
+        key_lengths = np.searchsorted(base, keys, side="right") - 1
+        distinct = [self._decode(off, length) for off, length in
+                    zip((keys - base[key_lengths]).tolist(), key_lengths.tolist())]
+        out = np.empty(size, dtype=object)
+        out[small] = np.fromiter(distinct, dtype=object, count=len(distinct))[inverse]
+        for i in np.flatnonzero(~small).tolist():  # exact, one draw at a time
+            length = int(lengths[i])
+            size_n = self.alphabet.size**length
+            out[i] = self._decode(min(int(Fraction(float(u_off[i])) * size_n), size_n - 1),
+                                  length)
+        return out.tolist()
+
+    def _decode(self, off: int, n: int) -> Str:
+        """The string of length n at lexicographic offset off."""
         q = self.alphabet.size
-        out = []
-        for i in range(size):
-            n = int(lengths[i])
-            scale, level = scales[n]
-            if scale is not None:
-                off = int(u_off[i] * scale)
-            else:
-                off = int(Fraction(float(u_off[i])) * level)
-            if off >= level:
-                off = level - 1
-            syms = [0] * n
-            for j in range(n - 1, -1, -1):
-                off, syms[j] = divmod(off, q)
-            out.append(Str(self.alphabet, tuple(syms)))
-        return out
+        syms = [0] * n
+        for j in range(n - 1, -1, -1):
+            off, syms[j] = divmod(off, q)
+        return Str(self.alphabet, tuple(syms))
 
 
 def dominates(dist: FiniteSupport | LengthFactored, bound: CdfLowerBound) -> bool:

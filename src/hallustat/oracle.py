@@ -130,7 +130,8 @@ def generate_qualified(
         raise DomainError(f"m must be >= 0, got {m}")
     inputs = mu.sample_batch(rng, m)
     if labeler is Labeler.CANONICAL:
-        pairs = tuple((s, gt.canonical(s)) for s in inputs)
+        label = {s: gt.canonical(s) for s in set(inputs)}
+        pairs = tuple((s, label[s]) for s in inputs)
     elif labeler is Labeler.UNIFORM_ACCEPTABLE:
         u = rng.random(m)
         pairs = []

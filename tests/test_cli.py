@@ -195,6 +195,22 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
     assert run(["train-eval", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("raw", ["5", "NaN"])
+@pytest.mark.parametrize("mu", [
+    {"kind": "uniform_set", "members": [[], [0], [1], [0, 0]]},
+    {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5},
+], ids=["exact", "monte_carlo"])
+def test_train_eval_confidence_outside_unit_interval_exit_3(tmp_path, capsys, mu, raw):
+    doc = train_eval_cfg()
+    doc["mu"] = mu
+    # spliced into the JSON text, so NaN is written as the bare token
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc)[:-1] + f', "confidence": {raw}}}')
+    assert run(["train-eval", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "confidence" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("mc_samples", "x"),
     ("confidence", "x"),

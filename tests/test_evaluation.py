@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hallustat import evaluation
-from hallustat.core import Alphabet, Str, count_upto, empty_string, shortlex_string
+from hallustat.core import (
+    Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
+)
 from hallustat.errors import DomainError
 from hallustat.evaluation import (
     CSV_COLUMNS,
@@ -36,7 +38,7 @@ from hallustat.oracle import (
     generate_qualified,
 )
 
-from helpers import uniform_support
+from helpers import sample_batch_per_draw, uniform_support
 
 A2 = Alphabet(2)
 HALF_BOUND = CdfLowerBound((0.5,), 0.5)
@@ -99,6 +101,39 @@ def test_exact_hp_weighted_atoms():
     gt = GroundTruth(A2, Echo())
     only_zero = lambda x: s(0)
     assert exact_hp(only_zero, mu, gt).exact_value == Fraction(1, 3)
+
+
+def test_exact_hp_sums_mixed_denominators_exactly():
+    masses = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(1, 4))
+    members = [shortlex_string(A2, r) for r in range(4)]
+    mu = FiniteSupport(tuple(zip(members, masses)))
+    gt = GroundTruth(A2, Echo())
+    always_empty = lambda x: empty_string(A2)
+    assert exact_hp(always_empty, mu, gt).exact_value == sum(masses[1:], Fraction(0))
+    assert exact_hp(lambda x: x, mu, gt).exact_value == 0
+    echo_odd = lambda x: x if shortlex_index(x) % 2 else empty_string(A2)
+    # "" (rank 0) echoes right anyway; rank 2 is the only miss
+    assert exact_hp(echo_odd, mu, gt).exact_value == Fraction(1, 4)
+
+
+def test_mc_hp_asks_each_distinct_draw_once():
+    a3 = Alphabet(3)
+    mu = LengthFactored(a3, (), 0.5)
+    gt = GroundTruth(a3, Echo())
+    model = train(generate_qualified(mu, gt, 200, Labeler.CANONICAL, derive_stream(4, 0)),
+                  a3, CdfLowerBound((0.5,), 0.5))
+    asked = []
+
+    def predict(x):
+        asked.append(x)
+        return model.predict(x)
+
+    rep = mc_hp(predict, mu, gt, 5000, 0.95, derive_stream(4, 1))
+    draws = sample_batch_per_draw(mu, derive_stream(4, 1), 5000)
+    assert len(asked) == len(set(asked)) == len(set(draws)) < len(draws)
+    wrong = sum(1 for x in draws if not gt.accepts(x, model.predict(x)))
+    assert 0 < wrong < 5000
+    assert rep.estimate == wrong / 5000
 
 
 def test_exact_hp_rejects_infinite_support():

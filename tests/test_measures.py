@@ -8,7 +8,7 @@ from hallustat.core import Alphabet, Str, empty_string, shortlex_string, strings
 from hallustat.errors import DomainError
 from hallustat.measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 
-from helpers import uniform_support
+from helpers import sample_batch_per_draw, uniform_support
 
 A2 = Alphabet(2)
 
@@ -209,11 +209,42 @@ def test_sampling_consumes_two_uniforms_per_draw():
         assert draws[k].symbols == tuple(reversed(digits))
 
 
+def long_levels_26():
+    # Mass at lengths 12 and 13 (float q^n inexact, below 2^62) and, through
+    # the tail, at lengths >= 14, where 26^14 > 2^62 takes the exact branch.
+    return LengthFactored(Alphabet(26), (0.2, 0.2) + (0.0,) * 10 + (0.1, 0.1), 0.5)
+
+
 def test_sample_batch_zero_is_empty_and_consumes_nothing():
-    d = half_geometric()
-    rng = np.random.default_rng(9)
-    assert d.sample_batch(rng, 0) == []
-    assert rng.random() == np.random.default_rng(9).random()
+    for d in (half_geometric(), long_levels_26()):
+        rng = np.random.default_rng(9)
+        assert d.sample_batch(rng, 0) == []
+        assert rng.random() == np.random.default_rng(9).random()
+
+
+@pytest.mark.parametrize("d", [
+    half_geometric(),
+    LengthFactored(Alphabet(3), (), 0.5),
+    LengthFactored(Alphabet(26), (), 0.5),
+    long_levels_26(),
+], ids=["q2", "q3", "q26", "q26-long-levels"])
+def test_sample_batch_matches_per_draw_reference(d):
+    draws = d.sample_batch(np.random.default_rng(17), 3000)
+    assert draws == sample_batch_per_draw(d, np.random.default_rng(17), 3000)
+    # every repeat of a string below the exact branch is the same object
+    shared = {}
+    for s in draws:
+        if len(s) < 14:
+            assert shared.setdefault(s, s) is s
+    assert len(shared) < len(draws)
+
+
+def test_sample_batch_long_levels_take_exact_branch():
+    d = long_levels_26()
+    assert 26**13 < 2**62 < 26**14
+    lengths = [len(s) for s in d.sample_batch(np.random.default_rng(17), 3000)]
+    assert sum(n >= 14 for n in lengths) > 500
+    assert sum(n in (12, 13) for n in lengths) > 300
 
 
 # ---------------------------------------------------------------- domination
