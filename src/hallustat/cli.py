@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
 from .errors import ConfigError, DomainError, DominationError, WorkbenchError
-from .evaluation import derive_stream, evaluate_hp, sweep, sweep_csv
+from .evaluation import check_confidence, derive_stream, evaluate_hp, sweep, sweep_csv
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
     NflInstance,
@@ -262,6 +262,7 @@ def cmd_train_eval(cfg: dict, args) -> int:
     m = _int_field(cfg, "m", 0)
     mc_samples = _int_field(cfg, "mc_samples", 1, 10_000)
     confidence = _float_value(cfg.get("confidence", 0.95), "confidence")
+    check_confidence(confidence)  # before sampling and training, not after
     rng = derive_stream(args.seed, 0)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = train(t, alphabet, bound)
@@ -334,7 +335,9 @@ def cmd_nfl(cfg: dict, args) -> int:
     m = _int_field(cfg, "m", 0)
     budget = _int_field(cfg, "budget", 0, 10**8)
     # Checked before any string is built as well as inside nfl_brute_force.
-    check_nfl_budget(n, p, m, budget)
+    # Both learner kinds below see a training sequence only through its
+    # length and its set of distinct pairs.
+    check_nfl_budget(n, p, m, budget, order_invariant=True)
     domain = _nfl_strings(alphabet, cfg, "domain", n)
     codomain = _nfl_strings(alphabet, cfg, "codomain", p)
     learner_spec = _require(cfg, "learner")
@@ -346,7 +349,8 @@ def cmd_nfl(cfg: dict, args) -> int:
     else:
         raise ConfigError(f"unknown learner kind {kind!r}")
     grid = tuple(_fraction(v) for v in _list_field(cfg, "lambda_h_grid", default=["1/8", "1/4"]))
-    inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner)
+    inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner,
+                       order_invariant=True)
     report = nfl_brute_force(inst, grid, budget)
     doc = _meta(cfg, args.seed)
     doc["instance"] = {"domain_size": len(domain), "codomain_size": len(codomain), "m": m}

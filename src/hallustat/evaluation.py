@@ -54,7 +54,7 @@ def derive_stream(master_seed: int, *branch: int):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=branch))
 
 
-def _check_confidence(confidence: float):
+def check_confidence(confidence: float):
     if not 0.0 < confidence < 1.0:  # also rejects NaN
         raise DomainError(f"confidence must lie in (0,1), got {confidence}")
 
@@ -62,7 +62,7 @@ def _check_confidence(confidence: float):
 def hoeffding_halfwidth(n_samples: int, confidence: float) -> float:
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    _check_confidence(confidence)
+    check_confidence(confidence)
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples))
 
 
@@ -125,7 +125,7 @@ def evaluate_hp(predict, mu, gt: GroundTruth, mc_samples: int, confidence: float
                 rng) -> HallucinationReport:
     """Exact HP when mu has an enumerable finite support, else Monte Carlo
     with mc_samples draws from rng."""
-    _check_confidence(confidence)
+    check_confidence(confidence)
     if isinstance(mu, FiniteSupport):
         return exact_hp(predict, mu, gt)
     return mc_hp(predict, mu, gt, mc_samples, confidence, rng)

@@ -175,12 +175,20 @@ def markov_tail_check(z_pmf, c, a) -> MarkovCheck:
 class NflInstance:
     """A finite domain/codomain pair with a training size and a black-box
     learner; the enumeration quantifies over every labeling f: domain -> codomain
-    and every training input sequence."""
+    and every training input sequence.
+
+    order_invariant declares that the learner's hypothesis depends on a
+    training sequence only through its length and its set of distinct pairs
+    (true of the memorizers and of FLRM, whose threshold reads only the
+    length). nfl_brute_force then trains once per support instead of once
+    per sequence; the declaration is trusted, not checked.
+    """
 
     domain: tuple[Str, ...]
     codomain: tuple[Str, ...]
     m: int
     learner: Callable[[TrainingSequence], Callable[[Str], Str]]
+    order_invariant: bool = False
 
     def __post_init__(self):
         n = len(self.domain)
@@ -198,16 +206,55 @@ class NflInstance:
             )
 
 
-def check_nfl_budget(n: int, p: int, m: int, budget: int) -> None:
-    """Bound the work of an NFL enumeration over n domain strings, p codomain
-    strings and training size m by p^n * n^m * n elementary evaluations,
-    of at least n*floor(log2 p) + (m+1)*floor(log2 n) bits."""
+def _surjections(m: int, k: int) -> int:
+    """Length-m sequences over k items that use every item: k! * S(m, k),
+    by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
+
+
+def _support_sizes(n: int, m: int) -> range:
+    """Sizes of the distinct-item sets of the length-m sequences over n items."""
+    return range(1, min(m, n) + 1) if m else range(1)
+
+
+def nfl_work(n: int, p: int, m: int, order_invariant: bool = False) -> int:
+    """Elementary evaluations of an NFL enumeration over n domain strings, p
+    codomain strings and training size m: n * p^n per mismatch pass over all
+    labelings, plus n per learner call.
+
+    A support of size k carries C(n, k) sets and p^k restricted labelings. An
+    order-invariant learner makes one pass per support and one call per
+    restricted labeling; any other learner repeats both for each of the
+    support's k! * S(m, k) arrangements.
+    """
+    passes = calls = 0
+    sizes = _support_sizes(n, m)
+    choose = math.comb(n, sizes.start)  # C(n, k), stepped along with k
+    for k in sizes:
+        units = choose if order_invariant else choose * _surjections(m, k)
+        passes += units
+        calls += units * p**k
+        choose = choose * (n - k) // (k + 1)
+    return n * p**n * passes + n * calls
+
+
+def check_nfl_budget(n: int, p: int, m: int, budget: int, order_invariant: bool = False) -> None:
+    """Bound the work of an NFL enumeration by nfl_work.
+
+    The work has at least floor(log2 n) + n*floor(log2 p) bits, plus
+    m*floor(log2 n) for the n^m passes of a learner that is not
+    order-invariant, or min(m, n//2) for the at least C(n, min(m, n//2))
+    supports of one that is.
+    """
+    low_bits = (n.bit_length() - 1) + n * (p.bit_length() - 1)
+    low_bits += min(m, n // 2) if order_invariant else m * (n.bit_length() - 1)
     check_budget(
-        "enumeration needs {}^{} * {}^{} * {} elementary evaluations (budget {})",
-        (p, n, n, m, n, budget),
+        "enumerating {}^{} labelings of {} strings at training size {} exceeds "
+        "the budget of {} elementary evaluations",
+        (p, n, n, m, budget),
         budget,
-        n * (p.bit_length() - 1) + (m + 1) * (n.bit_length() - 1),
-        lambda: p**n * n**m * n,
+        low_bits,
+        lambda: nfl_work(n, p, m, order_invariant),
     )
 
 
@@ -235,16 +282,27 @@ def nfl_brute_force(
     expected hallucination probability to at least (p-1)/(2p).
 
     Labelings are enumerated lexicographically by their output index tuple
-    over the domain; training sequences by their domain index tuple. Learner
-    outputs outside the codomain always count as wrong. Identical training
-    sequences are trained once (the learner contract requires deterministic
-    output), which is what keeps the enumeration cheap; per-labeling
-    hallucination counts are integer numpy sums, assembled into Fractions at
-    the end.
+    over the domain. Training sequences are grouped by their support, the
+    set S of domain indices they use (1 <= |S| <= m, or the one empty
+    sequence when m = 0), and a labeling reaches the learner only through
+    its restriction to S. An order-invariant learner is trained once per
+    (S, f|S), on S in domain order padded to length m with its last element,
+    and its mismatches weigh as many as the k! * S(m, k) sequences with
+    support S (k = |S|). Any other learner is trained on every such
+    sequence. Learner outputs outside the codomain always count as wrong.
+
+    Per-labeling counts of sequences by number of mismatched domain strings
+    are int64 numpy sums; the expected HP and the exact tail probabilities
+    of the worst labeling are assembled from them as Fractions.
     """
     n = len(inst.domain)
     p = len(inst.codomain)
-    check_nfl_budget(n, p, inst.m, budget)
+    m = inst.m
+    check_nfl_budget(n, p, m, budget, inst.order_invariant)
+    if n ** (m + 1) >= 2**63:
+        raise DomainError(
+            f"{n}^{m} training sequences times {n} domain strings overflow int64 counts"
+        )
     q_total = p**n
     # F[q, j] = codomain index assigned to domain[j] by labeling q.
     qs = np.arange(q_total, dtype=np.int64)
@@ -252,56 +310,54 @@ def nfl_brute_force(
     for j in range(n):
         f_matrix[:, j] = (qs // p ** (n - 1 - j)) % p
     codomain_rank = {y: r for r, y in enumerate(inst.codomain)}
-    sequences = list(itertools.product(range(n), repeat=inst.m))
 
-    cache: dict = {}
+    def outputs(seq, support_labels, position) -> list[int]:
+        t = TrainingSequence(tuple(
+            (inst.domain[x], inst.codomain[support_labels[position[x]]]) for x in seq
+        ))
+        h = inst.learner(t)
+        return [codomain_rank.get(h(x), -1) for x in inst.domain]
 
-    def outputs_for(seq, labels) -> np.ndarray:
-        key = (seq, labels)
-        found = cache.get(key)
-        if found is None:
-            t = TrainingSequence(
-                tuple((inst.domain[x], inst.codomain[y]) for x, y in zip(seq, labels))
-            )
-            h = inst.learner(t)
-            found = np.array(
-                [codomain_rank.get(h(x), -1) for x in inst.domain], dtype=np.int64
-            )
-            cache[key] = found
-        return found
+    # hist[q, c] = number of training sequences on which the learner trained
+    # on labeling q's pairs gets exactly c domain strings wrong.
+    hist = np.zeros((q_total, n + 1), dtype=np.int64)
+    for k in _support_sizes(n, m):
+        weight = _surjections(m, k)
+        # Every labeling's restriction to a k-set is one of these label
+        # tuples; read as a mixed-radix integer (first column most
+        # significant), it is its index in this lexicographic list.
+        restricted = list(itertools.product(range(p), repeat=k))
+        radix = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        for support in itertools.combinations(range(n), k):
+            keys = f_matrix[:, np.array(support, dtype=np.intp)] @ radix
+            position = {x: i for i, x in enumerate(support)}
+            if inst.order_invariant:
+                arrangements = [(support + support[-1:] * (m - k), weight)]
+            else:
+                arrangements = (
+                    (seq, 1) for seq in itertools.product(support, repeat=m)
+                    if len(set(seq)) == k
+                )
+            for seq, w in arrangements:
+                h_rows = np.array(
+                    [outputs(seq, labels, position) for labels in restricted],
+                    dtype=np.int64,
+                )
+                mismatches = np.count_nonzero(h_rows[keys] != f_matrix, axis=1)
+                hist[qs, mismatches] += w
 
-    # A labeling's labels on a sequence's columns, read as one mixed-radix
-    # integer (first column most significant): sorting these keys orders the
-    # label rows lexicographically, as a row sort would.
-    radix = p ** np.arange(inst.m - 1, -1, -1, dtype=np.int64)
-    expected_counts = np.zeros(q_total, dtype=np.int64)
-    for seq in sequences:
-        cols = np.array(seq, dtype=np.int64)
-        keys = f_matrix[:, cols] @ radix
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        uniq_labels = (uniq[:, None] // radix) % p
-        h_rows = np.empty((uniq.size, n), dtype=np.int64)
-        for r, labels in enumerate(uniq_labels.tolist()):
-            h_rows[r] = outputs_for(seq, tuple(labels))
-        mismatches = np.count_nonzero(h_rows[inverse] != f_matrix, axis=1)
-        expected_counts += mismatches
-
-    d_total = len(sequences)
+    d_total = n**m
+    expected_counts = hist @ np.arange(n + 1, dtype=np.int64)
     worst_q = int(np.argmax(expected_counts))
     worst_expected = Fraction(int(expected_counts[worst_q]), d_total * n)
     bound_mu = Fraction(p - 1, 2 * p)
 
     # Exact tail of HP over training sequences, for the maximizing labeling.
-    worst_row = f_matrix[worst_q]
-    hp_counts = []
-    for seq in sequences:
-        labels = tuple(int(worst_row[x]) for x in seq)
-        out = outputs_for(seq, labels)
-        hp_counts.append(int(np.count_nonzero(out != worst_row)))
+    worst_hist = hist[worst_q].tolist()
     checks = []
     for lh in lambda_h_grid:
         lh = Fraction(lh)
-        hits = sum(1 for hp in hp_counts if Fraction(hp, n) >= lh)
+        hits = sum(count for c, count in enumerate(worst_hist) if Fraction(c, n) >= lh)
         prob = Fraction(hits, d_total)
         bound_t = general_lambda_t(p, lh)
         checks.append(TailCheck(lambda_h=lh, probability=prob, bound=bound_t, holds=prob >= bound_t))
@@ -370,20 +426,46 @@ def diagonalize(
     models, alphabet: Alphabet, horizon: int, budget: int = 10**8
 ) -> DiagonalConstruction:
     """Pick, for each of the first `horizon` strings, the shortlex-least
-    string avoided by the first min(i, K) models' answers."""
+    string avoided by the first min(i, K) models' answers.
+
+    The models must be MemorizerModels over `alphabet`. Such a model answers
+    its table entry on a string in its table and its default output on
+    every other string, so the answers on the window come from inverting
+    the tables, without querying any model. The budget still bounds the
+    horizon * K queries that verify_diagonal makes.
+    """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     models = tuple(models)
     k_models = len(models)
     check_diagonal_budget(horizon, k_models, budget)
+    # Window rank r -> ranks of the table answers on s_r of the models
+    # j <= r that cover s_r, one per model whose table holds s_r.
+    table_answers: dict[int, list[int]] = {}
+    for j, model in enumerate(models):
+        if not isinstance(model, MemorizerModel):
+            raise DomainError(
+                f"diagonalize reads model tables; model {j} is a "
+                f"{type(model).__name__}, not a MemorizerModel"
+            )
+        if model.alphabet != alphabet:
+            raise DomainError(f"model {j} uses another alphabet than the window")
+        for s, y in model.table.items():
+            r = shortlex_index(s)
+            if j <= r < horizon:
+                table_answers.setdefault(r, []).append(shortlex_index(y))
     psi = []
-    for i in range(1, horizon + 1):
-        s_i = shortlex_string(alphabet, i - 1)
-        excluded = {models[j](s_i) for j in range(min(i, k_models))}
-        k = 1
-        while shortlex_string(alphabet, k - 1) in excluded:
+    for r in range(horizon):
+        hits = table_answers.get(r, ())
+        excluded = set(hits)
+        if min(r + 1, k_models) > len(hits):
+            # A covered model leaves s_r to its default output, the empty
+            # string (rank 0) for every MemorizerModel.
+            excluded.add(0)
+        k = 0
+        while k in excluded:
             k += 1
-        psi.append(k)
+        psi.append(k + 1)
     return DiagonalConstruction(models=models, alphabet=alphabet, horizon=horizon, psi=tuple(psi))
 
 

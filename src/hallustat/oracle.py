@@ -134,11 +134,11 @@ def generate_qualified(
         pairs = tuple((s, label[s]) for s in inputs)
     elif labeler is Labeler.UNIFORM_ACCEPTABLE:
         u = rng.random(m)
+        acceptable = {s: gt.acceptable(s) for s in set(inputs)}
         pairs = []
-        for i, s in enumerate(inputs):
-            acc = gt.acceptable(s)
-            idx = min(int(u[i] * len(acc)), len(acc) - 1)
-            pairs.append((s, acc[idx]))
+        for s, u_i in zip(inputs, u.tolist()):
+            acc = acceptable[s]
+            pairs.append((s, acc[min(int(u_i * len(acc)), len(acc) - 1)]))
         pairs = tuple(pairs)
     else:
         raise DomainError(f"unsupported labeler {labeler!r}")

@@ -1,11 +1,14 @@
 """Shared constructors and brute-force references for the tests."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from hallustat.core import Str
+from hallustat.core import Str, shortlex_string
+from hallustat.limits import NflReport, TailCheck, general_lambda_t
 from hallustat.measures import FiniteSupport
+from hallustat.oracle import TrainingSequence
 
 
 def uniform_support(members) -> FiniteSupport:
@@ -43,3 +46,83 @@ def sample_batch_per_draw(dist, rng, size):
             off, syms[j] = divmod(off, q)
         out.append(Str(dist.alphabet, tuple(syms)))
     return out
+
+
+def nfl_per_sequence(inst, lambda_h_grid=(Fraction(1, 8), Fraction(1, 4))) -> NflReport:
+    """Reference for nfl_brute_force: every one of the n^m training sequences,
+    trained once per distinct restricted labeling, whatever the instance
+    declares about order invariance."""
+    n = len(inst.domain)
+    p = len(inst.codomain)
+    q_total = p**n
+    qs = np.arange(q_total, dtype=np.int64)
+    f_matrix = np.empty((q_total, n), dtype=np.int64)
+    for j in range(n):
+        f_matrix[:, j] = (qs // p ** (n - 1 - j)) % p
+    codomain_rank = {y: r for r, y in enumerate(inst.codomain)}
+    sequences = list(itertools.product(range(n), repeat=inst.m))
+
+    cache: dict = {}
+
+    def outputs_for(seq, labels) -> np.ndarray:
+        key = (seq, labels)
+        found = cache.get(key)
+        if found is None:
+            t = TrainingSequence(
+                tuple((inst.domain[x], inst.codomain[y]) for x, y in zip(seq, labels))
+            )
+            h = inst.learner(t)
+            found = np.array(
+                [codomain_rank.get(h(x), -1) for x in inst.domain], dtype=np.int64
+            )
+            cache[key] = found
+        return found
+
+    radix = p ** np.arange(inst.m - 1, -1, -1, dtype=np.int64)
+    expected_counts = np.zeros(q_total, dtype=np.int64)
+    for seq in sequences:
+        cols = np.array(seq, dtype=np.int64)
+        keys = f_matrix[:, cols] @ radix
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq_labels = (uniq[:, None] // radix) % p
+        h_rows = np.empty((uniq.size, n), dtype=np.int64)
+        for r, labels in enumerate(uniq_labels.tolist()):
+            h_rows[r] = outputs_for(seq, tuple(labels))
+        expected_counts += np.count_nonzero(h_rows[inverse] != f_matrix, axis=1)
+
+    d_total = len(sequences)
+    worst_q = int(np.argmax(expected_counts))
+    worst_expected = Fraction(int(expected_counts[worst_q]), d_total * n)
+    bound_mu = Fraction(p - 1, 2 * p)
+    worst_row = f_matrix[worst_q]
+    hp_counts = []
+    for seq in sequences:
+        out = outputs_for(seq, tuple(int(worst_row[x]) for x in seq))
+        hp_counts.append(int(np.count_nonzero(out != worst_row)))
+    checks = []
+    for lh in lambda_h_grid:
+        lh = Fraction(lh)
+        prob = Fraction(sum(1 for hp in hp_counts if Fraction(hp, n) >= lh), d_total)
+        bound_t = general_lambda_t(p, lh)
+        checks.append(TailCheck(lambda_h=lh, probability=prob, bound=bound_t, holds=prob >= bound_t))
+    return NflReport(
+        worst_f_index=worst_q,
+        worst_expected_hp=worst_expected,
+        bound_mu=bound_mu,
+        tail_check=tuple(checks),
+        verified=worst_expected >= bound_mu and all(ch.holds for ch in checks),
+    )
+
+
+def diagonalize_by_queries(models, alphabet, horizon) -> tuple[int, ...]:
+    """Reference for diagonalize's psi: ask each covered model for its answer
+    on each window string, then take the shortlex-least unused output."""
+    psi = []
+    for i in range(1, horizon + 1):
+        s_i = shortlex_string(alphabet, i - 1)
+        excluded = {models[j](s_i) for j in range(min(i, len(models)))}
+        k = 1
+        while shortlex_string(alphabet, k - 1) in excluded:
+            k += 1
+        psi.append(k)
+    return tuple(psi)

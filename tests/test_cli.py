@@ -200,7 +200,12 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
     {"kind": "uniform_set", "members": [[], [0], [1], [0, 0]]},
     {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5},
 ], ids=["exact", "monte_carlo"])
-def test_train_eval_confidence_outside_unit_interval_exit_3(tmp_path, capsys, mu, raw):
+def test_train_eval_confidence_outside_unit_interval_exit_3(tmp_path, capsys, monkeypatch,
+                                                           mu, raw):
+    def refuse(*args):
+        raise AssertionError("training data was drawn before confidence was checked")
+
+    monkeypatch.setattr(cli, "generate_qualified", refuse)
     doc = train_eval_cfg()
     doc["mu"] = mu
     # spliced into the JSON text, so NaN is written as the bare token
@@ -417,6 +422,16 @@ def test_nfl_verify_budget_exit_5(tmp_path, capsys):
     doc = nfl_cfg()
     doc["domain_size"] = 20_000
     assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
+
+
+def test_nfl_verify_10_2_5_fits_the_default_budget(tmp_path, capsys):
+    # both learner kinds are order-invariant: 637 supports, 12 584 learner calls
+    doc = nfl_cfg()
+    doc.update(domain_size=10, m=5)
+    assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["worst_expected_hp"] == {"num": 59049, "den": 100000}
+    assert doc["verified"] is True
 
 
 def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallustat.core import Alphabet, count_upto, empty_string, shortlex_string
+from hallustat.core import Alphabet, count_upto, shortlex_string, strings_upto
 from hallustat.errors import BudgetExceeded, DomainError
 from hallustat.flrm import FlrmTrainer, MemorizerModel
+import hallustat.limits as limits
 from hallustat.limits import (
     DiagonalConstruction,
     NflInstance,
@@ -33,7 +35,7 @@ from hallustat.measures import (
 from hallustat.oracle import TrainingSequence
 from hallustat.shannon import SourceModel, smallest_high_mass_set
 
-from helpers import uniform_support
+from helpers import diagonalize_by_queries, nfl_per_sequence, uniform_support
 
 A2 = Alphabet(2)
 HALF_BOUND = CdfLowerBound((0.5,), 0.5)
@@ -316,24 +318,49 @@ def test_nfl_degenerate_single_output():
 
 
 def test_nfl_budget_enforced():
+    # order-invariant: one n * p^n mismatch pass per support (41 supports of
+    # size 1..3) and n outputs per learner call (C(6, k) * 3^k calls per size k)
     dom, cod = domain_strings(6), domain_strings(3)
     inst = NflInstance(domain=dom, codomain=cod, m=3,
-                       learner=memorize_constant_trainer(cod))
+                       learner=memorize_constant_trainer(cod), order_invariant=True)
     with pytest.raises(BudgetExceeded) as err:
         nfl_brute_force(inst, budget=1000)
-    assert err.value.required == 3**6 * 6**3 * 6
+    assert err.value.required == 6 * 3**6 * (6 + 15 + 20) + 6 * (6 * 3 + 15 * 9 + 20 * 27)
 
 
 def test_nfl_budget_rejects_huge_work_without_forming_it():
     # 2^(10^6) labelings: rejected from the bit-length bound alone
-    with pytest.raises(BudgetExceeded) as err:
-        check_nfl_budget(10**6, 2, 1, 10**8)
-    assert err.value.required is None
-    # below the cap the exact work is reported
+    for order_invariant in (False, True):
+        with pytest.raises(BudgetExceeded) as err:
+            check_nfl_budget(10**6, 2, 1, 10**8, order_invariant)
+        assert err.value.required is None
+    # below the cap the exact work is reported; a learner that is not
+    # order-invariant takes one pass per sequence (6^3 of them) and is called
+    # 3^k times on each of the C(6, k) * k! * S(3, k) sequences with k distinct items
     with pytest.raises(BudgetExceeded) as err:
         check_nfl_budget(6, 3, 3, 1000)
-    assert err.value.required == 3**6 * 6**3 * 6
-    check_nfl_budget(4, 2, 2, 4096)  # exactly 2^4 * 4^2 * 4 fits
+    assert err.value.required == 6 * 3**6 * 6**3 + 6 * (6 * 1 * 3 + 15 * 6 * 9 + 20 * 6 * 27)
+    # exactly 4 * 2^4 * 4^2 + 4 * (4 * 2 + 6 * 2 * 4) fits, one less does not
+    check_nfl_budget(4, 2, 2, 1248)
+    with pytest.raises(BudgetExceeded):
+        check_nfl_budget(4, 2, 2, 1247)
+    # order-invariant: 4 * 2^4 * (4 + 6) + 4 * (4 * 2 + 6 * 4)
+    check_nfl_budget(4, 2, 2, 768, order_invariant=True)
+    with pytest.raises(BudgetExceeded):
+        check_nfl_budget(4, 2, 2, 767, order_invariant=True)
+
+
+def test_nfl_overflowing_counts_rejected_before_enumeration(monkeypatch):
+    # 32^13 sequences * 32 strings = 2^70 does not fit an int64 count, though
+    # the work (p = 1, 2 * 32 evaluations per support) fits the budget
+    def never(t):
+        raise AssertionError("the learner was called")
+
+    inst = NflInstance(domain=domain_strings(32), codomain=domain_strings(1), m=13,
+                       learner=never, order_invariant=True)
+    monkeypatch.setattr(limits, "np", None)  # any array built would fail first
+    with pytest.raises(DomainError, match="overflow"):
+        nfl_brute_force(inst, budget=10**12)
 
 
 def test_budget_message_formed_only_when_exceeded():
@@ -398,11 +425,70 @@ def test_nfl_4_2_m_against_per_labeling_loop(learner_kind, m):
         assert ch.probability == Fraction(hits, len(sequences))
 
 
+def last_pair_trainer(codomain):
+    """Not order-invariant: answers the label of the last training pair
+    everywhere (the first codomain string when there is none)."""
+    def trainer(t):
+        y = t.pairs[-1][1] if len(t) else codomain[0]
+        return lambda x: y
+
+    return trainer
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("learner_kind, order_invariant", [
+    ("memorize_constant", True), ("memorize_constant", False),
+    ("flrm", True), ("flrm", False), ("last_pair", False),
+])
+def test_nfl_supports_match_per_sequence_oracle(learner_kind, order_invariant, m, p):
+    dom = domain_strings(max(2 * m, 2))
+    cod = tuple(shortlex_string(A2, i + 1) for i in range(p))
+    learner = {
+        "memorize_constant": lambda: memorize_constant_trainer(cod),
+        "flrm": lambda: FlrmTrainer(A2, HALF_BOUND),
+        "last_pair": lambda: last_pair_trainer(cod),
+    }[learner_kind]()
+    inst = NflInstance(domain=dom, codomain=cod, m=m, learner=learner,
+                       order_invariant=order_invariant)
+    grid = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
+    assert nfl_brute_force(inst, grid) == nfl_per_sequence(inst, grid)
+
+
+@pytest.mark.parametrize("n, m, calls, expected", [
+    (8, 4, 1_696, Fraction(2401, 4096)),
+    (10, 5, 12_584, Fraction(59049, 100000)),
+])
+def test_nfl_memorize_constant_closed_form(n, m, calls, expected):
+    # the worst labeling answers the fallback nowhere: HP = (1 - 1/n)^m, and an
+    # order-invariant learner trains once per (support, restricted labeling)
+    dom, cod = domain_strings(n), domain_strings(2)
+    trainer = memorize_constant_trainer(cod)
+    seen = []
+
+    def counting(t):
+        seen.append(t)
+        return trainer(t)
+
+    inst = NflInstance(domain=dom, codomain=cod, m=m, learner=counting, order_invariant=True)
+    r = nfl_brute_force(inst)  # 10/2/5 fits the default budget
+    assert r.worst_expected_hp == expected == (1 - Fraction(1, n)) ** m
+    assert r.verified
+    assert len(seen) == calls == sum(math.comb(n, k) * 2**k for k in range(1, m + 1))
+
+
 # --------------------------------------------------------------- diagonals
 
 
+def constant_model(rank, max_len):
+    """A table model answering the string of the given rank on every string
+    of length <= max_len."""
+    answer = shortlex_string(A2, rank)
+    return MemorizerModel(A2, {x: answer for x in strings_upto(A2, max_len)}, max_len)
+
+
 def test_diagonal_single_empty_model():
-    always_empty = lambda x: empty_string(A2)
+    always_empty = MemorizerModel(A2)
     c = diagonalize([always_empty], A2, 10)
     assert set(c.psi) == {2}
     assert verify_diagonal(c)
@@ -416,16 +502,17 @@ def test_diagonal_no_models():
 
 
 def test_diagonal_covers_only_first_i_models():
-    # model j answers s_(j+2); at i = 1 only model 0 is in scope
-    models = [lambda x, r=r: shortlex_string(A2, r + 1) for r in range(3)]
+    # model j answers s_(j+2) on the whole window; at i = 1 only model 0 is in scope
+    models = [constant_model(r + 1, 2) for r in range(3)]
     c = diagonalize(models, A2, 6)
     assert verify_diagonal(c)
     # at i = 1 the excluded set is {s_2}: psi = 1 ("" itself is free)
     assert c.psi[0] == 1
+    assert c.psi == diagonalize_by_queries(models, A2, 6)
 
 
 def test_verify_catches_collision_and_nonminimality():
-    always_empty = lambda x: empty_string(A2)
+    always_empty = MemorizerModel(A2)
     c = diagonalize([always_empty], A2, 6)
     collided = DiagonalConstruction(models=c.models, alphabet=A2, horizon=6,
                                     psi=(1,) + c.psi[1:])  # rank 1 = "" collides
@@ -433,6 +520,29 @@ def test_verify_catches_collision_and_nonminimality():
     skipped = DiagonalConstruction(models=c.models, alphabet=A2, horizon=6,
                                    psi=(3,) + c.psi[1:])  # rank 2 was available
     assert not verify_diagonal(skipped)
+
+
+@pytest.mark.parametrize("seed, count, horizon, max_len", [
+    (0, 0, 7, 6),      # no models
+    (1, 20, 200, 6),
+    (2, 50, 30, 6),    # more models than window strings
+    (3, 12, 60, 3),    # window runs past every table key (15 strings of length <= 3)
+    (4, 40, 300, 2),   # tables cover their whole universe
+    (5, 30, 400, 4),
+])
+def test_diagonal_table_inversion_matches_queries(seed, count, horizon, max_len):
+    models = random_table_models(A2, count, np.random.default_rng(seed), max_len=max_len)
+    c = diagonalize(models, A2, horizon)
+    assert c.psi == diagonalize_by_queries(models, A2, horizon)
+    assert verify_diagonal(c)
+
+
+def test_diagonal_rejects_models_it_cannot_invert():
+    a3 = Alphabet(3)
+    with pytest.raises(DomainError, match="alphabet"):
+        diagonalize([MemorizerModel(A2), MemorizerModel(a3)], A2, 5)
+    with pytest.raises(DomainError, match="MemorizerModel"):
+        diagonalize([lambda x: x], A2, 5)
 
 
 def test_random_table_models_diagonal():

@@ -128,6 +128,26 @@ def test_uniform_labeler_covers_all_acceptable_outputs():
         assert abs(counts[y] / 30_000 - 1 / 3) < 0.02
 
 
+def test_uniform_labeler_matches_per_draw_loop():
+    # one acceptable-set lookup per distinct input, one uniform per draw
+    a3 = Alphabet(3)
+    mu = LengthFactored(a3, (), 0.5)
+    accept = (Str(a3, (1,)), Str(a3, (2,)), Str(a3, ()))
+    gt = GroundTruth(a3, IndexShift(1), overrides=((Str(a3, (0,)), accept),))
+    t = generate_qualified(mu, gt, 5_000, Labeler.UNIFORM_ACCEPTABLE,
+                           np.random.default_rng(11))
+
+    rng = np.random.default_rng(11)
+    inputs = mu.sample_batch(rng, 5_000)
+    u = rng.random(5_000)
+    expected = []
+    for i, x in enumerate(inputs):
+        acc = gt.acceptable(x)
+        expected.append((x, acc[min(int(u[i] * len(acc)), len(acc) - 1)]))
+    assert t.pairs == tuple(expected)
+    assert len({y for x, y in t if x == Str(a3, (0,))}) == 3
+
+
 def test_is_qualified_detects_bad_pair():
     gt = GroundTruth(A2, Echo())
     bad = TrainingSequence(((s(0), s(1)),))
