@@ -3,7 +3,10 @@ the sweep, the one experiment driver.
 
 Randomness contract: every trial draws from its own stream derived as
 (master_seed, row, trial), so results are independent of execution order and
-thread count. Monte Carlo confidence intervals are two-sided Hoeffding.
+thread count. A coded trial reads its stream by position, not in order, so it
+needs a numpy Generator over PCG64, which derive_stream returns; run_trial
+rejects any other generator there. Monte Carlo confidence intervals are
+two-sided Hoeffding.
 
 evaluate_hp is the one place that chooses exact evaluation (enumerable
 finite supports) or Monte Carlo (everything else). mc_hp evaluates each
@@ -13,8 +16,8 @@ run_trial is the one place a trial picks its path, from the instance, never
 from the caller. build_fast_plan returns a plan for the common experiment
 shape (length-factored inputs, override-free ground truth, threshold
 memorizer, codes below 2^62); such trials run on int64 shortlex codes
-through the array kernels, consuming the same uniform stream as
-generate_qualified + mc_hp would. Every other instance runs on Str objects:
+through the array kernels, on the same uniform stream as generate_qualified +
+mc_hp would consume. Every other instance runs on Str objects:
 generate_qualified, the trainer, evaluate_hp.
 
 A coded trial decodes only short draws, those of length <= n̄ (the
@@ -22,7 +25,11 @@ memorizer's threshold), into a dense seen-table over all count_upto(n̄)
 such strings; a longer draw is never memorized, so it is a miss unless the
 empty output is acceptable everywhere. It stops decoding training draws
 once the table is full, and then counts the long evaluation draws without
-decoding any.
+decoding any. It reads each block of uniforms at its place in the PCG64
+stream (one output is one double, and PCG64 jumps ahead in O(log n) steps),
+so the training draws after the table fills, the label draws and, on a full
+table, the evaluation offsets are never drawn. It leaves the stream where
+the object path would.
 """
 
 from __future__ import annotations
@@ -172,13 +179,21 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng, mc_samples: int)
     sample: n̄ >= 1 implies m > q^(n̄+1)*ln 2, so it holds at most
     count_upto(n̄) < q^(n̄+1) < 1.45*m entries; for n̄ <= 0 it holds one.
     """
-    # Stream consumption mirrors generate_qualified + mc_hp exactly.
-    u1 = rng.random(m)
-    u2 = rng.random(m)
-    if labeler is Labeler.UNIFORM_ACCEPTABLE:
-        rng.random(m)  # the general path's label draws; singleton sets ignore them
-    u3 = rng.random(mc_samples)
-    u4 = rng.random(mc_samples)
+    # The stream is laid out as generate_qualified + mc_hp consume it:
+    # training lengths at [0, m), training offsets at [m, 2m), m label draws
+    # under the uniform labeler (singleton sets ignore them), then
+    # mc_samples evaluation lengths and as many evaluation offsets. Each
+    # block is read at its position; PCG64 advances by any delta modulo
+    # 2^128, one output per double.
+    bits = rng.bit_generator
+    at = 0  # stream position of rng's next output
+
+    def read(position: int, size: int):
+        nonlocal at
+        bits.advance((position - at) % 2**128)  # steps back as well
+        at = position + size
+        return rng.random(size)
+
     n_bar = threshold_length(m, plan.trainer.alphabet, plan.trainer.bound)
     top = min(max(n_bar, 0), len(plan.cum) - 1)
     cut = plan.cum[top]  # a draw has length <= top iff its u_len < cut
@@ -188,19 +203,24 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng, mc_samples: int)
     start, chunk = 0, _FIRST_CHUNK
     # With n̄ < 0 nothing is memorized; a full table cannot change.
     while n_bar >= 0 and start < m and not full:
-        u_len, u_off = u1[start:start + chunk], u2[start:start + chunk]
+        size = min(chunk, m - start)  # a longer read would run into the offsets
+        u_len, u_off = read(start, size), read(m + start, size)
         short = u_len < cut
         train_codes, _ = kernels.sample_codes(u_len[short], u_off[short], *tables)
         seen[train_codes] = True
         full = bool(seen.all())
         start += chunk
         chunk *= 2
-    short = u3 < cut
+    evaluation = 3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m
+    u_len = read(evaluation, mc_samples)
+    short = u_len < cut
     # A long draw's code is never 0, so only mode 2 accepts its empty output.
     wrong = 0 if plan.empty_mode == 2 else mc_samples - int(np.count_nonzero(short))
     if not full:  # on a full table every short draw is memorized
-        eval_codes, _ = kernels.sample_codes(u3[short], u4[short], *tables)
+        u_off = read(evaluation + mc_samples, mc_samples)
+        eval_codes, _ = kernels.sample_codes(u_len[short], u_off[short], *tables)
         wrong += kernels.count_misses(eval_codes, seen, plan.empty_mode)
+    read(evaluation + 2 * mc_samples, 0)  # leave rng where the object path leaves it
     return wrong / mc_samples
 
 
@@ -221,6 +241,13 @@ def run_trial(
         raise DomainError(f"mc_samples must be >= 1, got {mc_samples}")
     plan = build_fast_plan(trainer, mu, gt)
     if plan is not None:
+        bits = getattr(rng, "bit_generator", None)
+        if not isinstance(bits, np.random.PCG64):
+            raise DomainError(
+                f"a coded trial reads its stream by position and needs a numpy "
+                f"Generator over PCG64, as derive_stream returns; got "
+                f"{type(bits or rng).__name__}"
+            )
         return _fast_trial(plan, m, labeler, rng, mc_samples)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = trainer(t)

@@ -7,7 +7,9 @@ with offset in [0, q^L). Callers guarantee all codes fit below 2^62.
 
 The coded trial (evaluation._fast_trial) decodes only draws of length
 <= n̄, and stops decoding training draws once its seen-table is full; the
-table has count_upto(n̄) < 1.45*m entries for n̄ >= 1.
+table has count_upto(n̄) < 1.45*m entries for n̄ >= 1. It reads the
+uniforms it passes here from its PCG64 stream by position, chunk by chunk,
+and skips the blocks it does not use.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -215,33 +216,112 @@ def test_fast_plan_tables_are_exact_powers_and_offsets(q, length_probs, tail):
     assert plan.pow_f.tolist() == [float(q**n) for n in range(top + 1)]
 
 
+def never_full():
+    # Lengths 0 and 3 have no mass, so a seen-table over lengths <= n̄ >= 3
+    # never fills, while every chunk still adds length-4 strings of mass
+    # 1/3200 each.
+    return LengthFactored(A2, (0.0, 0.5, 0.49, 0.0, 0.005), 0.5)
+
+
+def seven_strings():
+    # The law ends at length 2, below n̄: the table fills in the first chunk.
+    return LengthFactored(A2, (0.25, 0.25, 0.5))
+
+
 @pytest.mark.parametrize("rule", [Echo(), Constant(Str(Alphabet(2), ())),
                                   Constant(Str(Alphabet(2), (1,))), IndexShift(0),
                                   IndexShift(3)])
 @pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
 def test_fast_path_equals_general_path(rule, labeler):
     gt = GroundTruth(A2, rule)
-    # Three regimes of the coded trial's seen-table over lengths <= n̄: it
-    # fills early (n̄ = 4 at m = 20 000, past the first 4096-draw chunk); it
-    # never fills (lengths 0 and 3 have no mass), while draws past the first
-    # chunk still add length-4 strings of mass 1/3200 each; the law ends
-    # below n̄.
+    # Regimes of the coded trial's seen-table over lengths <= n̄, as
+    # (mu, m values, mc_samples, seeds):
     regimes = (
-        (half_geometric(), (0, 1, 23, 150, 20_000)),
-        (LengthFactored(A2, (0.0, 0.5, 0.49, 0.0, 0.005), 0.5), (23, 150, 6400)),
-        (LengthFactored(A2, (0.25, 0.25, 0.5)), (150, 1000)),
+        # it fills early (n̄ = 4 at m = 20 000);
+        (half_geometric(), (0, 1, 23, 150, 20_000), 2000, (0, 5)),
+        # it fills only in the second chunk (n̄ = 5 at m = 10^5);
+        (half_geometric(), (100_000,), 2000, (0,)),
+        # it never fills, and the last chunk is cut short at m (6400 and
+        # 30 001 are not multiples of 4096);
+        (never_full(), (23, 150, 6400, 30_001), 2000, (0, 5)),
+        # the law ends below n̄;
+        (seven_strings(), (150, 1000), 2000, (0, 5)),
+        # more evaluation draws than training draws, on a full and on a
+        # never-full table.
+        (seven_strings(), (150,), 5000, (0,)),
+        (never_full(), (150,), 5000, (0,)),
     )
-    for mu, ms in regimes:
+    for mu, ms, mc_samples, seeds in regimes:
         assert build_fast_plan(TRAINER, mu, gt) is not None
         for m in ms:
-            for seed in (0, 5):
-                fast = run_trial(TRAINER, mu, gt, m, labeler, derive_stream(seed, 0),
-                                 mc_samples=2000)
+            for seed in seeds:
+                fast_rng = derive_stream(seed, 0)
+                fast = run_trial(TRAINER, mu, gt, m, labeler, fast_rng, mc_samples=mc_samples)
                 # The object path on the same stream: draw, train, Monte Carlo.
                 rng = derive_stream(seed, 0)
                 model = TRAINER(generate_qualified(mu, gt, m, labeler, rng))
-                slow = mc_hp(model, mu, gt, 2000, 0.95, rng).estimate
+                slow = mc_hp(model, mu, gt, mc_samples, 0.95, rng).estimate
                 assert fast == slow  # bitwise, not approximately
+                # Both leave the stream at the same place.
+                assert fast_rng.random() == rng.random()
+
+
+class RecordingReads:
+    """A Generator stand-in that records the size of every read."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+        self._rng = rng
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+@pytest.mark.parametrize("mu, m, sizes", [
+    # Two training chunks of lengths and offsets fill the table; the
+    # evaluation offsets are not read; the last read only moves the stream.
+    (half_geometric(), 100_000, [4096, 4096, 8192, 8192, 2000, 0]),
+    # The fourth chunk is cut to the 1329 draws left before m.
+    (never_full(), 30_001, [4096, 4096, 8192, 8192, 16384, 16384, 1329, 1329, 2000, 2000, 0]),
+    (seven_strings(), 10**6, [4096, 4096, 2000, 0]),
+], ids=["fills-in-second-chunk", "never-full", "fills-in-first-chunk"])
+def test_coded_trial_reads_only_the_blocks_it_uses(mu, m, sizes):
+    for labeler in Labeler:
+        rng = RecordingReads(derive_stream(3, 0))
+        run_trial(TRAINER, mu, GroundTruth(A2, Echo()), m, labeler, rng, mc_samples=2000)
+        assert rng.sizes == sizes
+
+
+def test_coded_trial_memory_is_bounded_by_what_it_reads():
+    # Drawing all 2m training uniforms up front held 16 MB at m = 10^6.
+    mu, gt = seven_strings(), GroundTruth(A2, Echo())
+    rng = derive_stream(0, 0)
+    tracemalloc.start()
+    try:
+        run_trial(TRAINER, mu, gt, 10**6, Labeler.CANONICAL, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+def test_coded_trial_rejects_streams_it_cannot_read_by_position(bit_generator):
+    rng = np.random.Generator(bit_generator(7))
+    gt = GroundTruth(A2, Echo())
+    with pytest.raises(DomainError, match="derive_stream"):
+        run_trial(TRAINER, half_geometric(), gt, 100, Labeler.CANONICAL, rng, mc_samples=50)
+    # Nothing was drawn.
+    assert np.array_equal(rng.random(3), np.random.Generator(bit_generator(7)).random(3))
+    # The object path reads its stream in order and takes any generator.
+    a3 = Alphabet(3)
+    trainer = FlrmTrainer(a3, HALF_BOUND)
+    mu3, gt3 = LengthFactored(a3, (), 0.5), GroundTruth(a3, Echo())
+    assert build_fast_plan(trainer, mu3, gt3) is None
+    hp = run_trial(trainer, mu3, gt3, 100, Labeler.CANONICAL, rng, mc_samples=50)
+    assert 0.0 <= hp <= 1.0
 
 
 # -------------------------------------------------------------- experiments
