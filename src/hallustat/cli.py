@@ -433,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (default 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="validated (>= 1) but unused: trials run in one thread")
     return parser
 
 

@@ -2,42 +2,46 @@
 the sweep, the one experiment driver.
 
 Randomness contract: every trial draws from its own stream derived as
-(master_seed, row, trial), so results are independent of execution order and
-thread count. A coded trial reads its stream by position, not in order, so it
-needs a numpy Generator over PCG64, which derive_stream returns; run_trial
-rejects any other generator there. Monte Carlo confidence intervals are
-two-sided Hoeffding.
+(master_seed, row, trial), so results are independent of execution order.
+A coded trial reads its stream by position, not in order, so it needs a
+numpy Generator over PCG64, which derive_stream returns; run_trial rejects
+any other generator there. Monte Carlo confidence intervals are two-sided
+Hoeffding.
 
-evaluate_hp is the one place that chooses exact evaluation (enumerable
-finite supports) or Monte Carlo (everything else). mc_hp evaluates each
-distinct draw once, weighted by its count.
+evaluate_hp is the one place that chooses how to evaluate. On an enumerable
+finite support it sums the atoms exactly (exact_hp). For a memorizer on a
+length-factored law it sums in closed form: the HP is
+sum over n <= max(n̄, 0) of w_n * p(n) * q^-n, plus the mass of the longer
+lengths when their empty default output is unacceptable, plus one term per
+override longer than that, where w_n is the integer count of length-n
+strings the memorizer answers wrongly. Every other predictor gets a Monte
+Carlo estimate (mc_hp), which evaluates each distinct draw once, weighted by
+its count.
 
 run_trial is the one place a trial picks its path, from the instance, never
 from the caller. build_fast_plan returns a plan for the common experiment
 shape (length-factored inputs, override-free ground truth, threshold
 memorizer, codes below 2^62); such trials run on int64 shortlex codes
-through the array kernels, on the same uniform stream as generate_qualified +
-mc_hp would consume. Every other instance runs on Str objects:
+through the array kernels, on the same uniform stream as generate_qualified
+would consume. Every other instance runs on Str objects:
 generate_qualified, the trainer, evaluate_hp.
 
 A coded trial decodes only short draws, those of length <= n̄ (the
 memorizer's threshold), into a dense seen-table over all count_upto(n̄)
-such strings; a longer draw is never memorized, so it is a miss unless the
-empty output is acceptable everywhere. It stops decoding training draws
-once the table is full, and then counts the long evaluation draws without
-decoding any. It reads each block of uniforms at its place in the PCG64
-stream (one output is one double, and PCG64 jumps ahead in O(log n) steps),
-so the training draws after the table fills, the label draws and, on a full
-table, the evaluation offsets are never drawn. It leaves the stream where
-the object path would.
+such strings; a longer draw is never memorized. It stops decoding training
+draws once the table is full. It reads each block of uniforms at its place
+in the PCG64 stream (one output is one double, and PCG64 jumps ahead in
+O(log n) steps), so the training draws after the table fills and the label
+draws are never drawn. Its HP comes from the seen-table's count per length
+through the same closed-form sum as the object path's, so the two paths
+agree bit for bit and neither draws evaluation samples. It leaves the
+stream where generate_qualified leaves it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +50,7 @@ import numpy as np
 from . import kernels
 from .core import count_upto
 from .errors import DomainError
-from .flrm import FlrmTrainer, threshold_length
+from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 
@@ -130,22 +134,84 @@ def mc_hp(predict, mu, gt: GroundTruth, n_samples: int, confidence: float, rng) 
 
 def evaluate_hp(predict, mu, gt: GroundTruth, mc_samples: int, confidence: float,
                 rng) -> HallucinationReport:
-    """Exact HP when mu has an enumerable finite support, else Monte Carlo
-    with mc_samples draws from rng."""
+    """Exact HP when mu has an enumerable finite support or predict is a
+    MemorizerModel on a LengthFactored law, else Monte Carlo with mc_samples
+    draws from rng."""
     check_confidence(confidence)
     if isinstance(mu, FiniteSupport):
         return exact_hp(predict, mu, gt)
+    mode = _empty_mode(gt.default_rule)
+    if (isinstance(predict, MemorizerModel) and isinstance(mu, LengthFactored)
+            and predict.alphabet == mu.alphabet == gt.alphabet and mode is not None):
+        # The law's masses are floats: no exact fraction to report.
+        return HallucinationReport(estimate=_memorizer_hp(predict, mu, gt, mode),
+                                   method="exact")
     return mc_hp(predict, mu, gt, mc_samples, confidence, rng)
+
+
+def _empty_mode(rule) -> int | None:
+    """Where a default rule accepts the empty output: 0 on the empty string
+    only, 1 nowhere, 2 everywhere; None for a rule of another kind."""
+    if isinstance(rule, Echo):
+        return 0
+    if isinstance(rule, IndexShift):
+        return 0 if rule.shift == 0 else 1
+    if isinstance(rule, Constant):
+        return 2 if len(rule.output) == 0 else 1
+    return None
+
+
+def _empty_misses(mode: int, n: int) -> bool:
+    """Whether the default rule rejects the empty output on the strings of
+    length n: under every mode it rejects it on all of them or on none."""
+    return mode == 1 or (mode == 0 and n > 0)
+
+
+def _level_sum_hp(mu: LengthFactored, mode: int, wrong, corrections=()) -> float:
+    """A memorizer's HP from wrong[n], the integer count of strings of length
+    n <= top = len(wrong) - 1 it answers wrongly.
+
+    Every longer string gets the empty output, so the lengths past top add
+    their whole mass when the default rule rejects it there; corrections are
+    the signed masses of overrides longer than top. The coded and the object
+    path both end here, so equal counts give bit-equal HPs.
+    """
+    q = mu.alphabet.size
+    terms = [mu._length_prob(n) * (w / q**n) for n, w in enumerate(wrong) if w]
+    if _empty_misses(mode, len(wrong)):
+        terms.append(mu.defect(len(wrong) - 1))
+    terms.extend(corrections)
+    return math.fsum(terms)
+
+
+def _memorizer_hp(model: MemorizerModel, mu: LengthFactored, gt: GroundTruth,
+                  mode: int) -> float:
+    """Closed-form HP of a memorizer, counted from its table and the ground
+    truth's overrides: every other string gets the empty output under the
+    default rule, which is wrong on all strings of a length or on none."""
+    q = mu.alphabet.size
+    top = max(model.threshold, 0)  # table keys are no longer than the threshold
+    wrong = [q**n if _empty_misses(mode, n) else 0 for n in range(top + 1)]
+    corrections = []
+    for s in set(model.table).union(key for key, _ in gt.overrides):
+        n = len(s)
+        delta = (not gt.accepts(s, model(s))) - _empty_misses(mode, n)
+        if n <= top:
+            wrong[n] += delta
+        elif delta:
+            corrections.append(delta * mu.pmf(s))
+    return _level_sum_hp(mu, mode, wrong, corrections)
 
 
 @dataclass(frozen=True)
 class _FastPlan:
     trainer: FlrmTrainer
+    mu: LengthFactored
     cum: np.ndarray
     base: np.ndarray
     pow_f: np.ndarray
     pow_i: np.ndarray
-    empty_mode: int  # 0: empty output acceptable only for code 0; 1: never; 2: always
+    empty_mode: int  # as _empty_mode
 
 
 def build_fast_plan(trainer, mu, gt: GroundTruth):
@@ -156,35 +222,28 @@ def build_fast_plan(trainer, mu, gt: GroundTruth):
         return None
     if gt.overrides:
         return None
-    rule = gt.default_rule
-    if isinstance(rule, Echo):
-        mode = 0
-    elif isinstance(rule, IndexShift):
-        mode = 0 if rule.shift == 0 else 1
-    elif isinstance(rule, Constant):
-        mode = 2 if len(rule.output) == 0 else 1
-    else:
+    mode = _empty_mode(gt.default_rule)
+    if mode is None:
         return None
     top = mu.max_sample_length
     if count_upto(mu.alphabet, top) >= _FAST_CODE_LIMIT:
         return None
     base, pow_i = mu._code_tables  # every level up to top, since q^top < 2^62
-    return _FastPlan(trainer, mu._sampling_cum, base, pow_i.astype(np.float64), pow_i, mode)
+    return _FastPlan(trainer, mu, mu._sampling_cum, base, pow_i.astype(np.float64), pow_i, mode)
 
 
-def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng, mc_samples: int) -> float:
-    """HP estimate of one coded trial.
+def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
+    """Exact HP of one coded trial.
 
     The seen-table over lengths <= top <= max(n̄, 0) is bounded by the
     sample: n̄ >= 1 implies m > q^(n̄+1)*ln 2, so it holds at most
     count_upto(n̄) < q^(n̄+1) < 1.45*m entries; for n̄ <= 0 it holds one.
     """
-    # The stream is laid out as generate_qualified + mc_hp consume it:
-    # training lengths at [0, m), training offsets at [m, 2m), m label draws
-    # under the uniform labeler (singleton sets ignore them), then
-    # mc_samples evaluation lengths and as many evaluation offsets. Each
-    # block is read at its position; PCG64 advances by any delta modulo
-    # 2^128, one output per double.
+    # The stream is laid out as generate_qualified consumes it: training
+    # lengths at [0, m), training offsets at [m, 2m), then m label draws
+    # under the uniform labeler (singleton sets ignore them). Each block is
+    # read at its position; PCG64 advances by any delta modulo 2^128, one
+    # output per double.
     bits = rng.bit_generator
     at = 0  # stream position of rng's next output
 
@@ -211,17 +270,15 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng, mc_samples: int)
         full = bool(seen.all())
         start += chunk
         chunk *= 2
-    evaluation = 3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m
-    u_len = read(evaluation, mc_samples)
-    short = u_len < cut
-    # A long draw's code is never 0, so only mode 2 accepts its empty output.
-    wrong = 0 if plan.empty_mode == 2 else mc_samples - int(np.count_nonzero(short))
-    if not full:  # on a full table every short draw is memorized
-        u_off = read(evaluation + mc_samples, mc_samples)
-        eval_codes, _ = kernels.sample_codes(u_len[short], u_off[short], *tables)
-        wrong += kernels.count_misses(eval_codes, seen, plan.empty_mode)
-    read(evaluation + 2 * mc_samples, 0)  # leave rng where the object path leaves it
-    return wrong / mc_samples
+    read(3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m, 0)
+    # Every memorized string is answered right. Lengths in (top, n̄] carry
+    # no sampling mass and were never drawn.
+    q = plan.trainer.alphabet.size
+    seen_at = np.add.reduceat(seen, plan.base[:top + 1], dtype=np.int64).tolist()
+    seen_at += [0] * (max(n_bar, 0) - top)
+    wrong = [q**n - k if _empty_misses(plan.empty_mode, n) else 0
+             for n, k in enumerate(seen_at)]
+    return _level_sum_hp(plan.mu, plan.empty_mode, wrong)
 
 
 def run_trial(
@@ -234,7 +291,11 @@ def run_trial(
     *,
     mc_samples: int = 10_000,
 ):
-    """One qualified draw, one training run, one HP evaluation."""
+    """One qualified draw, one training run, one HP evaluation.
+
+    mc_samples is the Monte Carlo sample size for a trainer whose models
+    evaluate_hp cannot sum exactly; a memorizer's HP needs none.
+    """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
     if mc_samples < 1:
@@ -248,28 +309,11 @@ def run_trial(
                 f"Generator over PCG64, as derive_stream returns; got "
                 f"{type(bits or rng).__name__}"
             )
-        return _fast_trial(plan, m, labeler, rng, mc_samples)
+        return _fast_trial(plan, m, labeler, rng)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = trainer(t)
     # Only the estimate is kept, so the interval's confidence level is moot.
     return evaluate_hp(model, mu, gt, mc_samples, 0.95, rng).estimate
-
-
-def _trial_hps(
-    trainer, mu, gt, m, labeler, trials, master_seed, row, mc_samples, threads,
-) -> np.ndarray:
-    def one(index: int) -> float:
-        rng = derive_stream(master_seed, row, index)
-        return run_trial(trainer, mu, gt, m, labeler, rng, mc_samples=mc_samples)
-
-    # More workers than trials or cores only adds threads.
-    workers = min(threads, trials, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hps = list(pool.map(one, range(trials)))
-    else:
-        hps = [one(i) for i in range(trials)]
-    return np.asarray(hps, dtype=np.float64)
 
 
 def sweep(
@@ -292,7 +336,13 @@ def sweep(
     half-width. At one m this is the negligibility experiment: it checks the
     sufficiency statement Pr(HP >= epsilon_h) <= epsilon_t empirically for the
     configured labeler; it is an experiment, not a proof.
+
+    Trials run one after another in the calling thread: under the
+    interpreter lock a second thread gets no CPU time for them. threads is
+    still validated, and a row never depends on it.
     """
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     if not m_grid:
         raise DomainError("m grid must be non-empty")
     if trials < 1:
@@ -301,9 +351,11 @@ def sweep(
         raise DomainError(f"epsilon_h must lie in (0,1], got {epsilon_h}")
     rows = []
     for row, m in enumerate(m_grid):
-        hps = _trial_hps(
-            trainer, mu, gt, m, labeler, trials, master_seed, row, mc_samples, threads,
-        )
+        hps = np.asarray([
+            run_trial(trainer, mu, gt, m, labeler, derive_stream(master_seed, row, index),
+                      mc_samples=mc_samples)
+            for index in range(trials)
+        ])
         fraction = int(np.count_nonzero(hps >= epsilon_h)) / trials
         rows.append(
             SweepRow(

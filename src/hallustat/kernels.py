@@ -1,5 +1,5 @@
-"""Hot array kernels, in numpy: the coded trial path's sampling
-(sample_codes) and miss counting (count_misses).
+"""Hot array kernel, in numpy: the coded trial path's sampling
+(sample_codes).
 
 Strings appear here only as int64 shortlex codes. Code layout for alphabet
 size q: base[L] = number of strings shorter than L, code = base[L] + offset
@@ -9,7 +9,8 @@ The coded trial (evaluation._fast_trial) decodes only draws of length
 <= n̄, and stops decoding training draws once its seen-table is full; the
 table has count_upto(n̄) < 1.45*m entries for n̄ >= 1. It reads the
 uniforms it passes here from its PCG64 stream by position, chunk by chunk,
-and skips the blocks it does not use.
+and skips the blocks it does not use. It draws no evaluation samples: its
+HP is a closed-form sum over the seen-table's count per length.
 """
 
 from __future__ import annotations
@@ -29,19 +30,3 @@ def sample_codes(u_len, u_off, cum, base, pow_f, pow_i):
     offs = (u_off * pow_f[lengths]).astype(np.int64)
     offs = np.minimum(offs, pow_i[lengths] - 1)
     return base[lengths] + offs, lengths
-
-
-def count_misses(codes, seen, empty_mode):
-    """Hallucination count for a memorizer on coded draws.
-
-    seen is a dense boolean table indexed by code, covering every code
-    passed. A draw hallucinates iff seen[code] is False and the default
-    (empty) output is unacceptable for it: empty_mode 0 accepts the empty
-    output only on code 0, mode 1 never, mode 2 always.
-    """
-    if empty_mode == 2:
-        return 0
-    miss = ~seen[codes]
-    if empty_mode == 0:
-        miss &= codes != 0
-    return int(np.count_nonzero(miss))

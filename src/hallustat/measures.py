@@ -222,11 +222,18 @@ class LengthFactored:
         (ratio None) when there is no tail mass."""
         return len(self.length_probs), self.tail_ratio if self.tail_mass > 0.0 else None
 
-    def _tail_defect(self, n: int) -> float:
-        """1 - length_cdf(n) for n >= L: tail_mass * tail_ratio^(n - L + 1)."""
+    def defect(self, n: int) -> float:
+        """1 - length_cdf(n), computed without cancellation: the sum of the
+        table entries past n plus the tail mass, and for n >= L
+        tail_mass * tail_ratio^(n - L + 1)."""
+        if n < 0:
+            raise DomainError(f"n must be >= 0, got {n}")
+        last = len(self.length_probs)
+        if n < last:
+            return math.fsum((*self.length_probs[n + 1:], self.tail_mass))
         if self.tail_ratio is None:
             return 0.0
-        return self.tail_mass * self.tail_ratio ** (n - len(self.length_probs) + 1)
+        return self.tail_mass * self.tail_ratio ** (n - last + 1)
 
     @cached_property
     def _cdf_table(self):
@@ -299,7 +306,7 @@ class LengthFactored:
         table = self._cdf_table
         if n < len(table):
             return table[n]
-        return 1.0 - self._tail_defect(n)
+        return 1.0 - self.defect(n)
 
     def sample_batch(self, rng, size: int) -> list[Str]:
         u_len = rng.random(size)
@@ -350,7 +357,7 @@ def dominates(dist: FiniteSupport | LengthFactored, bound: CdfLowerBound) -> boo
     if bound.tail_ratio is None or bound.table[-1] == 1.0:
         return False  # the bound is exactly 1 while dist keeps a positive defect
     n0 = high + 1
-    if dist._tail_defect(n0) > bound.defect(n0):
+    if dist.defect(n0) > bound.defect(n0):
         return False
     # Equal boundary with a faster-or-equal decay stays dominated forever;
     # a strictly slower decay must eventually cross.

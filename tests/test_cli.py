@@ -162,16 +162,17 @@ def test_train_eval_exact_report(tmp_path, capsys):
     assert doc["report"]["exact"] == {"num": 1, "den": 4}
 
 
-def test_train_eval_monte_carlo_on_infinite_support(tmp_path, capsys):
+def test_train_eval_closed_form_on_infinite_support(tmp_path, capsys):
     doc = train_eval_cfg()
     doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}
-    doc["mc_samples"] = 2000
+    doc["mc_samples"] = 2000  # validated, but a memorizer's HP needs no samples
     cfg = write_cfg(tmp_path, doc)
     assert run(["train-eval", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["report"]["method"] == "monte_carlo"
-    assert out["report"]["sample_count"] == 2000
-    assert out["report"]["exact"] is None
+    # m = 50 memorizes "", "0" and "1" (n̄ = 1): every string of length >= 2
+    # is wrong, mass 1/4. The law's masses are floats, so no fraction.
+    assert out["report"] == {"estimate": 0.25, "method": "exact", "exact": None,
+                             "sample_count": None, "ci_halfwidth": None, "confidence": None}
 
 
 def test_train_eval_finite_atoms_config(tmp_path, capsys):

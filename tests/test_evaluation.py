@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hallustat import evaluation
 from hallustat.core import (
-    Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
+    Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string, strings_upto,
 )
 from hallustat.errors import DomainError
 from hallustat.evaluation import (
     CSV_COLUMNS,
+    HallucinationReport,
     build_fast_plan,
     derive_stream,
     evaluate_hp,
@@ -44,6 +44,7 @@ from helpers import sample_batch_per_draw, uniform_support
 A2 = Alphabet(2)
 HALF_BOUND = CdfLowerBound((0.5,), 0.5)
 TRAINER = FlrmTrainer(A2, HALF_BOUND)
+RULES = [Echo(), Constant(Str(A2, ())), Constant(Str(A2, (1,))), IndexShift(0), IndexShift(3)]
 
 
 def s(*symbols):
@@ -168,6 +169,85 @@ def test_evaluate_hp_exact_on_finite_supports_else_monte_carlo():
     assert rep.method == "monte_carlo"
 
 
+# -------------------------------------------------------------- closed form
+
+
+def brute_force_hp(model, mu, gt):
+    """fsum of pmf(x) * [model(x) not acceptable] over every string of length
+    <= top, two past the threshold and no shorter than any override key, plus
+    the mass of the longer lengths when the default rule rejects the empty
+    output there."""
+    top = max([model.threshold + 2] + [len(key) for key, _ in gt.overrides])
+    terms = [mu.pmf(x) for x in strings_upto(mu.alphabet, top)
+             if not gt.accepts(x, model(x))]
+    rule, empty = gt.default_rule, empty_string(mu.alphabet)
+    if not (isinstance(rule, Constant) and rule.output == empty):
+        terms.append(mu.defect(top))
+    return math.fsum(terms)
+
+
+def closed_form(model, mu, gt):
+    rep = evaluate_hp(model, mu, gt, 1, 0.95, derive_stream(0, 0))
+    assert rep == HallucinationReport(estimate=rep.estimate, method="exact")
+    return rep.estimate
+
+
+def overrides(a):
+    # One acceptable set holds the empty output; the keys have lengths 1, 3
+    # and 4, so the m grid below puts each on both sides of n̄.
+    return (
+        (Str(a, (1,)), (empty_string(a), Str(a, (0,)))),
+        (Str(a, (0, 1, 1)), (Str(a, (1,)),)),
+        (Str(a, (1, 0, 0, 1)), (empty_string(a),)),
+    )
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("q", [2, 3])
+def test_memorizer_hp_closed_form_equals_brute_force(q, rule):
+    a = Alphabet(q)
+    trainer = FlrmTrainer(a, HALF_BOUND)
+    if isinstance(rule, Constant):
+        rule = Constant(Str(a, rule.output.symbols))
+    laws = (LengthFactored(a, (), 0.5), LengthFactored(a, (0.1, 0.3, 0.2), 0.5))
+    for gt in (GroundTruth(a, rule), GroundTruth(a, rule, overrides(a))):
+        for mu in laws:
+            for labeler in Labeler:
+                for m in (0, 1, 23, 300, 2000):  # n̄ from -1 to 3 (q=2) or 2 (q=3)
+                    model = trainer(generate_qualified(mu, gt, m, labeler, derive_stream(m, q)))
+                    assert closed_form(model, mu, gt) == pytest.approx(
+                        brute_force_hp(model, mu, gt), rel=1e-13, abs=1e-300)
+        # Built directly: wrong table entries and an entry for an override
+        # key; no threshold at all; every override key at or below the
+        # threshold but none in the table.
+        wrong = MemorizerModel(a, {empty_string(a): Str(a, (1, 1)), Str(a, (0,)): Str(a, (1,)),
+                                   Str(a, (1,)): Str(a, (0, 0)), Str(a, (0, 1)): Str(a, (0, 1))}, 2)
+        for model in (wrong, MemorizerModel(a, {}, -1), MemorizerModel(a, {}, 4)):
+            for mu in laws:
+                assert closed_form(model, mu, gt) == pytest.approx(
+                    brute_force_hp(model, mu, gt), rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_memorizer_hp_closed_form_within_hoeffding_of_monte_carlo(q):
+    a = Alphabet(q)
+    mu = LengthFactored(a, (0.1, 0.3, 0.2), 0.5)
+    gt = GroundTruth(a, IndexShift(1), overrides(a))
+    model = FlrmTrainer(a, HALF_BOUND)(
+        generate_qualified(mu, gt, 300, Labeler.UNIFORM_ACCEPTABLE, derive_stream(1, q)))
+    assert model.threshold >= 1
+    mc = mc_hp(model, mu, gt, 10**6, 0.95, derive_stream(2, q))
+    assert abs(closed_form(model, mu, gt) - mc.estimate) <= mc.ci_halfwidth
+
+
+def test_memorizer_off_its_alphabet_gets_monte_carlo():
+    a3 = Alphabet(3)
+    mu, gt = LengthFactored(a3, (), 0.5), GroundTruth(a3, Echo())
+    model = MemorizerModel(A2, {}, 1)
+    rep = evaluate_hp(model, mu, gt, 100, 0.95, derive_stream(0, 0))
+    assert rep == mc_hp(model, mu, gt, 100, 0.95, derive_stream(0, 0))
+
+
 # ------------------------------------------------------------------- trials
 
 
@@ -228,40 +308,38 @@ def seven_strings():
     return LengthFactored(A2, (0.25, 0.25, 0.5))
 
 
-@pytest.mark.parametrize("rule", [Echo(), Constant(Str(Alphabet(2), ())),
-                                  Constant(Str(Alphabet(2), (1,))), IndexShift(0),
-                                  IndexShift(3)])
+@pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
 def test_fast_path_equals_general_path(rule, labeler):
     gt = GroundTruth(A2, rule)
     # Regimes of the coded trial's seen-table over lengths <= n̄, as
-    # (mu, m values, mc_samples, seeds):
+    # (mu, m values, seeds):
     regimes = (
         # it fills early (n̄ = 4 at m = 20 000);
-        (half_geometric(), (0, 1, 23, 150, 20_000), 2000, (0, 5)),
+        (half_geometric(), (0, 1, 23, 150, 20_000), (0, 5)),
         # it fills only in the second chunk (n̄ = 5 at m = 10^5);
-        (half_geometric(), (100_000,), 2000, (0,)),
+        (half_geometric(), (100_000,), (0,)),
         # it never fills, and the last chunk is cut short at m (6400 and
         # 30 001 are not multiples of 4096);
-        (never_full(), (23, 150, 6400, 30_001), 2000, (0, 5)),
+        (never_full(), (23, 150, 6400, 30_001), (0, 5)),
         # the law ends below n̄;
-        (seven_strings(), (150, 1000), 2000, (0, 5)),
-        # more evaluation draws than training draws, on a full and on a
-        # never-full table.
-        (seven_strings(), (150,), 5000, (0,)),
-        (never_full(), (150,), 5000, (0,)),
+        (seven_strings(), (150, 1000), (0, 5)),
+        # the sampling table ends at length 4, below n̄ = 5, but the law
+        # does not: lengths 5 and up keep a mass of about 1e-20.
+        (LengthFactored(A2, (), 1e-4), (100_000,), (0,)),
     )
-    for mu, ms, mc_samples, seeds in regimes:
+    for mu, ms, seeds in regimes:
         assert build_fast_plan(TRAINER, mu, gt) is not None
         for m in ms:
             for seed in seeds:
                 fast_rng = derive_stream(seed, 0)
-                fast = run_trial(TRAINER, mu, gt, m, labeler, fast_rng, mc_samples=mc_samples)
-                # The object path on the same stream: draw, train, Monte Carlo.
+                fast = run_trial(TRAINER, mu, gt, m, labeler, fast_rng)
+                # The object path on the same stream: draw, train, closed form.
                 rng = derive_stream(seed, 0)
                 model = TRAINER(generate_qualified(mu, gt, m, labeler, rng))
-                slow = mc_hp(model, mu, gt, mc_samples, 0.95, rng).estimate
-                assert fast == slow  # bitwise, not approximately
+                slow = evaluate_hp(model, mu, gt, 1, 0.95, rng)
+                assert slow.method == "exact"
+                assert fast == slow.estimate  # bitwise, not approximately
                 # Both leave the stream at the same place.
                 assert fast_rng.random() == rng.random()
 
@@ -280,12 +358,12 @@ class RecordingReads:
 
 
 @pytest.mark.parametrize("mu, m, sizes", [
-    # Two training chunks of lengths and offsets fill the table; the
-    # evaluation offsets are not read; the last read only moves the stream.
-    (half_geometric(), 100_000, [4096, 4096, 8192, 8192, 2000, 0]),
+    # Two training chunks of lengths and offsets fill the table; the last
+    # read only moves the stream.
+    (half_geometric(), 100_000, [4096, 4096, 8192, 8192, 0]),
     # The fourth chunk is cut to the 1329 draws left before m.
-    (never_full(), 30_001, [4096, 4096, 8192, 8192, 16384, 16384, 1329, 1329, 2000, 2000, 0]),
-    (seven_strings(), 10**6, [4096, 4096, 2000, 0]),
+    (never_full(), 30_001, [4096, 4096, 8192, 8192, 16384, 16384, 1329, 1329, 0]),
+    (seven_strings(), 10**6, [4096, 4096, 0]),
 ], ids=["fills-in-second-chunk", "never-full", "fills-in-first-chunk"])
 def test_coded_trial_reads_only_the_blocks_it_uses(mu, m, sizes):
     for labeler in Labeler:
@@ -328,17 +406,21 @@ def test_coded_trial_rejects_streams_it_cannot_read_by_position(bit_generator):
 
 
 def test_negligibility_reproducible_and_parallel_invariant():
-    # The negligibility experiment is a one-point sweep.
-    mu = half_geometric()
+    # The negligibility experiment is a one-point sweep. At m = 10^4 (n̄ = 4)
+    # each length-4 string of this law stays unseen with probability about
+    # 0.04, so trials differ; on the half-geometric law at m = 50 every
+    # trial's exact HP is 0.25.
+    mu = never_full()
     gt = GroundTruth(A2, Echo())
-    kw = dict(epsilon_h=0.2, mc_samples=1000)
-    r1 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 99, **kw)
-    r2 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 99, **kw)
-    r4 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 99, threads=4, **kw)
+    kw = dict(epsilon_h=0.2)
+    r1 = sweep(TRAINER, mu, gt, [10_000], 40, Labeler.CANONICAL, 99, **kw)
+    r2 = sweep(TRAINER, mu, gt, [10_000], 40, Labeler.CANONICAL, 99, **kw)
+    r4 = sweep(TRAINER, mu, gt, [10_000], 40, Labeler.CANONICAL, 99, threads=4, **kw)
     assert r1 == r2 == r4
     # seed sensitivity shows up in a continuous statistic
-    r5 = sweep(TRAINER, mu, gt, [50], 40, Labeler.CANONICAL, 100, **kw)
+    r5 = sweep(TRAINER, mu, gt, [10_000], 40, Labeler.CANONICAL, 100, **kw)
     assert r1[0].mean_hp != r5[0].mean_hp
+    assert r1[0].std_hp > 0.0
 
 
 def test_negligibility_single_trial_fraction_is_zero_or_one():
@@ -422,36 +504,8 @@ def test_trial_results_do_not_depend_on_thread_count():
     r3 = sweep(TRAINER, mu, gt, [25, 50], 12, Labeler.CANONICAL, 11,
                mc_samples=400, threads=3)
     assert r1 == r3
-
-
-def test_worker_pool_capped_by_trials_and_cores(monkeypatch):
-    # A recording stand-in for the executor: no thread is ever started.
-    made = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
-    mu, gt = half_geometric(), GroundTruth(A2, Echo())
-    serial = sweep(TRAINER, mu, gt, [10], 6, Labeler.CANONICAL, 1, mc_samples=50)
-    for cores, trials, workers in ((8, 3, [3]), (2, 6, [2]), (None, 6, [])):
-        monkeypatch.setattr(evaluation.os, "cpu_count", lambda c=cores: c)
-        made.clear()
-        rows = sweep(TRAINER, mu, gt, [10], trials, Labeler.CANONICAL, 1,
-                     mc_samples=50, threads=5000)
-        assert made == workers
-        if trials == 6:
-            assert rows == serial
+    with pytest.raises(DomainError, match="threads"):
+        sweep(TRAINER, mu, gt, [25], 12, Labeler.CANONICAL, 11, threads=0)
 
 
 # ------------------------------------------------------------- diagnostics

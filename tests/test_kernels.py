@@ -25,33 +25,6 @@ def test_sample_codes_np_decodes_lengths_and_offsets():
     assert codes.tolist() == [0, 0, 1, 2, 7 + 4, 7 + 7]
 
 
-def test_count_misses_np_brute():
-    rng = np.random.default_rng(4)
-    keys = np.array(sorted(rng.choice(31, size=6, replace=False)), dtype=np.int64)
-    seen = np.zeros(31, dtype=bool)
-    seen[keys] = True
-    codes = rng.integers(0, 31, size=2000).astype(np.int64)
-    key_set = set(keys.tolist())
-    for mode in (0, 1, 2):
-        if mode == 2:
-            expected = 0
-        else:
-            expected = sum(
-                1
-                for c in codes.tolist()
-                if c not in key_set and not (mode == 0 and c == 0)
-            )
-        assert kernels.count_misses(codes, seen, mode) == expected
-
-
-def test_count_misses_np_empty_keys():
-    codes = np.array([0, 1, 2, 0], dtype=np.int64)
-    empty = np.zeros(3, dtype=bool)
-    assert kernels.count_misses(codes, empty, 1) == 4
-    assert kernels.count_misses(codes, empty, 0) == 2  # the two zeros survive
-    assert kernels.count_misses(codes, empty, 2) == 0
-
-
 def test_product_probs_np_brute():
     pmf = np.array([0.5, 0.3, 0.2])
     got = product_probs(pmf, 3)

@@ -141,7 +141,20 @@ def test_half_geometric_tail_is_exact_power():
     d = half_geometric()
     for m in range(1, 21):
         assert 1.0 - d.length_cdf(m - 1) == 0.5**m
+        assert d.defect(m - 1) == 0.5**m
     assert d.length_cdf(0) == 0.5
+    assert d.defect(1000) == 0.5**1001 > 0.0  # where 1 - length_cdf reads 0
+
+
+def test_length_factored_defect_sums_the_table_past_n():
+    d = LengthFactored(A2, (1.0 - 1e-12, 1e-12))
+    assert d.defect(0) == 1e-12  # 1 - length_cdf(0) cancels to 1.0000889e-12
+    assert d.defect(1) == d.defect(7) == 0.0
+    d = LengthFactored(A2, (0.1, 0.3, 0.2), 0.5)
+    assert d.defect(0) == math.fsum((0.3, 0.2, d.tail_mass))
+    assert d.defect(4) == d.tail_mass * 0.5**2
+    with pytest.raises(DomainError):
+        d.defect(-1)
 
 
 def test_pmf_splits_length_mass_uniformly():
