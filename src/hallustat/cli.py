@@ -305,7 +305,6 @@ def cmd_sweep(cfg: dict, args) -> int:
         args.seed,
         epsilon_h=eps_h,
         mc_samples=mc_samples,
-        threads=args.threads,
     )
     _emit(sweep_csv(rows, _preamble(cfg, args.seed)), args.out)
     return 0

@@ -207,7 +207,6 @@ def _memorizer_hp(model: MemorizerModel, mu: LengthFactored, gt: GroundTruth,
 class _FastPlan:
     trainer: FlrmTrainer
     mu: LengthFactored
-    cum: np.ndarray
     base: np.ndarray
     pow_f: np.ndarray
     pow_i: np.ndarray
@@ -229,7 +228,7 @@ def build_fast_plan(trainer, mu, gt: GroundTruth):
     if count_upto(mu.alphabet, top) >= _FAST_CODE_LIMIT:
         return None
     base, pow_i = mu._code_tables  # every level up to top, since q^top < 2^62
-    return _FastPlan(trainer, mu, mu._sampling_cum, base, pow_i.astype(np.float64), pow_i, mode)
+    return _FastPlan(trainer, mu, base, pow_i.astype(np.float64), pow_i, mode)
 
 
 def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
@@ -254,9 +253,10 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
         return rng.random(size)
 
     n_bar = threshold_length(m, plan.trainer.alphabet, plan.trainer.bound)
-    top = min(max(n_bar, 0), len(plan.cum) - 1)
-    cut = plan.cum[top]  # a draw has length <= top iff its u_len < cut
-    tables = (plan.cum[:top + 1], plan.base, plan.pow_f, plan.pow_i)
+    cum = plan.mu._sampling_cum
+    top = min(max(n_bar, 0), len(cum) - 1)
+    cut = cum[top]  # a draw has length <= top iff its u_len < cut
+    tables = (cum[:top + 1], plan.base, plan.pow_f, plan.pow_i)
     seen = np.zeros(count_upto(plan.trainer.alphabet, top), dtype=bool)
     full = False
     start, chunk = 0, _FIRST_CHUNK
@@ -327,7 +327,6 @@ def sweep(
     *,
     epsilon_h: float = 0.2,
     mc_samples: int = 10_000,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """One row of trial statistics per grid point; rows use disjoint streams.
 
@@ -338,11 +337,8 @@ def sweep(
     configured labeler; it is an experiment, not a proof.
 
     Trials run one after another in the calling thread: under the
-    interpreter lock a second thread gets no CPU time for them. threads is
-    still validated, and a row never depends on it.
+    interpreter lock a second thread gets no CPU time for them.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
     if not m_grid:
         raise DomainError("m grid must be non-empty")
     if trials < 1:
