@@ -23,8 +23,19 @@ from the caller. build_fast_plan returns a plan for the common experiment
 shape (length-factored inputs, override-free ground truth, threshold
 memorizer, codes below 2^62); such trials run on int64 shortlex codes
 through the array kernels, on the same uniform stream as generate_qualified
-would consume. Every other instance runs on Str objects:
-generate_qualified, the trainer, evaluate_hp.
+would consume. A threshold memorizer on a finite support (law, trainer and
+ground truth on one alphabet) runs the atom trial, on atom indices. Every
+other instance runs on Str objects: generate_qualified, the trainer,
+evaluate_hp.
+
+An atom trial draws the atom indices from the uniforms generate_qualified
+would read, through the sampler FiniteSupport.sample_batch uses, and marks
+them in a seen-array. Every training pair is qualified, so the memorizer
+errs exactly on the atoms whose acceptable set lacks the empty output and
+that were not drawn at length <= n̄. The trial sums their masses with
+integer numerators per denominator: the rational exact_hp returns for the
+trained model. It builds no Str, trains nothing, and leaves the stream
+where generate_qualified leaves it.
 
 A coded trial decodes only short draws, those of length <= n̄ (the
 memorizer's threshold), into a dense seen-table over all count_upto(n̄)
@@ -48,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .core import count_upto
+from .core import count_upto, empty_string
 from .errors import DomainError
 from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
@@ -281,6 +292,34 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
     return _level_sum_hp(plan.mu, plan.empty_mode, wrong)
 
 
+def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int,
+                labeler: Labeler, rng, mode: int) -> float:
+    """Exact HP of one memorizer trial on a finite support, from the indices
+    of the drawn atoms: float of the rational exact_hp returns for the
+    trained model. mode is _empty_mode of the default rule."""
+    drawn = mu._atom_indices(rng.random(m))  # the uniforms sample_batch reads
+    if labeler is Labeler.UNIFORM_ACCEPTABLE:
+        rng.random(m)  # the label draws: leave the stream where generate_qualified does
+    lengths, numerators, groups, index = mu._atom_tables
+    if mode == 0:
+        wrong = lengths > 0
+    else:
+        wrong = np.full(len(lengths), mode == 1)
+    empty = empty_string(gt.alphabet)
+    for key, acceptable in gt.overrides:
+        i = index.get(key)
+        if i is not None:
+            wrong[i] = empty not in acceptable
+    n_bar = threshold_length(m, trainer.alphabet, trainer.bound)
+    seen = np.zeros(len(lengths), dtype=bool)
+    seen[drawn] = True
+    wrong &= ~(seen & (lengths <= n_bar))
+    total = Fraction(0)
+    for den, members in groups:
+        total += Fraction(sum(numerators[members[wrong[members]]].tolist()), den)
+    return float(total)
+
+
 def run_trial(
     trainer,
     mu,
@@ -291,7 +330,8 @@ def run_trial(
     *,
     mc_samples: int = 10_000,
 ):
-    """One qualified draw, one training run, one HP evaluation.
+    """The HP of the model trained on one qualified draw of m pairs; the
+    coded and the atom trial compute it without building the pairs.
 
     mc_samples is the Monte Carlo sample size for a trainer whose models
     evaluate_hp cannot sum exactly; a memorizer's HP needs none.
@@ -310,6 +350,11 @@ def run_trial(
                 f"{type(bits or rng).__name__}"
             )
         return _fast_trial(plan, m, labeler, rng)
+    if (isinstance(trainer, FlrmTrainer) and isinstance(mu, FiniteSupport)
+            and trainer.alphabet == mu.alphabet == gt.alphabet):
+        mode = _empty_mode(gt.default_rule)
+        if mode is not None:
+            return _atom_trial(trainer, mu, gt, m, labeler, rng, mode)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = trainer(t)
     # Only the estimate is kept, so the interval's confidence level is moot.
@@ -386,4 +431,4 @@ def unmemorized_mass_lower_bound(model, mu) -> float:
         cap = max(cap, len(s))
     if cap < 0:
         return 1.0
-    return float(1 - mu.length_cdf(cap))
+    return float(mu.defect(cap))

@@ -76,10 +76,9 @@ class MemorizerModel:
 
 def train(t: TrainingSequence, alphabet: Alphabet, bound: CdfLowerBound) -> MemorizerModel:
     n_bar = threshold_length(len(t), alphabet, bound)
-    table = {}
-    for s, y in t:
-        if len(s) <= n_bar:
-            table[s] = y
+    # dict keeps each key's first place and last value, as a loop of
+    # overwrites would.
+    table = {s: y for s, y in dict(t).items() if len(s) <= n_bar}
     return MemorizerModel(alphabet, table, n_bar)
 
 

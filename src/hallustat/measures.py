@@ -107,17 +107,24 @@ class FiniteSupport:
         object.__setattr__(self, "atoms", norm)
         alphabet = norm[0][0].alphabet
         seen = set()
-        mass_by_length = {}
+        # Integer numerators per (length, denominator): one Fraction per
+        # group, not one Fraction addition per atom.
+        numerators = {}
         for s, p in norm:
-            if s.alphabet != alphabet:
+            # identity first: comparing two equal Alphabets field by field is slow
+            if s.alphabet is not alphabet and s.alphabet != alphabet:
                 raise DomainError("atoms must share one alphabet")
             if s.symbols in seen:
                 raise DomainError(f"duplicate atom {s.symbols}")
             seen.add(s.symbols)
-            if not 0 <= p.numerator <= p.denominator:  # denominators are positive
+            num, den = p.numerator, p.denominator
+            if not 0 <= num <= den:  # denominators are positive
                 raise DomainError(f"mass {p} outside [0,1]")
-            n = len(s)
-            mass_by_length[n] = mass_by_length.get(n, 0) + p
+            key = (len(s), den)
+            numerators[key] = numerators.get(key, 0) + num
+        mass_by_length = {}
+        for (n, den), num in numerators.items():
+            mass_by_length[n] = mass_by_length.get(n, 0) + Fraction(num, den)
         lengths = sorted(mass_by_length)
         cdf = [Fraction(0)]
         for n in lengths:
@@ -155,6 +162,23 @@ class FiniteSupport:
         cum[-1] = 1.0
         return cum
 
+    @cached_property
+    def _atom_tables(self):
+        """(lengths, numerators, groups, index) over the atoms in order:
+        int64 lengths, exact integer mass numerators as an object array, one
+        (denominator, atom indices) pair per distinct denominator, and each
+        atom string's index."""
+        lengths = np.fromiter((len(s) for s, _ in self.atoms), dtype=np.int64,
+                              count=len(self.atoms))
+        numerators = np.empty(len(self.atoms), dtype=object)
+        numerators[:] = [p.numerator for _, p in self.atoms]
+        members = {}
+        for i, (_, p) in enumerate(self.atoms):
+            members.setdefault(p.denominator, []).append(i)
+        groups = tuple((den, np.asarray(idx, dtype=np.int64)) for den, idx in members.items())
+        index = {s: i for i, (s, _) in enumerate(self.atoms)}
+        return lengths, numerators, groups, index
+
     def support(self):
         return iter(self.atoms)
 
@@ -166,12 +190,19 @@ class FiniteSupport:
             raise DomainError(f"n must be >= 0, got {n}")
         return self._cdf[bisect.bisect_right(self._lengths, n)]
 
-    def sample_batch(self, rng, size: int) -> list[Str]:
-        u = rng.random(size)
+    def defect(self, n: int) -> Fraction:
+        """1 - length_cdf(n), exactly: the mass of the atoms longer than n."""
+        return 1 - self.length_cdf(n)
+
+    def _atom_indices(self, u) -> np.ndarray:
+        """The atom index each uniform draws, by inverse CDF: the one sampler
+        behind sample_batch and the atom trial."""
         idx = np.searchsorted(self._sampling_cum, u, side="right")
-        idx = np.minimum(idx, len(self.atoms) - 1)
+        return np.minimum(idx, len(self.atoms) - 1)
+
+    def sample_batch(self, rng, size: int) -> list[Str]:
         atoms = self.atoms
-        return [atoms[i][0] for i in idx.tolist()]
+        return [atoms[i][0] for i in self._atom_indices(rng.random(size)).tolist()]
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def generate_qualified(
     inputs = mu.sample_batch(rng, m)
     if labeler is Labeler.CANONICAL:
         label = {s: gt.canonical(s) for s in set(inputs)}
-        pairs = tuple((s, label[s]) for s in inputs)
+        pairs = tuple(zip(inputs, map(label.__getitem__, inputs)))
     elif labeler is Labeler.UNIFORM_ACCEPTABLE:
         u = rng.random(m)
         acceptable = {s: gt.acceptable(s) for s in set(inputs)}

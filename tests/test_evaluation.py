@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 
 from hallustat.cli import main as cli_main
 from hallustat.core import (
-    Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string, strings_upto,
+    Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
+    strings_of_length, strings_upto,
 )
 from hallustat.errors import DomainError
 from hallustat.evaluation import (
@@ -298,6 +300,22 @@ def test_fast_plan_tables_are_exact_powers_and_offsets(q, length_probs, tail):
     assert plan.pow_f.tolist() == [float(q**n) for n in range(top + 1)]
 
 
+def assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed):
+    """run_trial's HP equals, bit for bit, that of the object-path composition
+    on the same stream (draw, train, exact evaluation: exact_hp on a finite
+    support, the closed form on a length-factored law), and both leave the
+    stream at the same place. Returns the HP."""
+    trial_rng = derive_stream(seed, 0)
+    hp = run_trial(trainer, mu, gt, m, labeler, trial_rng)
+    rng = derive_stream(seed, 0)
+    model = trainer(generate_qualified(mu, gt, m, labeler, rng))
+    reference = evaluate_hp(model, mu, gt, 1, 0.95, rng)
+    assert reference.method == "exact"
+    assert hp == reference.estimate  # bitwise, not approximately
+    assert trial_rng.random() == rng.random()
+    return hp
+
+
 def never_full():
     # Lengths 0 and 3 have no mass, so a seen-table over lengths <= n̄ >= 3
     # never fills, while every chunk still adds length-4 strings of mass
@@ -334,16 +352,72 @@ def test_fast_path_equals_general_path(rule, labeler):
         assert build_fast_plan(TRAINER, mu, gt) is not None
         for m in ms:
             for seed in seeds:
-                fast_rng = derive_stream(seed, 0)
-                fast = run_trial(TRAINER, mu, gt, m, labeler, fast_rng)
-                # The object path on the same stream: draw, train, closed form.
-                rng = derive_stream(seed, 0)
-                model = TRAINER(generate_qualified(mu, gt, m, labeler, rng))
-                slow = evaluate_hp(model, mu, gt, 1, 0.95, rng)
-                assert slow.method == "exact"
-                assert fast == slow.estimate  # bitwise, not approximately
-                # Both leave the stream at the same place.
-                assert fast_rng.random() == rng.random()
+                assert_trial_equals_object_pipeline(TRAINER, mu, gt, m, labeler, seed)
+
+
+def mixed_support(a, seed):
+    """All strings of length <= 2 and three each of lengths 3 and 4, with
+    masses over mixed denominators."""
+    r = random.Random(seed)
+    members = (list(strings_upto(a, 2)) + r.sample(list(strings_of_length(a, 3)), 3)
+               + r.sample(list(strings_of_length(a, 4)), 3))
+    r.shuffle(members)
+    n = len(members)
+    masses = [Fraction(r.randint(1, 3), r.choice((5, 6, 7)) * n) for _ in members[1:]]
+    return FiniteSupport(tuple(zip(members, [1 - sum(masses)] + masses)))
+
+
+# n̄ = -1, 0, 1, 2, 3, 3 at m = 0, 1, 7, 50, 400, 3000 for q = 2, and -1, -1,
+# 0, 1, 2, 3 for q = 3; it never reaches 4, since the bound is 1 there.
+MIXED_BOUND = CdfLowerBound((0.1, 0.3, 0.5, 0.8))
+
+
+def support_overrides(a, mu):
+    """Two keys of length 4 in the support, one accepting the empty output
+    and one not, a key of length 1 in the support, and a key outside it."""
+    members = [x for x, _ in mu.support()]
+    long_a, long_b = [x for x in members if len(x) == 4][:2]
+    outside = next(x for x in strings_of_length(a, 3) if x not in members)
+    empty = empty_string(a)
+    return (
+        (long_a, (empty, Str(a, (1,)))),
+        (long_b, (Str(a, (0,)),)),
+        (Str(a, (0,)), (empty, Str(a, (1, 1)))),
+        (outside, (empty,)),
+    )
+
+
+@pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
+@pytest.mark.parametrize("rule", ["echo", "constant-empty", "constant-1", "shift-0", "shift-2"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_atom_trial_equals_object_pipeline(q, rule, labeler):
+    a = Alphabet(q)
+    rule = {"echo": Echo(), "constant-empty": Constant(empty_string(a)),
+            "constant-1": Constant(Str(a, (1,))), "shift-0": IndexShift(0),
+            "shift-2": IndexShift(2)}[rule]
+    trainer = FlrmTrainer(a, MIXED_BOUND)
+    for seed in (0, 1):
+        mu = mixed_support(a, seed)
+        assert len({p.denominator for _, p in mu.support()}) > 1
+        for gt in (GroundTruth(a, rule), GroundTruth(a, rule, support_overrides(a, mu))):
+            for m in (0, 1, 7, 50, 400, 3000):
+                assert build_fast_plan(trainer, mu, gt) is None
+                assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed)
+
+
+def test_trainer_that_is_not_flrm_takes_the_object_path_on_a_finite_support():
+    mu = mixed_support(A2, 0)
+    gt = GroundTruth(A2, Echo(), support_overrides(A2, mu))
+    trainer = FlrmTrainer(A2, MIXED_BOUND)
+    sizes = []
+
+    def wrapped(t):
+        sizes.append(len(t))
+        return trainer(t)
+
+    hp = assert_trial_equals_object_pipeline(wrapped, mu, gt, 400, Labeler.CANONICAL, 3)
+    assert sizes == [400, 400]  # once in run_trial, once in the reference
+    assert hp == run_trial(trainer, mu, gt, 400, Labeler.CANONICAL, derive_stream(3, 0))
 
 
 class RecordingReads:
@@ -526,3 +600,7 @@ def test_unmemorized_mass_lower_bound():
     assert unmemorized_mass_lower_bound(model, mu) == 0.5**4
     empty_model = train(TrainingSequence(()), A2, HALF_BOUND)
     assert unmemorized_mass_lower_bound(empty_model, mu) == 1.0
+    # 1 - length_cdf(60) cancels to 0.0 here; the mass left out is 2^-61.
+    assert unmemorized_mass_lower_bound(MemorizerModel(A2, {}, 60), mu) == 0.5**61 > 0.0
+    finite = FiniteSupport(((s(), Fraction(1, 3)), (s(0, 1), Fraction(2, 3))))
+    assert unmemorized_mass_lower_bound(MemorizerModel(A2, {s(): s()}, 1), finite) == 2 / 3

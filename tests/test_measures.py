@@ -87,6 +87,19 @@ def test_finite_support_exact_queries():
     assert d.max_length == 3
 
 
+def test_finite_support_sums_masses_exactly_across_denominators():
+    s0, s1, s2, s3 = (shortlex_string(A2, r) for r in range(4))  # lengths 0, 1, 1, 2
+    d = FiniteSupport(((s1, Fraction(1, 3)), (s0, Fraction(1, 6)), (s2, Fraction(1, 4)),
+                       (s3, Fraction(1, 4))))
+    assert [d.length_cdf(n) for n in range(3)] == [Fraction(1, 6), Fraction(3, 4), 1]
+    assert [d.defect(n) for n in range(3)] == [Fraction(5, 6), Fraction(1, 4), 0]
+    with pytest.raises(DomainError):  # one part in 10^30 short of 1
+        FiniteSupport(((s0, Fraction(1, 3)), (s1, Fraction(1, 3)),
+                       (s2, Fraction(1, 3) - Fraction(1, 10**30))))
+    with pytest.raises(DomainError):
+        FiniteSupport(((s0, Fraction(1, 2)), (Str(Alphabet(3), (2,)), Fraction(1, 2))))
+
+
 def test_uniform_over_set_exact_queries():
     members = tuple(shortlex_string(A2, r) for r in range(4))
     d = uniform_support(members)
