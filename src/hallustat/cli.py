@@ -12,6 +12,7 @@ Exit codes: 0 success/verified, 1 failed verification, 2 malformed config,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -421,6 +422,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hallustat",

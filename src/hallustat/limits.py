@@ -400,6 +400,14 @@ class DiagonalConstruction:
     horizon: int
     psi: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.psi) != self.horizon:
+            raise DomainError(
+                f"psi holds {len(self.psi)} ranks for a window of {self.horizon} strings"
+            )
+        if any(p < 1 for p in self.psi):
+            raise DomainError("every psi value must be a 1-based rank, >= 1")
+
     def input_string(self, i: int) -> Str:
         return shortlex_string(self.alphabet, i - 1)
 
@@ -431,8 +439,8 @@ def diagonalize(
     The models must be MemorizerModels over `alphabet`. Such a model answers
     its table entry on a string in its table and its default output on
     every other string, so the answers on the window come from inverting
-    the tables, without querying any model. The budget still bounds the
-    horizon * K queries that verify_diagonal makes.
+    the tables, without querying any model. The budget still bounds, by
+    horizon * K, the queries that verify_diagonal makes.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
@@ -469,21 +477,44 @@ def diagonalize(
     return DiagonalConstruction(models=models, alphabet=alphabet, horizon=horizon, psi=tuple(psi))
 
 
+def _shortlex_symbols(q: int):
+    """Symbol tuples of every string over q symbols, lazily, in shortlex order."""
+    return itertools.chain.from_iterable(
+        itertools.product(range(q), repeat=n) for n in itertools.count()
+    )
+
+
 def verify_diagonal(construction: DiagonalConstruction) -> bool:
     """Recheck both that every covered model differs from the diagonal map on
-    every window string and that each psi value is the least candidate."""
-    k_models = len(construction.models)
-    for i in range(1, construction.horizon + 1):
-        s_i = construction.input_string(i)
-        target = construction.f0_of(i)
-        answers = [
-            construction.models[j](s_i) for j in range(min(i, k_models))
-        ]
-        if any(ans == target for ans in answers):
+    every window string and that each psi value is the least candidate.
+
+    The models are black boxes: each of the first min(i, K) models is asked
+    once for its answer on the i-th window string, sum_i min(i, K) queries in
+    all, and the construction's own table inversion is never read. An answer
+    counts as a string only if it is a Str over the construction's alphabet
+    (the same object or an equal one), as Str equality has it. The target
+    and the candidates below it are then looked up among the answers' symbol
+    tuples. A psi_i above min(i, K) + 1 fails without a query: its psi_i - 1
+    candidates cannot all be among min(i, K) answers.
+    """
+    alphabet = construction.alphabet
+    models = construction.models
+    psi = construction.psi
+    k_models = len(models)
+    if any(p > min(i, k_models) + 1 for i, p in enumerate(psi, 1)):
+        return False
+    candidates = list(itertools.islice(_shortlex_symbols(alphabet.size), max(psi, default=0)))
+    for i, (p, symbols) in enumerate(zip(psi, _shortlex_symbols(alphabet.size)), 1):
+        s_i = Str(alphabet, symbols)
+        answers = [model(s_i) for model in models[: min(i, k_models)]]
+        seen = {
+            ans.symbols for ans in answers
+            if type(ans) is Str and (ans.alphabet is alphabet or ans.alphabet == alphabet)
+        }
+        if candidates[p - 1] in seen:
             return False
-        for rank in range(1, construction.psi[i - 1]):
-            candidate = shortlex_string(construction.alphabet, rank - 1)
-            if candidate not in answers:
+        for c in range(p - 1):
+            if candidates[c] not in seen:
                 return False
     return True
 
@@ -491,16 +522,32 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
 def random_table_models(
     alphabet: Alphabet, count: int, rng, table_size: int = 8, max_len: int = 6
 ) -> list[MemorizerModel]:
-    """Random finite lookup models (empty-string default), for diagonal demos."""
+    """Random finite lookup models (empty-string default), for diagonal demos.
+
+    Each model draws min(table_size, U) distinct key ranks, then as many value
+    ranks, among the U = count_upto(alphabet, max_len) strings of length at
+    most max_len; numpy draws them as int64, so U must stay below 2^63. Each
+    distinct drawn rank, at most 2 * count * table_size of them, is decoded
+    into a Str once and shared by every table that drew it.
+    """
+    for name, value in (("count", count), ("table_size", table_size), ("max_len", max_len)):
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0, got {value}")
     universe = count_upto(alphabet, max_len)
+    if universe >= 2**63:
+        raise DomainError(
+            f"max_len {max_len} gives {universe} strings over {alphabet.size} "
+            "symbols; their ranks must stay below 2^63"
+        )
     size = min(table_size, universe)
+    decoded: dict[int, Str] = {}
     models = []
     for _ in range(count):
-        keys = rng.choice(universe, size=size, replace=False)
-        values = rng.integers(0, universe, size=size)
-        table = {
-            shortlex_string(alphabet, int(k)): shortlex_string(alphabet, int(v))
-            for k, v in zip(keys, values)
-        }
+        keys = rng.choice(universe, size=size, replace=False).tolist()
+        values = rng.integers(0, universe, size=size).tolist()
+        for rank in keys + values:
+            if rank not in decoded:
+                decoded[rank] = shortlex_string(alphabet, rank)
+        table = {decoded[k]: decoded[v] for k, v in zip(keys, values)}
         models.append(MemorizerModel(alphabet, table, max_len))
     return models

@@ -126,3 +126,20 @@ def diagonalize_by_queries(models, alphabet, horizon) -> tuple[int, ...]:
             k += 1
         psi.append(k)
     return tuple(psi)
+
+
+def verify_diagonal_by_pairs(construction) -> bool:
+    """Reference for verify_diagonal: rebuild s_i, f0(s_i) and each candidate
+    below psi_i as Str objects and compare them with each covered model's
+    answer by Str equality, one pair at a time."""
+    k_models = len(construction.models)
+    for i in range(1, construction.horizon + 1):
+        s_i = construction.input_string(i)
+        target = construction.f0_of(i)
+        answers = [construction.models[j](s_i) for j in range(min(i, k_models))]
+        if any(ans == target for ans in answers):
+            return False
+        for rank in range(1, construction.psi[i - 1]):
+            if shortlex_string(construction.alphabet, rank - 1) not in answers:
+                return False
+    return True

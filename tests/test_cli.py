@@ -526,6 +526,17 @@ def test_diagonalize_budget_exit_5(tmp_path, capsys):
     assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 5
 
 
+def test_diagonalize_max_len_past_int64_ranks_exit_3(tmp_path, capsys):
+    # 2^71 - 1 strings of length <= 70: their ranks do not fit numpy's int64
+    doc = {"alphabet": {"size": 2}, "models": 3, "horizon": 10, "max_len": 70}
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 3
+    assert "max_len 70 gives 2361183241434822606847 strings" in capsys.readouterr().err
+    doc["max_len"] = 62  # 2^63 - 1 strings
+    out = tmp_path / "diag.csv"
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4 + 10
+
+
 # -------------------------------------------------------------- typical-set
 
 
@@ -691,3 +702,33 @@ def test_artifact_replays_from_its_own_header(tmp_path, command, doc):
     assert run([command, "--config", write_cfg(tmp_path, config, "b.json"),
                 "--seed", str(seed), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def run_captured(argv, capsys):
+    """(exit code, stdout, stderr) of one main call; a flag error exits by
+    SystemExit, as argparse does."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    calls = [
+        [command, "--config", write_cfg(tmp_path, PROPERTY_CONFIGS[command], f"{command}.json"),
+         "--seed", "3"]
+        for command in ("bounds", "diagonalize", "typical-set")
+    ]
+    calls.insert(2, ["sweep", "--config", "cfg.json", "--seed", "x"])  # a flag error
+    separate = []
+    for argv in calls:
+        cli._build_parser.cache_clear()  # a new parser, as in a new process
+        separate.append(run_captured(argv, capsys))
+    cli._build_parser.cache_clear()
+    together = [run_captured(argv, capsys) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == separate
+    assert [code for code, _, _ in together] == [0, 0, 2, 0]
+    assert "invalid int value: 'x'" in together[2][2]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallustat.core import Alphabet, count_upto, shortlex_string, strings_upto
+from hallustat.core import Alphabet, Str, count_upto, shortlex_string, strings_upto
 from hallustat.errors import BudgetExceeded, DomainError
 from hallustat.flrm import FlrmTrainer, MemorizerModel
 import hallustat.limits as limits
@@ -35,7 +36,12 @@ from hallustat.measures import (
 from hallustat.oracle import TrainingSequence
 from hallustat.shannon import SourceModel, smallest_high_mass_set
 
-from helpers import diagonalize_by_queries, nfl_per_sequence, uniform_support
+from helpers import (
+    diagonalize_by_queries,
+    nfl_per_sequence,
+    uniform_support,
+    verify_diagonal_by_pairs,
+)
 
 A2 = Alphabet(2)
 HALF_BOUND = CdfLowerBound((0.5,), 0.5)
@@ -522,19 +528,115 @@ def test_verify_catches_collision_and_nonminimality():
     assert not verify_diagonal(skipped)
 
 
-@pytest.mark.parametrize("seed, count, horizon, max_len", [
+DIAGONAL_INSTANCES = [
     (0, 0, 7, 6),      # no models
     (1, 20, 200, 6),
     (2, 50, 30, 6),    # more models than window strings
     (3, 12, 60, 3),    # window runs past every table key (15 strings of length <= 3)
     (4, 40, 300, 2),   # tables cover their whole universe
     (5, 30, 400, 4),
-])
+]
+
+
+@pytest.mark.parametrize("seed, count, horizon, max_len", DIAGONAL_INSTANCES)
 def test_diagonal_table_inversion_matches_queries(seed, count, horizon, max_len):
     models = random_table_models(A2, count, np.random.default_rng(seed), max_len=max_len)
     c = diagonalize(models, A2, horizon)
     assert c.psi == diagonalize_by_queries(models, A2, horizon)
     assert verify_diagonal(c)
+
+
+def tampered(c: DiagonalConstruction):
+    """c with one psi value moved by -1 (where it stays >= 1) or by +1: each
+    of the first 40 values, then about 20 spread over the rest, and the last.
+    Every recheck queries the models up to the moved value, so moving all of
+    the 400 values of the largest instance would take seconds."""
+    h = c.horizon
+    spread = set(range(min(h, 40))) | set(range(40, h, max(1, h // 20))) | {h - 1}
+    for i in sorted(spread):
+        p = c.psi[i]
+        for moved in (p - 1, p + 1):
+            if moved >= 1:
+                psi = c.psi[:i] + (moved,) + c.psi[i + 1:]
+                yield DiagonalConstruction(c.models, c.alphabet, c.horizon, psi)
+
+
+def assert_verdicts_match_pairs(c: DiagonalConstruction):
+    assert verify_diagonal(c) == verify_diagonal_by_pairs(c)
+    for bad in tampered(c):
+        assert verify_diagonal(bad) == verify_diagonal_by_pairs(bad), bad.psi
+
+
+@pytest.mark.parametrize("seed, count, horizon, max_len", DIAGONAL_INSTANCES)
+def test_verify_diagonal_matches_pairwise_recheck(seed, count, horizon, max_len):
+    models = random_table_models(A2, count, np.random.default_rng(seed), max_len=max_len)
+    assert_verdicts_match_pairs(diagonalize(models, A2, horizon))
+
+
+def test_verify_diagonal_matches_pairwise_recheck_on_black_boxes():
+    labeled = Alphabet(2, ("a", "b"))
+    models = (
+        lambda x: x,
+        lambda x: shortlex_string(A2, 1),
+        lambda x: Str(labeled, ()),  # over another alphabet: differs from every target
+        lambda x: None,
+        lambda x: shortlex_string(A2, len(x) + 2),
+    )
+    for horizon in (1, 4, 12):
+        psi = diagonalize_by_queries(models, A2, horizon)
+        c = DiagonalConstruction(models, A2, horizon, psi)
+        assert verify_diagonal(c)
+        assert_verdicts_match_pairs(c)
+    # The third model's empty answer does not exclude the empty string.
+    assert psi[2] == 1
+
+
+def test_verify_diagonal_accepts_equal_but_distinct_alphabet():
+    twin = Alphabet(2)
+    assert twin == A2 and twin is not A2
+    models = [
+        MemorizerModel(twin, {Str(twin, (0,) * n): Str(twin, ()) for n in range(4)}, 3),
+        MemorizerModel(twin, {Str(twin, ()): Str(twin, (1,))}, 0),
+    ]
+    c = diagonalize(models, A2, 10)
+    assert c.psi == diagonalize_by_queries(models, A2, 10)
+    assert verify_diagonal(c)
+    assert_verdicts_match_pairs(c)
+
+
+def test_verify_diagonal_queries_each_covered_pair_once():
+    count, horizon = 7, 25
+    models = random_table_models(A2, count, np.random.default_rng(11), max_len=3)
+    c = diagonalize(models, A2, horizon)
+    asked = Counter()
+
+    def counting(j, model):
+        def query(s):
+            asked[j, s] += 1
+            return model(s)
+        return query
+
+    wrapped = tuple(counting(j, model) for j, model in enumerate(models))
+    assert verify_diagonal(DiagonalConstruction(wrapped, A2, horizon, c.psi))
+    expected = {(j, shortlex_string(A2, i - 1)): 1
+                for i in range(1, horizon + 1) for j in range(min(i, count))}
+    assert asked == expected  # sum_i min(i, K) queries, each pair once
+    # psi_2 = 3 puts two candidates below it, but only one model answers on
+    # s_2: the recheck fails before asking anything.
+    asked.clear()
+    for psi_2 in (3, 100):
+        assert not verify_diagonal(DiagonalConstruction(wrapped[:1], A2, 2, (2, psi_2)))
+    assert not asked
+
+
+def test_diagonal_construction_checks_psi():
+    with pytest.raises(DomainError, match="psi holds 2 ranks"):
+        DiagonalConstruction((), A2, 3, (1, 1))
+    with pytest.raises(DomainError, match="psi holds 4 ranks"):
+        DiagonalConstruction((), A2, 3, (1, 1, 1, 1))
+    with pytest.raises(DomainError, match=">= 1"):
+        DiagonalConstruction((), A2, 3, (1, 0, 1))
+    assert DiagonalConstruction((), A2, 3, (1, 2, 1)).psi == (1, 2, 1)
 
 
 def test_diagonal_rejects_models_it_cannot_invert():
@@ -554,6 +656,40 @@ def test_random_table_models_diagonal():
         s_i = c.input_string(i)
         for j in range(min(i, 6)):
             assert models[j](s_i) != c.f0(s_i)
+
+
+def test_random_table_models_decode_each_rank_once(monkeypatch):
+    # The same rng calls in the same order as decoding every table entry, so
+    # the same tables; each distinct drawn rank is decoded once.
+    q3 = Alphabet(3)
+    universe = count_upto(q3, 2)
+    rng = np.random.default_rng(8)
+    expected, drawn = [], set()
+    for _ in range(40):
+        keys = rng.choice(universe, size=5, replace=False).tolist()
+        values = rng.integers(0, universe, size=5).tolist()
+        drawn.update(keys + values)
+        expected.append([(shortlex_string(q3, k), shortlex_string(q3, v))
+                         for k, v in zip(keys, values)])
+    decoded = []
+    monkeypatch.setattr(limits, "shortlex_string",
+                        lambda a, r: decoded.append(r) or shortlex_string(a, r))
+    models = random_table_models(q3, 40, np.random.default_rng(8), table_size=5, max_len=2)
+    assert [list(m.table.items()) for m in models] == expected
+    assert sorted(decoded) == sorted(drawn)
+
+
+def test_random_table_models_rejects_bad_sizes():
+    rng = np.random.default_rng(0)
+    for kwargs in ({"count": -1}, {"table_size": -1}, {"max_len": -1}):
+        args = {"count": 2, "table_size": 3, "max_len": 3} | kwargs
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            random_table_models(A2, rng=rng, **args)
+    # count_upto(A2, 63) = 2^64 - 1 ranks overflow int64; 62 gives 2^63 - 1.
+    with pytest.raises(DomainError, match="2\\^63"):
+        random_table_models(A2, 2, rng, max_len=63)
+    models = random_table_models(A2, 2, rng, max_len=62)
+    assert all(len(m.table) == 8 for m in models)
 
 
 def test_f0_outside_window_rejected():
