@@ -37,13 +37,17 @@ integer numerators per denominator: the rational exact_hp returns for the
 trained model. It builds no Str, trains nothing, and leaves the stream
 where generate_qualified leaves it.
 
-A coded trial decodes only short draws, those of length <= n̄ (the
-memorizer's threshold), into a dense seen-table over all count_upto(n̄)
-such strings; a longer draw is never memorized. It stops decoding training
-draws once the table is full. It reads each block of uniforms at its place
-in the PCG64 stream (one output is one double, and PCG64 jumps ahead in
-O(log n) steps), so the training draws after the table fills and the label
-draws are never drawn. Its HP comes from the seen-table's count per length
+A coded trial keeps a dense seen-table over all count_upto(n̄) strings of
+length <= n̄ (the memorizer's threshold), and decodes only the draws that
+can still change it. A longer draw is never memorized. A draw below the
+lowest level whose strings are not all seen lands on a seen string; a
+level with no sampling mass counts as full, since no draw lands there. So
+each chunk of training draws (512, then twice the last) decodes only the
+draws from that lowest open level up to n̄, and the trial stops once every
+level is full. It reads each block of uniforms at its place in the PCG64
+stream (one output is one double, and PCG64 jumps ahead in O(log n)
+steps), so the training draws after the table fills and the label draws
+are never drawn. Its HP comes from the seen-table's count per length
 through the same closed-form sum as the object path's, so the two paths
 agree bit for bit and neither draws evaluation samples. It leaves the
 stream where generate_qualified leaves it.
@@ -66,7 +70,7 @@ from .measures import FiniteSupport, LengthFactored
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 
 _FAST_CODE_LIMIT = 2**62
-_FIRST_CHUNK = 4096  # training draws decoded before the first fullness check
+_FIRST_CHUNK = 512  # training draws in the first chunk, the one decoded in full
 
 
 def derive_stream(master_seed: int, *branch: int):
@@ -248,6 +252,9 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
     The seen-table over lengths <= top <= max(n̄, 0) is bounded by the
     sample: n̄ >= 1 implies m > q^(n̄+1)*ln 2, so it holds at most
     count_upto(n̄) < q^(n̄+1) < 1.45*m entries; for n̄ <= 0 it holds one.
+    Training draws are read chunk by chunk; the first chunk decodes every
+    draw of length <= top, and each later one only those of length >= lo,
+    the lowest level that a draw can still add a string to.
     """
     # The stream is laid out as generate_qualified consumes it: training
     # lengths at [0, m), training offsets at [m, 2m), then m label draws
@@ -269,16 +276,24 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
     cut = cum[top]  # a draw has length <= top iff its u_len < cut
     tables = (cum[:top + 1], plan.base, plan.pow_f, plan.pow_i)
     seen = np.zeros(count_upto(plan.trainer.alphabet, top), dtype=bool)
-    full = False
+    # No draw can add a string of length < lo to seen: each such level is
+    # full or has no sampling mass. A draw has length >= lo iff its
+    # u_len >= low = cum[lo - 1].
+    lo, low = 0, 0.0
     start, chunk = 0, _FIRST_CHUNK
-    # With n̄ < 0 nothing is memorized; a full table cannot change.
-    while n_bar >= 0 and start < m and not full:
+    # With n̄ < 0 nothing is memorized.
+    while n_bar >= 0 and start < m:
+        while lo <= top and (cum[lo] == low
+                             or seen[plan.base[lo]:plan.base[lo] + plan.pow_i[lo]].all()):
+            low = cum[lo]
+            lo += 1
+        if lo > top:  # no later draw can change seen
+            break
         size = min(chunk, m - start)  # a longer read would run into the offsets
         u_len, u_off = read(start, size), read(m + start, size)
-        short = u_len < cut
-        train_codes, _ = kernels.sample_codes(u_len[short], u_off[short], *tables)
+        new = (low <= u_len) & (u_len < cut)
+        train_codes, _ = kernels.sample_codes(u_len[new], u_off[new], *tables)
         seen[train_codes] = True
-        full = bool(seen.all())
         start += chunk
         chunk *= 2
     read(3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m, 0)

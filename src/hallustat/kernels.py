@@ -6,8 +6,9 @@ size q: base[L] = number of strings shorter than L, code = base[L] + offset
 with offset in [0, q^L). Callers guarantee all codes fit below 2^62.
 
 The coded trial (evaluation._fast_trial) decodes only draws of length
-<= n̄, and stops decoding training draws once its seen-table is full; the
-table has count_upto(n̄) < 1.45*m entries for n̄ >= 1. It reads the
+<= n̄ at levels whose strings are not all seen yet, from the lowest such
+level up, and stops once no draw can add to its seen-table; the table has
+count_upto(n̄) < 1.45*m entries for n̄ >= 1. It reads the
 uniforms it passes here from its PCG64 stream by position, chunk by chunk,
 and skips the blocks it does not use. It draws no evaluation samples: its
 HP is a closed-form sum over the seen-table's count per length.

@@ -417,16 +417,24 @@ class DiagonalConstruction:
         return shortlex_string(self.alphabet, self.psi[i - 1] - 1)
 
     def f0(self, s: Str) -> Str:
+        """The diagonal map on a window string over the construction's
+        alphabet (the same object or an equal one)."""
+        if s.alphabet is not self.alphabet and s.alphabet != self.alphabet:
+            raise DomainError(f"f0 takes strings over {self.alphabet!r}, got one over "
+                              f"{s.alphabet!r}")
         return self.f0_of(shortlex_index(s) + 1)
 
 
 def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
-    """Bound the work of diagonalizing k_models models over `horizon` strings
-    by horizon * k_models model queries."""
+    """Bound the work of diagonalizing K = k_models models over H = `horizon`
+    strings by the queries verify_diagonal makes, sum_i min(i, K):
+    K(K+1)/2 + (H - K)K for K < H, else H(H+1)/2."""
+    k = min(k_models, horizon)
+    queries = k * (k + 1) // 2 + (horizon - k) * k
     check_budget(
-        "diagonalizing {} models over {} strings needs {} * {} model queries (budget {})",
-        (k_models, horizon, horizon, k_models, budget),
-        budget, 0, lambda: horizon * k_models,
+        "diagonalizing {} models over {} strings needs {} model queries (budget {})",
+        (k_models, horizon, queries, budget),
+        budget, 0, lambda: queries,
     )
 
 
@@ -439,8 +447,8 @@ def diagonalize(
     The models must be MemorizerModels over `alphabet`. Such a model answers
     its table entry on a string in its table and its default output on
     every other string, so the answers on the window come from inverting
-    the tables, without querying any model. The budget still bounds, by
-    horizon * K, the queries that verify_diagonal makes.
+    the tables, without querying any model. The budget still bounds the
+    sum_i min(i, K) queries that verify_diagonal makes.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")

@@ -516,14 +516,22 @@ def test_diagonalize_non_integer_field_exit_2(tmp_path, capsys, field):
 
 
 def test_diagonalize_budget_exit_5(tmp_path, capsys):
-    # 5 models over 30 strings: 150 model queries
+    # 5 models over 30 strings: sum_i min(i, 5) = 15 + 25 * 5 = 140 model
+    # queries
     doc = {"alphabet": {"size": 2}, "models": 5, "horizon": 30, "budget": 10}
     assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 5
-    assert "budget" in capsys.readouterr().err
-    doc["budget"] = 150
+    assert "needs 140 model queries (budget 10)" in capsys.readouterr().err
+    doc["budget"] = 140
     assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 0
-    doc["budget"] = 149
+    doc["budget"] = 139
     assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 5
+    # 50 models over 30 strings: the i-th string is asked of the first i
+    # models, 30 * 31 / 2 = 465 queries
+    doc = {"alphabet": {"size": 2}, "models": 50, "horizon": 30, "budget": 465}
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 0
+    doc["budget"] = 464
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 5
+    assert "needs 465 model queries (budget 464)" in capsys.readouterr().err
 
 
 def test_diagonalize_max_len_past_int64_ranks_exit_3(tmp_path, capsys):

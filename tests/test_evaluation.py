@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hallustat import kernels
 from hallustat.cli import main as cli_main
 from hallustat.core import (
     Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
@@ -27,7 +28,7 @@ from hallustat.evaluation import (
     sweep_csv,
     unmemorized_mass_lower_bound,
 )
-from hallustat.flrm import FlrmTrainer, MemorizerModel, train
+from hallustat.flrm import FlrmTrainer, MemorizerModel, threshold_length, train
 from hallustat.measures import (
     CdfLowerBound,
     FiniteSupport,
@@ -46,6 +47,7 @@ from hallustat.oracle import (
 from helpers import sample_batch_per_draw, uniform_support
 
 A2 = Alphabet(2)
+A3 = Alphabet(3)
 HALF_BOUND = CdfLowerBound((0.5,), 0.5)
 TRAINER = FlrmTrainer(A2, HALF_BOUND)
 RULES = [Echo(), Constant(Str(A2, ())), Constant(Str(A2, (1,))), IndexShift(0), IndexShift(3)]
@@ -318,9 +320,29 @@ def assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed):
 
 def never_full():
     # Lengths 0 and 3 have no mass, so a seen-table over lengths <= n̄ >= 3
-    # never fills, while every chunk still adds length-4 strings of mass
-    # 1/3200 each.
+    # never fills. The trial stops decoding once the other levels are full;
+    # each length-4 string has mass 1/3200.
     return LengthFactored(A2, (0.0, 0.5, 0.49, 0.0, 0.005), 0.5)
+
+
+def sparse_top():
+    # As never_full, but each length-4 string has mass 1/160 000: at n̄ = 4
+    # (m >= 6400) level 4 stays open, so the trial decodes up to m.
+    return LengthFactored(A2, (0.0, 0.5, 0.4999, 0.0, 0.0001), 0.5)
+
+
+def zero_mass_filled_out_of_order():
+    # Level 1 has no mass, and level 3 (mass 0.031 per string) fills long
+    # before level 2 (mass 0.0005 per string); n̄ = 0, 3 and 6 at m = 10,
+    # 1000 and 10^5.
+    return (FlrmTrainer(A2, CdfLowerBound((0.5, 0.5, 0.502, 0.75), 0.5)),
+            LengthFactored(A2, (0.5, 0.0, 0.002, 0.248), 0.5))
+
+
+def finite_q3():
+    # A q = 3 law that ends at length 4; n̄ = 3 at m = 10^5.
+    return (FlrmTrainer(A3, CdfLowerBound((0.1, 0.4, 0.8, 0.95, 1.0))),
+            LengthFactored(A3, (0.1, 0.3, 0.4, 0.15, 0.05)))
 
 
 def seven_strings():
@@ -333,26 +355,44 @@ def seven_strings():
 def test_fast_path_equals_general_path(rule, labeler):
     gt = GroundTruth(A2, rule)
     # Regimes of the coded trial's seen-table over lengths <= n̄, as
-    # (mu, m values, seeds):
+    # (trainer, mu, m values, seeds):
     regimes = (
         # it fills early (n̄ = 4 at m = 20 000);
-        (half_geometric(), (0, 1, 23, 150, 20_000), (0, 5)),
-        # it fills only in the second chunk (n̄ = 5 at m = 10^5);
-        (half_geometric(), (100_000,), (0,)),
-        # it never fills, and the last chunk is cut short at m (6400 and
-        # 30 001 are not multiples of 4096);
-        (never_full(), (23, 150, 6400, 30_001), (0, 5)),
+        (TRAINER, half_geometric(), (0, 1, 23, 150, 20_000), (0, 5)),
+        # it fills only in the fifth chunk (n̄ = 5 at m = 10^5);
+        (TRAINER, half_geometric(), (100_000,), (0,)),
+        # it never fills, but the levels with mass do;
+        (TRAINER, never_full(), (23, 150, 6400, 30_001), (0, 5)),
+        (TRAINER, never_full(), (100_000,), (0,)),
+        # a level with mass stays open, and the last chunk is cut short at m
+        # (6400 and 30 001 are not sums of chunks 512, 1024, ...);
+        (TRAINER, sparse_top(), (6400, 30_001), (0, 5)),
+        # a level without mass, and a level that fills before the one below;
+        (*zero_mass_filled_out_of_order(), (10, 1000), (0, 5)),
+        (*zero_mass_filled_out_of_order(), (100_000,), (0,)),
         # the law ends below n̄;
-        (seven_strings(), (150, 1000), (0, 5)),
+        (TRAINER, seven_strings(), (150, 1000), (0, 5)),
         # the sampling table ends at length 4, below n̄ = 5, but the law
         # does not: lengths 5 and up keep a mass of about 1e-20.
-        (LengthFactored(A2, (), 1e-4), (100_000,), (0,)),
+        (TRAINER, LengthFactored(A2, (), 1e-4), (100_000,), (0,)),
     )
-    for mu, ms, seeds in regimes:
-        assert build_fast_plan(TRAINER, mu, gt) is not None
+    for trainer, mu, ms, seeds in regimes:
+        assert build_fast_plan(trainer, mu, gt) is not None
         for m in ms:
             for seed in seeds:
-                assert_trial_equals_object_pipeline(TRAINER, mu, gt, m, labeler, seed)
+                assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed)
+
+
+@pytest.mark.parametrize("rule", [Echo(), Constant(Str(A3, ())), Constant(Str(A3, (2,))),
+                                  IndexShift(1)])
+@pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
+def test_fast_path_equals_general_path_on_a_finite_q3_law(rule, labeler):
+    trainer, mu = finite_q3()
+    gt = GroundTruth(A3, rule)
+    assert build_fast_plan(trainer, mu, gt) is not None
+    for m, seeds in ((0, (0, 5)), (7, (0, 5)), (1000, (0, 5)), (100_000, (0,))):
+        for seed in seeds:
+            assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed)
 
 
 def mixed_support(a, seed):
@@ -433,19 +473,65 @@ class RecordingReads:
         return self._rng.random(size)
 
 
-@pytest.mark.parametrize("mu, m, sizes", [
-    # Two training chunks of lengths and offsets fill the table; the last
+@pytest.mark.parametrize("trainer, mu, m, sizes", [
+    # Five training chunks of lengths and offsets fill the table; the last
     # read only moves the stream.
-    (half_geometric(), 100_000, [4096, 4096, 8192, 8192, 0]),
-    # The fourth chunk is cut to the 1329 draws left before m.
-    (never_full(), 30_001, [4096, 4096, 8192, 8192, 16384, 16384, 1329, 1329, 0]),
-    (seven_strings(), 10**6, [4096, 4096, 0]),
-], ids=["fills-in-second-chunk", "never-full", "fills-in-first-chunk"])
-def test_coded_trial_reads_only_the_blocks_it_uses(mu, m, sizes):
+    (TRAINER, half_geometric(), 100_000,
+     [512, 512, 1024, 1024, 2048, 2048, 4096, 4096, 8192, 8192, 0]),
+    # The table never fills, but its levels with mass do.
+    (TRAINER, never_full(), 30_001,
+     [512, 512, 1024, 1024, 2048, 2048, 4096, 4096, 8192, 8192, 0]),
+    # Level 4 stays open: the sixth chunk is cut to the 14 129 draws left
+    # before m.
+    (TRAINER, sparse_top(), 30_001,
+     [512, 512, 1024, 1024, 2048, 2048, 4096, 4096, 8192, 8192, 14129, 14129, 0]),
+    # Level 1 has no mass and never fills, yet the trial stops.
+    (*zero_mass_filled_out_of_order(), 100_000,
+     [512, 512, 1024, 1024, 2048, 2048, 4096, 4096, 8192, 8192, 0]),
+    (TRAINER, seven_strings(), 10**6, [512, 512, 0]),
+], ids=["fills-in-fifth-chunk", "never-full", "open-until-m", "zero-mass-level",
+        "fills-in-first-chunk"])
+def test_coded_trial_reads_only_the_blocks_it_uses(trainer, mu, m, sizes):
     for labeler in Labeler:
         rng = RecordingReads(derive_stream(3, 0))
-        run_trial(TRAINER, mu, GroundTruth(A2, Echo()), m, labeler, rng, mc_samples=2000)
+        run_trial(trainer, mu, GroundTruth(A2, Echo()), m, labeler, rng, mc_samples=2000)
         assert rng.sizes == sizes
+
+
+def test_coded_trial_decodes_no_draw_below_its_lowest_open_level(monkeypatch):
+    # After the first chunk, a chunk decodes no draw from a level that was
+    # full, along with every level below it, when the chunk began; levels
+    # without mass count as full. Once every level is full it decodes
+    # nothing more.
+    calls = []
+    sample_codes = kernels.sample_codes
+
+    def recording(u_len, u_off, *tables):
+        codes, lengths = sample_codes(u_len, u_off, *tables)
+        calls.append((codes.tolist(), lengths.tolist()))
+        return codes, lengths
+
+    monkeypatch.setattr(kernels, "sample_codes", recording)
+    cases = [(TRAINER, half_geometric(), 100_000), (TRAINER, never_full(), 30_001),
+             (TRAINER, sparse_top(), 30_001), (*zero_mass_filled_out_of_order(), 1000),
+             (*zero_mass_filled_out_of_order(), 100_000), (*finite_q3(), 100_000)]
+    for trainer, mu, m in cases:
+        q = mu.alphabet.size
+        top = min(threshold_length(m, mu.alphabet, trainer.bound), mu.max_sample_length)
+        for labeler in Labeler:
+            calls.clear()
+            assert_trial_equals_object_pipeline(trainer, mu, GroundTruth(mu.alphabet, Echo()),
+                                                m, labeler, 0)
+            assert len(calls) > 1
+            seen = {}
+            for k, (codes, lengths) in enumerate(calls):
+                if k:
+                    lo = next((n for n in range(top + 1)
+                               if mu._length_prob(n) > 0 and len(seen.get(n, ())) < q**n),
+                              None)
+                    assert lo is not None and min(lengths, default=lo) >= lo
+                for code, n in zip(codes, lengths):
+                    seen.setdefault(n, set()).add(code)
 
 
 def test_coded_trial_memory_is_bounded_by_what_it_reads():

@@ -700,9 +700,18 @@ def test_f0_outside_window_rejected():
         c.f0_of(0)
 
 
+def test_f0_rejects_strings_over_another_alphabet():
+    c = diagonalize([], A2, 5)
+    with pytest.raises(DomainError, match="f0 takes strings over"):
+        c.f0(Str(Alphabet(3), (2,)))  # rank 3, inside the window
+    with pytest.raises(DomainError):
+        c.f0(Str(Alphabet(2, ("a", "b")), (0,)))
+    assert c.f0(Str(Alphabet(2), (0, 0))) == c.f0_of(4)  # an equal, distinct alphabet
+
+
 def test_diagonal_budget_enforced():
     models = [MemorizerModel(A2) for _ in range(5)]
     with pytest.raises(BudgetExceeded) as err:
-        diagonalize(models, A2, 30, budget=149)
-    assert err.value.required == 150
-    assert diagonalize(models, A2, 30, budget=150).horizon == 30
+        diagonalize(models, A2, 30, budget=139)
+    assert err.value.required == 140  # sum_i min(i, 5) over 30 strings
+    assert diagonalize(models, A2, 30, budget=140).horizon == 30
