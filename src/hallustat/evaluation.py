@@ -15,8 +15,9 @@ sum over n <= max(n̄, 0) of w_n * p(n) * q^-n, plus the mass of the longer
 lengths when their empty default output is unacceptable, plus one term per
 override longer than that, where w_n is the integer count of length-n
 strings the memorizer answers wrongly. Every other predictor gets a Monte
-Carlo estimate (mc_hp), which evaluates each distinct draw once, weighted by
-its count.
+Carlo estimate (mc_hp): it draws through mu.sample_distinct, counts each
+distinct draw with np.bincount, and evaluates it once, weighted by that
+count.
 
 run_trial is the one place a trial picks its path, from the instance, never
 from the caller. build_fast_plan returns a plan for the common experiment
@@ -25,11 +26,12 @@ memorizer, codes below 2^62); such trials run on int64 shortlex codes
 through the array kernels, on the same uniform stream as generate_qualified
 would consume. A threshold memorizer on a finite support (law, trainer and
 ground truth on one alphabet) runs the atom trial, on atom indices. Every
-other instance runs on Str objects: generate_qualified, the trainer,
-evaluate_hp.
+other instance runs on Str objects: generate_qualified, which builds one
+Str per distinct draw and one pair tuple per distinct (input, output) pair
+and repeats them by index, then the trainer and evaluate_hp.
 
 An atom trial draws the atom indices from the uniforms generate_qualified
-would read, through the sampler FiniteSupport.sample_batch uses, and marks
+would read, through the sampler FiniteSupport.sample_distinct uses, and marks
 them in a seen-array. Every training pair is qualified, so the memorizer
 errs exactly on the atoms whose acceptable set lacks the empty output and
 that were not drawn at length <= n̄. The trial sums their masses with
@@ -136,8 +138,9 @@ def exact_hp(predict, mu, gt: GroundTruth) -> HallucinationReport:
 def mc_hp(predict, mu, gt: GroundTruth, n_samples: int, confidence: float, rng) -> HallucinationReport:
     """Monte Carlo estimate with a distribution-free Hoeffding half-width."""
     halfwidth = hoeffding_halfwidth(n_samples, confidence)
-    counts = Counter(mu.sample_batch(rng, n_samples))
-    wrong = sum(c for s, c in counts.items() if not gt.accepts(s, predict(s)))
+    strings, inverse = mu.sample_distinct(rng, n_samples)
+    counts = np.bincount(inverse, minlength=len(strings)).tolist()
+    wrong = sum(c for s, c in zip(strings, counts) if not gt.accepts(s, predict(s)))
     return HallucinationReport(
         estimate=wrong / n_samples,
         method="monte_carlo",
@@ -312,7 +315,7 @@ def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int
     """Exact HP of one memorizer trial on a finite support, from the indices
     of the drawn atoms: float of the rational exact_hp returns for the
     trained model. mode is _empty_mode of the default rule."""
-    drawn = mu._atom_indices(rng.random(m))  # the uniforms sample_batch reads
+    drawn = mu._atom_indices(rng.random(m))  # the uniforms sample_distinct reads
     if labeler is Labeler.UNIFORM_ACCEPTABLE:
         rng.random(m)  # the label draws: leave the stream where generate_qualified does
     lengths, numerators, groups, index = mu._atom_tables

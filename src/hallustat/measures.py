@@ -16,10 +16,12 @@ rather than sampled.
 Sampling consumes a fixed number of uniforms per draw: two for LengthFactored
 (length, then offset within the level), one for FiniteSupport. Batch
 draws consume whole uniform arrays in that order, so alternative samplers
-sharing the uniform stream reproduce draws bit for bit. Repeated draws of one
-string share one Str: LengthFactored decodes each batch into int shortlex
-codes with numpy and builds one Str per distinct code (levels of q^n >= 2^62
-decode one draw at a time, exactly).
+sharing the uniform stream reproduce draws bit for bit. Both laws sample
+through one index sampler, sample_distinct, which returns the distinct
+strings drawn and, per draw, the index of its string; sample_batch is that
+expansion. FiniteSupport dedupes atom indices; LengthFactored dedupes int
+shortlex codes with numpy, and draws at levels of q^n >= 2^62 by their exact
+(length, offset), so it builds one Str per distinct string drawn.
 """
 
 from __future__ import annotations
@@ -196,13 +198,19 @@ class FiniteSupport:
 
     def _atom_indices(self, u) -> np.ndarray:
         """The atom index each uniform draws, by inverse CDF: the one sampler
-        behind sample_batch and the atom trial."""
+        behind sample_distinct and the atom trial."""
         idx = np.searchsorted(self._sampling_cum, u, side="right")
         return np.minimum(idx, len(self.atoms) - 1)
 
-    def sample_batch(self, rng, size: int) -> list[Str]:
+    def sample_distinct(self, rng, size: int) -> tuple[list[Str], np.ndarray]:
+        """(strings, inverse): the distinct atoms among size draws, in atom
+        order, and the index into strings of each draw."""
+        keys, inverse = np.unique(self._atom_indices(rng.random(size)), return_inverse=True)
         atoms = self.atoms
-        return [atoms[i][0] for i in self._atom_indices(rng.random(size)).tolist()]
+        return [atoms[i][0] for i in keys.tolist()], inverse
+
+    def sample_batch(self, rng, size: int) -> list[Str]:
+        return _expand(*self.sample_distinct(rng, size))
 
 
 @dataclass(frozen=True)
@@ -339,7 +347,10 @@ class LengthFactored:
             return table[n]
         return 1.0 - self.defect(n)
 
-    def sample_batch(self, rng, size: int) -> list[Str]:
+    def sample_distinct(self, rng, size: int) -> tuple[list[Str], np.ndarray]:
+        """(strings, inverse): the distinct strings among size draws and the
+        index into strings of each draw. Strings below the 2^62 levels come
+        first, in shortlex order; longer ones follow in order of first draw."""
         u_len = rng.random(size)
         u_off = rng.random(size)
         lengths = np.searchsorted(self._sampling_cum, u_len, side="right")
@@ -349,18 +360,28 @@ class LengthFactored:
         # floor(u * q^n) through the float q^n, clamped with the exact one
         offs = np.minimum((u_off[small] * level[n].astype(np.float64)).astype(np.int64),
                           level[n] - 1)
-        keys, inverse = np.unique(base[n] + offs, return_inverse=True)
+        keys, inverse_small = np.unique(base[n] + offs, return_inverse=True)
         key_lengths = np.searchsorted(base, keys, side="right") - 1
-        distinct = [self._decode(off, length) for off, length in
-                    zip((keys - base[key_lengths]).tolist(), key_lengths.tolist())]
-        out = np.empty(size, dtype=object)
-        out[small] = np.fromiter(distinct, dtype=object, count=len(distinct))[inverse]
-        for i in np.flatnonzero(~small).tolist():  # exact, one draw at a time
-            length = int(lengths[i])
-            size_n = self.alphabet.size**length
-            out[i] = self._decode(min(int(Fraction(float(u_off[i])) * size_n), size_n - 1),
-                                  length)
-        return out.tolist()
+        strings = [self._decode(off, length) for off, length in
+                   zip((keys - base[key_lengths]).tolist(), key_lengths.tolist())]
+        inverse = np.empty(size, dtype=np.intp)
+        inverse[small] = inverse_small
+        large = np.flatnonzero(~small)
+        first = {}  # (length, offset) -> index into strings
+        inverse_large = []
+        q = self.alphabet.size
+        for length, u in zip(lengths[large].tolist(), u_off[large].tolist()):
+            size_n = q**length  # exact, one draw at a time
+            key = (length, min(int(Fraction(u) * size_n), size_n - 1))
+            if key not in first:
+                first[key] = len(strings)
+                strings.append(self._decode(key[1], length))
+            inverse_large.append(first[key])
+        inverse[large] = inverse_large
+        return strings, inverse
+
+    def sample_batch(self, rng, size: int) -> list[Str]:
+        return _expand(*self.sample_distinct(rng, size))
 
     def _decode(self, off: int, n: int) -> Str:
         """The string of length n at lexicographic offset off."""
@@ -369,6 +390,12 @@ class LengthFactored:
         for j in range(n - 1, -1, -1):
             off, syms[j] = divmod(off, q)
         return Str(self.alphabet, tuple(syms))
+
+
+def _expand(strings: list[Str], inverse: np.ndarray) -> list[Str]:
+    """The draws in order, strings[i] for each i in inverse; repeated draws
+    of one string share its Str."""
+    return np.fromiter(strings, dtype=object, count=len(strings))[inverse].tolist()
 
 
 def dominates(dist: FiniteSupport | LengthFactored, bound: CdfLowerBound) -> bool:

@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .core import Alphabet, Str, shortlex_index, shortlex_string
 from .errors import DomainError
 
@@ -124,25 +126,34 @@ def generate_qualified(
     """m i.i.d. inputs from mu, each labeled with an acceptable output.
 
     Canonical labeling is deterministic given the inputs; the uniform labeler
-    consumes one extra uniform array of length m after the input draws.
+    consumes one extra uniform array of length m after the input draws, and
+    draw i takes output min(int(u_i * k), k - 1) of its k acceptable ones.
+    The inputs come from mu.sample_distinct, and one pair tuple is built per
+    distinct input and output it may take: draws of one input with one label
+    share their pair.
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    inputs = mu.sample_batch(rng, m)
+    strings, inverse = mu.sample_distinct(rng, m)
     if labeler is Labeler.CANONICAL:
-        label = {s: gt.canonical(s) for s in set(inputs)}
-        pairs = tuple(zip(inputs, map(label.__getitem__, inputs)))
+        pairs = _objects([(s, gt.canonical(s)) for s in strings])[inverse]
     elif labeler is Labeler.UNIFORM_ACCEPTABLE:
         u = rng.random(m)
-        acceptable = {s: gt.acceptable(s) for s in set(inputs)}
-        pairs = []
-        for s, u_i in zip(inputs, u.tolist()):
-            acc = acceptable[s]
-            pairs.append((s, acc[min(int(u_i * len(acc)), len(acc) - 1)]))
-        pairs = tuple(pairs)
+        acceptable = [gt.acceptable(s) for s in strings]
+        # pair j of input i sits at first[i] + j in the flat pair table
+        counts = np.fromiter(map(len, acceptable), dtype=np.int64, count=len(strings))
+        first = np.cumsum(counts) - counts
+        table = _objects([(s, y) for s, acc in zip(strings, acceptable) for y in acc])
+        k = counts[inverse]
+        pairs = table[first[inverse] + np.minimum((u * k).astype(np.int64), k - 1)]
     else:
         raise DomainError(f"unsupported labeler {labeler!r}")
-    return TrainingSequence(pairs)
+    return TrainingSequence(tuple(pairs.tolist()))
+
+
+def _objects(items: list) -> np.ndarray:
+    """A 1-d object array holding items themselves, tuples included."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def is_qualified(t: TrainingSequence, gt: GroundTruth) -> bool:

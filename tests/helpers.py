@@ -1,5 +1,6 @@
 """Shared constructors and brute-force references for the tests."""
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 from hallustat.core import Str, shortlex_string
 from hallustat.limits import NflReport, TailCheck, general_lambda_t
 from hallustat.measures import FiniteSupport
-from hallustat.oracle import TrainingSequence
+from hallustat.oracle import Labeler, TrainingSequence
 
 
 def uniform_support(members) -> FiniteSupport:
@@ -26,8 +27,15 @@ def product_probs(pmf, m):
 
 
 def sample_batch_per_draw(dist, rng, size):
-    """Reference for LengthFactored.sample_batch: the same two uniform arrays,
-    decoded one draw at a time in Python ints, one new Str per draw."""
+    """Reference for sample_batch: the same uniform arrays, decoded one draw
+    at a time in Python ints, one new Str per draw. A FiniteSupport reads one
+    uniform per draw and bisects its cumulative masses; a LengthFactored
+    reads the lengths' uniforms, then the offsets'."""
+    if isinstance(dist, FiniteSupport):
+        cum = dist._sampling_cum.tolist()
+        last = len(dist.atoms) - 1
+        return [Str(dist.alphabet, dist.atoms[min(bisect.bisect_right(cum, u), last)][0].symbols)
+                for u in rng.random(size).tolist()]
     u_len = rng.random(size)
     u_off = rng.random(size)
     lengths = np.searchsorted(dist._sampling_cum, u_len, side="right")
@@ -46,6 +54,21 @@ def sample_batch_per_draw(dist, rng, size):
             off, syms[j] = divmod(off, q)
         out.append(Str(dist.alphabet, tuple(syms)))
     return out
+
+
+def generate_qualified_per_draw(mu, gt, m, labeler, rng) -> TrainingSequence:
+    """Reference for generate_qualified: the inputs from sample_batch_per_draw,
+    each labeled on its own, with a new pair tuple per draw. The uniform
+    labeler reads one more uniform per draw and takes output
+    min(int(u * k), k - 1) of the k acceptable ones."""
+    inputs = sample_batch_per_draw(mu, rng, m)
+    if labeler is Labeler.CANONICAL:
+        return TrainingSequence(tuple((x, gt.canonical(x)) for x in inputs))
+    pairs = []
+    for x, u in zip(inputs, rng.random(m).tolist()):
+        acc = gt.acceptable(x)
+        pairs.append((x, acc[min(int(u * len(acc)), len(acc) - 1)]))
+    return TrainingSequence(tuple(pairs))
 
 
 def nfl_per_sequence(inst, lambda_h_grid=(Fraction(1, 8), Fraction(1, 4))) -> NflReport:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,25 @@ def test_mc_hp_asks_each_distinct_draw_once():
 def test_exact_hp_rejects_infinite_support():
     with pytest.raises(DomainError):
         exact_hp(lambda x: x, half_geometric(), GroundTruth(A2, Echo()))
+
+
+@pytest.mark.parametrize("mu", [
+    LengthFactored(A3, (0.2, 0.0, 0.3), 0.5),
+    FiniteSupport(tuple((shortlex_string(A3, r), Fraction(r + 1, 55)) for r in range(10))),
+], ids=["length_factored", "finite_support"])
+def test_mc_hp_matches_per_draw_counter(mu):
+    # counting by index over distinct draws, as a Counter over every draw would
+    gt = GroundTruth(A3, Echo(), overrides=((Str(A3, (2,)), (Str(A3, ()), Str(A3, (1,)))),))
+    model = train(generate_qualified(mu, gt, 40, Labeler.UNIFORM_ACCEPTABLE, derive_stream(6, 0)),
+                  A3, CdfLowerBound((0.2,), 0.5))
+    rng = derive_stream(6, 1)
+    rep = mc_hp(model, mu, gt, 4000, 0.95, rng)
+    ref = derive_stream(6, 1)
+    counts = Counter(sample_batch_per_draw(mu, ref, 4000))
+    wrong = sum(c for x, c in counts.items() if not gt.accepts(x, model(x)))
+    assert 0 < wrong < 4000
+    assert rep.estimate == wrong / 4000
+    assert rng.random() == ref.random()
 
 
 def test_mc_hp_matches_exact_within_halfwidth():

@@ -265,6 +265,64 @@ def test_sample_batch_matches_per_draw_reference(d):
     assert len(shared) < len(draws)
 
 
+class _ScriptedRng:
+    """Stands in for a generator: random(size) returns the next scripted
+    array of uniforms, so draws repeat at will."""
+
+    def __init__(self, *arrays):
+        self.arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+
+    def random(self, size):
+        out = self.arrays.pop(0)
+        assert out.size == size
+        return out
+
+
+DISTINCT_LAWS = [
+    half_geometric(),
+    LengthFactored(Alphabet(3), (), 0.5),
+    long_levels_26(),
+    FiniteSupport(((Str(A2, ()), Fraction(1, 2)), (Str(A2, (0,)), Fraction(0)),
+                   (Str(A2, (1, 1)), Fraction(1, 3)), (Str(A2, (1,) * 70), Fraction(1, 6)))),
+]
+DISTINCT_IDS = ["q2", "q3", "q26-long-levels", "finite"]
+
+
+@pytest.mark.parametrize("d", DISTINCT_LAWS, ids=DISTINCT_IDS)
+def test_sample_distinct_expands_to_per_draw_reference(d):
+    rng = np.random.default_rng(23)
+    strings, inverse = d.sample_distinct(rng, 3000)
+    assert len(set(strings)) == len(strings) < 3000
+    assert [strings[i] for i in inverse.tolist()] == sample_batch_per_draw(
+        d, np.random.default_rng(23), 3000)
+    assert sorted(set(inverse.tolist())) == list(range(len(strings)))
+    ref = np.random.default_rng(23)
+    ref.random(3000 if isinstance(d, FiniteSupport) else 6000)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("d", DISTINCT_LAWS, ids=DISTINCT_IDS)
+def test_sample_distinct_zero_consumes_nothing(d):
+    rng = np.random.default_rng(9)
+    strings, inverse = d.sample_distinct(rng, 0)
+    assert strings == [] and inverse.size == 0
+    assert rng.random() == np.random.default_rng(9).random()
+
+
+def test_sample_distinct_dedupes_draws_at_exact_levels():
+    # u_len 0.85 and 0.97 draw lengths 15 and 17, where 26^n >= 2^62; both
+    # repeat with offset 0, and so does the short draw at u_len = 0.1
+    d = long_levels_26()
+    u_len = [0.1, 0.85, 0.97, 0.85, 0.1, 0.97]
+    u_off = [0.4, 0.0, 0.0, 0.0, 0.4, 0.0]
+    strings, inverse = d.sample_distinct(_ScriptedRng(u_len, u_off), 6)
+    assert inverse.tolist() == [0, 1, 2, 1, 0, 2]
+    assert len(strings[0]) < 14
+    assert strings[1:] == [Str(Alphabet(26), (0,) * 15), Str(Alphabet(26), (0,) * 17)]
+    assert d.sample_batch(_ScriptedRng(u_len, u_off), 6) == sample_batch_per_draw(
+        d, _ScriptedRng(u_len, u_off), 6)
+
+
 def test_sample_batch_long_levels_take_exact_branch():
     d = long_levels_26()
     assert 26**13 < 2**62 < 26**14

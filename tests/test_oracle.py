@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hallustat.core import Alphabet, Str, empty_string, shortlex_index, shortlex_string
 from hallustat.errors import DomainError
-from hallustat.measures import LengthFactored
+from hallustat.measures import FiniteSupport, LengthFactored
 from hallustat.oracle import (
     Constant,
     Echo,
@@ -15,7 +17,7 @@ from hallustat.oracle import (
     is_qualified,
 )
 
-from helpers import uniform_support
+from helpers import generate_qualified_per_draw, uniform_support
 
 A2 = Alphabet(2)
 
@@ -159,3 +161,64 @@ def test_m_zero_produces_empty_sequence():
     gt = GroundTruth(A2, Echo())
     t = generate_qualified(mu, gt, 0, Labeler.CANONICAL, np.random.default_rng(0))
     assert len(t) == 0
+
+
+def _top_level(q):
+    """The shortest length whose level q^n reaches 2^62."""
+    n = 0
+    while q**n < 2**62:
+        n += 1
+    return n
+
+
+def _law(kind, alphabet):
+    """A law with a zero-mass level or atom and mass at a level >= 2^62."""
+    top = _top_level(alphabet.size)
+    if kind == "length_factored":
+        # no mass at length 1, lengths 4 .. top - 1; 0.25 at top and above
+        return LengthFactored(alphabet, (0.3, 0.0, 0.25, 0.2) + (0.0,) * (top - 4) + (0.05,), 0.5)
+    strings = [(), (0,), (1,), (0, 0), (1,) * top, (0,) * (top + 1)]
+    masses = [Fraction(1, 4), Fraction(0), Fraction(1, 4), Fraction(1, 4), Fraction(1, 8),
+              Fraction(1, 8)]
+    return FiniteSupport(tuple((Str(alphabet, x), p) for x, p in zip(strings, masses)))
+
+
+def _ground_truth(rule, alphabet):
+    """rule's default with overrides whose acceptable sets hold 1, 2 and 3
+    outputs; one override key lies at a level >= 2^62."""
+    def t(*symbols):
+        return Str(alphabet, symbols)
+
+    default = {"echo": Echo(), "index_shift": IndexShift(3), "constant": Constant(t(1, 0))}[rule]
+    long_key = t(*(1,) * _top_level(alphabet.size))
+    overrides = ((t(), (t(0), t(1), t(0, 0))), (t(1), (t(), t(1, 1))), (t(0, 0), (t(1),)),
+                 (long_key, (t(), t(0))))
+    return GroundTruth(alphabet, default, overrides)
+
+
+@pytest.mark.parametrize("labeler", list(Labeler), ids=lambda lab: lab.value)
+@pytest.mark.parametrize("rule", ["echo", "index_shift", "constant"])
+@pytest.mark.parametrize("law", ["length_factored", "finite_support"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_generate_qualified_matches_per_draw_reference(q, law, rule, labeler):
+    alphabet = Alphabet(q)
+    mu = _law(law, alphabet)
+    gt = _ground_truth(rule, alphabet)
+    for m in (0, 1, 7, 300, 5000):
+        rng = np.random.default_rng(m + q)
+        t = generate_qualified(mu, gt, m, labeler, rng)
+        ref_rng = np.random.default_rng(m + q)
+        assert t.pairs == generate_qualified_per_draw(mu, gt, m, labeler, ref_rng).pairs
+        assert rng.random() == ref_rng.random()  # the stream ends where it did
+
+
+@pytest.mark.parametrize("labeler", list(Labeler), ids=lambda lab: lab.value)
+def test_generated_pairs_are_shared_per_distinct_pair(labeler):
+    # one pair tuple per (input, output), however often it is drawn
+    mu = LengthFactored(Alphabet(3), (), 0.5)
+    gt = _ground_truth("index_shift", Alphabet(3))
+    t = generate_qualified(mu, gt, 5000, labeler, np.random.default_rng(4))
+    distinct = set(t.pairs)
+    assert len({id(pair) for pair in t.pairs}) <= len(distinct) < len(t.pairs) // 10
+    assert len({y for x, y in distinct if x == empty_string(Alphabet(3))}) == (
+        3 if labeler is Labeler.UNIFORM_ACCEPTABLE else 1)
