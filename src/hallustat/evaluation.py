@@ -28,7 +28,8 @@ would consume. A threshold memorizer on a finite support (law, trainer and
 ground truth on one alphabet) runs the atom trial, on atom indices. Every
 other instance runs on Str objects: generate_qualified, which builds one
 Str per distinct draw and one pair tuple per distinct (input, output) pair
-and repeats them by index, then the trainer and evaluate_hp.
+and repeats them by index, then the trainer (a memorizer reads only the
+sequence's last_outputs(), one entry per distinct input) and evaluate_hp.
 
 An atom trial draws the atom indices from the uniforms generate_qualified
 would read, through the sampler FiniteSupport.sample_distinct uses, and marks

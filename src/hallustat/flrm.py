@@ -76,9 +76,10 @@ class MemorizerModel:
 
 def train(t: TrainingSequence, alphabet: Alphabet, bound: CdfLowerBound) -> MemorizerModel:
     n_bar = threshold_length(len(t), alphabet, bound)
-    # dict keeps each key's first place and last value, as a loop of
-    # overwrites would.
-    table = {s: y for s, y in dict(t).items() if len(s) <= n_bar}
+    # last_outputs() is dict(t.pairs): each input at its first place with
+    # its last output, as a loop of overwrites would leave it, built once
+    # per distinct input, not once per pair.
+    table = {s: y for s, y in t.last_outputs().items() if len(s) <= n_bar}
     return MemorizerModel(alphabet, table, n_bar)
 
 

@@ -22,6 +22,14 @@ strings drawn and, per draw, the index of its string; sample_batch is that
 expansion. FiniteSupport dedupes atom indices; LengthFactored dedupes int
 shortlex codes with numpy, and draws at levels of q^n >= 2^62 by their exact
 (length, offset), so it builds one Str per distinct string drawn.
+
+Both invert a float cumulative table. LengthFactored bisects its lengths'
+table with np.searchsorted. FiniteSupport looks each uniform up in an exact
+guide table (Chen & Asau 1974) over 2^B >= len(atoms) equal buckets, then
+bisects only within its bucket: the atom it returns is the one
+np.searchsorted over the cumulative masses returns, draw for draw, in a few
+steps instead of log2(len(atoms)). Its cumulative table is exactly 1.0 from
+the last atom of positive mass on, so no zero-mass atom is ever drawn.
 """
 
 from __future__ import annotations
@@ -160,9 +168,29 @@ class FiniteSupport:
 
     @cached_property
     def _sampling_cum(self):
+        """Float cumulative masses in atom order, exactly 1.0 from the last
+        atom of positive mass on: a uniform below 1 never reaches past that
+        atom, so it never draws a zero-mass atom after it, however the float
+        sums round."""
         cum = np.cumsum([float(p) for _, p in self.atoms])
-        cum[-1] = 1.0
+        last = len(self.atoms) - 1
+        while not self.atoms[last][1]:
+            last -= 1
+        cum[last:] = 1.0
         return cum
+
+    @cached_property
+    def _guide_table(self):
+        """(scale, start, steps) for _atom_indices: an exact guide table
+        (Chen & Asau 1974) over 2^B >= len(atoms) equal buckets of [0, 1).
+        start[b] is np.searchsorted(cum, b / 2^B, side="right"), so a uniform
+        in bucket b draws an atom in [start[b], start[b + 1]]; steps is the
+        number of bisection steps that settles the widest bucket,
+        ceil(log2(widest + 1))."""
+        buckets = 1 << (len(self.atoms) - 1).bit_length()
+        edges = np.arange(buckets + 1) / buckets  # exact: buckets is a power of two
+        start = np.searchsorted(self._sampling_cum, edges, side="right")
+        return float(buckets), start, int(np.diff(start).max()).bit_length()
 
     @cached_property
     def _atom_tables(self):
@@ -196,11 +224,30 @@ class FiniteSupport:
         """1 - length_cdf(n), exactly: the mass of the atoms longer than n."""
         return 1 - self.length_cdf(n)
 
-    def _atom_indices(self, u) -> np.ndarray:
-        """The atom index each uniform draws, by inverse CDF: the one sampler
-        behind sample_distinct and the atom trial."""
-        idx = np.searchsorted(self._sampling_cum, u, side="right")
-        return np.minimum(idx, len(self.atoms) - 1)
+    def _atom_indices(self, u: np.ndarray) -> np.ndarray:
+        """The atom index each uniform in [0, 1) draws, by inverse CDF: the
+        one sampler behind sample_distinct and the atom trial.
+
+        It equals np.searchsorted(cum, u, side="right") on the cumulative
+        masses, draw for draw, at a cost per draw of at most _guide_table's
+        steps, not log2(len(atoms)). The bucket int(u * 2^B) is exact, since
+        scaling by a power of two never rounds, and bounds the answer by
+        start[b] and start[b + 1]; bisection settles it within them.
+        """
+        scale, start, steps = self._guide_table
+        cum = self._sampling_cum
+        bucket = (u * scale).astype(np.intp)
+        lo = start[bucket]
+        if steps > 1:
+            hi = start[1:][bucket]
+            for _ in range(steps - 1):
+                mid = (lo + hi) >> 1
+                up = cum[mid] <= u
+                lo = np.where(up, mid + 1, lo)
+                hi = np.where(up, hi, mid)
+        if steps:
+            lo += cum[lo] <= u  # hi - lo <= 1 now, and lo < len(cum) since u < 1
+        return lo
 
     def sample_distinct(self, rng, size: int) -> tuple[list[Str], np.ndarray]:
         """(strings, inverse): the distinct atoms among size draws, in atom

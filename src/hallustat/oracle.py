@@ -9,8 +9,10 @@ for s; generators here produce qualified pairs by construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,15 +111,28 @@ class Labeler(enum.Enum):
 
 @dataclass(frozen=True)
 class TrainingSequence:
-    """Ordered (input, output) pairs; order matters to the memorizer."""
+    """Ordered (input, output) pairs; order matters to the memorizer.
+
+    last_outputs() is exactly dict(pairs), read-only: each distinct input
+    once, in the order of its first pair, mapped to the output of its last
+    pair. generate_qualified fills it from the distinct pairs it draws, so
+    no pair is hashed; for any other sequence it is built from the pairs on
+    first use. Either way it is computed once per sequence.
+    """
 
     pairs: tuple[tuple[Str, Str], ...]
+    _last_outputs: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.pairs)
 
     def __iter__(self):
         return iter(self.pairs)
+
+    def last_outputs(self) -> Mapping[Str, Str]:
+        if self._last_outputs is None:
+            object.__setattr__(self, "_last_outputs", dict(self.pairs))
+        return MappingProxyType(self._last_outputs)
 
 
 def generate_qualified(
@@ -130,13 +145,20 @@ def generate_qualified(
     draw i takes output min(int(u_i * k), k - 1) of its k acceptable ones.
     The inputs come from mu.sample_distinct, and one pair tuple is built per
     distinct input and output it may take: draws of one input with one label
-    share their pair.
+    share their pair. The sequence's last_outputs() comes from those pairs
+    too: each input's first draw (np.minimum.at) orders the inputs, and its
+    last draw (np.maximum.at) picks its output under the uniform labeler.
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
     strings, inverse = mu.sample_distinct(rng, m)
+    draws = np.arange(m)
+    first_draw = np.full(len(strings), m)
+    np.minimum.at(first_draw, inverse, draws)
+    order = np.argsort(first_draw)  # the inputs in order of first draw
     if labeler is Labeler.CANONICAL:
-        pairs = _objects([(s, gt.canonical(s)) for s in strings])[inverse]
+        table = _objects([(s, gt.canonical(s)) for s in strings])
+        pick, last_pick = inverse, order
     elif labeler is Labeler.UNIFORM_ACCEPTABLE:
         u = rng.random(m)
         acceptable = [gt.acceptable(s) for s in strings]
@@ -145,10 +167,15 @@ def generate_qualified(
         first = np.cumsum(counts) - counts
         table = _objects([(s, y) for s, acc in zip(strings, acceptable) for y in acc])
         k = counts[inverse]
-        pairs = table[first[inverse] + np.minimum((u * k).astype(np.int64), k - 1)]
+        pick = first[inverse] + np.minimum((u * k).astype(np.int64), k - 1)
+        last_draw = np.zeros_like(first_draw)
+        np.maximum.at(last_draw, inverse, draws)
+        last_pick = pick[last_draw[order]]
     else:
         raise DomainError(f"unsupported labeler {labeler!r}")
-    return TrainingSequence(tuple(pairs.tolist()))
+    t = TrainingSequence(tuple(table[pick].tolist()))
+    object.__setattr__(t, "_last_outputs", dict(table[last_pick].tolist()))
+    return t
 
 
 def _objects(items: list) -> np.ndarray:

@@ -87,6 +87,59 @@ def test_finite_support_exact_queries():
     assert d.max_length == 3
 
 
+def _finite(masses):
+    """Atoms at the first len(masses) binary strings in shortlex order."""
+    return FiniteSupport(tuple(zip(strings_upto(A2, len(masses).bit_length()),
+                                   map(Fraction, masses))))
+
+
+_BUCKET_LAWS = {
+    "uniform_1023": lambda: _finite([Fraction(1, 1023)] * 1023),
+    "skewed": lambda: _finite([Fraction(1, 2)] + [Fraction(1, 20_000)] * 10_000),
+    "interior_zeros": lambda: _finite([0, Fraction(1, 4), 0, 0, Fraction(1, 8), Fraction(1, 8), 0,
+                                       Fraction(1, 2), 0]),
+    "geometric_40": lambda: _finite([Fraction(1, 2**k) for k in range(1, 40)] + [Fraction(1, 2**39)]),
+    "one_atom": lambda: _finite([1]),
+    "uniform_100000": lambda: _finite([Fraction(1, 100_000)] * 100_000),
+}
+
+
+@pytest.mark.parametrize("law", list(_BUCKET_LAWS))
+def test_atom_indices_equal_binary_search(law):
+    # the guide table returns exactly what bisection over the cumulative
+    # masses returns, at every bucket edge and cumulative entry and their
+    # float neighbours, and its bisection is no longer than the widest bucket needs
+    mu = _BUCKET_LAWS[law]()
+    cum = mu._sampling_cum
+    n = len(mu.atoms)
+    bits = math.ceil(math.log2(n))
+    edges = np.arange(2**bits + 1) * 2.0**-bits
+    probes = np.concatenate([edges, cum])
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], probes, np.nextafter(probes, 0.0),
+                        np.nextafter(probes, 1.0), np.random.default_rng(5).random(20_000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expected = np.minimum(np.searchsorted(cum, u, side="right"), n - 1)
+    got = mu._atom_indices(u)
+    assert got.tolist() == expected.tolist()
+    assert all(mu.atoms[i][1] > 0 for i in set(got.tolist()))
+    scale, _, steps = mu._guide_table
+    assert scale >= n
+    widest = int(np.max(np.searchsorted(cum, edges[1:], side="right")
+                        - np.searchsorted(cum, edges[:-1], side="right")))
+    assert steps <= math.ceil(math.log2(widest + 1))
+
+
+def test_zero_mass_atom_after_the_last_positive_one_is_never_drawn():
+    # ten atoms of 1/10 sum to 1 - 2^-53 in floats, a uniform PCG64 can
+    # return: it drew the trailing zero-mass atom when only the last
+    # cumulative entry was set to 1
+    mu = _finite([Fraction(1, 10)] * 10 + [0])
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum([0.1] * 10)[-1] == top
+    assert mu._atom_indices(np.array([0.0, 0.95, top])).tolist() == [0, 9, 9]
+    assert mu._sampling_cum[9:].tolist() == [1.0, 1.0]
+
+
 def test_finite_support_sums_masses_exactly_across_denominators():
     s0, s1, s2, s3 = (shortlex_string(A2, r) for r in range(4))  # lengths 0, 1, 1, 2
     d = FiniteSupport(((s1, Fraction(1, 3)), (s0, Fraction(1, 6)), (s2, Fraction(1, 4)),

@@ -5,7 +5,8 @@ import pytest
 
 from hallustat.core import Alphabet, Str, empty_string, shortlex_index, shortlex_string
 from hallustat.errors import DomainError
-from hallustat.measures import FiniteSupport, LengthFactored
+from hallustat.flrm import train
+from hallustat.measures import CdfLowerBound, FiniteSupport, LengthFactored
 from hallustat.oracle import (
     Constant,
     Echo,
@@ -96,6 +97,15 @@ def test_training_sequence_basics():
     t = TrainingSequence(((s(0), s(0)), (s(1), s(1))))
     assert len(t) == 2
     assert list(t) == [(s(0), s(0)), (s(1), s(1))]
+
+
+def test_last_outputs_is_a_read_only_dict_of_the_pairs():
+    # first place of each input, output of its last pair
+    t = TrainingSequence(((s(1), s(1)), (s(0), s(0)), (s(1), s(0, 1)), (s(0), s(1))))
+    assert list(t.last_outputs().items()) == [(s(1), s(0, 1)), (s(0), s(1))]
+    with pytest.raises(TypeError):
+        t.last_outputs()[s(1)] = s(1)
+    assert t == TrainingSequence(t.pairs)
 
 
 def test_generated_pairs_are_qualified():
@@ -222,3 +232,25 @@ def test_generated_pairs_are_shared_per_distinct_pair(labeler):
     assert len({id(pair) for pair in t.pairs}) <= len(distinct) < len(t.pairs) // 10
     assert len({y for x, y in distinct if x == empty_string(Alphabet(3))}) == (
         3 if labeler is Labeler.UNIFORM_ACCEPTABLE else 1)
+
+
+@pytest.mark.parametrize("labeler", list(Labeler), ids=lambda lab: lab.value)
+@pytest.mark.parametrize("rule", ["echo", "constant"])
+@pytest.mark.parametrize("law", ["length_factored", "finite_support"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_training_from_distinct_pairs_equals_training_from_every_pair(q, law, rule, labeler):
+    # generate_qualified fills last_outputs() from its distinct pairs; it
+    # must equal dict(pairs), and training on it must equal training on a
+    # hand-built sequence of the same pairs, table order included
+    alphabet = Alphabet(q)
+    mu = _law(law, alphabet)
+    gt = _ground_truth(rule, alphabet)
+    bound = CdfLowerBound((0.5,), 0.5)
+    for m in (0, 1, 7, 300, 5000):
+        t = generate_qualified(mu, gt, m, labeler, np.random.default_rng(m + q))
+        ref = generate_qualified_per_draw(mu, gt, m, labeler, np.random.default_rng(m + q))
+        assert t.pairs == ref.pairs
+        assert list(t.last_outputs().items()) == list(dict(t.pairs).items())
+        model, model_ref = train(t, alphabet, bound), train(TrainingSequence(t.pairs), alphabet, bound)
+        assert model.threshold == model_ref.threshold
+        assert list(model.table.items()) == list(model_ref.table.items())
