@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
 from .errors import ConfigError, DomainError, DominationError, WorkbenchError
-from .evaluation import check_confidence, derive_stream, evaluate_hp, sweep, sweep_csv
+from .evaluation import MC_FALLBACK, derive_stream, evaluate_hp, sweep, sweep_csv
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
     NflInstance,
@@ -52,19 +53,20 @@ def _require(doc: dict, key: str, name: str | None = None):
     return doc[key]
 
 
-def _fraction(value) -> Fraction:
+def _fraction(value, name: str) -> Fraction:
+    """A rational field: "p/q", {"num": p, "den": q} with JSON integers, an
+    integer, or a finite float."""
     try:
         if isinstance(value, dict):
-            return Fraction(int(value["num"]), int(value["den"]))
-        if isinstance(value, bool):
-            raise TypeError("booleans are not numbers here")
-        if isinstance(value, (int, str)):
+            return Fraction(_int_value(_require(value, "num", f"{name}.num"), f"{name}.num"),
+                            _int_value(_require(value, "den", f"{name}.den"), f"{name}.den"))
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
             return Fraction(value)
-        if isinstance(value, float):
+        if isinstance(value, float) and math.isfinite(value):
             return Fraction(value)
-    except (ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad rational {value!r}: {exc}") from exc
-    raise ConfigError(f"bad rational {value!r}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad rational {name} {value!r}: {exc}") from exc
+    raise ConfigError(f"bad rational {name} {value!r}")
 
 
 def _alphabet(doc: dict) -> Alphabet:
@@ -110,7 +112,7 @@ def _distribution(alphabet: Alphabet, doc: dict):
     if kind == "finite":
         atoms = tuple(
             (_string(alphabet, _require(a, "s", f"mu.atoms[{i}].s"), f"mu.atoms[{i}].s"),
-             _fraction(_require(a, "prob", f"mu.atoms[{i}].prob")))
+             _fraction(_require(a, "prob", f"mu.atoms[{i}].prob"), f"mu.atoms[{i}].prob"))
             for i, a in enumerate(_list_field(spec, "atoms", "mu.atoms"))
         )
         return FiniteSupport(atoms)
@@ -155,6 +157,15 @@ def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
         for i, entry in enumerate(entries)
     )
     return GroundTruth(alphabet, rule, overrides)
+
+
+def _reject_removed_fields(doc: dict):
+    """Every model sweep and train-eval train has an exact HP, so they take
+    no Monte Carlo settings; a config that still sets one fails loudly."""
+    for key in ("mc_samples", "confidence"):
+        if key in doc:
+            raise ConfigError(f"config field {key!r} was removed: the memorizer's "
+                              f"hallucination probability is computed exactly")
 
 
 def _labeler(doc: dict) -> Labeler:
@@ -255,19 +266,17 @@ def cmd_bounds(cfg: dict, args) -> int:
 
 
 def cmd_train_eval(cfg: dict, args) -> int:
+    _reject_removed_fields(cfg)
     alphabet = _alphabet(cfg)
     bound = _cdf_bound(cfg)
     mu = _distribution(alphabet, cfg)
     gt = _ground_truth(alphabet, cfg)
     labeler = _labeler(cfg)
     m = _int_field(cfg, "m", 0)
-    mc_samples = _int_field(cfg, "mc_samples", 1, 10_000)
-    confidence = _float_value(cfg.get("confidence", 0.95), "confidence")
-    check_confidence(confidence)  # before sampling and training, not after
     rng = derive_stream(args.seed, 0)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = train(t, alphabet, bound)
-    report = evaluate_hp(model, mu, gt, mc_samples, confidence, rng)
+    report = evaluate_hp(model, mu, gt, *MC_FALLBACK, rng)
     doc = _meta(cfg, args.seed)
     doc["m"] = m
     doc["model"] = model_to_json(model)
@@ -275,15 +284,13 @@ def cmd_train_eval(cfg: dict, args) -> int:
         "estimate": report.estimate,
         "method": report.method,
         "exact": None if report.exact_value is None else _frac_doc(report.exact_value),
-        "sample_count": report.sample_count,
-        "ci_halfwidth": report.ci_halfwidth,
-        "confidence": report.confidence,
     }
     _emit_json(doc, args.out)
     return 0
 
 
 def cmd_sweep(cfg: dict, args) -> int:
+    _reject_removed_fields(cfg)
     alphabet = _alphabet(cfg)
     bound = _cdf_bound(cfg)
     mu = _distribution(alphabet, cfg)
@@ -292,21 +299,10 @@ def cmd_sweep(cfg: dict, args) -> int:
     m_grid = [_int_value(m, "m_grid entry", 0) for m in _list_field(cfg, "m_grid")]
     trials = _int_field(cfg, "trials", 1)
     eps_h = _float_value(cfg.get("epsilon_h", 0.2), "epsilon_h")
-    mc_samples = _int_field(cfg, "mc_samples", 1, 10_000)
     if not dominates(mu, bound):
         raise DominationError("mu does not dominate CDF bound")
     trainer = FlrmTrainer(alphabet, bound)
-    rows = sweep(
-        trainer,
-        mu,
-        gt,
-        m_grid,
-        trials,
-        labeler,
-        args.seed,
-        epsilon_h=eps_h,
-        mc_samples=mc_samples,
-    )
+    rows = sweep(trainer, mu, gt, m_grid, trials, labeler, args.seed, epsilon_h=eps_h)
     _emit(sweep_csv(rows, _preamble(cfg, args.seed)), args.out)
     return 0
 
@@ -348,7 +344,8 @@ def cmd_nfl(cfg: dict, args) -> int:
         learner = FlrmTrainer(alphabet, _cdf_bound(learner_spec))
     else:
         raise ConfigError(f"unknown learner kind {kind!r}")
-    grid = tuple(_fraction(v) for v in _list_field(cfg, "lambda_h_grid", default=["1/8", "1/4"]))
+    grid = tuple(_fraction(v, f"lambda_h_grid[{i}]") for i, v in
+                 enumerate(_list_field(cfg, "lambda_h_grid", default=["1/8", "1/4"])))
     inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner,
                        order_invariant=True)
     report = nfl_brute_force(inst, grid, budget)

@@ -29,7 +29,9 @@ ground truth on one alphabet) runs the atom trial, on atom indices. Every
 other instance runs on Str objects: generate_qualified, which builds one
 Str per distinct draw and one pair tuple per distinct (input, output) pair
 and repeats them by index, then the trainer (a memorizer reads only the
-sequence's last_outputs(), one entry per distinct input) and evaluate_hp.
+sequence's last_outputs(), one entry per distinct input) and evaluate_hp,
+which sums the HP exactly on a finite support or for a memorizer and gives
+any other model a Monte Carlo estimate at MC_FALLBACK.
 
 An atom trial draws the atom indices from the uniforms generate_qualified
 would read, through the sampler FiniteSupport.sample_distinct uses, and marks
@@ -74,6 +76,9 @@ from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_q
 
 _FAST_CODE_LIMIT = 2**62
 _FIRST_CHUNK = 512  # training draws in the first chunk, the one decoded in full
+# (draws, confidence) of the Monte Carlo estimate for a model evaluate_hp
+# cannot sum exactly, where the caller has no sample size of its own to give.
+MC_FALLBACK = (10_000, 0.95)
 
 
 def derive_stream(master_seed: int, *branch: int):
@@ -339,26 +344,16 @@ def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int
     return float(total)
 
 
-def run_trial(
-    trainer,
-    mu,
-    gt: GroundTruth,
-    m: int,
-    labeler: Labeler,
-    rng,
-    *,
-    mc_samples: int = 10_000,
-):
+def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
     """The HP of the model trained on one qualified draw of m pairs; the
     coded and the atom trial compute it without building the pairs.
 
-    mc_samples is the Monte Carlo sample size for a trainer whose models
-    evaluate_hp cannot sum exactly; a memorizer's HP needs none.
+    A model that evaluate_hp cannot sum exactly (from a trainer other than
+    a threshold memorizer, or under a default rule of another kind) gets a
+    Monte Carlo estimate from rng at MC_FALLBACK.
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    if mc_samples < 1:
-        raise DomainError(f"mc_samples must be >= 1, got {mc_samples}")
     plan = build_fast_plan(trainer, mu, gt)
     if plan is not None:
         bits = getattr(rng, "bit_generator", None)
@@ -374,10 +369,8 @@ def run_trial(
         mode = _empty_mode(gt.default_rule)
         if mode is not None:
             return _atom_trial(trainer, mu, gt, m, labeler, rng, mode)
-    t = generate_qualified(mu, gt, m, labeler, rng)
-    model = trainer(t)
-    # Only the estimate is kept, so the interval's confidence level is moot.
-    return evaluate_hp(model, mu, gt, mc_samples, 0.95, rng).estimate
+    model = trainer(generate_qualified(mu, gt, m, labeler, rng))
+    return evaluate_hp(model, mu, gt, *MC_FALLBACK, rng).estimate
 
 
 def sweep(
@@ -390,7 +383,6 @@ def sweep(
     master_seed: int,
     *,
     epsilon_h: float = 0.2,
-    mc_samples: int = 10_000,
 ) -> list[SweepRow]:
     """One row of trial statistics per grid point; rows use disjoint streams.
 
@@ -398,7 +390,9 @@ def sweep(
     epsilon_h, and ci_halfwidth that fraction's normal-approximation 95%
     half-width. At one m this is the negligibility experiment: it checks the
     sufficiency statement Pr(HP >= epsilon_h) <= epsilon_t empirically for the
-    configured labeler; it is an experiment, not a proof.
+    configured labeler; it is an experiment, not a proof. Each trial's HP is
+    run_trial's: exact for a threshold memorizer, so a row's spread is
+    between training samples only.
 
     Trials run one after another in the calling thread: under the
     interpreter lock a second thread gets no CPU time for them.
@@ -412,8 +406,7 @@ def sweep(
     rows = []
     for row, m in enumerate(m_grid):
         hps = np.asarray([
-            run_trial(trainer, mu, gt, m, labeler, derive_stream(master_seed, row, index),
-                      mc_samples=mc_samples)
+            run_trial(trainer, mu, gt, m, labeler, derive_stream(master_seed, row, index))
             for index in range(trials)
         ])
         fraction = int(np.count_nonzero(hps >= epsilon_h)) / trials

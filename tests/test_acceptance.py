@@ -59,7 +59,7 @@ def test_criterion_03_sufficiency_at_desk_scale():
         suff = h.required_sample_size(0.2, 0.2, A2, HALF_BOUND)
         (row,) = h.sweep(
             trainer, mu, gt, [suff.m_bar], trials=200, labeler=h.Labeler.CANONICAL,
-            master_seed=2024, epsilon_h=0.2, mc_samples=10_000,
+            master_seed=2024, epsilon_h=0.2,
         )
         sigma = math.sqrt(0.2 * 0.8 / 200)
         assert row.exceed_fraction < 0.2 + 3 * sigma
@@ -149,8 +149,7 @@ def test_criterion_09_coexistence():
         assert mu.is_support_infinite  # strings beyond any cutoff carry mass
         gt = h.GroundTruth(A2, h.Echo())
         trainer = h.FlrmTrainer(A2, HALF_BOUND)
-        rows = h.sweep(trainer, mu, gt, [100, 1000, 10_000], 60,
-                       h.Labeler.CANONICAL, 4242, mc_samples=10_000)
+        rows = h.sweep(trainer, mu, gt, [100, 1000, 10_000], 60, h.Labeler.CANONICAL, 4242)
         means = [r.mean_hp for r in rows]
         assert means[0] > means[1] > means[2]
         assert means[2] < 0.05

@@ -165,14 +165,12 @@ def test_train_eval_exact_report(tmp_path, capsys):
 def test_train_eval_closed_form_on_infinite_support(tmp_path, capsys):
     doc = train_eval_cfg()
     doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}
-    doc["mc_samples"] = 2000  # validated, but a memorizer's HP needs no samples
     cfg = write_cfg(tmp_path, doc)
     assert run(["train-eval", "--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     # m = 50 memorizes "", "0" and "1" (n̄ = 1): every string of length >= 2
     # is wrong, mass 1/4. The law's masses are floats, so no fraction.
-    assert out["report"] == {"estimate": 0.25, "method": "exact", "exact": None,
-                             "sample_count": None, "ci_halfwidth": None, "confidence": None}
+    assert out["report"] == {"estimate": 0.25, "method": "exact", "exact": None}
 
 
 def test_train_eval_finite_atoms_config(tmp_path, capsys):
@@ -196,32 +194,30 @@ def test_train_eval_bad_labeler_exit_2(tmp_path):
     assert run(["train-eval", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("raw", ["5", "NaN"])
-@pytest.mark.parametrize("mu", [
-    {"kind": "uniform_set", "members": [[], [0], [1], [0, 0]]},
-    {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5},
-], ids=["exact", "monte_carlo"])
-def test_train_eval_confidence_outside_unit_interval_exit_3(tmp_path, capsys, monkeypatch,
-                                                           mu, raw):
-    def refuse(*args):
-        raise AssertionError("training data was drawn before confidence was checked")
+@pytest.mark.parametrize("field, raw", [
+    ("mc_samples", "10000"), ("mc_samples", "0"), ("mc_samples", '"x"'),
+    ("confidence", "0.95"), ("confidence", "5"), ("confidence", "NaN"),
+], ids=["mc_samples-old-default", "mc_samples-zero", "mc_samples-text",
+        "confidence-old-default", "confidence-5", "confidence-NaN"])
+@pytest.mark.parametrize("command", ["train-eval", "sweep"])
+def test_removed_monte_carlo_field_exit_2_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                          command, field, raw):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw was made before the config was checked")
 
     monkeypatch.setattr(cli, "generate_qualified", refuse)
-    doc = train_eval_cfg()
-    doc["mu"] = mu
-    # spliced into the JSON text, so NaN is written as the bare token
+    monkeypatch.setattr(cli, "sweep", refuse)
+    doc = train_eval_cfg() if command == "train-eval" else sweep_cfg()
+    # spliced into the JSON text, so NaN is written as the bare token; a value
+    # the removed field used to accept fails as well
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc)[:-1] + f', "confidence": {raw}}}')
-    assert run(["train-eval", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "confidence" in capsys.readouterr().err
+    path.write_text(json.dumps(doc)[:-1] + f', "{field}": {raw}}}')
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config field {field!r} was removed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, value", [
-    ("mc_samples", "x"),
-    ("confidence", "x"),
-    ("confidence", "0.5"),
-    ("confidence", 10**400),
     ("mu", {"kind": "length_factored", "length_probs": ["x"], "tail_ratio": 0.5}),
     ("mu", {"kind": "length_factored", "length_probs": ["0.5"], "tail_ratio": 0.5}),
     ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "x"}),
@@ -241,15 +237,26 @@ def test_train_eval_confidence_outside_unit_interval_exit_3(tmp_path, capsys, mo
     ("ground_truth", {"default": {"kind": "echo"},
                       "overrides": [{"s": [0], "accept": [[True]]}]}),
     ("ground_truth", {"default": {"kind": "constant", "output": [1.0]}}),
-], ids=["mc_samples", "confidence", "confidence-numeric-text", "confidence-huge-int",
-        "mu-length_probs", "mu-length_probs-numeric-text", "mu-tail_ratio",
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": float("inf")}]}),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": -float("inf")}]}),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": float("inf"), "den": 2}}]}),
+    # each read as 1/2 once, which with the second atom made a valid law
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": 1.9, "den": 2}},
+                                        {"s": [0], "prob": "1/2"}]}),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": 1, "den": 2.7}},
+                                        {"s": [0], "prob": "1/2"}]}),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": True, "den": 2}},
+                                        {"s": [0], "prob": "1/2"}]}),
+], ids=["mu-length_probs", "mu-length_probs-numeric-text", "mu-tail_ratio",
         "mu-tail_ratio-numeric-text",
         "mu-atom-without-prob", "ground_truth-shift-text",
         "ground_truth-override-without-accept", "ground_truth-accept-scalar",
         "ground_truth-overrides-scalar", "mu-member-fraction", "mu-member-text",
         "mu-member-bool", "mu-member-string", "mu-atom-fraction",
         "ground_truth-override-text", "ground_truth-accept-bool",
-        "ground_truth-constant-float"])
+        "ground_truth-constant-float", "mu-atom-prob-inf", "mu-atom-prob-minus-inf",
+        "mu-atom-prob-num-inf", "mu-atom-prob-num-float", "mu-atom-prob-den-float",
+        "mu-atom-prob-num-bool"])
 def test_train_eval_bad_field_exit_2(tmp_path, capsys, field, value):
     doc = train_eval_cfg()
     doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}
@@ -270,7 +277,6 @@ def sweep_cfg():
         "ground_truth": {"default": {"kind": "echo"}},
         "m_grid": [10, 100, 1000],
         "trials": 4,
-        "mc_samples": 500,
     }
 
 
@@ -326,8 +332,6 @@ def test_sweep_nan_length_probability_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("mc_samples", 0),
-    ("mc_samples", "x"),
     ("epsilon_h", "x"),
     ("epsilon_h", "0.5"),
     ("epsilon_h", 10**400),
@@ -346,7 +350,7 @@ def test_sweep_nan_length_probability_exit_3(tmp_path, capsys):
     ("alphabet", {"size": True}),
     ("alphabet", {"size": 2, "labels": "ab"}),
     ("alphabet", {"size": 2, "labels": ["a", 1]}),
-], ids=["mc_samples-zero", "mc_samples-text", "epsilon_h-text",
+], ids=["epsilon_h-text",
         "epsilon_h-numeric-text", "epsilon_h-huge-int",
         "m_grid-negative", "m_grid-scalar", "m_grid-fraction",
         "cdf_bound-table-text", "cdf_bound-table-numeric-text", "cdf_bound-table-huge-int",
@@ -479,7 +483,14 @@ def test_nfl_verify_bad_budget_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("lambda_h_grid", 5),
     ("domain", 5),
-], ids=["lambda_h_grid-scalar", "domain-scalar"])
+    ("lambda_h_grid", [float("inf")]),
+    ("lambda_h_grid", [{"num": float("inf"), "den": 2}]),
+    ("lambda_h_grid", [{"num": 1, "den": 2.7}]),
+    ("lambda_h_grid", ["1/8", True]),
+    ("lambda_h_grid", ["1/0"]),
+], ids=["lambda_h_grid-scalar", "domain-scalar", "lambda_h_grid-inf",
+        "lambda_h_grid-num-inf", "lambda_h_grid-den-float", "lambda_h_grid-bool",
+        "lambda_h_grid-zero-den"])
 def test_nfl_verify_bad_field_exit_2(tmp_path, capsys, field, value):
     doc = nfl_cfg()
     doc[field] = value
@@ -625,12 +636,11 @@ PROPERTY_CONFIGS = {
                                                       {"s": [1], "prob": {"num": 1, "den": 2}}]},
                    "ground_truth": {"default": {"kind": "index_shift", "shift": 1},
                                     "overrides": [{"s": [0], "accept": [[1], [0]]}]},
-                   "labeler": "uniform_acceptable", "m": 5, "mc_samples": 50,
-                   "confidence": 0.9},
+                   "labeler": "uniform_acceptable", "m": 5},
     "sweep": {"alphabet": {"size": 2}, "cdf_bound": HALF_BOUND_DOC,
               "mu": {"kind": "length_factored", "length_probs": [0.5], "tail_ratio": 0.5},
               "ground_truth": {"default": {"kind": "constant", "output": [0]}},
-              "m_grid": [10], "trials": 2, "mc_samples": 50, "epsilon_h": 0.2},
+              "m_grid": [10], "trials": 2, "epsilon_h": 0.2},
     "nfl-verify": {"alphabet": {"size": 2}, "domain": [[], [0]], "codomain_size": 2, "m": 1,
                    "learner": {"kind": "flrm", "cdf_bound": HALF_BOUND_DOC},
                    "lambda_h_grid": ["1/4"], "budget": 1000},
@@ -638,7 +648,7 @@ PROPERTY_CONFIGS = {
                     "max_len": 2, "budget": 100},
     "typical-set": {"pmf": [0.9, 0.1], "m": 3, "delta": 0.1, "budget": 100},
 }
-PROPERTY_VALUES = [5, "x", [], {}, None, -1, 1.5, True, [5]]
+PROPERTY_VALUES = [5, "x", [], {}, None, -1, 1.5, True, [5], float("inf")]
 
 
 def field_paths(doc, prefix=()):

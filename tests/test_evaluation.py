@@ -17,6 +17,7 @@ from hallustat.core import (
 from hallustat.errors import DomainError
 from hallustat.evaluation import (
     CSV_COLUMNS,
+    MC_FALLBACK,
     HallucinationReport,
     build_fast_plan,
     derive_stream,
@@ -480,6 +481,42 @@ def test_trainer_that_is_not_flrm_takes_the_object_path_on_a_finite_support():
     assert hp == run_trial(trainer, mu, gt, 400, Labeler.CANONICAL, derive_stream(3, 0))
 
 
+def last_output_trainer(a):
+    """Not a memorizer: a drawn input gets its last training output, and
+    every other input the output of the last pair drawn."""
+    def fit(t):
+        table = t.last_outputs()
+        fallback = t.pairs[-1][1] if t.pairs else empty_string(a)
+        return lambda x: table.get(x, fallback)
+    return fit
+
+
+@pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
+@pytest.mark.parametrize("q", [2, 3])
+def test_trainer_that_is_not_a_memorizer_is_evaluated_like_its_composition(q, labeler):
+    # On a finite support its HP is exact_hp's; on a length-factored law it
+    # is mc_hp's at MC_FALLBACK, drawn after the training pairs from the
+    # same stream.
+    a = Alphabet(q)
+    trainer = last_output_trainer(a)
+    finite = mixed_support(a, 0)
+    laws = ((finite, GroundTruth(a, IndexShift(1), support_overrides(a, finite))),
+            (LengthFactored(a, (0.1, 0.3, 0.2), 0.5), GroundTruth(a, Echo(), overrides(a))))
+    for mu, gt in laws:
+        for m in (0, 7, 300):
+            trial_rng = derive_stream(m, q)
+            hp = run_trial(trainer, mu, gt, m, labeler, trial_rng)
+            rng = derive_stream(m, q)
+            model = trainer(generate_qualified(mu, gt, m, labeler, rng))
+            if isinstance(mu, FiniteSupport):
+                reference = exact_hp(model, mu, gt)
+            else:
+                reference = mc_hp(model, mu, gt, *MC_FALLBACK, rng)
+                assert reference.sample_count == 10_000
+            assert hp == reference.estimate
+            assert trial_rng.random() == rng.random()
+
+
 class RecordingReads:
     """A Generator stand-in that records the size of every read."""
 
@@ -514,7 +551,7 @@ class RecordingReads:
 def test_coded_trial_reads_only_the_blocks_it_uses(trainer, mu, m, sizes):
     for labeler in Labeler:
         rng = RecordingReads(derive_stream(3, 0))
-        run_trial(trainer, mu, GroundTruth(A2, Echo()), m, labeler, rng, mc_samples=2000)
+        run_trial(trainer, mu, GroundTruth(A2, Echo()), m, labeler, rng)
         assert rng.sizes == sizes
 
 
@@ -572,7 +609,7 @@ def test_coded_trial_rejects_streams_it_cannot_read_by_position(bit_generator):
     rng = np.random.Generator(bit_generator(7))
     gt = GroundTruth(A2, Echo())
     with pytest.raises(DomainError, match="derive_stream"):
-        run_trial(TRAINER, half_geometric(), gt, 100, Labeler.CANONICAL, rng, mc_samples=50)
+        run_trial(TRAINER, half_geometric(), gt, 100, Labeler.CANONICAL, rng)
     # Nothing was drawn.
     assert np.array_equal(rng.random(3), np.random.Generator(bit_generator(7)).random(3))
     # The object path reads its stream in order and takes any generator.
@@ -580,7 +617,7 @@ def test_coded_trial_rejects_streams_it_cannot_read_by_position(bit_generator):
     trainer = FlrmTrainer(a3, HALF_BOUND)
     mu3, gt3 = LengthFactored(a3, (), 0.5), GroundTruth(a3, Echo())
     assert build_fast_plan(trainer, mu3, gt3) is None
-    hp = run_trial(trainer, mu3, gt3, 100, Labeler.CANONICAL, rng, mc_samples=50)
+    hp = run_trial(trainer, mu3, gt3, 100, Labeler.CANONICAL, rng)
     assert 0.0 <= hp <= 1.0
 
 
@@ -607,7 +644,7 @@ def test_negligibility_reproducible_and_parallel_invariant():
 def test_negligibility_single_trial_fraction_is_zero_or_one():
     mu = half_geometric()
     gt = GroundTruth(A2, Echo())
-    (row,) = sweep(TRAINER, mu, gt, [10], 1, Labeler.CANONICAL, 5, mc_samples=500)
+    (row,) = sweep(TRAINER, mu, gt, [10], 1, Labeler.CANONICAL, 5)
     assert row.exceed_fraction in (0.0, 1.0)
     assert row.ci_halfwidth == 0.0
 
@@ -616,30 +653,26 @@ def test_negligibility_single_trial_fraction_is_zero_or_one():
 def test_sweep_rejects_epsilon_h_outside_unit_interval(epsilon_h):
     with pytest.raises(DomainError):
         sweep(TRAINER, half_geometric(), GroundTruth(A2, Echo()), [10], 2,
-              Labeler.CANONICAL, 5, epsilon_h=epsilon_h, mc_samples=50)
+              Labeler.CANONICAL, 5, epsilon_h=epsilon_h)
 
 
-@pytest.mark.parametrize("m_grid, trials, mc_samples", [
-    ([10], 0, 50), ([10], 2, 0), ([-1], 2, 50),
-], ids=["trials", "mc_samples", "m"])
+@pytest.mark.parametrize("m_grid, trials", [([10], 0), ([-1], 2)], ids=["trials", "m"])
 @pytest.mark.parametrize("q", [2, 3])  # 2 takes the coded path, 3 the object path
-def test_sweep_rejects_bad_trial_sizes_on_both_paths(q, m_grid, trials, mc_samples):
+def test_sweep_rejects_bad_trial_sizes_on_both_paths(q, m_grid, trials):
     a = Alphabet(q)
     mu = LengthFactored(a, (), 0.5)
     trainer = FlrmTrainer(a, HALF_BOUND)
     gt = GroundTruth(a, Echo())
     assert (build_fast_plan(trainer, mu, gt) is not None) == (q == 2)
     with pytest.raises(DomainError):
-        sweep(trainer, mu, gt, m_grid, trials, Labeler.CANONICAL, 5, mc_samples=mc_samples)
+        sweep(trainer, mu, gt, m_grid, trials, Labeler.CANONICAL, 5)
 
 
 def test_sweep_rows_and_determinism():
     mu = half_geometric()
     gt = GroundTruth(A2, Echo())
-    rows = sweep(TRAINER, mu, gt, [10, 100, 1000], 8, Labeler.CANONICAL, 42,
-                 mc_samples=1000)
-    again = sweep(TRAINER, mu, gt, [10, 100, 1000], 8, Labeler.CANONICAL, 42,
-                  mc_samples=1000)
+    rows = sweep(TRAINER, mu, gt, [10, 100, 1000], 8, Labeler.CANONICAL, 42)
+    again = sweep(TRAINER, mu, gt, [10, 100, 1000], 8, Labeler.CANONICAL, 42)
     assert rows == again
     assert [r.m for r in rows] == [10, 100, 1000]
     assert all(r.trials == 8 and r.seed == 42 for r in rows)
@@ -650,7 +683,7 @@ def test_sweep_rows_and_determinism():
 def test_sweep_single_point_m_zero():
     mu = half_geometric()
     gt = GroundTruth(A2, Echo())
-    rows = sweep(TRAINER, mu, gt, [0], 3, Labeler.CANONICAL, 4, mc_samples=500)
+    rows = sweep(TRAINER, mu, gt, [0], 3, Labeler.CANONICAL, 4)
     assert len(rows) == 1 and rows[0].m == 0
 
 
@@ -663,7 +696,7 @@ def test_sweep_rejects_empty_grid():
 def test_sweep_csv_shape_and_bytes():
     mu = half_geometric()
     gt = GroundTruth(A2, Echo())
-    rows = sweep(TRAINER, mu, gt, [10, 20], 4, Labeler.CANONICAL, 7, mc_samples=500)
+    rows = sweep(TRAINER, mu, gt, [10, 20], 4, Labeler.CANONICAL, 7)
     text = sweep_csv(rows, preamble=("tool: x", "seed: 7"))
     lines = text.splitlines()
     assert lines[0] == "# tool: x"
