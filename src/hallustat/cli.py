@@ -15,13 +15,14 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
 from .errors import ConfigError, DomainError, DominationError, WorkbenchError
-from .evaluation import MC_FALLBACK, derive_stream, evaluate_hp, sweep, sweep_csv
+from .evaluation import derive_stream, evaluate_hp, sweep, sweep_csv
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
     NflInstance,
@@ -53,10 +54,37 @@ def _require(doc: dict, key: str, name: str | None = None):
     return doc[key]
 
 
+# The most digits json reads in a config integer (Python's default
+# int_max_str_digits); a rational read from a string gets the same limit.
+_MAX_DIGITS = 4300
+# Compiled on first use, by re's cache: most configs hold no rational text.
+_DECIMAL = r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?\s*"
+
+
+def _check_digits(text: str, name: str):
+    """Reject a decimal string whose numerator or denominator, as Fraction
+    builds them before reducing, has more than _MAX_DIGITS digits: Fraction
+    expands the exponent in full, which takes seconds at "1e-10000000" and
+    gives rationals json cannot write. A "p/q" string needs no check, since
+    int() limits both of its integers."""
+    match = re.fullmatch(_DECIMAL, text)
+    if match is None:
+        return
+    frac = (match["frac"] or "").replace("_", "")
+    digits = len((match["whole"] + frac).replace("_", "").lstrip("0")) or 1
+    shift = int(match["exp"] or 0) - len(frac)  # the value is int(whole + frac) * 10^shift
+    if max(digits + shift, 1 - shift) > _MAX_DIGITS:
+        raise ConfigError(f"bad rational {name} {text!r}: its numerator or denominator "
+                          f"has more than {_MAX_DIGITS} digits")
+
+
 def _fraction(value, name: str) -> Fraction:
     """A rational field: "p/q", {"num": p, "den": q} with JSON integers, an
-    integer, or a finite float."""
+    integer, or a finite float; as with a JSON integer, no numerator or
+    denominator of more than _MAX_DIGITS digits."""
     try:
+        if isinstance(value, str):
+            _check_digits(value, name)
         if isinstance(value, dict):
             return Fraction(_int_value(_require(value, "num", f"{name}.num"), f"{name}.num"),
                             _int_value(_require(value, "den", f"{name}.den"), f"{name}.den"))
@@ -276,7 +304,7 @@ def cmd_train_eval(cfg: dict, args) -> int:
     rng = derive_stream(args.seed, 0)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = train(t, alphabet, bound)
-    report = evaluate_hp(model, mu, gt, *MC_FALLBACK, rng)
+    report = evaluate_hp(model, mu, gt, rng)
     doc = _meta(cfg, args.seed)
     doc["m"] = m
     doc["model"] = model_to_json(model)
@@ -444,6 +472,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's stack
+        raise ConfigError(f"config {path!r} is nested too deeply to read: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc

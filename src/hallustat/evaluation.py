@@ -4,9 +4,9 @@ the sweep, the one experiment driver.
 Randomness contract: every trial draws from its own stream derived as
 (master_seed, row, trial), so results are independent of execution order.
 A coded trial reads its stream by position, not in order, so it needs a
-numpy Generator over PCG64, which derive_stream returns; run_trial rejects
-any other generator there. Monte Carlo confidence intervals are two-sided
-Hoeffding.
+numpy Generator over PCG64, which derive_stream returns; it rejects any
+other generator before it draws. Monte Carlo confidence intervals are
+two-sided Hoeffding.
 
 evaluate_hp is the one place that chooses how to evaluate. On an enumerable
 finite support it sums the atoms exactly (exact_hp). For a memorizer on a
@@ -15,32 +15,32 @@ sum over n <= max(n̄, 0) of w_n * p(n) * q^-n, plus the mass of the longer
 lengths when their empty default output is unacceptable, plus one term per
 override longer than that, where w_n is the integer count of length-n
 strings the memorizer answers wrongly. Every other predictor gets a Monte
-Carlo estimate (mc_hp): it draws through mu.sample_distinct, counts each
-distinct draw with np.bincount, and evaluates it once, weighted by that
-count.
+Carlo estimate (mc_hp) at MC_FALLBACK: mc_hp draws through
+mu.sample_distinct, counts each distinct draw with np.bincount, and
+evaluates it once, weighted by that count.
 
 run_trial is the one place a trial picks its path, from the instance, never
-from the caller. build_fast_plan returns a plan for the common experiment
-shape (length-factored inputs, override-free ground truth, threshold
-memorizer, codes below 2^62); such trials run on int64 shortlex codes
-through the array kernels, on the same uniform stream as generate_qualified
-would consume. A threshold memorizer on a finite support (law, trainer and
-ground truth on one alphabet) runs the atom trial, on atom indices. Every
-other instance runs on Str objects: generate_qualified, which builds one
-Str per distinct draw and one pair tuple per distinct (input, output) pair
-and repeats them by index, then the trainer (a memorizer reads only the
-sequence's last_outputs(), one entry per distinct input) and evaluate_hp,
-which sums the HP exactly on a finite support or for a memorizer and gives
-any other model a Monte Carlo estimate at MC_FALLBACK.
+from the caller. A threshold memorizer (an FlrmTrainer under a default rule
+of a known kind, on one alphabet with law and ground truth) runs the atom
+trial on a finite support, on atom indices, and the coded trial on an
+override-free length-factored law whose codes stay below 2^62, on int64
+shortlex codes through the array kernels; both read the uniform stream
+generate_qualified would consume. Every other instance runs on Str objects: generate_qualified,
+which builds one Str per distinct draw and one pair tuple per distinct
+(input, output) pair and repeats them by index, then the trainer (a
+memorizer reads only the sequence's last_outputs(), one entry per distinct
+input) and evaluate_hp, which sums the HP exactly on a finite support or for
+a memorizer and gives any other model a Monte Carlo estimate at
+MC_FALLBACK.
 
 An atom trial draws the atom indices from the uniforms generate_qualified
 would read, through the sampler FiniteSupport.sample_distinct uses, and marks
 them in a seen-array. Every training pair is qualified, so the memorizer
 errs exactly on the atoms whose acceptable set lacks the empty output and
 that were not drawn at length <= n̄. The trial sums their masses with
-integer numerators per denominator: the rational exact_hp returns for the
-trained model. It builds no Str, trains nothing, and leaves the stream
-where generate_qualified leaves it.
+FiniteSupport._mass, the exact sum exact_hp uses too: the rational exact_hp
+returns for the trained model. It builds no Str, trains nothing, and leaves
+the stream where generate_qualified leaves it.
 
 A coded trial keeps a dense seen-table over all count_upto(n̄) strings of
 length <= n̄ (the memorizer's threshold), and decodes only the draws that
@@ -61,7 +61,6 @@ stream where generate_qualified leaves it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,8 +75,8 @@ from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_q
 
 _FAST_CODE_LIMIT = 2**62
 _FIRST_CHUNK = 512  # training draws in the first chunk, the one decoded in full
-# (draws, confidence) of the Monte Carlo estimate for a model evaluate_hp
-# cannot sum exactly, where the caller has no sample size of its own to give.
+# (draws, confidence) of evaluate_hp's Monte Carlo estimate for a model it
+# cannot sum exactly; a caller that wants another size calls mc_hp.
 MC_FALLBACK = (10_000, 0.95)
 
 
@@ -88,15 +87,11 @@ def derive_stream(master_seed: int, *branch: int):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=branch))
 
 
-def check_confidence(confidence: float):
-    if not 0.0 < confidence < 1.0:  # also rejects NaN
-        raise DomainError(f"confidence must lie in (0,1), got {confidence}")
-
-
 def hoeffding_halfwidth(n_samples: int, confidence: float) -> float:
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    check_confidence(confidence)
+    if not 0.0 < confidence < 1.0:  # also rejects NaN
+        raise DomainError(f"confidence must lie in (0,1), got {confidence}")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples))
 
 
@@ -131,13 +126,9 @@ def exact_hp(predict, mu, gt: GroundTruth) -> HallucinationReport:
             f"exact evaluation needs an enumerable finite support, not "
             f"{type(mu).__name__}; use mc_hp"
         )
-    # Integer numerators per denominator: one Fraction addition per distinct
-    # denominator, not per atom.
-    numerators = Counter()
-    for s, p in mu.support():
-        if not gt.accepts(s, predict(s)):
-            numerators[p.denominator] += p.numerator
-    total = sum((Fraction(n, d) for d, n in numerators.items()), Fraction(0))
+    wrong = np.fromiter((not gt.accepts(s, predict(s)) for s, _ in mu.support()),
+                        dtype=bool, count=len(mu.atoms))
+    total = mu._mass(wrong)
     return HallucinationReport(estimate=float(total), method="exact", exact_value=total)
 
 
@@ -156,12 +147,10 @@ def mc_hp(predict, mu, gt: GroundTruth, n_samples: int, confidence: float, rng) 
     )
 
 
-def evaluate_hp(predict, mu, gt: GroundTruth, mc_samples: int, confidence: float,
-                rng) -> HallucinationReport:
+def evaluate_hp(predict, mu, gt: GroundTruth, rng) -> HallucinationReport:
     """Exact HP when mu has an enumerable finite support or predict is a
-    MemorizerModel on a LengthFactored law, else Monte Carlo with mc_samples
-    draws from rng."""
-    check_confidence(confidence)
+    MemorizerModel on a LengthFactored law, else a Monte Carlo estimate at
+    MC_FALLBACK from rng; mc_hp takes a sample size of the caller's."""
     if isinstance(mu, FiniteSupport):
         return exact_hp(predict, mu, gt)
     mode = _empty_mode(gt.default_rule)
@@ -170,7 +159,7 @@ def evaluate_hp(predict, mu, gt: GroundTruth, mc_samples: int, confidence: float
         # The law's masses are floats: no exact fraction to report.
         return HallucinationReport(estimate=_memorizer_hp(predict, mu, gt, mode),
                                    method="exact")
-    return mc_hp(predict, mu, gt, mc_samples, confidence, rng)
+    return mc_hp(predict, mu, gt, *MC_FALLBACK, rng)
 
 
 def _empty_mode(rule) -> int | None:
@@ -227,36 +216,10 @@ def _memorizer_hp(model: MemorizerModel, mu: LengthFactored, gt: GroundTruth,
     return _level_sum_hp(mu, mode, wrong, corrections)
 
 
-@dataclass(frozen=True)
-class _FastPlan:
-    trainer: FlrmTrainer
-    mu: LengthFactored
-    base: np.ndarray
-    pow_f: np.ndarray
-    pow_i: np.ndarray
-    empty_mode: int  # as _empty_mode
-
-
-def build_fast_plan(trainer, mu, gt: GroundTruth):
-    """Kernel plan when the instance shape supports coded evaluation, else None."""
-    if not isinstance(trainer, FlrmTrainer) or not isinstance(mu, LengthFactored):
-        return None
-    if mu.alphabet != trainer.alphabet or gt.alphabet != mu.alphabet:
-        return None
-    if gt.overrides:
-        return None
-    mode = _empty_mode(gt.default_rule)
-    if mode is None:
-        return None
-    top = mu.max_sample_length
-    if count_upto(mu.alphabet, top) >= _FAST_CODE_LIMIT:
-        return None
-    base, pow_i = mu._code_tables  # every level up to top, since q^top < 2^62
-    return _FastPlan(trainer, mu, base, pow_i.astype(np.float64), pow_i, mode)
-
-
-def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
-    """Exact HP of one coded trial.
+def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, m: int, labeler: Labeler, rng,
+                mode: int) -> float:
+    """Exact HP of one coded trial, on an instance run_trial sends here;
+    mode is _empty_mode of the default rule.
 
     The seen-table over lengths <= top <= max(n̄, 0) is bounded by the
     sample: n̄ >= 1 implies m > q^(n̄+1)*ln 2, so it holds at most
@@ -265,12 +228,18 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
     draw of length <= top, and each later one only those of length >= lo,
     the lowest level that a draw can still add a string to.
     """
+    bits = getattr(rng, "bit_generator", None)
+    if not isinstance(bits, np.random.PCG64):
+        raise DomainError(
+            f"a coded trial reads its stream by position and needs a numpy "
+            f"Generator over PCG64, as derive_stream returns; got "
+            f"{type(bits or rng).__name__}"
+        )
     # The stream is laid out as generate_qualified consumes it: training
     # lengths at [0, m), training offsets at [m, 2m), then m label draws
     # under the uniform labeler (singleton sets ignore them). Each block is
     # read at its position; PCG64 advances by any delta modulo 2^128, one
     # output per double.
-    bits = rng.bit_generator
     at = 0  # stream position of rng's next output
 
     def read(position: int, size: int):
@@ -279,12 +248,13 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
         at = position + size
         return rng.random(size)
 
-    n_bar = threshold_length(m, plan.trainer.alphabet, plan.trainer.bound)
-    cum = plan.mu._sampling_cum
+    n_bar = threshold_length(m, trainer.alphabet, trainer.bound)
+    cum = mu._sampling_cum
     top = min(max(n_bar, 0), len(cum) - 1)
     cut = cum[top]  # a draw has length <= top iff its u_len < cut
-    tables = (cum[:top + 1], plan.base, plan.pow_f, plan.pow_i)
-    seen = np.zeros(count_upto(plan.trainer.alphabet, top), dtype=bool)
+    base, pow_i = mu._code_tables  # every level up to top, since q^top < 2^62
+    tables = (cum[:top + 1], base, pow_i.astype(np.float64), pow_i)
+    seen = np.zeros(count_upto(trainer.alphabet, top), dtype=bool)
     # No draw can add a string of length < lo to seen: each such level is
     # full or has no sampling mass. A draw has length >= lo iff its
     # u_len >= low = cum[lo - 1].
@@ -293,7 +263,7 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
     # With n̄ < 0 nothing is memorized.
     while n_bar >= 0 and start < m:
         while lo <= top and (cum[lo] == low
-                             or seen[plan.base[lo]:plan.base[lo] + plan.pow_i[lo]].all()):
+                             or seen[base[lo]:base[lo] + pow_i[lo]].all()):
             low = cum[lo]
             lo += 1
         if lo > top:  # no later draw can change seen
@@ -308,12 +278,11 @@ def _fast_trial(plan: _FastPlan, m: int, labeler: Labeler, rng) -> float:
     read(3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m, 0)
     # Every memorized string is answered right. Lengths in (top, n̄] carry
     # no sampling mass and were never drawn.
-    q = plan.trainer.alphabet.size
-    seen_at = np.add.reduceat(seen, plan.base[:top + 1], dtype=np.int64).tolist()
+    q = trainer.alphabet.size
+    seen_at = np.add.reduceat(seen, base[:top + 1], dtype=np.int64).tolist()
     seen_at += [0] * (max(n_bar, 0) - top)
-    wrong = [q**n - k if _empty_misses(plan.empty_mode, n) else 0
-             for n, k in enumerate(seen_at)]
-    return _level_sum_hp(plan.mu, plan.empty_mode, wrong)
+    wrong = [q**n - k if _empty_misses(mode, n) else 0 for n, k in enumerate(seen_at)]
+    return _level_sum_hp(mu, mode, wrong)
 
 
 def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int,
@@ -324,24 +293,21 @@ def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int
     drawn = mu._atom_indices(rng.random(m))  # the uniforms sample_distinct reads
     if labeler is Labeler.UNIFORM_ACCEPTABLE:
         rng.random(m)  # the label draws: leave the stream where generate_qualified does
-    lengths, numerators, groups, index = mu._atom_tables
+    lengths = mu._lengths
     if mode == 0:
         wrong = lengths > 0
     else:
         wrong = np.full(len(lengths), mode == 1)
     empty = empty_string(gt.alphabet)
     for key, acceptable in gt.overrides:
-        i = index.get(key)
+        i = mu._index.get(key)
         if i is not None:
             wrong[i] = empty not in acceptable
     n_bar = threshold_length(m, trainer.alphabet, trainer.bound)
     seen = np.zeros(len(lengths), dtype=bool)
     seen[drawn] = True
     wrong &= ~(seen & (lengths <= n_bar))
-    total = Fraction(0)
-    for den, members in groups:
-        total += Fraction(sum(numerators[members[wrong[members]]].tolist()), den)
-    return float(total)
+    return float(mu._mass(wrong))
 
 
 def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
@@ -354,23 +320,16 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    plan = build_fast_plan(trainer, mu, gt)
-    if plan is not None:
-        bits = getattr(rng, "bit_generator", None)
-        if not isinstance(bits, np.random.PCG64):
-            raise DomainError(
-                f"a coded trial reads its stream by position and needs a numpy "
-                f"Generator over PCG64, as derive_stream returns; got "
-                f"{type(bits or rng).__name__}"
-            )
-        return _fast_trial(plan, m, labeler, rng)
-    if (isinstance(trainer, FlrmTrainer) and isinstance(mu, FiniteSupport)
+    mode = _empty_mode(gt.default_rule)
+    if (isinstance(trainer, FlrmTrainer) and mode is not None
             and trainer.alphabet == mu.alphabet == gt.alphabet):
-        mode = _empty_mode(gt.default_rule)
-        if mode is not None:
+        if isinstance(mu, FiniteSupport):
             return _atom_trial(trainer, mu, gt, m, labeler, rng, mode)
+        if (isinstance(mu, LengthFactored) and not gt.overrides
+                and count_upto(mu.alphabet, mu.max_sample_length) < _FAST_CODE_LIMIT):
+            return _fast_trial(trainer, mu, m, labeler, rng, mode)
     model = trainer(generate_qualified(mu, gt, m, labeler, rng))
-    return evaluate_hp(model, mu, gt, *MC_FALLBACK, rng).estimate
+    return evaluate_hp(model, mu, gt, rng).estimate
 
 
 def sweep(

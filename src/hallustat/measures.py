@@ -99,14 +99,22 @@ class CdfLowerBound:
 class FiniteSupport:
     """Explicit atoms (string, mass) with exact rational masses summing to 1.
 
-    The length CDF is a table: `_lengths` holds the distinct atom lengths in
-    increasing order and `_cdf[i]` the exact mass of atoms no longer than
-    `_lengths[i - 1]` (`_cdf[0]` is 0), both built once by the pass that
-    checks the masses.
+    The one pass that checks the atoms builds every table over them: `_index`
+    maps each atom string to its position, `_lengths` holds the atom lengths
+    as int64, and `_groups` holds one (denominator, positions, integer
+    numerators) triple per distinct denominator. `_mass` sums the masses of
+    any set of atoms exactly from `_groups`, one Fraction addition per
+    denominator; the sum-to-1 check, the length CDF and every exact HP go
+    through it. The length CDF is a table: `_cdf[i]` is the mass of the atoms
+    no longer than `_cdf_lengths[i - 1]`, the distinct lengths in increasing
+    order (`_cdf[0]` is 0).
     """
 
     atoms: tuple[tuple[Str, Fraction], ...]
-    _lengths: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _index: dict = field(init=False, compare=False, repr=False)
+    _lengths: np.ndarray = field(init=False, compare=False, repr=False)
+    _groups: tuple = field(init=False, compare=False, repr=False)
+    _cdf_lengths: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _cdf: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -116,33 +124,41 @@ class FiniteSupport:
                      for s, p in self.atoms)
         object.__setattr__(self, "atoms", norm)
         alphabet = norm[0][0].alphabet
-        seen = set()
-        # Integer numerators per (length, denominator): one Fraction per
-        # group, not one Fraction addition per atom.
-        numerators = {}
-        for s, p in norm:
+        index = {}
+        members = {}  # denominator -> (positions, numerators)
+        for i, (s, p) in enumerate(norm):
             # identity first: comparing two equal Alphabets field by field is slow
             if s.alphabet is not alphabet and s.alphabet != alphabet:
                 raise DomainError("atoms must share one alphabet")
-            if s.symbols in seen:
+            if index.setdefault(s, i) != i:
                 raise DomainError(f"duplicate atom {s.symbols}")
-            seen.add(s.symbols)
             num, den = p.numerator, p.denominator
             if not 0 <= num <= den:  # denominators are positive
                 raise DomainError(f"mass {p} outside [0,1]")
-            key = (len(s), den)
-            numerators[key] = numerators.get(key, 0) + num
-        mass_by_length = {}
-        for (n, den), num in numerators.items():
-            mass_by_length[n] = mass_by_length.get(n, 0) + Fraction(num, den)
-        lengths = sorted(mass_by_length)
-        cdf = [Fraction(0)]
-        for n in lengths:
-            cdf.append(cdf[-1] + mass_by_length[n])
+            positions, numerators = members.setdefault(den, ([], []))
+            positions.append(i)
+            numerators.append(num)
+        lengths = np.fromiter((len(s) for s, _ in norm), dtype=np.int64, count=len(norm))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_lengths", lengths)
+        # object arrays: numerators are integers of any size
+        object.__setattr__(self, "_groups", tuple(
+            (den, np.asarray(positions, dtype=np.int64), np.asarray(numerators, dtype=object))
+            for den, (positions, numerators) in members.items()))
+        cdf_lengths = sorted(set(lengths.tolist()))
+        cdf = [Fraction(0)] + [self._mass(lengths <= n) for n in cdf_lengths]
         if cdf[-1] != 1:
             raise DomainError(f"masses must sum to exactly 1, got {cdf[-1]}")
-        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "_cdf_lengths", tuple(cdf_lengths))
         object.__setattr__(self, "_cdf", tuple(cdf))
+
+    def _mass(self, mask: np.ndarray) -> Fraction:
+        """The exact mass of the atoms where the boolean mask over atom
+        positions is true."""
+        total = Fraction(0)
+        for den, positions, numerators in self._groups:
+            total += Fraction(sum(numerators[mask[positions]].tolist()), den)
+        return total
 
     @property
     def alphabet(self) -> Alphabet:
@@ -154,17 +170,13 @@ class FiniteSupport:
 
     @property
     def max_length(self) -> int:
-        return self._lengths[-1]
+        return self._cdf_lengths[-1]
 
     @property
     def tail(self) -> tuple[int, None]:
         """(start, ratio) of the tail rule: the length CDF is exactly 1 from
         max_length on."""
         return self.max_length, None
-
-    @cached_property
-    def _mass_map(self):
-        return {s: p for s, p in self.atoms}
 
     @cached_property
     def _sampling_cum(self):
@@ -192,33 +204,17 @@ class FiniteSupport:
         start = np.searchsorted(self._sampling_cum, edges, side="right")
         return float(buckets), start, int(np.diff(start).max()).bit_length()
 
-    @cached_property
-    def _atom_tables(self):
-        """(lengths, numerators, groups, index) over the atoms in order:
-        int64 lengths, exact integer mass numerators as an object array, one
-        (denominator, atom indices) pair per distinct denominator, and each
-        atom string's index."""
-        lengths = np.fromiter((len(s) for s, _ in self.atoms), dtype=np.int64,
-                              count=len(self.atoms))
-        numerators = np.empty(len(self.atoms), dtype=object)
-        numerators[:] = [p.numerator for _, p in self.atoms]
-        members = {}
-        for i, (_, p) in enumerate(self.atoms):
-            members.setdefault(p.denominator, []).append(i)
-        groups = tuple((den, np.asarray(idx, dtype=np.int64)) for den, idx in members.items())
-        index = {s: i for i, (s, _) in enumerate(self.atoms)}
-        return lengths, numerators, groups, index
-
     def support(self):
         return iter(self.atoms)
 
     def pmf(self, s: Str) -> Fraction:
-        return self._mass_map.get(s, Fraction(0))
+        i = self._index.get(s)
+        return Fraction(0) if i is None else self.atoms[i][1]
 
     def length_cdf(self, n: int) -> Fraction:
         if n < 0:
             raise DomainError(f"n must be >= 0, got {n}")
-        return self._cdf[bisect.bisect_right(self._lengths, n)]
+        return self._cdf[bisect.bisect_right(self._cdf_lengths, n)]
 
     def defect(self, n: int) -> Fraction:
         """1 - length_cdf(n), exactly: the mass of the atoms longer than n."""

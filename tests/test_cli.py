@@ -93,6 +93,19 @@ def test_unreadable_or_invalid_config_exit_2(tmp_path):
     assert run(["bounds", "--config", str(long_int)]) == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "train-eval", "sweep", "nfl-verify",
+                                     "diagonalize", "typical-set"])
+def test_deeply_nested_config_exit_2(tmp_path, capsys, command):
+    # json.load raises RecursionError past the interpreter's stack limit.
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (deep, '{"alphabet": ' + deep + "}"):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(text)
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("epsilon_h", "0.5"),
     ("epsilon_t", "1e-1"),
@@ -247,6 +260,8 @@ def test_removed_monte_carlo_field_exit_2_before_any_draw(tmp_path, capsys, monk
                                         {"s": [0], "prob": "1/2"}]}),
     ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": True, "den": 2}},
                                         {"s": [0], "prob": "1/2"}]}),
+    # a denominator of 5001 digits, past json's limit for a config integer
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": "1e-5000"}]}),
 ], ids=["mu-length_probs", "mu-length_probs-numeric-text", "mu-tail_ratio",
         "mu-tail_ratio-numeric-text",
         "mu-atom-without-prob", "ground_truth-shift-text",
@@ -256,7 +271,7 @@ def test_removed_monte_carlo_field_exit_2_before_any_draw(tmp_path, capsys, monk
         "ground_truth-override-text", "ground_truth-accept-bool",
         "ground_truth-constant-float", "mu-atom-prob-inf", "mu-atom-prob-minus-inf",
         "mu-atom-prob-num-inf", "mu-atom-prob-num-float", "mu-atom-prob-den-float",
-        "mu-atom-prob-num-bool"])
+        "mu-atom-prob-num-bool", "mu-atom-prob-exponent-digits"])
 def test_train_eval_bad_field_exit_2(tmp_path, capsys, field, value):
     doc = train_eval_cfg()
     doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}
@@ -488,15 +503,32 @@ def test_nfl_verify_bad_budget_exit_2(tmp_path, capsys):
     ("lambda_h_grid", [{"num": 1, "den": 2.7}]),
     ("lambda_h_grid", ["1/8", True]),
     ("lambda_h_grid", ["1/0"]),
+    ("lambda_h_grid", ["1e-100000"]),
+    ("lambda_h_grid", ["1e5000"]),
+    ("lambda_h_grid", ["1e-10000000"]),
+    ("lambda_h_grid", ["0." + "0" * 4299 + "1"]),
 ], ids=["lambda_h_grid-scalar", "domain-scalar", "lambda_h_grid-inf",
         "lambda_h_grid-num-inf", "lambda_h_grid-den-float", "lambda_h_grid-bool",
-        "lambda_h_grid-zero-den"])
+        "lambda_h_grid-zero-den", "lambda_h_grid-exponent-den-digits",
+        "lambda_h_grid-exponent-num-digits", "lambda_h_grid-exponent-slow",
+        "lambda_h_grid-decimal-den-digits"])
 def test_nfl_verify_bad_field_exit_2(tmp_path, capsys, field, value):
     doc = nfl_cfg()
     doc[field] = value
     cfg = write_cfg(tmp_path, doc)
     assert run(["nfl-verify", "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_rational_text_gets_the_json_digit_limit():
+    # 10^4299 has 4300 digits, the most json reads in a config integer.
+    assert cli._fraction("1e4299", "x") == 10**4299
+    assert cli._fraction("1e-4299", "x") == Fraction(1, 10**4299)
+    assert cli._fraction("-0.25e-4297", "x") == Fraction(-1, 4 * 10**4297)
+    assert cli._fraction("1_0e1_0", "x") == 10**11
+    for text in ("1e4300", "1e-4300", "10e4299", "0.1e-4299", "0e-4300"):
+        with pytest.raises(cli.ConfigError, match="more than 4300 digits"):
+            cli._fraction(text, "x")
 
 
 # -------------------------------------------------------------- diagonalize

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hallustat import kernels
+from hallustat import evaluation, kernels
 from hallustat.cli import main as cli_main
 from hallustat.core import (
     Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
@@ -19,7 +19,6 @@ from hallustat.evaluation import (
     CSV_COLUMNS,
     MC_FALLBACK,
     HallucinationReport,
-    build_fast_plan,
     derive_stream,
     evaluate_hp,
     exact_hp,
@@ -188,12 +187,13 @@ def test_evaluate_hp_exact_on_finite_supports_else_monte_carlo():
     finite = (uniform_support((empty_string(A2), s(0))),
               FiniteSupport(((s(0), Fraction(1, 2)), (s(1), Fraction(1, 2)))))
     for mu in finite:
-        rep = evaluate_hp(always_empty, mu, gt, 100, 0.95, derive_stream(0, 0))
+        rep = evaluate_hp(always_empty, mu, gt, derive_stream(0, 0))
         assert rep == exact_hp(always_empty, mu, gt)
     mu = half_geometric()
-    rep = evaluate_hp(always_empty, mu, gt, 100, 0.95, derive_stream(0, 0))
-    assert rep == mc_hp(always_empty, mu, gt, 100, 0.95, derive_stream(0, 0))
+    rep = evaluate_hp(always_empty, mu, gt, derive_stream(0, 0))
+    assert rep == mc_hp(always_empty, mu, gt, *MC_FALLBACK, derive_stream(0, 0))
     assert rep.method == "monte_carlo"
+    assert rep.sample_count == 10_000
 
 
 # -------------------------------------------------------------- closed form
@@ -214,7 +214,7 @@ def brute_force_hp(model, mu, gt):
 
 
 def closed_form(model, mu, gt):
-    rep = evaluate_hp(model, mu, gt, 1, 0.95, derive_stream(0, 0))
+    rep = evaluate_hp(model, mu, gt, derive_stream(0, 0))
     assert rep == HallucinationReport(estimate=rep.estimate, method="exact")
     return rep.estimate
 
@@ -271,8 +271,8 @@ def test_memorizer_off_its_alphabet_gets_monte_carlo():
     a3 = Alphabet(3)
     mu, gt = LengthFactored(a3, (), 0.5), GroundTruth(a3, Echo())
     model = MemorizerModel(A2, {}, 1)
-    rep = evaluate_hp(model, mu, gt, 100, 0.95, derive_stream(0, 0))
-    assert rep == mc_hp(model, mu, gt, 100, 0.95, derive_stream(0, 0))
+    rep = evaluate_hp(model, mu, gt, derive_stream(0, 0))
+    assert rep == mc_hp(model, mu, gt, *MC_FALLBACK, derive_stream(0, 0))
 
 
 # ------------------------------------------------------------------- trials
@@ -300,13 +300,29 @@ def test_run_trial_rejects_negative_m():
                   Labeler.CANONICAL, derive_stream(0, 0))
 
 
+def takes_coded_trial(trainer, mu, gt):
+    """Whether run_trial sends the instance to the coded trial, as a spy on
+    evaluation._fast_trial sees in one trial at m = 0."""
+    calls = []
+    fast_trial = evaluation._fast_trial
+
+    def spy(*args):
+        calls.append(args)
+        return fast_trial(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_fast_trial", spy)
+        run_trial(trainer, mu, gt, 0, Labeler.CANONICAL, derive_stream(0, 0))
+    return bool(calls)
+
+
 def test_fast_plan_active_only_for_length_factored():
     gt = GroundTruth(A2, Echo())
-    assert build_fast_plan(TRAINER, half_geometric(), gt) is not None
+    assert takes_coded_trial(TRAINER, half_geometric(), gt)
     mu_fin = uniform_support((empty_string(A2), s(0)))
-    assert build_fast_plan(TRAINER, mu_fin, gt) is None
+    assert not takes_coded_trial(TRAINER, mu_fin, gt)
     gt_override = GroundTruth(A2, Echo(), overrides=((s(0), (s(1),)),))
-    assert build_fast_plan(TRAINER, half_geometric(), gt_override) is None
+    assert not takes_coded_trial(TRAINER, half_geometric(), gt_override)
 
 
 @pytest.mark.parametrize("q, length_probs, tail", [
@@ -316,11 +332,12 @@ def test_fast_plan_tables_are_exact_powers_and_offsets(q, length_probs, tail):
     a = Alphabet(q)
     mu = LengthFactored(a, length_probs, tail)
     trainer = FlrmTrainer(a, CdfLowerBound((1.0,), 0.5))
-    plan = build_fast_plan(trainer, mu, GroundTruth(a, Echo()))
+    assert takes_coded_trial(trainer, mu, GroundTruth(a, Echo()))
+    base, level = mu._code_tables
     top = mu.max_sample_length
-    assert plan.pow_i.tolist() == [q**n for n in range(top + 1)]
-    assert plan.base.tolist() == [count_upto(a, n - 1) if n else 0 for n in range(top + 1)]
-    assert plan.pow_f.tolist() == [float(q**n) for n in range(top + 1)]
+    assert level.tolist() == [q**n for n in range(top + 1)]
+    assert base.tolist() == [count_upto(a, n - 1) if n else 0 for n in range(top + 1)]
+    assert level.astype(np.float64).tolist() == [float(q**n) for n in range(top + 1)]
 
 
 def assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed):
@@ -332,7 +349,7 @@ def assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed):
     hp = run_trial(trainer, mu, gt, m, labeler, trial_rng)
     rng = derive_stream(seed, 0)
     model = trainer(generate_qualified(mu, gt, m, labeler, rng))
-    reference = evaluate_hp(model, mu, gt, 1, 0.95, rng)
+    reference = evaluate_hp(model, mu, gt, rng)
     assert reference.method == "exact"
     assert hp == reference.estimate  # bitwise, not approximately
     assert trial_rng.random() == rng.random()
@@ -398,7 +415,7 @@ def test_fast_path_equals_general_path(rule, labeler):
         (TRAINER, LengthFactored(A2, (), 1e-4), (100_000,), (0,)),
     )
     for trainer, mu, ms, seeds in regimes:
-        assert build_fast_plan(trainer, mu, gt) is not None
+        assert takes_coded_trial(trainer, mu, gt)
         for m in ms:
             for seed in seeds:
                 assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed)
@@ -410,7 +427,7 @@ def test_fast_path_equals_general_path(rule, labeler):
 def test_fast_path_equals_general_path_on_a_finite_q3_law(rule, labeler):
     trainer, mu = finite_q3()
     gt = GroundTruth(A3, rule)
-    assert build_fast_plan(trainer, mu, gt) is not None
+    assert takes_coded_trial(trainer, mu, gt)
     for m, seeds in ((0, (0, 5)), (7, (0, 5)), (1000, (0, 5)), (100_000, (0,))):
         for seed in seeds:
             assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed)
@@ -462,7 +479,7 @@ def test_atom_trial_equals_object_pipeline(q, rule, labeler):
         assert len({p.denominator for _, p in mu.support()}) > 1
         for gt in (GroundTruth(a, rule), GroundTruth(a, rule, support_overrides(a, mu))):
             for m in (0, 1, 7, 50, 400, 3000):
-                assert build_fast_plan(trainer, mu, gt) is None
+                assert not takes_coded_trial(trainer, mu, gt)
                 assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed)
 
 
@@ -616,7 +633,7 @@ def test_coded_trial_rejects_streams_it_cannot_read_by_position(bit_generator):
     a3 = Alphabet(3)
     trainer = FlrmTrainer(a3, HALF_BOUND)
     mu3, gt3 = LengthFactored(a3, (), 0.5), GroundTruth(a3, Echo())
-    assert build_fast_plan(trainer, mu3, gt3) is None
+    assert not takes_coded_trial(trainer, mu3, gt3)
     hp = run_trial(trainer, mu3, gt3, 100, Labeler.CANONICAL, rng)
     assert 0.0 <= hp <= 1.0
 
@@ -663,7 +680,7 @@ def test_sweep_rejects_bad_trial_sizes_on_both_paths(q, m_grid, trials):
     mu = LengthFactored(a, (), 0.5)
     trainer = FlrmTrainer(a, HALF_BOUND)
     gt = GroundTruth(a, Echo())
-    assert (build_fast_plan(trainer, mu, gt) is not None) == (q == 2)
+    assert takes_coded_trial(trainer, mu, gt) == (q == 2)
     with pytest.raises(DomainError):
         sweep(trainer, mu, gt, m_grid, trials, Labeler.CANONICAL, 5)
 

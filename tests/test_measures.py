@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallustat.core import Alphabet, Str, empty_string, shortlex_string, strings_upto
 from hallustat.errors import DomainError
@@ -151,6 +153,59 @@ def test_finite_support_sums_masses_exactly_across_denominators():
                        (s2, Fraction(1, 3) - Fraction(1, 10**30))))
     with pytest.raises(DomainError):
         FiniteSupport(((s0, Fraction(1, 2)), (Str(Alphabet(3), (2,)), Fraction(1, 2))))
+
+
+@st.composite
+def finite_laws_and_masks(draw):
+    """A law of 1 to 12 atoms whose masses have mixed denominators and may be
+    0, with a mask over its atoms."""
+    n = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
+                            min_size=n, max_size=n))
+    weights[draw(st.integers(0, n - 1))] += Fraction(1, draw(st.integers(1, 9)))
+    total = sum(weights)
+    ranks = draw(st.permutations(range(16)))[:n]
+    law = FiniteSupport(tuple((shortlex_string(A2, r), w / total)
+                              for r, w in zip(ranks, weights)))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return law, np.asarray(mask, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_laws_and_masks())
+def test_finite_support_mass_equals_the_sum_over_the_masked_atoms(law_and_mask):
+    law, mask = law_and_mask
+    expected = sum((p for (_, p), keep in zip(law.atoms, mask) if keep), Fraction(0))
+    assert law._mass(mask) == expected
+    assert law._mass(~mask) == 1 - expected
+    assert law._mass(np.ones(len(mask), dtype=bool)) == 1
+
+
+def test_finite_support_mass_of_one_atom_and_of_zero_mass_atoms():
+    s0, s1, s2 = (shortlex_string(A2, r) for r in range(3))
+    one = FiniteSupport(((s1, Fraction(1)),))
+    assert one._mass(np.array([True])) == 1 and one._mass(np.array([False])) == 0
+    d = FiniteSupport(((s0, Fraction(0)), (s1, Fraction(1, 3)), (s2, Fraction(2, 3))))
+    assert d._mass(np.array([True, False, False])) == 0
+    assert d._mass(np.array([True, True, False])) == Fraction(1, 3)
+
+
+def test_finite_support_pmf_reads_zero_off_the_positive_atoms():
+    s0, s1 = shortlex_string(A2, 0), shortlex_string(A2, 1)
+    d = FiniteSupport(((s0, Fraction(1)), (s1, Fraction(0))))
+    assert d.pmf(s0) == 1
+    for x in (s1, shortlex_string(A2, 2), Str(Alphabet(3), (0,))):
+        assert d.pmf(x) == 0 and isinstance(d.pmf(x), Fraction)
+    assert d.pmf(Str(Alphabet(2), ())) == 1  # an equal alphabet, another instance
+
+
+def test_finite_support_duplicate_atom_error_names_its_symbols():
+    a, b = Str(A2, (0, 1)), Str(Alphabet(2), (0, 1))  # equal, not the same object
+    for atoms in (((a, Fraction(1, 2)), (a, Fraction(1, 2))),
+                  ((shortlex_string(A2, 0), Fraction(1, 3)), (a, Fraction(1, 3)),
+                   (b, Fraction(1, 3)))):
+        with pytest.raises(DomainError, match=r"duplicate atom \(0, 1\)"):
+            FiniteSupport(atoms)
 
 
 def test_uniform_over_set_exact_queries():
