@@ -29,6 +29,7 @@ from .limits import (
     check_diagonal_budget,
     check_nfl_budget,
     diagonalize,
+    general_lambda_t,
     memorize_constant_trainer,
     nfl_brute_force,
     nfl_sizes,
@@ -374,6 +375,14 @@ def cmd_nfl(cfg: dict, args) -> int:
         raise ConfigError(f"unknown learner kind {kind!r}")
     grid = tuple(_fraction(v, f"lambda_h_grid[{i}]") for i, v in
                  enumerate(_list_field(cfg, "lambda_h_grid", default=["1/8", "1/4"])))
+    # Each entry's tail bound is emitted as JSON integers; check it fits before
+    # the enumeration rather than fail to write it after.
+    for i, lh in enumerate(grid):
+        bound = general_lambda_t(p, lh)
+        if max(abs(bound.numerator), bound.denominator) >= 10**_MAX_DIGITS:
+            raise ConfigError(f"bad rational lambda_h_grid[{i}]: its tail bound "
+                              f"(mu - lambda_h)/(1 - lambda_h) has a numerator or "
+                              f"denominator of more than {_MAX_DIGITS} digits")
     inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner,
                        order_invariant=True)
     report = nfl_brute_force(inst, grid, budget)
@@ -406,7 +415,10 @@ def cmd_diag(cfg: dict, args) -> int:
     # Checked before the models are built as well as inside diagonalize.
     check_diagonal_budget(horizon, count, budget)
     rng = derive_stream(args.seed)
-    models = random_table_models(alphabet, count, rng, table_size=table_size, max_len=max_len)
+    # Models past the horizon are never asked; the first min(K, H) are the
+    # same prefix of the stream however many follow.
+    models = random_table_models(alphabet, min(count, horizon), rng,
+                                 table_size=table_size, max_len=max_len)
     construction = diagonalize(models, alphabet, horizon, budget)
     ok = verify_diagonal(construction)
     lines = [f"# {line}" for line in _preamble(cfg, args.seed)]

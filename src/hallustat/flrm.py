@@ -47,7 +47,12 @@ def threshold_length(m: int, alphabet: Alphabet, bound: CdfLowerBound) -> int:
 @dataclass(frozen=True)
 class MemorizerModel:
     """Finite lookup table capped at a length threshold; unknown inputs map
-    to the empty string, built once per model as `default_output`."""
+    to the empty string, built once per model as `default_output`.
+
+    No table key is longer than the threshold, so `predict` answers a Str
+    longer than it with `default_output` without looking it up (or hashing
+    it); any other argument is looked up in the table.
+    """
 
     alphabet: Alphabet
     table: dict[Str, Str] = field(default_factory=dict)
@@ -57,18 +62,23 @@ class MemorizerModel:
     def __post_init__(self):
         if self.threshold < -1:
             raise DomainError(f"threshold must be >= -1, got {self.threshold}")
+        alphabet = self.alphabet
         frozen = types.MappingProxyType(dict(self.table))
         for s, y in frozen.items():
-            if len(s) > self.threshold:
+            if len(s.symbols) > self.threshold:
                 raise DomainError(
-                    f"table key of length {len(s)} exceeds threshold {self.threshold}"
+                    f"table key of length {len(s.symbols)} exceeds threshold {self.threshold}"
                 )
-            if s.alphabet != self.alphabet or y.alphabet != self.alphabet:
+            if not (s.alphabet is alphabet or s.alphabet == alphabet) or not (
+                y.alphabet is alphabet or y.alphabet == alphabet
+            ):
                 raise DomainError("table entries must use the model's alphabet")
         object.__setattr__(self, "table", frozen)
         object.__setattr__(self, "default_output", empty_string(self.alphabet))
 
     def predict(self, s: Str) -> Str:
+        if type(s) is Str and len(s.symbols) > self.threshold:
+            return self.default_output
         return self.table.get(s, self.default_output)
 
     __call__ = predict

@@ -498,7 +498,9 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
 
     The models are black boxes: each of the first min(i, K) models is asked
     once for its answer on the i-th window string, sum_i min(i, K) queries in
-    all, and the construction's own table inversion is never read. An answer
+    all, and the construction's own table inversion is never read. The call
+    of each of the first min(K, H) models is bound once, through its type as
+    model(s) resolves it; a model past the horizon H is never touched. An answer
     counts as a string only if it is a Str over the construction's alphabet
     (the same object or an equal one), as Str equality has it. The target
     and the candidates below it are then looked up among the answers' symbol
@@ -511,10 +513,11 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
     k_models = len(models)
     if any(p > min(i, k_models) + 1 for i, p in enumerate(psi, 1)):
         return False
+    calls = [type(model).__call__.__get__(model) for model in models[: construction.horizon]]
     candidates = list(itertools.islice(_shortlex_symbols(alphabet.size), max(psi, default=0)))
     for i, (p, symbols) in enumerate(zip(psi, _shortlex_symbols(alphabet.size)), 1):
         s_i = Str(alphabet, symbols)
-        answers = [model(s_i) for model in models[: min(i, k_models)]]
+        answers = [call(s_i) for call in calls[:i]]
         seen = {
             ans.symbols for ans in answers
             if type(ans) is Str and (ans.alphabet is alphabet or ans.alphabet == alphabet)

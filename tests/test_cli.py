@@ -520,6 +520,30 @@ def test_nfl_verify_bad_field_exit_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def test_nfl_verify_rejects_a_tail_bound_json_cannot_write(tmp_path, capsys, monkeypatch):
+    # lambda_h = 1/(10^4300 - 1) has a 4300-digit denominator; its tail bound
+    # (mu - lambda_h)/(1 - lambda_h) at mu = 1/4 has 4301 digits.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "nfl_brute_force", refuse)
+    doc = nfl_cfg()
+    doc["lambda_h_grid"] = ["1/8", "1/" + "9" * 4300]
+    assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 2
+    assert "lambda_h_grid[1]" in capsys.readouterr().err
+
+
+def test_nfl_verify_accepts_a_tail_bound_of_4300_digits(tmp_path, capsys):
+    # lambda_h = 1/(2 * 10^4299): the tail bound's denominator,
+    # 2 * 10^4299 - 1 after reducing, has 4300 digits.
+    doc = nfl_cfg()
+    doc["lambda_h_grid"] = [{"num": 1, "den": 2 * 10**4299}]
+    assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 0
+    bound = json.loads(capsys.readouterr().out)["tail"][0]["bound"]
+    assert Fraction(bound["num"], bound["den"]) == (Fraction(1, 4) - Fraction(1, 2 * 10**4299)) / (
+        1 - Fraction(1, 2 * 10**4299))
+
+
 def test_rational_text_gets_the_json_digit_limit():
     # 10^4299 has 4300 digits, the most json reads in a config integer.
     assert cli._fraction("1e4299", "x") == 10**4299
@@ -548,6 +572,20 @@ def test_diagonalize_csv(tmp_path):
     assert [r[0] for r in rows] == [str(i) for i in range(1, 31)]
     for r in rows:
         assert int(r[2]) == int(r[1]) - 1  # index column is rank minus one
+
+
+def test_diagonalize_builds_no_model_past_the_horizon(tmp_path):
+    # Models past the horizon are never asked: 10^9 of them at horizon 1
+    # build one model and give the rows of a single model.
+    def rows(models, horizon):
+        doc = {"alphabet": {"size": 2}, "models": models, "horizon": horizon}
+        out = tmp_path / f"{models}-{horizon}.csv"
+        assert run(["diagonalize", "--config", write_cfg(tmp_path, doc),
+                    "--seed", "3", "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+    assert rows(10**9, 1) == rows(1, 1)
+    assert rows(10**9, 40) == rows(40, 40)
 
 
 @pytest.mark.parametrize("field", ["table_size", "max_len"])

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hallustat.core import Alphabet, Str, empty_string, shortlex_string
+from hallustat.core import Alphabet, Str, empty_string, shortlex_string, strings_upto
 from hallustat.errors import ConfigError, DomainError
 from hallustat.flrm import (
     FlrmTrainer,
@@ -93,6 +93,36 @@ def test_unmemorized_prediction_is_empty_string():
     assert model.threshold == -1
     assert model(s(1, 0, 1)) == empty_string(A2)
     assert model.predict(s(1)) == empty_string(A2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("threshold", [-1, 0, 3])
+def test_predict_is_a_table_lookup(q, threshold):
+    # Every other string up to the threshold is a key; strings past it are
+    # answered without a lookup, and must get what the lookup would give.
+    a = Alphabet(q)
+    keys = list(strings_upto(a, threshold))[::2] if threshold >= 0 else []
+    model = MemorizerModel(a, {x: shortlex_string(a, r + 1) for r, x in enumerate(keys)}, threshold)
+    lookup = dict(model.table)
+    empty = empty_string(a)
+    queried = list(strings_upto(a, threshold + 2))
+    assert len(queried) > len(keys)
+    for x in queried:
+        assert model.predict(x) == lookup.get(x, empty)
+        # An equal, distinct alphabet finds the same entries; another
+        # alphabet finds none.
+        twin = Str(Alphabet(q), x.symbols)
+        assert model.predict(twin) == lookup.get(twin, empty)
+        other = Str(Alphabet(q + 1), x.symbols)
+        assert model.predict(other) == lookup.get(other, empty) == empty
+
+
+def test_predict_answers_a_non_str_with_the_default():
+    model = MemorizerModel(A2, {empty_string(A2): s(1), s(0): s(1)}, 1)
+    for x in ((), (0,), (0, 1, 1), "0", 0, None):
+        assert model.predict(x) is model.default_output
+    # The benchmark's tracer counts queries through one function.
+    assert MemorizerModel.__call__ is MemorizerModel.predict
 
 
 def test_trainer_object_matches_free_function():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallustat.core import Alphabet, Str, count_upto, shortlex_string, strings_upto
+from hallustat.core import (
+    Alphabet,
+    Str,
+    count_upto,
+    shortlex_index,
+    shortlex_string,
+    strings_upto,
+)
 from hallustat.errors import BudgetExceeded, DomainError
 from hallustat.flrm import FlrmTrainer, MemorizerModel
 import hallustat.limits as limits
@@ -627,6 +634,31 @@ def test_verify_diagonal_queries_each_covered_pair_once():
     for psi_2 in (3, 100):
         assert not verify_diagonal(DiagonalConstruction(wrapped[:1], A2, 2, (2, psi_2)))
     assert not asked
+
+
+def test_verify_diagonal_never_touches_models_past_the_horizon():
+    horizon = 12
+    models = random_table_models(A2, horizon, np.random.default_rng(5), max_len=3)
+    c = diagonalize(models, A2, horizon)
+    # Past the horizon: objects that cannot be called.
+    c = DiagonalConstruction(c.models + (None, object(), 42), A2, horizon, c.psi)
+    assert verify_diagonal(c)
+    assert_verdicts_match_pairs(c)
+
+
+def test_verify_diagonal_calls_models_as_model_of_s_does():
+    # A call operator set on the instance is ignored by model(s), which
+    # looks __call__ up on the type; the recheck asks the same.
+    class Shifted:
+        def __call__(self, s):
+            return shortlex_string(A2, shortlex_index(s) + 1)
+
+    model = Shifted()
+    model.__call__ = lambda s: shortlex_string(A2, 0)
+    psi = diagonalize_by_queries([model], A2, 8)
+    assert psi == (1,) * 8  # the instance's constant answer would make it (2,) * 8
+    assert verify_diagonal(DiagonalConstruction((model,), A2, 8, psi))
+    assert not verify_diagonal(DiagonalConstruction((model,), A2, 8, (2,) * 8))
 
 
 def test_diagonal_construction_checks_psi():
