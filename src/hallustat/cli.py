@@ -22,7 +22,14 @@ from fractions import Fraction
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
 from .errors import ConfigError, DomainError, DominationError, WorkbenchError
-from .evaluation import derive_stream, evaluate_hp, sweep, sweep_csv
+from .evaluation import (
+    DEFAULT_BUDGET,
+    check_trial_budget,
+    derive_stream,
+    evaluate_hp,
+    sweep,
+    sweep_csv,
+)
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (
     NflInstance,
@@ -302,6 +309,8 @@ def cmd_train_eval(cfg: dict, args) -> int:
     gt = _ground_truth(alphabet, cfg)
     labeler = _labeler(cfg)
     m = _int_field(cfg, "m", 0)
+    budget = _int_field(cfg, "budget", 0, DEFAULT_BUDGET)
+    check_trial_budget([m], 1, budget)
     rng = derive_stream(args.seed, 0)
     t = generate_qualified(mu, gt, m, labeler, rng)
     model = train(t, alphabet, bound)
@@ -328,10 +337,12 @@ def cmd_sweep(cfg: dict, args) -> int:
     m_grid = [_int_value(m, "m_grid entry", 0) for m in _list_field(cfg, "m_grid")]
     trials = _int_field(cfg, "trials", 1)
     eps_h = _float_value(cfg.get("epsilon_h", 0.2), "epsilon_h")
+    budget = _int_field(cfg, "budget", 0, DEFAULT_BUDGET)
     if not dominates(mu, bound):
         raise DominationError("mu does not dominate CDF bound")
     trainer = FlrmTrainer(alphabet, bound)
-    rows = sweep(trainer, mu, gt, m_grid, trials, labeler, args.seed, epsilon_h=eps_h)
+    rows = sweep(trainer, mu, gt, m_grid, trials, labeler, args.seed, epsilon_h=eps_h,
+                 budget=budget)
     _emit(sweep_csv(rows, _preamble(cfg, args.seed)), args.out)
     return 0
 

@@ -19,9 +19,11 @@ Carlo estimate (mc_hp) at MC_FALLBACK: mc_hp draws through
 mu.sample_distinct, counts each distinct draw with np.bincount, and
 evaluates it once, weighted by that count.
 
-run_trial is the one place a trial picks its path, from the instance, never
-from the caller. A threshold memorizer (an FlrmTrainer under a default rule
-of a known kind, on one alphabet with law and ground truth) runs the atom
+_trial_path is the one place a trial's path is picked, from the instance,
+never from the caller; run_trial runs one trial on it, and sweep asks it
+once and runs each coded row as batches of trials. A threshold memorizer
+(an FlrmTrainer under a default rule of a known kind, on one alphabet with
+law and ground truth) runs the atom
 trial on a finite support, on atom indices, and the coded trial on an
 override-free length-factored law whose codes stay below 2^62, on int64
 shortlex codes through the array kernels; both read the uniform stream
@@ -44,18 +46,24 @@ the stream where generate_qualified leaves it.
 
 A coded trial keeps a dense seen-table over all count_upto(n̄) strings of
 length <= n̄ (the memorizer's threshold), and decodes only the draws that
-can still change it. A longer draw is never memorized. A draw below the
+can still change it. Coded trials at one m run as a batch (_fast_trial):
+one row of the seen-table per trial, and one decode per chunk for all the
+draws the batch keeps. A longer draw is never memorized. A draw below the
 lowest level whose strings are not all seen lands on a seen string; a
 level with no sampling mass counts as full, since no draw lands there. So
 each chunk of training draws (512, then twice the last) decodes only the
-draws from that lowest open level up to n̄, and the trial stops once every
-level is full. It reads each block of uniforms at its place in the PCG64
-stream (one output is one double, and PCG64 jumps ahead in O(log n)
-steps), so the training draws after the table fills and the label draws
-are never drawn. Its HP comes from the seen-table's count per length
-through the same closed-form sum as the object path's, so the two paths
-agree bit for bit and neither draws evaluation samples. It leaves the
-stream where generate_qualified leaves it.
+draws from the trial's own lowest open level up to n̄, and the trial leaves
+the batch once every level is full. It reads each block of uniforms at its
+place in the PCG64 stream (one output is one double, and PCG64 jumps ahead
+in O(log n) steps), so the training draws after the table fills and the
+label draws are never drawn. Its HP comes from the seen-table's count per
+length through the same closed-form sum as the object path's, so the two
+paths agree bit for bit and neither draws evaluation samples. It leaves the
+stream where generate_qualified leaves it. A trial in a batch reads,
+decodes and returns what it would alone.
+
+sweep and train-eval bound their work before any draw (check_trial_budget):
+trials times the sum of m + 1 over the m grid.
 """
 
 from __future__ import annotations
@@ -68,13 +76,18 @@ import numpy as np
 
 from . import kernels
 from .core import count_upto, empty_string
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 
 _FAST_CODE_LIMIT = 2**62
 _FIRST_CHUNK = 512  # training draws in the first chunk, the one decoded in full
+# The most seen-table entries, and the most kept draws before a decode, that a
+# batch of coded trials holds.
+_BATCH_ENTRIES = 2**16
+# The work sweep and train-eval allow unless told otherwise (check_trial_budget).
+DEFAULT_BUDGET = 10**8
 # (draws, confidence) of evaluate_hp's Monte Carlo estimate for a model it
 # cannot sum exactly; a caller that wants another size calls mc_hp.
 MC_FALLBACK = (10_000, 0.95)
@@ -216,73 +229,114 @@ def _memorizer_hp(model: MemorizerModel, mu: LengthFactored, gt: GroundTruth,
     return _level_sum_hp(mu, mode, wrong, corrections)
 
 
-def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, m: int, labeler: Labeler, rng,
-                mode: int) -> float:
-    """Exact HP of one coded trial, on an instance run_trial sends here;
-    mode is _empty_mode of the default rule.
+def _coded_top(trainer: FlrmTrainer, mu: LengthFactored, m: int) -> tuple[int, int]:
+    """(n̄, top) of a coded trial at m: the memorizer's threshold and the
+    longest length its seen-table covers, top = min(max(n̄, 0), the
+    longest length mu samples); the table has count_upto(top) entries."""
+    n_bar = threshold_length(m, trainer.alphabet, trainer.bound)
+    return n_bar, min(max(n_bar, 0), mu.max_sample_length)
 
-    The seen-table over lengths <= top <= max(n̄, 0) is bounded by the
+
+def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, m: int, labeler: Labeler, rngs,
+                mode: int) -> list[float]:
+    """Exact HP of one coded trial per stream in rngs, all at m, on an
+    instance _trial_path sends to the coded trial; mode is _empty_mode of
+    the default rule.
+
+    The trials run as one batch: n̄ and the tables are computed once, and
+    each chunk's kept draws of every open trial go through one
+    kernels.sample_codes call (or one per _BATCH_ENTRIES kept draws), whose
+    codes mark a (trials, count_upto(top)) seen-table with one scatter.
+    The caller bounds that table, as sweep does. Each trial reads its own
+    blocks at the positions and sizes a lone trial reads, into one buffer
+    reused across the trials, and keeps the draws from its own lowest open
+    level up to top. Every stream is checked before any is read.
+
+    The seen-table row over lengths <= top <= max(n̄, 0) is bounded by the
     sample: n̄ >= 1 implies m > q^(n̄+1)*ln 2, so it holds at most
     count_upto(n̄) < q^(n̄+1) < 1.45*m entries; for n̄ <= 0 it holds one.
-    Training draws are read chunk by chunk; the first chunk decodes every
-    draw of length <= top, and each later one only those of length >= lo,
-    the lowest level that a draw can still add a string to.
     """
-    bits = getattr(rng, "bit_generator", None)
-    if not isinstance(bits, np.random.PCG64):
-        raise DomainError(
-            f"a coded trial reads its stream by position and needs a numpy "
-            f"Generator over PCG64, as derive_stream returns; got "
-            f"{type(bits or rng).__name__}"
-        )
-    # The stream is laid out as generate_qualified consumes it: training
+    bit_gens = [getattr(rng, "bit_generator", None) for rng in rngs]
+    for rng, bits in zip(rngs, bit_gens):
+        if not isinstance(bits, np.random.PCG64):
+            raise DomainError(
+                f"a coded trial reads its stream by position and needs a numpy "
+                f"Generator over PCG64, as derive_stream returns; got "
+                f"{type(bits or rng).__name__}"
+            )
+    # Each stream is laid out as generate_qualified consumes it: training
     # lengths at [0, m), training offsets at [m, 2m), then m label draws
     # under the uniform labeler (singleton sets ignore them). Each block is
     # read at its position; PCG64 advances by any delta modulo 2^128, one
     # output per double.
-    at = 0  # stream position of rng's next output
+    at = [0] * len(rngs)  # stream position of each rng's next output
 
-    def read(position: int, size: int):
-        nonlocal at
-        bits.advance((position - at) % 2**128)  # steps back as well
-        at = position + size
-        return rng.random(size)
+    def read(t: int, position: int, out):
+        bit_gens[t].advance((position - at[t]) % 2**128)  # steps back as well
+        at[t] = position + len(out)
+        rngs[t].random(out=out)
 
-    n_bar = threshold_length(m, trainer.alphabet, trainer.bound)
+    n_bar, top = _coded_top(trainer, mu, m)
     cum = mu._sampling_cum
-    top = min(max(n_bar, 0), len(cum) - 1)
     cut = cum[top]  # a draw has length <= top iff its u_len < cut
     base, pow_i = mu._code_tables  # every level up to top, since q^top < 2^62
     tables = (cum[:top + 1], base, pow_i.astype(np.float64), pow_i)
-    seen = np.zeros(count_upto(trainer.alphabet, top), dtype=bool)
-    # No draw can add a string of length < lo to seen: each such level is
-    # full or has no sampling mass. A draw has length >= lo iff its
-    # u_len >= low = cum[lo - 1].
-    lo, low = 0, 0.0
+    width = count_upto(trainer.alphabet, top)
+    seen = np.zeros((len(rngs), width), dtype=bool)
+    flat = seen.reshape(-1)  # a view: trial t's code c is entry t * width + c
+    starts, levels = base[:top + 1], pow_i[:top + 1]
+    # A draw has length >= n iff its u_len >= low_of[n] = cum[n - 1]. A
+    # level with no sampling mass counts as full, since no draw lands there.
+    low_of = np.concatenate(([0.0], cum[:top]))
+    no_mass = cum[:top + 1] == low_of
+
+    def mark(kept):
+        """Decode the kept draws of (row offset, u_len, u_off) and mark them."""
+        offsets, u_len, u_off = zip(*kept)
+        codes, _ = kernels.sample_codes(np.concatenate(u_len), np.concatenate(u_off), *tables)
+        flat[codes + np.repeat(offsets, [len(u) for u in u_len])] = True
+
     start, chunk = 0, _FIRST_CHUNK
     # With n̄ < 0 nothing is memorized.
     while n_bar >= 0 and start < m:
-        while lo <= top and (cum[lo] == low
-                             or seen[base[lo]:base[lo] + pow_i[lo]].all()):
-            low = cum[lo]
-            lo += 1
-        if lo > top:  # no later draw can change seen
+        # No draw can add a string of length < lo to a trial's row: each such
+        # level is full or has no sampling mass. A trial whose levels are all
+        # full leaves the batch.
+        open_at = ~no_mass & (np.add.reduceat(seen, starts, axis=1, dtype=np.int64) != levels)
+        alive = np.flatnonzero(open_at.any(axis=1)).tolist()
+        if not alive:
             break
+        lows = low_of[open_at.argmax(axis=1)].tolist()
         size = min(chunk, m - start)  # a longer read would run into the offsets
-        u_len, u_off = read(start, size), read(m + start, size)
-        new = (low <= u_len) & (u_len < cut)
-        train_codes, _ = kernels.sample_codes(u_len[new], u_off[new], *tables)
-        seen[train_codes] = True
+        u_len, u_off = np.empty(size), np.empty(size)
+        kept, pending = [], 0
+        for t in alive:
+            read(t, start, u_len)
+            read(t, m + start, u_off)
+            new = (lows[t] <= u_len) & (u_len < cut)
+            kept_len = u_len[new]
+            kept.append((t * width, kept_len, u_off[new]))
+            pending += len(kept_len)
+            if pending >= _BATCH_ENTRIES:
+                mark(kept)
+                kept, pending = [], 0
+        if kept:
+            mark(kept)
         start += chunk
         chunk *= 2
-    read(3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m, 0)
+    end, empty = (3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m), np.empty(0)
+    for t in range(len(rngs)):
+        read(t, end, empty)
     # Every memorized string is answered right. Lengths in (top, n̄] carry
     # no sampling mass and were never drawn.
     q = trainer.alphabet.size
-    seen_at = np.add.reduceat(seen, base[:top + 1], dtype=np.int64).tolist()
-    seen_at += [0] * (max(n_bar, 0) - top)
-    wrong = [q**n - k if _empty_misses(mode, n) else 0 for n, k in enumerate(seen_at)]
-    return _level_sum_hp(mu, mode, wrong)
+    longer = [0] * (max(n_bar, 0) - top)
+    hps = []
+    for seen_at in np.add.reduceat(seen, starts, axis=1, dtype=np.int64).tolist():
+        wrong = [q**n - k if _empty_misses(mode, n) else 0
+                 for n, k in enumerate(seen_at + longer)]
+        hps.append(_level_sum_hp(mu, mode, wrong))
+    return hps
 
 
 def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int,
@@ -310,9 +364,24 @@ def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int
     return float(mu._mass(wrong))
 
 
+def _trial_path(trainer, mu, gt: GroundTruth) -> tuple[str, int | None]:
+    """The trial run_trial runs on an instance, "atom", "coded" or "object",
+    decided from the instance alone, and _empty_mode of its default rule."""
+    mode = _empty_mode(gt.default_rule)
+    if (isinstance(trainer, FlrmTrainer) and mode is not None
+            and trainer.alphabet == mu.alphabet == gt.alphabet):
+        if isinstance(mu, FiniteSupport):
+            return "atom", mode
+        if (isinstance(mu, LengthFactored) and not gt.overrides
+                and count_upto(mu.alphabet, mu.max_sample_length) < _FAST_CODE_LIMIT):
+            return "coded", mode
+    return "object", mode
+
+
 def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
     """The HP of the model trained on one qualified draw of m pairs; the
-    coded and the atom trial compute it without building the pairs.
+    coded and the atom trial compute it without building the pairs. A
+    coded trial runs as a batch of one.
 
     A model that evaluate_hp cannot sum exactly (from a trainer other than
     a threshold memorizer, or under a default rule of another kind) gets a
@@ -320,16 +389,26 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    mode = _empty_mode(gt.default_rule)
-    if (isinstance(trainer, FlrmTrainer) and mode is not None
-            and trainer.alphabet == mu.alphabet == gt.alphabet):
-        if isinstance(mu, FiniteSupport):
-            return _atom_trial(trainer, mu, gt, m, labeler, rng, mode)
-        if (isinstance(mu, LengthFactored) and not gt.overrides
-                and count_upto(mu.alphabet, mu.max_sample_length) < _FAST_CODE_LIMIT):
-            return _fast_trial(trainer, mu, m, labeler, rng, mode)
+    path, mode = _trial_path(trainer, mu, gt)
+    if path == "atom":
+        return _atom_trial(trainer, mu, gt, m, labeler, rng, mode)
+    if path == "coded":
+        return _fast_trial(trainer, mu, m, labeler, [rng], mode)[0]
     model = trainer(generate_qualified(mu, gt, m, labeler, rng))
     return evaluate_hp(model, mu, gt, rng).estimate
+
+
+def check_trial_budget(m_grid, trials: int, budget: int) -> None:
+    """Raise BudgetExceeded, before any draw, when running `trials` trials
+    at each m of m_grid costs more than budget: trials * sum(m + 1). A trial
+    at m draws at most 3m uniforms; the + 1 charges the trial itself, so
+    a grid of zeros is bounded too."""
+    work = trials * sum(int(m) + 1 for m in m_grid)
+    check_budget(
+        "running {} trials at each of {} sample sizes costs {} (trials times the "
+        "sum of m + 1), over the budget of {}",
+        (trials, len(m_grid), work, budget), budget, 0, lambda: work,
+    )
 
 
 def sweep(
@@ -342,6 +421,7 @@ def sweep(
     master_seed: int,
     *,
     epsilon_h: float = 0.2,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[SweepRow]:
     """One row of trial statistics per grid point; rows use disjoint streams.
 
@@ -351,23 +431,41 @@ def sweep(
     sufficiency statement Pr(HP >= epsilon_h) <= epsilon_t empirically for the
     configured labeler; it is an experiment, not a proof. Each trial's HP is
     run_trial's: exact for a threshold memorizer, so a row's spread is
-    between training samples only.
+    between training samples only. The whole sweep must fit the budget
+    (check_trial_budget), checked before any draw.
 
-    Trials run one after another in the calling thread: under the
-    interpreter lock a second thread gets no CPU time for them.
+    A coded row runs its trials in batches through _fast_trial, each of at
+    most _BATCH_ENTRIES // count_upto(top) trials (at least one), with the
+    streams of one batch derived at a time. Every other row calls run_trial
+    once per stream. Rows run one after another in the calling thread: under
+    the interpreter lock a second thread gets no CPU time for them.
     """
     if not m_grid:
         raise DomainError("m grid must be non-empty")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    for m in m_grid:
+        if m < 0:
+            raise DomainError(f"m must be >= 0, got {m}")
     if not 0.0 < epsilon_h <= 1.0:  # also rejects NaN
         raise DomainError(f"epsilon_h must lie in (0,1], got {epsilon_h}")
+    check_trial_budget(m_grid, trials, budget)
+    path, mode = _trial_path(trainer, mu, gt)
     rows = []
     for row, m in enumerate(m_grid):
-        hps = np.asarray([
-            run_trial(trainer, mu, gt, m, labeler, derive_stream(master_seed, row, index))
-            for index in range(trials)
-        ])
+        if path == "coded":
+            width = count_upto(mu.alphabet, _coded_top(trainer, mu, m)[1])
+            batch = max(1, _BATCH_ENTRIES // width)
+            hps = []
+            for first in range(0, trials, batch):
+                rngs = [derive_stream(master_seed, row, index)
+                        for index in range(first, min(first + batch, trials))]
+                hps += _fast_trial(trainer, mu, m, labeler, rngs, mode)
+        else:
+            hps = [run_trial(trainer, mu, gt, m, labeler,
+                             derive_stream(master_seed, row, index))
+                   for index in range(trials)]
+        hps = np.asarray(hps)
         fraction = int(np.count_nonzero(hps >= epsilon_h)) / trials
         rows.append(
             SweepRow(

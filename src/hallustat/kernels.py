@@ -5,13 +5,14 @@ Strings appear here only as int64 shortlex codes. Code layout for alphabet
 size q: base[L] = number of strings shorter than L, code = base[L] + offset
 with offset in [0, q^L). Callers guarantee all codes fit below 2^62.
 
-The coded trial (evaluation._fast_trial) decodes only draws of length
-<= n̄ at levels whose strings are not all seen yet, from the lowest such
-level up, and stops once no draw can add to its seen-table; the table has
-count_upto(n̄) < 1.45*m entries for n̄ >= 1. It reads the
-uniforms it passes here from its PCG64 stream by position, chunk by chunk,
-and skips the blocks it does not use. It draws no evaluation samples: its
-HP is a closed-form sum over the seen-table's count per length.
+The coded trials (evaluation._fast_trial) run as a batch and call
+sample_codes once per chunk for the whole batch. Each trial keeps only its
+draws of length <= n̄ at levels whose strings are not all seen yet, from its
+lowest such level up, and leaves the batch once no draw can add to its row
+of the seen-table; a row has count_upto(n̄) < 1.45*m entries for n̄ >= 1.
+Each trial reads the uniforms from its own PCG64 stream by position, chunk
+by chunk, and skips the blocks it does not use. No evaluation samples are
+drawn: a trial's HP is a closed-form sum over its row's count per length.
 """
 
 from __future__ import annotations

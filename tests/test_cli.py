@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hallustat.cli as cli
+from hallustat import evaluation
 from hallustat.limits import NflReport, TailCheck
 
 
@@ -387,6 +388,86 @@ def test_sweep_alphabet_size_below_two_exit_3(tmp_path, capsys, size):
     doc["alphabet"] = {"size": size}
     assert run(["sweep", "--config", write_cfg(tmp_path, doc)]) == 3
     assert "alphabet size" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("sweep_*.csv")))
+def test_sweep_matches_committed_artifact(tmp_path, name):
+    # Each file holds the bytes an earlier version wrote: the README sweep,
+    # CI's zero-mass sweep under the uniform labeler, and a law whose trials
+    # leave a batch at different chunks. The run is replayed from the seed
+    # and config in its own header.
+    golden = (GOLDEN / name).read_bytes()
+    header = dict(line[2:].split(": ", 1) for line in golden.decode().splitlines()
+                  if line.startswith("# "))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(header["config"])
+    out = tmp_path / "out.csv"
+    assert run(["sweep", "--config", str(cfg), "--seed", header["seed"], "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("sweep", {"m_grid": [10**30]}),
+    ("sweep", {"trials": 1, "m_grid": [10**8]}),  # m + 1 is one past the default
+    ("sweep", {"trials": 10**7, "m_grid": [10]}),
+    ("sweep", {"trials": 10**8 + 1, "m_grid": [0]}),  # a trial costs one even at m = 0
+    ("sweep", {"trials": 2, "m_grid": [3, 5], "budget": 19}),
+    ("train-eval", {"m": 10**30}),
+    ("train-eval", {"m": 10**8}),
+    ("train-eval", {"m": 50, "budget": 50}),
+], ids=["sweep-huge-m", "sweep-m-at-budget", "sweep-many-trials", "sweep-many-trials-at-m-0",
+        "sweep-budget-in-config", "train-eval-huge-m", "train-eval-m-at-budget",
+        "train-eval-budget-in-config"])
+def test_sweep_and_train_eval_over_budget_exit_5_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                                 command, fields):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was derived before the budget check")
+
+    monkeypatch.setattr(cli, "derive_stream", refuse)
+    monkeypatch.setattr(evaluation, "derive_stream", refuse)
+    doc = train_eval_cfg() if command == "train-eval" else sweep_cfg()
+    doc.update(fields)
+    out = tmp_path / "out"
+    assert run([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 5
+    assert "over the budget of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_and_train_eval_run_at_exactly_their_budget(tmp_path, capsys):
+    # trials * sum(m + 1) = 2 * (4 + 6) = 20 for the sweep, m + 1 for train-eval
+    doc = sweep_cfg()
+    doc.update(trials=2, m_grid=[3, 5], budget=20)
+    assert run(["sweep", "--config", write_cfg(tmp_path, doc)]) == 0
+    text = capsys.readouterr().out
+    assert '"budget":20' in text.splitlines()[2]
+    doc["budget"] = 19
+    assert run(["sweep", "--config", write_cfg(tmp_path, doc)]) == 5
+    te = train_eval_cfg()
+    te.update(m=50, budget=51)
+    assert run(["train-eval", "--config", write_cfg(tmp_path, te)]) == 0
+    te["budget"] = 50
+    assert run(["train-eval", "--config", write_cfg(tmp_path, te)]) == 5
+
+
+def test_sweep_and_train_eval_without_budget_write_no_budget(tmp_path, capsys):
+    # The default is not written into the artifact's config: configs without
+    # the key keep their bytes.
+    assert run(["sweep", "--config", write_cfg(tmp_path, sweep_cfg())]) == 0
+    assert "budget" not in capsys.readouterr().out
+    assert run(["train-eval", "--config", write_cfg(tmp_path, train_eval_cfg())]) == 0
+    assert "budget" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sweep", "train-eval"])
+@pytest.mark.parametrize("budget", ["x", -1, True, 1.5])
+def test_sweep_and_train_eval_bad_budget_exit_2(tmp_path, capsys, command, budget):
+    doc = train_eval_cfg() if command == "train-eval" else sweep_cfg()
+    doc["budget"] = budget
+    assert run([command, "--config", write_cfg(tmp_path, doc)]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- nfl-verify

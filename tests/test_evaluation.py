@@ -14,7 +14,7 @@ from hallustat.core import (
     Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
     strings_of_length, strings_upto,
 )
-from hallustat.errors import DomainError
+from hallustat.errors import BudgetExceeded, DomainError
 from hallustat.evaluation import (
     CSV_COLUMNS,
     MC_FALLBACK,
@@ -388,6 +388,15 @@ def seven_strings():
     return LengthFactored(A2, (0.25, 0.25, 0.5))
 
 
+def fills_in_first_chunk_or_not():
+    # Only lengths 0 and 6 have mass (n̄ = 6 from m = 533 on). The 512 draws
+    # of the first chunk fill level 6 (64 strings, 4.8 draws each on
+    # average) with probability about 0.6, so in a row some trials leave
+    # after the first chunk and others read on.
+    return (FlrmTrainer(A2, CdfLowerBound((0.0,) * 7 + (1.0,))),
+            LengthFactored(A2, (0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6)))
+
+
 @pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
 def test_fast_path_equals_general_path(rule, labeler):
@@ -431,6 +440,102 @@ def test_fast_path_equals_general_path_on_a_finite_q3_law(rule, labeler):
     for m, seeds in ((0, (0, 5)), (7, (0, 5)), (1000, (0, 5)), (100_000, (0,))):
         for seed in seeds:
             assert_trial_equals_object_pipeline(trainer, mu, gt, m, labeler, seed)
+
+
+def open_levels_differ():
+    # Level 3 (8 strings) fills in the first chunk in about half of the
+    # trials; level 5 (32 strings) stays open well past it (n̄ = 5 from
+    # m = 223 on). So from the second chunk on, trials of one batch keep
+    # draws from different lowest open levels, 3 or 5.
+    return (FlrmTrainer(A2, CdfLowerBound((0.0,) * 6 + (1.0,))),
+            LengthFactored(A2, (0.952, 0.0, 0.0, 0.038, 0.0, 0.01)))
+
+
+def assert_batch_equals_lone_trials(trainer, mu, gt, m, labeler, streams):
+    """_fast_trial on the streams of derive_stream(seed, 0, i), i < streams,
+    as one batch gives each stream the HP run_trial gives it alone, bit for
+    bit, and leaves each stream at the same next uniform. Returns the batch
+    generators as RecordingReads."""
+    mode = evaluation._trial_path(trainer, mu, gt)[1]
+    rngs = [RecordingReads(derive_stream(seed, 0)) for seed in range(streams)]
+    hps = evaluation._fast_trial(trainer, mu, m, labeler, rngs, mode)
+    assert len(hps) == streams
+    for seed, (hp, rng) in enumerate(zip(hps, rngs)):
+        alone = derive_stream(seed, 0)
+        assert hp == run_trial(trainer, mu, gt, m, labeler, alone)  # bitwise
+        assert rng._rng.random() == alone.random()
+    return rngs
+
+
+@pytest.mark.parametrize("labeler", [Labeler.CANONICAL, Labeler.UNIFORM_ACCEPTABLE])
+@pytest.mark.parametrize("instance", [
+    lambda: (TRAINER, half_geometric()), lambda: (TRAINER, never_full()),
+    lambda: (TRAINER, sparse_top()), zero_mass_filled_out_of_order,
+    lambda: (TRAINER, seven_strings()), finite_q3, fills_in_first_chunk_or_not,
+    open_levels_differ,
+], ids=["half_geometric", "never_full", "sparse_top", "zero_mass_filled_out_of_order",
+        "seven_strings", "finite_q3", "fills_in_first_chunk_or_not", "open_levels_differ"])
+def test_batched_coded_trials_equal_lone_trials(instance, labeler):
+    trainer, mu = instance()
+    for rule in (Echo(), IndexShift(3)):  # empty output right on "", or nowhere
+        gt = GroundTruth(mu.alphabet, rule)
+        assert evaluation._trial_path(trainer, mu, gt)[0] == "coded"
+        for m in (0, 1, 511, 512, 513, 3000, 10**5):
+            for streams in (1, 5):
+                assert_batch_equals_lone_trials(trainer, mu, gt, m, labeler, streams)
+
+
+def test_a_batch_decodes_the_draws_its_trials_decode_alone(monkeypatch):
+    # Each trial keeps only the draws from its own lowest open level up, so a
+    # batch decodes as many draws as its trials do one by one.
+    decoded = []
+    sample_codes = kernels.sample_codes
+
+    def counting(u_len, u_off, *tables):
+        decoded.append(len(u_len))
+        return sample_codes(u_len, u_off, *tables)
+
+    monkeypatch.setattr(kernels, "sample_codes", counting)
+    for trainer, mu in (open_levels_differ(), (TRAINER, never_full()), finite_q3()):
+        gt = GroundTruth(mu.alphabet, Echo())
+        for m in (3000, 10**5):
+            decoded.clear()
+            rngs = [derive_stream(seed, 0) for seed in range(6)]
+            evaluation._fast_trial(trainer, mu, m, Labeler.CANONICAL, rngs, 0)
+            batch = sum(decoded)
+            decoded.clear()
+            for seed in range(6):
+                run_trial(trainer, mu, gt, m, Labeler.CANONICAL, derive_stream(seed, 0))
+            assert batch == sum(decoded) > 0
+
+
+def test_batch_trials_leave_at_their_own_chunk():
+    # At m = 600 a trial that fills level 6 in the first chunk reads only it;
+    # another reads the second chunk too, cut to the 88 draws left before m.
+    trainer, mu = fills_in_first_chunk_or_not()
+    gt = GroundTruth(A2, Echo())
+    for labeler in Labeler:
+        rngs = assert_batch_equals_lone_trials(trainer, mu, gt, 600, labeler, 8)
+        sizes = {tuple(rng.sizes) for rng in rngs}
+        assert sizes == {(512, 512, 0), (512, 512, 88, 88, 0)}
+
+
+def test_sweep_runs_a_coded_row_in_batches_bounded_by_its_seen_table(monkeypatch):
+    # A batch holds at most _BATCH_ENTRIES seen-table entries: here 3 trials
+    # of the 7 entries of lengths <= 2, so a 7-trial row runs as 3 + 3 + 1.
+    batches = []
+    fast_trial = evaluation._fast_trial
+
+    def spy(trainer, mu, m, labeler, rngs, mode):
+        batches.append(len(rngs))
+        return fast_trial(trainer, mu, m, labeler, rngs, mode)
+
+    mu, gt = seven_strings(), GroundTruth(A2, Echo())
+    expected = sweep(TRAINER, mu, gt, [3000], 7, Labeler.CANONICAL, 9)
+    monkeypatch.setattr(evaluation, "_fast_trial", spy)
+    monkeypatch.setattr(evaluation, "_BATCH_ENTRIES", 3 * count_upto(A2, 2) + 2)
+    assert sweep(TRAINER, mu, gt, [3000], 7, Labeler.CANONICAL, 9) == expected
+    assert batches == [3, 3, 1]
 
 
 def mixed_support(a, seed):
@@ -542,9 +647,9 @@ class RecordingReads:
         self._rng = rng
         self.sizes = []
 
-    def random(self, size):
-        self.sizes.append(size)
-        return self._rng.random(size)
+    def random(self, size=None, out=None):
+        self.sizes.append(size if out is None else len(out))
+        return self._rng.random(size, out=out)
 
 
 @pytest.mark.parametrize("trainer, mu, m, sizes", [
@@ -619,6 +724,23 @@ def test_coded_trial_memory_is_bounded_by_what_it_reads():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+    # A 60-trial row at m = 10^6. On seven_strings every trial leaves after
+    # the first chunk, whose kept draws are decoded together (2.1 MB). On a
+    # law of 4096 strings of length 12 (a seen-table of 8191 entries per
+    # trial) a batch takes 8 trials and decodes whenever 2^16 draws are kept
+    # (4.8 MB); one batch of all 60 trials that decoded once per chunk held
+    # 93 MB.
+    wide = (FlrmTrainer(A2, CdfLowerBound((0.0,) * 13 + (1.0,))),
+            LengthFactored(A2, (0.0,) * 12 + (1.0,)))
+    for (trainer, law), bound in (((TRAINER, mu), 3_000_000), (wide, 8_000_000)):
+        tracemalloc.start()
+        try:
+            (row,) = sweep(trainer, law, gt, [10**6], 60, Labeler.CANONICAL, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row.mean_hp == 0.0  # every trial fills its table
+        assert peak < bound
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
@@ -629,6 +751,17 @@ def test_coded_trial_rejects_streams_it_cannot_read_by_position(bit_generator):
         run_trial(TRAINER, half_geometric(), gt, 100, Labeler.CANONICAL, rng)
     # Nothing was drawn.
     assert np.array_equal(rng.random(3), np.random.Generator(bit_generator(7)).random(3))
+    # In a batch, such a stream anywhere, the last included, stops the row
+    # before any of its streams is read.
+    for at in range(3):
+        rngs = [derive_stream(7, 0, i) for i in range(3)]
+        rngs[at] = np.random.Generator(bit_generator(7))
+        with pytest.raises(DomainError, match="derive_stream"):
+            evaluation._fast_trial(TRAINER, half_geometric(), 100, Labeler.CANONICAL, rngs, 0)
+        for i, other in enumerate(rngs):
+            fresh = (np.random.Generator(bit_generator(7)) if i == at
+                     else derive_stream(7, 0, i))
+            assert np.array_equal(other.random(3), fresh.random(3))
     # The object path reads its stream in order and takes any generator.
     a3 = Alphabet(3)
     trainer = FlrmTrainer(a3, HALF_BOUND)
@@ -683,6 +816,23 @@ def test_sweep_rejects_bad_trial_sizes_on_both_paths(q, m_grid, trials):
     assert takes_coded_trial(trainer, mu, gt) == (q == 2)
     with pytest.raises(DomainError):
         sweep(trainer, mu, gt, m_grid, trials, Labeler.CANONICAL, 5)
+
+
+def test_sweep_checks_its_budget_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was derived before the budget check")
+
+    gt = GroundTruth(A2, Echo())
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "derive_stream", refuse)
+        # trials * sum(m + 1): 1 * (10^30 + 1), then 2 * (4 + 6) = 20
+        with pytest.raises(BudgetExceeded, match="over the budget of 100000000"):
+            sweep(TRAINER, half_geometric(), gt, [10**30], 1, Labeler.CANONICAL, 5)
+        with pytest.raises(BudgetExceeded) as exc:
+            sweep(TRAINER, half_geometric(), gt, [3, 5], 2, Labeler.CANONICAL, 5, budget=19)
+        assert (exc.value.required, exc.value.budget) == (20, 19)
+    assert len(sweep(TRAINER, half_geometric(), gt, [3, 5], 2, Labeler.CANONICAL, 5,
+                     budget=20)) == 2
 
 
 def test_sweep_rows_and_determinism():
