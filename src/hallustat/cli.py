@@ -128,17 +128,20 @@ def _string(alphabet: Alphabet, value, name: str) -> Str:
         raise ConfigError(f"bad string {name} {value!r}: {exc}") from exc
 
 
-def _cdf_bound(doc: dict) -> CdfLowerBound:
-    spec = _require(doc, "cdf_bound")
-    table = tuple(_float_value(v, "cdf_bound.table entry") for v in _list_field(spec, "table"))
-    tail_spec = _require(spec, "tail")
-    kind = _require(tail_spec, "kind")
+def _cdf_bound(doc: dict, name: str = "cdf_bound") -> CdfLowerBound:
+    """The CDF bound at doc["cdf_bound"]; name is its full field path."""
+    spec = _require(doc, "cdf_bound", name)
+    table = tuple(_float_value(v, f"{name}.table[{i}]")
+                  for i, v in enumerate(_list_field(spec, "table", f"{name}.table")))
+    tail_spec = _require(spec, "tail", f"{name}.tail")
+    kind = _require(tail_spec, "kind", f"{name}.tail.kind")
     if kind == "geometric":
-        ratio = _float_value(_require(tail_spec, "ratio"), "cdf_bound.tail.ratio")
+        ratio = _float_value(_require(tail_spec, "ratio", f"{name}.tail.ratio"),
+                             f"{name}.tail.ratio")
     elif kind == "one_at_n":
         ratio = None
     else:
-        raise ConfigError(f"unknown tail kind {kind!r}")
+        raise ConfigError(f"unknown tail kind {kind!r} in {name}.tail.kind")
     return CdfLowerBound(table, ratio)
 
 
@@ -158,8 +161,8 @@ def _distribution(alphabet: Alphabet, doc: dict):
         mass = Fraction(1, max(len(members), 1))  # no members: FiniteSupport rejects ()
         return FiniteSupport(tuple((s, mass) for s in members))
     if kind == "length_factored":
-        probs = tuple(_float_value(v, "mu.length_probs entry")
-                      for v in _list_field(spec, "length_probs", "mu.length_probs"))
+        probs = tuple(_float_value(v, f"mu.length_probs[{i}]")
+                      for i, v in enumerate(_list_field(spec, "length_probs", "mu.length_probs")))
         ratio = spec.get("tail_ratio")
         if ratio is not None:
             ratio = _float_value(ratio, "mu.tail_ratio")
@@ -334,7 +337,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     mu = _distribution(alphabet, cfg)
     gt = _ground_truth(alphabet, cfg)
     labeler = _labeler(cfg)
-    m_grid = [_int_value(m, "m_grid entry", 0) for m in _list_field(cfg, "m_grid")]
+    m_grid = [_int_value(m, f"m_grid[{i}]", 0) for i, m in enumerate(_list_field(cfg, "m_grid"))]
     trials = _int_field(cfg, "trials", 1)
     eps_h = _float_value(cfg.get("epsilon_h", 0.2), "epsilon_h")
     budget = _int_field(cfg, "budget", 0, DEFAULT_BUDGET)
@@ -377,11 +380,11 @@ def cmd_nfl(cfg: dict, args) -> int:
     domain = _nfl_strings(alphabet, cfg, "domain", n)
     codomain = _nfl_strings(alphabet, cfg, "codomain", p)
     learner_spec = _require(cfg, "learner")
-    kind = _require(learner_spec, "kind")
+    kind = _require(learner_spec, "kind", "learner.kind")
     if kind == "memorize_constant":
         learner = memorize_constant_trainer(codomain)
     elif kind == "flrm":
-        learner = FlrmTrainer(alphabet, _cdf_bound(learner_spec))
+        learner = FlrmTrainer(alphabet, _cdf_bound(learner_spec, "learner.cdf_bound"))
     else:
         raise ConfigError(f"unknown learner kind {kind!r}")
     grid = tuple(_fraction(v, f"lambda_h_grid[{i}]") for i, v in
@@ -442,7 +445,7 @@ def cmd_diag(cfg: dict, args) -> int:
 
 
 def cmd_typical(cfg: dict, args) -> int:
-    pmf = tuple(_float_value(v, "pmf entry") for v in _list_field(cfg, "pmf"))
+    pmf = tuple(_float_value(v, f"pmf[{i}]") for i, v in enumerate(_list_field(cfg, "pmf")))
     m = _int_field(cfg, "m", 1)
     delta = _float_value(_require(cfg, "delta"), "delta")
     budget = _int_field(cfg, "budget", 0, 10**7)

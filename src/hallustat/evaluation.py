@@ -14,16 +14,17 @@ length-factored law it sums in closed form: the HP is
 sum over n <= max(n̄, 0) of w_n * p(n) * q^-n, plus the mass of the longer
 lengths when their empty default output is unacceptable, plus one term per
 override longer than that, where w_n is the integer count of length-n
-strings the memorizer answers wrongly. Every other predictor gets a Monte
-Carlo estimate (mc_hp) at MC_FALLBACK: mc_hp draws through
+strings the memorizer answers wrongly. The default rule rejects the empty
+output on every string of length >= gt._empty_wrong_from and on no shorter
+one; each closed-form sum here reads that length. Every other predictor
+gets a Monte Carlo estimate (mc_hp) at MC_FALLBACK: mc_hp draws through
 mu.sample_distinct, counts each distinct draw with np.bincount, and
 evaluates it once, weighted by that count.
 
 _trial_path is the one place a trial's path is picked, from the instance,
 never from the caller; run_trial runs one trial on it, and sweep asks it
 once and runs each coded row as batches of trials. A threshold memorizer
-(an FlrmTrainer under a default rule of a known kind, on one alphabet with
-law and ground truth) runs the atom
+(an FlrmTrainer on one alphabet with law and ground truth) runs the atom
 trial on a finite support, on atom indices, and the coded trial on an
 override-free length-factored law whose codes stay below 2^62, on int64
 shortlex codes through the array kernels; both read the uniform stream
@@ -79,7 +80,7 @@ from .core import count_upto, empty_string
 from .errors import DomainError, check_budget
 from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
-from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
+from .oracle import GroundTruth, Labeler, generate_qualified
 
 _FAST_CODE_LIMIT = 2**62
 _FIRST_CHUNK = 512  # training draws in the first chunk, the one decoded in full
@@ -166,34 +167,14 @@ def evaluate_hp(predict, mu, gt: GroundTruth, rng) -> HallucinationReport:
     MC_FALLBACK from rng; mc_hp takes a sample size of the caller's."""
     if isinstance(mu, FiniteSupport):
         return exact_hp(predict, mu, gt)
-    mode = _empty_mode(gt.default_rule)
     if (isinstance(predict, MemorizerModel) and isinstance(mu, LengthFactored)
-            and predict.alphabet == mu.alphabet == gt.alphabet and mode is not None):
+            and predict.alphabet == mu.alphabet == gt.alphabet):
         # The law's masses are floats: no exact fraction to report.
-        return HallucinationReport(estimate=_memorizer_hp(predict, mu, gt, mode),
-                                   method="exact")
+        return HallucinationReport(estimate=_memorizer_hp(predict, mu, gt), method="exact")
     return mc_hp(predict, mu, gt, *MC_FALLBACK, rng)
 
 
-def _empty_mode(rule) -> int | None:
-    """Where a default rule accepts the empty output: 0 on the empty string
-    only, 1 nowhere, 2 everywhere; None for a rule of another kind."""
-    if isinstance(rule, Echo):
-        return 0
-    if isinstance(rule, IndexShift):
-        return 0 if rule.shift == 0 else 1
-    if isinstance(rule, Constant):
-        return 2 if len(rule.output) == 0 else 1
-    return None
-
-
-def _empty_misses(mode: int, n: int) -> bool:
-    """Whether the default rule rejects the empty output on the strings of
-    length n: under every mode it rejects it on all of them or on none."""
-    return mode == 1 or (mode == 0 and n > 0)
-
-
-def _level_sum_hp(mu: LengthFactored, mode: int, wrong, corrections=()) -> float:
+def _level_sum_hp(mu: LengthFactored, gt: GroundTruth, wrong, corrections=()) -> float:
     """A memorizer's HP from wrong[n], the integer count of strings of length
     n <= top = len(wrong) - 1 it answers wrongly.
 
@@ -204,29 +185,28 @@ def _level_sum_hp(mu: LengthFactored, mode: int, wrong, corrections=()) -> float
     """
     q = mu.alphabet.size
     terms = [mu._length_prob(n) * (w / q**n) for n, w in enumerate(wrong) if w]
-    if _empty_misses(mode, len(wrong)):
+    if len(wrong) >= gt._empty_wrong_from:
         terms.append(mu.defect(len(wrong) - 1))
     terms.extend(corrections)
     return math.fsum(terms)
 
 
-def _memorizer_hp(model: MemorizerModel, mu: LengthFactored, gt: GroundTruth,
-                  mode: int) -> float:
+def _memorizer_hp(model: MemorizerModel, mu: LengthFactored, gt: GroundTruth) -> float:
     """Closed-form HP of a memorizer, counted from its table and the ground
     truth's overrides: every other string gets the empty output under the
     default rule, which is wrong on all strings of a length or on none."""
     q = mu.alphabet.size
     top = max(model.threshold, 0)  # table keys are no longer than the threshold
-    wrong = [q**n if _empty_misses(mode, n) else 0 for n in range(top + 1)]
+    wrong = [q**n if n >= gt._empty_wrong_from else 0 for n in range(top + 1)]
     corrections = []
     for s in set(model.table).union(key for key, _ in gt.overrides):
         n = len(s)
-        delta = (not gt.accepts(s, model(s))) - _empty_misses(mode, n)
+        delta = (not gt.accepts(s, model(s))) - (n >= gt._empty_wrong_from)
         if n <= top:
             wrong[n] += delta
         elif delta:
             corrections.append(delta * mu.pmf(s))
-    return _level_sum_hp(mu, mode, wrong, corrections)
+    return _level_sum_hp(mu, gt, wrong, corrections)
 
 
 def _coded_top(trainer: FlrmTrainer, mu: LengthFactored, m: int) -> tuple[int, int]:
@@ -237,11 +217,10 @@ def _coded_top(trainer: FlrmTrainer, mu: LengthFactored, m: int) -> tuple[int, i
     return n_bar, min(max(n_bar, 0), mu.max_sample_length)
 
 
-def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, m: int, labeler: Labeler, rngs,
-                mode: int) -> list[float]:
+def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, gt: GroundTruth, m: int,
+                labeler: Labeler, rngs) -> list[float]:
     """Exact HP of one coded trial per stream in rngs, all at m, on an
-    instance _trial_path sends to the coded trial; mode is _empty_mode of
-    the default rule.
+    instance _trial_path sends to the coded trial.
 
     The trials run as one batch: n̄ and the tables are computed once, and
     each chunk's kept draws of every open trial go through one
@@ -333,25 +312,22 @@ def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, m: int, labeler: Label
     longer = [0] * (max(n_bar, 0) - top)
     hps = []
     for seen_at in np.add.reduceat(seen, starts, axis=1, dtype=np.int64).tolist():
-        wrong = [q**n - k if _empty_misses(mode, n) else 0
+        wrong = [q**n - k if n >= gt._empty_wrong_from else 0
                  for n, k in enumerate(seen_at + longer)]
-        hps.append(_level_sum_hp(mu, mode, wrong))
+        hps.append(_level_sum_hp(mu, gt, wrong))
     return hps
 
 
 def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int,
-                labeler: Labeler, rng, mode: int) -> float:
+                labeler: Labeler, rng) -> float:
     """Exact HP of one memorizer trial on a finite support, from the indices
     of the drawn atoms: float of the rational exact_hp returns for the
-    trained model. mode is _empty_mode of the default rule."""
+    trained model."""
     drawn = mu._atom_indices(rng.random(m))  # the uniforms sample_distinct reads
     if labeler is Labeler.UNIFORM_ACCEPTABLE:
         rng.random(m)  # the label draws: leave the stream where generate_qualified does
     lengths = mu._lengths
-    if mode == 0:
-        wrong = lengths > 0
-    else:
-        wrong = np.full(len(lengths), mode == 1)
+    wrong = lengths >= gt._empty_wrong_from
     empty = empty_string(gt.alphabet)
     for key, acceptable in gt.overrides:
         i = mu._index.get(key)
@@ -364,18 +340,16 @@ def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int
     return float(mu._mass(wrong))
 
 
-def _trial_path(trainer, mu, gt: GroundTruth) -> tuple[str, int | None]:
+def _trial_path(trainer, mu, gt: GroundTruth) -> str:
     """The trial run_trial runs on an instance, "atom", "coded" or "object",
-    decided from the instance alone, and _empty_mode of its default rule."""
-    mode = _empty_mode(gt.default_rule)
-    if (isinstance(trainer, FlrmTrainer) and mode is not None
-            and trainer.alphabet == mu.alphabet == gt.alphabet):
+    decided from the instance alone."""
+    if isinstance(trainer, FlrmTrainer) and trainer.alphabet == mu.alphabet == gt.alphabet:
         if isinstance(mu, FiniteSupport):
-            return "atom", mode
+            return "atom"
         if (isinstance(mu, LengthFactored) and not gt.overrides
                 and count_upto(mu.alphabet, mu.max_sample_length) < _FAST_CODE_LIMIT):
-            return "coded", mode
-    return "object", mode
+            return "coded"
+    return "object"
 
 
 def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
@@ -384,18 +358,32 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
     coded trial runs as a batch of one.
 
     A model that evaluate_hp cannot sum exactly (from a trainer other than
-    a threshold memorizer, or under a default rule of another kind) gets a
-    Monte Carlo estimate from rng at MC_FALLBACK.
+    a threshold memorizer) gets a Monte Carlo estimate from rng at
+    MC_FALLBACK. m must be an int >= 0 and labeler a Labeler; both are
+    checked before any draw.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    path, mode = _trial_path(trainer, mu, gt)
+    _check_int(m, "m", 0)
+    _check_labeler(labeler)
+    path = _trial_path(trainer, mu, gt)
     if path == "atom":
-        return _atom_trial(trainer, mu, gt, m, labeler, rng, mode)
+        return _atom_trial(trainer, mu, gt, m, labeler, rng)
     if path == "coded":
-        return _fast_trial(trainer, mu, m, labeler, [rng], mode)[0]
+        return _fast_trial(trainer, mu, gt, m, labeler, [rng])[0]
     model = trainer(generate_qualified(mu, gt, m, labeler, rng))
     return evaluate_hp(model, mu, gt, rng).estimate
+
+
+def _check_int(value, name: str, minimum: int) -> None:
+    """A trial size is an int (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_labeler(labeler) -> None:
+    if not isinstance(labeler, Labeler):
+        raise DomainError(f"labeler must be a Labeler, got {labeler!r}")
 
 
 def check_trial_budget(m_grid, trials: int, budget: int) -> None:
@@ -403,7 +391,7 @@ def check_trial_budget(m_grid, trials: int, budget: int) -> None:
     at each m of m_grid costs more than budget: trials * sum(m + 1). A trial
     at m draws at most 3m uniforms; the + 1 charges the trial itself, so
     a grid of zeros is bounded too."""
-    work = trials * sum(int(m) + 1 for m in m_grid)
+    work = trials * sum(m + 1 for m in m_grid)
     check_budget(
         "running {} trials at each of {} sample sizes costs {} (trials times the "
         "sum of m + 1), over the budget of {}",
@@ -432,7 +420,9 @@ def sweep(
     configured labeler; it is an experiment, not a proof. Each trial's HP is
     run_trial's: exact for a threshold memorizer, so a row's spread is
     between training samples only. The whole sweep must fit the budget
-    (check_trial_budget), checked before any draw.
+    (check_trial_budget). Each m of m_grid, trials and budget must be an
+    int, not a bool, and labeler a Labeler; all of it is checked before any
+    stream is derived.
 
     A coded row runs its trials in batches through _fast_trial, each of at
     most _BATCH_ENTRIES // count_upto(top) trials (at least one), with the
@@ -442,15 +432,15 @@ def sweep(
     """
     if not m_grid:
         raise DomainError("m grid must be non-empty")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    for m in m_grid:
-        if m < 0:
-            raise DomainError(f"m must be >= 0, got {m}")
+    for i, m in enumerate(m_grid):
+        _check_int(m, f"m_grid[{i}]", 0)
+    _check_int(trials, "trials", 1)
+    _check_int(budget, "budget", 0)
     if not 0.0 < epsilon_h <= 1.0:  # also rejects NaN
         raise DomainError(f"epsilon_h must lie in (0,1], got {epsilon_h}")
+    _check_labeler(labeler)
     check_trial_budget(m_grid, trials, budget)
-    path, mode = _trial_path(trainer, mu, gt)
+    path = _trial_path(trainer, mu, gt)
     rows = []
     for row, m in enumerate(m_grid):
         if path == "coded":
@@ -460,7 +450,7 @@ def sweep(
             for first in range(0, trials, batch):
                 rngs = [derive_stream(master_seed, row, index)
                         for index in range(first, min(first + batch, trials))]
-                hps += _fast_trial(trainer, mu, m, labeler, rngs, mode)
+                hps += _fast_trial(trainer, mu, gt, m, labeler, rngs)
         else:
             hps = [run_trial(trainer, mu, gt, m, labeler,
                              derive_stream(master_seed, row, index))
@@ -469,7 +459,7 @@ def sweep(
         fraction = int(np.count_nonzero(hps >= epsilon_h)) / trials
         rows.append(
             SweepRow(
-                m=int(m),
+                m=m,
                 trials=trials,
                 mean_hp=float(np.mean(hps)),
                 std_hp=float(np.std(hps)),

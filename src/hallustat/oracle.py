@@ -2,13 +2,16 @@
 
 A ground truth assigns every string a non-empty set of acceptable outputs:
 finite overrides patch individual strings, and a total default rule covers
-everything else. A training pair (s, y) is qualified when y is acceptable
-for s; generators here produce qualified pairs by construction.
+everything else. The default rule is one of three kinds, Echo, Constant
+and IndexShift; this module is the one place that tells them apart. A
+training pair (s, y) is qualified when y is acceptable for s; generators
+here produce qualified pairs by construction.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,6 +42,8 @@ class IndexShift:
     shift: int
 
     def __post_init__(self):
+        if isinstance(self.shift, bool) or not isinstance(self.shift, int):
+            raise DomainError(f"shift must be an int, got {self.shift!r}")
         if self.shift < 0:
             raise DomainError(f"shift must be >= 0, got {self.shift}")
 
@@ -53,9 +58,13 @@ class GroundTruth:
     overrides: tuple[tuple[Str, tuple[Str, ...]], ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.default_rule, Constant):
-            if self.default_rule.output.alphabet != self.alphabet:
-                raise DomainError("constant output must use the same alphabet")
+        rule = self.default_rule
+        if not isinstance(rule, (Echo, Constant, IndexShift)):
+            raise DomainError(f"default rule must be Echo, Constant or IndexShift, got {rule!r}")
+        if isinstance(rule, Constant) and not (
+                isinstance(rule.output, Str) and rule.output.alphabet == self.alphabet):
+            raise DomainError(f"constant output must be a Str over the ground truth's "
+                              f"alphabet, got {rule.output!r}")
         norm = []
         seen = set()
         for s, acceptable in self.overrides:
@@ -77,6 +86,17 @@ class GroundTruth:
     @cached_property
     def _override_map(self):
         return {s: acc for s, acc in self.overrides}
+
+    @cached_property
+    def _empty_wrong_from(self) -> float:
+        """The length from which the default rule rejects the empty output
+        on every string, and below which it rejects it on none."""
+        rule = self.default_rule
+        if isinstance(rule, Constant):
+            return math.inf if len(rule.output) == 0 else 0
+        if isinstance(rule, IndexShift) and rule.shift > 0:
+            return 0
+        return 1
 
     def acceptable(self, s: Str) -> tuple[Str, ...]:
         """The acceptable set of s, shortlex-sorted."""

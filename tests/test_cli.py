@@ -601,6 +601,60 @@ def test_nfl_verify_bad_field_exit_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def bounds_cfg():
+    return {"alphabet": {"size": 2}, "cdf_bound": HALF_BOUND_DOC,
+            "epsilon_h": 0.1, "epsilon_t": 0.1}
+
+
+def with_field(doc, path, value):
+    """doc with the value at path, a tuple of keys, set or (value None) deleted."""
+    doc = copy.deepcopy(doc)
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    if value is None:
+        del inner[path[-1]]
+    else:
+        inner[path[-1]] = value
+    return doc
+
+
+GEOMETRIC = {"kind": "geometric", "ratio": 0.5}
+
+
+@pytest.mark.parametrize("command, doc, expected", [
+    ("sweep", with_field(sweep_cfg(), ("cdf_bound", "tail", "ratio"), None),
+     "'cdf_bound.tail.ratio'"),
+    ("sweep", with_field(sweep_cfg(), ("cdf_bound", "tail", "kind"), None),
+     "'cdf_bound.tail.kind'"),
+    ("sweep", with_field(sweep_cfg(), ("cdf_bound", "tail"), None), "'cdf_bound.tail'"),
+    ("sweep", with_field(sweep_cfg(), ("cdf_bound", "table"), [0.5, "x"]),
+     "cdf_bound.table[1]"),
+    ("sweep", with_field(sweep_cfg(), ("m_grid",), [10, 1.5]), "m_grid[1]"),
+    ("sweep", with_field(sweep_cfg(), ("mu", "length_probs"), [0.5, "0.5"]),
+     "mu.length_probs[1]"),
+    ("bounds", with_field(bounds_cfg(), ("cdf_bound", "tail", "ratio"), None),
+     "'cdf_bound.tail.ratio'"),
+    ("nfl-verify", with_field(nfl_cfg(), ("learner",), {}), "'learner.kind'"),
+    ("nfl-verify", with_field(nfl_cfg(), ("learner",), {"kind": "flrm"}),
+     "'learner.cdf_bound'"),
+    ("nfl-verify", with_field(nfl_cfg(), ("learner",),
+                              {"kind": "flrm", "cdf_bound": {"table": [0.5], "tail": {}}}),
+     "'learner.cdf_bound.tail.kind'"),
+    ("nfl-verify", with_field(nfl_cfg(), ("learner",),
+                              {"kind": "flrm", "cdf_bound": {"table": [0.5, True],
+                                                             "tail": GEOMETRIC}}),
+     "learner.cdf_bound.table[1]"),
+    ("typical-set", {"pmf": [0.5, "0.5"], "m": 4, "delta": 0.1}, "pmf[1]"),
+], ids=["sweep-tail-ratio", "sweep-tail-kind", "sweep-tail", "sweep-table-index",
+        "sweep-m_grid-index", "sweep-length_probs-index", "bounds-tail-ratio",
+        "nfl-learner-kind", "nfl-learner-cdf_bound", "nfl-learner-tail-kind",
+        "nfl-learner-table-index", "typical-pmf-index"])
+def test_config_errors_name_the_full_field_path(tmp_path, capsys, command, doc, expected):
+    assert run([command, "--config", write_cfg(tmp_path, doc)]) == 2
+    assert expected in capsys.readouterr().err
+
+
 def test_nfl_verify_rejects_a_tail_bound_json_cannot_write(tmp_path, capsys, monkeypatch):
     # lambda_h = 1/(10^4300 - 1) has a 4300-digit denominator; its tail bound
     # (mu - lambda_h)/(1 - lambda_h) at mu = 1/4 has 4301 digits.

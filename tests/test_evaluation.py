@@ -456,9 +456,8 @@ def assert_batch_equals_lone_trials(trainer, mu, gt, m, labeler, streams):
     as one batch gives each stream the HP run_trial gives it alone, bit for
     bit, and leaves each stream at the same next uniform. Returns the batch
     generators as RecordingReads."""
-    mode = evaluation._trial_path(trainer, mu, gt)[1]
     rngs = [RecordingReads(derive_stream(seed, 0)) for seed in range(streams)]
-    hps = evaluation._fast_trial(trainer, mu, m, labeler, rngs, mode)
+    hps = evaluation._fast_trial(trainer, mu, gt, m, labeler, rngs)
     assert len(hps) == streams
     for seed, (hp, rng) in enumerate(zip(hps, rngs)):
         alone = derive_stream(seed, 0)
@@ -479,7 +478,7 @@ def test_batched_coded_trials_equal_lone_trials(instance, labeler):
     trainer, mu = instance()
     for rule in (Echo(), IndexShift(3)):  # empty output right on "", or nowhere
         gt = GroundTruth(mu.alphabet, rule)
-        assert evaluation._trial_path(trainer, mu, gt)[0] == "coded"
+        assert evaluation._trial_path(trainer, mu, gt) == "coded"
         for m in (0, 1, 511, 512, 513, 3000, 10**5):
             for streams in (1, 5):
                 assert_batch_equals_lone_trials(trainer, mu, gt, m, labeler, streams)
@@ -501,7 +500,7 @@ def test_a_batch_decodes_the_draws_its_trials_decode_alone(monkeypatch):
         for m in (3000, 10**5):
             decoded.clear()
             rngs = [derive_stream(seed, 0) for seed in range(6)]
-            evaluation._fast_trial(trainer, mu, m, Labeler.CANONICAL, rngs, 0)
+            evaluation._fast_trial(trainer, mu, gt, m, Labeler.CANONICAL, rngs)
             batch = sum(decoded)
             decoded.clear()
             for seed in range(6):
@@ -526,9 +525,9 @@ def test_sweep_runs_a_coded_row_in_batches_bounded_by_its_seen_table(monkeypatch
     batches = []
     fast_trial = evaluation._fast_trial
 
-    def spy(trainer, mu, m, labeler, rngs, mode):
+    def spy(trainer, mu, gt, m, labeler, rngs):
         batches.append(len(rngs))
-        return fast_trial(trainer, mu, m, labeler, rngs, mode)
+        return fast_trial(trainer, mu, gt, m, labeler, rngs)
 
     mu, gt = seven_strings(), GroundTruth(A2, Echo())
     expected = sweep(TRAINER, mu, gt, [3000], 7, Labeler.CANONICAL, 9)
@@ -757,7 +756,7 @@ def test_coded_trial_rejects_streams_it_cannot_read_by_position(bit_generator):
         rngs = [derive_stream(7, 0, i) for i in range(3)]
         rngs[at] = np.random.Generator(bit_generator(7))
         with pytest.raises(DomainError, match="derive_stream"):
-            evaluation._fast_trial(TRAINER, half_geometric(), 100, Labeler.CANONICAL, rngs, 0)
+            evaluation._fast_trial(TRAINER, half_geometric(), gt, 100, Labeler.CANONICAL, rngs)
         for i, other in enumerate(rngs):
             fresh = (np.random.Generator(bit_generator(7)) if i == at
                      else derive_stream(7, 0, i))
@@ -816,6 +815,61 @@ def test_sweep_rejects_bad_trial_sizes_on_both_paths(q, m_grid, trials):
     assert takes_coded_trial(trainer, mu, gt) == (q == 2)
     with pytest.raises(DomainError):
         sweep(trainer, mu, gt, m_grid, trials, Labeler.CANONICAL, 5)
+
+
+def one_instance_per_path():
+    """(path, trainer, mu, gt): a coded, an atom and an object instance."""
+    a3 = Alphabet(3)
+    return [
+        ("coded", TRAINER, half_geometric(), GroundTruth(A2, Echo())),
+        ("atom", TRAINER, uniform_support((empty_string(A2), s(0))), GroundTruth(A2, Echo())),
+        ("object", FlrmTrainer(a3, HALF_BOUND), LengthFactored(a3, (), 0.5),
+         GroundTruth(a3, Echo())),
+    ]
+
+
+def assert_rejected_before_any_draw(call, monkeypatch):
+    """call(rng) raises DomainError, derives no stream and reads nothing of rng."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was derived before the arguments were checked")
+
+    rng = derive_stream(11, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "derive_stream", refuse)
+        with pytest.raises(DomainError):
+            call(rng)
+    assert rng.random() == derive_stream(11, 0).random()
+
+
+@pytest.mark.parametrize("labeler", ["uniform_acceptable", "canonical", None])
+def test_trials_take_only_a_labeler_on_every_path(labeler, monkeypatch):
+    for path, trainer, mu, gt in one_instance_per_path():
+        assert evaluation._trial_path(trainer, mu, gt) == path
+        assert_rejected_before_any_draw(
+            lambda rng: run_trial(trainer, mu, gt, 10, labeler, rng), monkeypatch)
+        assert_rejected_before_any_draw(
+            lambda rng: sweep(trainer, mu, gt, [10], 2, labeler, 5), monkeypatch)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"m_grid": [100.5]}, {"m_grid": [10, True]}, {"m_grid": [np.int64(10)]},
+    {"trials": 2.5}, {"trials": True}, {"budget": 1.5}, {"budget": True},
+    {"budget": -1},
+], ids=["m-float", "m-bool", "m-numpy", "trials-float", "trials-bool", "budget-float",
+        "budget-bool", "budget-negative"])
+def test_sweep_takes_only_int_trial_sizes(kwargs, monkeypatch):
+    sizes = {"m_grid": [10], "trials": 2, "budget": 10**8, **kwargs}
+    for _path, trainer, mu, gt in one_instance_per_path():
+        assert_rejected_before_any_draw(
+            lambda rng: sweep(trainer, mu, gt, sizes["m_grid"], sizes["trials"],
+                              Labeler.CANONICAL, 5, budget=sizes["budget"]), monkeypatch)
+
+
+@pytest.mark.parametrize("m", [10.5, True, np.int64(10)], ids=["float", "bool", "numpy"])
+def test_run_trial_takes_only_an_int_m(m, monkeypatch):
+    for _path, trainer, mu, gt in one_instance_per_path():
+        assert_rejected_before_any_draw(
+            lambda rng: run_trial(trainer, mu, gt, m, Labeler.CANONICAL, rng), monkeypatch)
 
 
 def test_sweep_checks_its_budget_before_any_draw(monkeypatch):

@@ -1,9 +1,13 @@
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hallustat.core import Alphabet, Str, empty_string, shortlex_index, shortlex_string
+from hallustat.core import (
+    Alphabet, Str, empty_string, shortlex_index, shortlex_string, strings_upto,
+)
 from hallustat.errors import DomainError
 from hallustat.flrm import train
 from hallustat.measures import CdfLowerBound, FiniteSupport, LengthFactored
@@ -55,6 +59,42 @@ def test_index_shift_rule():
 def test_shift_zero_is_echo_like():
     gt = GroundTruth(A2, IndexShift(0))
     assert gt.canonical(s(1, 0)) == s(1, 0)
+
+
+@pytest.mark.parametrize("rule", [
+    lambda: "echo", lambda: SimpleNamespace(shift=1), lambda: IndexShift(1.5),
+    lambda: IndexShift(True), lambda: Constant(()), lambda: Constant(Str(Alphabet(3), (2,))),
+], ids=["string", "shift-attribute", "shift-float", "shift-bool", "constant-tuple",
+        "constant-other-alphabet"])
+def test_ground_truth_takes_only_the_three_rule_kinds(rule):
+    with pytest.raises(DomainError):
+        GroundTruth(A2, rule())
+
+
+@pytest.mark.parametrize("rule", ["echo", "shift-0", "shift-1", "shift-3", "constant-empty",
+                                  "constant-1"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_empty_output_wrong_from_equals_a_scan_of_accepts(q, rule):
+    # The default rule rejects the empty output on every string of length
+    # >= _empty_wrong_from and on none shorter; override keys are the
+    # overrides' to answer, so the scan skips them.
+    a = Alphabet(q)
+    empty = empty_string(a)
+    rule = {"echo": Echo(), "shift-0": IndexShift(0), "shift-1": IndexShift(1),
+            "shift-3": IndexShift(3), "constant-empty": Constant(empty),
+            "constant-1": Constant(Str(a, (1,)))}[rule]
+    overrides = ((Str(a, (1,)), (empty,)), (Str(a, (0, 1)), (Str(a, (1,)),)),
+                 (Str(a, (1, 0, 1)), (empty, Str(a, (0,)))))
+    for gt in (GroundTruth(a, rule), GroundTruth(a, rule, overrides)):
+        keys = {key for key, _ in gt.overrides}
+        rejects = {}
+        for x in strings_upto(a, 4):
+            if x not in keys:
+                rejects.setdefault(len(x), set()).add(not gt.accepts(x, empty))
+        assert sorted(rejects) == list(range(5))
+        brute = next((n for n in range(5) if rejects[n] == {True}), math.inf)
+        assert gt._empty_wrong_from == brute
+        assert all(rejects[n] == {n >= brute} for n in range(5))
 
 
 def test_overrides_replace_default():
