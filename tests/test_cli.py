@@ -396,9 +396,12 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("sweep_*.csv")))
 def test_sweep_matches_committed_artifact(tmp_path, name):
     # Each file holds the bytes an earlier version wrote: the README sweep,
-    # CI's zero-mass sweep under the uniform labeler, and a law whose trials
-    # leave a batch at different chunks. The run is replayed from the seed
-    # and config in its own header.
+    # CI's zero-mass sweep under the uniform labeler, a law whose trials
+    # leave a batch at different chunks, a uniform_set of all 1023 binary
+    # strings of length <= 9 in a fixed shuffle, and a finite law with
+    # unequal masses, a trailing zero-mass atom and an atom of length 64
+    # (shortlex code past 2^62). The run is replayed from the seed and config
+    # in its own header.
     golden = (GOLDEN / name).read_bytes()
     header = dict(line[2:].split(": ", 1) for line in golden.decode().splitlines()
                   if line.startswith("# "))
@@ -406,6 +409,18 @@ def test_sweep_matches_committed_artifact(tmp_path, name):
     cfg.write_text(header["config"])
     out = tmp_path / "out.csv"
     assert run(["sweep", "--config", str(cfg), "--seed", header["seed"], "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("train_eval_*.json")))
+def test_train_eval_matches_committed_artifact(tmp_path, name):
+    # The train-eval report on the finite law of sweep_finite_long_atom_seed0.csv,
+    # replayed from the seed and config it embeds.
+    golden = (GOLDEN / name).read_bytes()
+    doc = json.loads(golden)
+    cfg = write_cfg(tmp_path, doc["config"])
+    out = tmp_path / "out.json"
+    assert run(["train-eval", "--config", cfg, "--seed", str(doc["seed"]), "--out", str(out)]) == 0
     assert out.read_bytes() == golden
 
 
