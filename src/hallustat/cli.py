@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
-from .errors import ConfigError, DomainError, DominationError, WorkbenchError
+from .errors import ConfigError, DominationError, WorkbenchError
 from .evaluation import (
     DEFAULT_BUDGET,
     check_trial_budget,
@@ -117,15 +120,43 @@ def _alphabet(doc: dict) -> Alphabet:
     return Alphabet(size, None if labels is None else tuple(labels))
 
 
+def _strings(alphabet: Alphabet, values: list, name):
+    """Many string fields at once, each a list of JSON integer symbol
+    indices: (symbols, lengths), the symbols of all of them one after
+    another (an int64 array unless a symbol is past int64) and the length
+    of each. name(i) is the full path of field i; the first bad one is named.
+    Types are checked once over the flattened symbols, and ranges in numpy."""
+    if set(map(type, values)) - {list}:
+        i = next(i for i, v in enumerate(values) if type(v) is not list)
+        raise ConfigError(f"{name(i)} must be a list of integer symbols, got {values[i]!r}")
+    flat = list(itertools.chain.from_iterable(values))
+    ends = np.cumsum(np.fromiter(map(len, values), np.int64, len(values)))
+
+    def owner(k: int) -> int:  # the field that holds flat[k]
+        return int(np.searchsorted(ends, k, side="right"))
+
+    # type() rather than isinstance(): true and false are not symbols.
+    if set(map(type, flat)) - {int}:
+        i = owner(next(k for k, x in enumerate(flat) if type(x) is not int))
+        raise ConfigError(f"{name(i)} must be a list of integer symbols, got {values[i]!r}")
+    q = alphabet.size
+    try:
+        symbols = np.fromiter(flat, np.int64, len(flat))
+        bad = (symbols < 0) | (symbols >= q)
+    except OverflowError:  # a symbol past int64, valid only in as large an alphabet
+        symbols = flat
+        bad = np.fromiter((not 0 <= x < q for x in flat), bool, len(flat))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ConfigError(f"bad string {name(owner(k))} {values[owner(k)]!r}: "
+                          f"symbol {flat[k]} outside alphabet of size {q}")
+    return symbols, np.diff(ends, prepend=0)
+
+
 def _string(alphabet: Alphabet, value, name: str) -> Str:
     """A string field: a list of JSON integer symbol indices."""
-    # type() rather than isinstance(): true and false are not symbols.
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ConfigError(f"{name} must be a list of integer symbols, got {value!r}")
-    try:
-        return Str(alphabet, tuple(value))
-    except DomainError as exc:  # a symbol outside the alphabet
-        raise ConfigError(f"bad string {name} {value!r}: {exc}") from exc
+    _strings(alphabet, [value], lambda i: name)
+    return Str(alphabet, tuple(value))
 
 
 def _cdf_bound(doc: dict, name: str = "cdf_bound") -> CdfLowerBound:
@@ -148,18 +179,21 @@ def _cdf_bound(doc: dict, name: str = "cdf_bound") -> CdfLowerBound:
 def _distribution(alphabet: Alphabet, doc: dict):
     spec = _require(doc, "mu")
     kind = _require(spec, "kind", "mu.kind")
+    # The atoms are parsed in bulk, straight to shortlex codes: no Str is built.
     if kind == "finite":
-        atoms = tuple(
-            (_string(alphabet, _require(a, "s", f"mu.atoms[{i}].s"), f"mu.atoms[{i}].s"),
-             _fraction(_require(a, "prob", f"mu.atoms[{i}].prob"), f"mu.atoms[{i}].prob"))
-            for i, a in enumerate(_list_field(spec, "atoms", "mu.atoms"))
-        )
-        return FiniteSupport(atoms)
+        atoms = _list_field(spec, "atoms", "mu.atoms")
+        name = "mu.atoms[{}].s".format
+        symbols, lengths = _strings(alphabet, [_require(a, "s", name(i))
+                                               for i, a in enumerate(atoms)], name)
+        masses = [_fraction(_require(a, "prob", f"mu.atoms[{i}].prob"), f"mu.atoms[{i}].prob")
+                  for i, a in enumerate(atoms)]
+        return FiniteSupport._from_symbols(alphabet, symbols, lengths, masses, name)
     if kind == "uniform_set":
-        members = [_string(alphabet, s, f"mu.members[{i}]")
-                   for i, s in enumerate(_list_field(spec, "members", "mu.members"))]
-        mass = Fraction(1, max(len(members), 1))  # no members: FiniteSupport rejects ()
-        return FiniteSupport(tuple((s, mass) for s in members))
+        members = _list_field(spec, "members", "mu.members")
+        name = "mu.members[{}]".format
+        symbols, lengths = _strings(alphabet, members, name)
+        mass = Fraction(1, max(len(members), 1))  # no members: FiniteSupport rejects them
+        return FiniteSupport._from_symbols(alphabet, symbols, lengths, mass, name)
     if kind == "length_factored":
         probs = tuple(_float_value(v, f"mu.length_probs[{i}]")
                       for i, v in enumerate(_list_field(spec, "length_probs", "mu.length_probs")))

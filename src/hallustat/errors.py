@@ -36,6 +36,16 @@ class BudgetExceeded(WorkbenchError):
         self.budget = budget
 
 
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise DomainError unless value is an int (not a bool) of at least
+    minimum: the check on every size, seed and stream branch a library
+    entry point takes, made before it draws."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _int_text(n: int) -> str:
     """n in decimal, or its bit length when n has more digits than Python's
     int-to-str limit allows."""

@@ -77,7 +77,7 @@ import numpy as np
 
 from . import kernels
 from .core import count_upto, empty_string
-from .errors import DomainError, check_budget
+from .errors import DomainError, check_budget, check_int
 from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
 from .oracle import GroundTruth, Labeler, generate_qualified
@@ -95,15 +95,16 @@ MC_FALLBACK = (10_000, 0.95)
 
 
 def derive_stream(master_seed: int, *branch: int):
-    """Independent generator for one unit of work under a master seed."""
-    if master_seed < 0:
-        raise DomainError(f"master seed must be >= 0, got {master_seed}")
+    """Independent generator for one unit of work under a master seed; the
+    seed and every branch are ints >= 0."""
+    check_int(master_seed, "master seed", 0)
+    for i, b in enumerate(branch):
+        check_int(b, f"branch[{i}]", 0)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=branch))
 
 
 def hoeffding_halfwidth(n_samples: int, confidence: float) -> float:
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    check_int(n_samples, "n_samples", 1)
     if not 0.0 < confidence < 1.0:  # also rejects NaN
         raise DomainError(f"confidence must lie in (0,1), got {confidence}")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_samples))
@@ -330,7 +331,7 @@ def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int
     wrong = lengths >= gt._empty_wrong_from
     empty = empty_string(gt.alphabet)
     for key, acceptable in gt.overrides:
-        i = mu._index.get(key)
+        i = mu._find(key)
         if i is not None:
             wrong[i] = empty not in acceptable
     n_bar = threshold_length(m, trainer.alphabet, trainer.bound)
@@ -362,7 +363,7 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
     MC_FALLBACK. m must be an int >= 0 and labeler a Labeler; both are
     checked before any draw.
     """
-    _check_int(m, "m", 0)
+    check_int(m, "m", 0)
     _check_labeler(labeler)
     path = _trial_path(trainer, mu, gt)
     if path == "atom":
@@ -371,14 +372,6 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
         return _fast_trial(trainer, mu, gt, m, labeler, [rng])[0]
     model = trainer(generate_qualified(mu, gt, m, labeler, rng))
     return evaluate_hp(model, mu, gt, rng).estimate
-
-
-def _check_int(value, name: str, minimum: int) -> None:
-    """A trial size is an int (not a bool) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_labeler(labeler) -> None:
@@ -433,9 +426,9 @@ def sweep(
     if not m_grid:
         raise DomainError("m grid must be non-empty")
     for i, m in enumerate(m_grid):
-        _check_int(m, f"m_grid[{i}]", 0)
-    _check_int(trials, "trials", 1)
-    _check_int(budget, "budget", 0)
+        check_int(m, f"m_grid[{i}]", 0)
+    check_int(trials, "trials", 1)
+    check_int(budget, "budget", 0)
     if not 0.0 < epsilon_h <= 1.0:  # also rejects NaN
         raise DomainError(f"epsilon_h must lie in (0,1], got {epsilon_h}")
     _check_labeler(labeler)

@@ -12,7 +12,7 @@ import types
 from dataclasses import dataclass, field
 
 from .core import Alphabet, Str, empty_string
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
 
@@ -25,8 +25,7 @@ def threshold_length(m: int, alphabet: Alphabet, bound: CdfLowerBound) -> int:
     nondecreasing in n', so the qualifying set is a prefix and the scan can
     stop once q^(n'+1) alone reaches max(m, 6): from there x*ln(x/2) >= x >= m.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    check_int(m, "m", 0)
     q = alphabet.size
     stop = max(m, 6)
     best = -1

@@ -3,9 +3,18 @@
 Two distribution families over the strings of an alphabet:
 
   FiniteSupport   explicit atoms with exact rational masses (a uniform law
-                  over a finite set is the case of equal masses)
+                  over a finite set is the case of equal masses, kept as
+                  one mass)
   LengthFactored  a law on lengths (table plus optional geometric tail),
                   uniform over all strings of a given length
+
+Both work on int64 shortlex codes: code = (number of strings shorter than
+n) + (lexicographic offset within length n), for the lengths whose level
+q^n is below 2^62; a longer string is keyed by its exact (length, offset)
+in Python ints. A FiniteSupport keeps its atoms as codes and builds their
+Str objects only at the API boundary (atoms, support(), the strings
+sample_distinct returns). Both laws build the Strs of many codes at once,
+from one digit matrix in numpy.
 
 CdfLowerBound is a nondecreasing lower bound on Pr(len(S) <= n). Every
 length law here, bound or distribution, is a table followed by one tail rule:
@@ -35,15 +44,16 @@ the last atom of positive mass on, so no zero-mass atom is ever drawn.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .core import Alphabet, Str
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 _SUM_TOL = 1e-12
 # int64 code space; offsets above this use exact big-int arithmetic instead
@@ -95,62 +105,105 @@ class CdfLowerBound:
         return (1.0 - self.table[last]) * self.tail_ratio ** (n - last)
 
 
-@dataclass(frozen=True)
 class FiniteSupport:
     """Explicit atoms (string, mass) with exact rational masses summing to 1.
 
-    The one pass that checks the atoms builds every table over them: `_index`
-    maps each atom string to its position, `_lengths` holds the atom lengths
-    as int64, and `_groups` holds one (denominator, positions, integer
-    numerators) triple per distinct denominator. `_mass` sums the masses of
-    any set of atoms exactly from `_groups`, one Fraction addition per
-    denominator; the sum-to-1 check, the length CDF and every exact HP go
-    through it. The length CDF is a table: `_cdf[i]` is the mass of the atoms
-    no longer than `_cdf_lengths[i - 1]`, the distinct lengths in increasing
-    order (`_cdf[0]` is 0).
+    The law keeps its atoms as int64 shortlex codes (`_codes`, in atom
+    order) with their lengths (`_lengths`). An atom at a level of
+    q^n >= 2^62 has no code there: it gets the code -1 - position, outside
+    the code space, and its exact (length, offset) key in `_big`. pmf finds
+    a string by bisecting the sorted codes, or in `_big`. The Str atoms are
+    built only at the API boundary: `atoms`, `support()` and the strings
+    `sample_distinct` returns, all from one lazily decoded tuple.
+
+    Masses are exact rationals. A uniform law (`_uniform`) stores its one
+    mass and builds no Fraction and no float per atom; any other law keeps
+    one Fraction per atom (`_masses`). `_groups` holds one (denominator,
+    positions, integer numerators) triple per distinct denominator. `_mass`
+    sums the masses of any set of atoms exactly from `_groups`, one Fraction
+    addition per denominator; the sum-to-1 check, the length CDF and every
+    exact HP go through it. The length CDF is a table: `_cdf[i]` is the mass
+    of the atoms no longer than `_cdf_lengths[i - 1]`, the distinct lengths
+    in increasing order (`_cdf[0]` is 0).
     """
 
-    atoms: tuple[tuple[Str, Fraction], ...]
-    _index: dict = field(init=False, compare=False, repr=False)
-    _lengths: np.ndarray = field(init=False, compare=False, repr=False)
-    _groups: tuple = field(init=False, compare=False, repr=False)
-    _cdf_lengths: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _cdf: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms):
+        atoms = tuple(atoms)
+        if not atoms:
             raise DomainError("finite-support distribution needs at least one atom")
-        norm = tuple((s, p if isinstance(p, Fraction) else Fraction(p))
-                     for s, p in self.atoms)
-        object.__setattr__(self, "atoms", norm)
-        alphabet = norm[0][0].alphabet
-        index = {}
-        members = {}  # denominator -> (positions, numerators)
-        for i, (s, p) in enumerate(norm):
+        alphabet = atoms[0][0].alphabet
+        for s, _ in atoms:
             # identity first: comparing two equal Alphabets field by field is slow
             if s.alphabet is not alphabet and s.alphabet != alphabet:
                 raise DomainError("atoms must share one alphabet")
-            if index.setdefault(s, i) != i:
-                raise DomainError(f"duplicate atom {s.symbols}")
-            num, den = p.numerator, p.denominator
-            if not 0 <= num <= den:  # denominators are positive
+        masses = [p if isinstance(p, Fraction) else Fraction(p) for _, p in atoms]
+        self._build(alphabet, [sym for s, _ in atoms for sym in s.symbols],
+                    np.fromiter((len(s.symbols) for s, _ in atoms), np.int64, len(atoms)),
+                    masses, "atoms[{}]".format)
+        self.__dict__["atoms"] = tuple(zip((s for s, _ in atoms), masses))
+
+    @classmethod
+    def _from_symbols(cls, alphabet: Alphabet, symbols, lengths: np.ndarray, mass, name):
+        """The law whose atom i has the lengths[i] symbols that follow atom
+        i - 1's in `symbols`, each in [0, q) (an int64 array when q < 2^62);
+        `mass` is one Fraction for a uniform law, else one per atom.
+        name(i) names atom i in error messages."""
+        law = cls.__new__(cls)
+        law._build(alphabet, symbols, lengths, mass, name)
+        return law
+
+    def _build(self, alphabet, symbols, lengths, mass, name):
+        n = len(lengths)
+        if not n:
+            raise DomainError("finite-support distribution needs at least one atom")
+        self.alphabet = alphabet
+        self._lengths = lengths
+        codes, big = _shortlex_codes(alphabet.size, symbols, lengths)
+        # The first atom i that repeats an earlier atom j: among the coded
+        # atoms by np.unique, among the others by their keys.
+        keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        repeats = [(i, int(first[inverse[i]])) for i in
+                   np.flatnonzero(first[inverse] != np.arange(n))[:1].tolist()]
+        self._big = {}
+        for i, key in big:
+            j = self._big.setdefault(key, i)
+            if j != i:
+                repeats.append((i, j))
+                break
+        if repeats:
+            i, j = min(repeats)
+            end = int(lengths[:i + 1].sum())
+            syms = tuple(int(x) for x in symbols[end - int(lengths[i]):end])
+            raise DomainError(f"duplicate atom {syms}: {name(i)} repeats {name(j)}")
+        self._codes = codes
+        self._sorted = keys, first
+        if isinstance(mass, Fraction):
+            self._uniform, self._masses = mass, None
+            masses = (mass,)
+            groups = [(mass.denominator, np.arange(n),
+                       np.full(n, mass.numerator, dtype=object))]
+        else:
+            self._uniform, self._masses = None, tuple(mass)
+            masses = self._masses
+            members = {}  # denominator -> (positions, numerators)
+            for i, p in enumerate(masses):
+                positions, numerators = members.setdefault(p.denominator, ([], []))
+                positions.append(i)
+                numerators.append(p.numerator)
+            # object arrays: numerators are integers of any size
+            groups = [(den, np.asarray(positions, dtype=np.int64),
+                       np.asarray(numerators, dtype=object))
+                      for den, (positions, numerators) in members.items()]
+        for p in masses:
+            if not 0 <= p.numerator <= p.denominator:  # denominators are positive
                 raise DomainError(f"mass {p} outside [0,1]")
-            positions, numerators = members.setdefault(den, ([], []))
-            positions.append(i)
-            numerators.append(num)
-        lengths = np.fromiter((len(s) for s, _ in norm), dtype=np.int64, count=len(norm))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_lengths", lengths)
-        # object arrays: numerators are integers of any size
-        object.__setattr__(self, "_groups", tuple(
-            (den, np.asarray(positions, dtype=np.int64), np.asarray(numerators, dtype=object))
-            for den, (positions, numerators) in members.items()))
+        self._groups = tuple(groups)
         cdf_lengths = sorted(set(lengths.tolist()))
         cdf = [Fraction(0)] + [self._mass(lengths <= n) for n in cdf_lengths]
         if cdf[-1] != 1:
             raise DomainError(f"masses must sum to exactly 1, got {cdf[-1]}")
-        object.__setattr__(self, "_cdf_lengths", tuple(cdf_lengths))
-        object.__setattr__(self, "_cdf", tuple(cdf))
+        self._cdf_lengths = tuple(cdf_lengths)
+        self._cdf = tuple(cdf)
 
     def _mass(self, mask: np.ndarray) -> Fraction:
         """The exact mass of the atoms where the boolean mask over atom
@@ -160,9 +213,44 @@ class FiniteSupport:
             total += Fraction(sum(numerators[mask[positions]].tolist()), den)
         return total
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.atoms[0][0].alphabet
+    def _find(self, s: Str) -> int | None:
+        """The position of atom s, by its shortlex code or its exact
+        (length, offset) key; None when s is not an atom."""
+        if s.alphabet is not self.alphabet and s.alphabet != self.alphabet:
+            return None
+        q, n = self.alphabet.size, len(s.symbols)
+        offset = 0
+        for sym in s.symbols:
+            offset = offset * q + sym
+        if q**n >= _FLOAT_OFFSET_LIMIT:
+            return self._big.get((n, offset))
+        code = (q**n - 1) // (q - 1) + offset  # the strings shorter than s, then its offset
+        keys, positions = self._sorted
+        at = int(np.searchsorted(keys, code))
+        return int(positions[at]) if at < len(keys) and keys[at] == code else None
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteSupport):
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash(self.atoms)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[Str, Fraction], ...]:
+        """The (string, mass) pairs in atom order, built on first use."""
+        short = self._codes >= 0
+        lengths = self._lengths[short]
+        base, _ = _code_levels(self.alphabet.size, int(self._lengths.max()))
+        strings = np.empty(len(self._lengths), dtype=object)
+        strings[short] = np.fromiter(
+            _strings_at(self.alphabet, lengths, self._codes[short] - base[lengths]),
+            dtype=object, count=len(lengths))
+        for (n, offset), i in self._big.items():
+            strings[i] = _string_at(self.alphabet, n, offset)
+        masses = itertools.repeat(self._uniform) if self._masses is None else self._masses
+        return tuple(zip(strings.tolist(), masses))
 
     @property
     def is_support_infinite(self) -> bool:
@@ -184,10 +272,13 @@ class FiniteSupport:
         atom of positive mass on: a uniform below 1 never reaches past that
         atom, so it never draws a zero-mass atom after it, however the float
         sums round."""
-        cum = np.cumsum([float(p) for _, p in self.atoms])
-        last = len(self.atoms) - 1
-        while not self.atoms[last][1]:
-            last -= 1
+        last = len(self._lengths) - 1
+        if self._masses is None:  # one positive mass: the floats of a cumsum of its copies
+            cum = np.cumsum(np.full(last + 1, float(self._uniform)))
+        else:
+            cum = np.cumsum([float(p) for p in self._masses])
+            while not self._masses[last]:
+                last -= 1
         cum[last:] = 1.0
         return cum
 
@@ -199,7 +290,7 @@ class FiniteSupport:
         in bucket b draws an atom in [start[b], start[b + 1]]; steps is the
         number of bisection steps that settles the widest bucket,
         ceil(log2(widest + 1))."""
-        buckets = 1 << (len(self.atoms) - 1).bit_length()
+        buckets = 1 << (len(self._lengths) - 1).bit_length()
         edges = np.arange(buckets + 1) / buckets  # exact: buckets is a power of two
         start = np.searchsorted(self._sampling_cum, edges, side="right")
         return float(buckets), start, int(np.diff(start).max()).bit_length()
@@ -208,8 +299,10 @@ class FiniteSupport:
         return iter(self.atoms)
 
     def pmf(self, s: Str) -> Fraction:
-        i = self._index.get(s)
-        return Fraction(0) if i is None else self.atoms[i][1]
+        i = self._find(s)
+        if i is None:
+            return Fraction(0)
+        return self._uniform if self._masses is None else self._masses[i]
 
     def length_cdf(self, n: int) -> Fraction:
         if n < 0:
@@ -247,7 +340,8 @@ class FiniteSupport:
 
     def sample_distinct(self, rng, size: int) -> tuple[list[Str], np.ndarray]:
         """(strings, inverse): the distinct atoms among size draws, in atom
-        order, and the index into strings of each draw."""
+        order, and the index into strings of each draw. size is an int >= 0."""
+        check_int(size, "size", 0)
         keys, inverse = np.unique(self._atom_indices(rng.random(size)), return_inverse=True)
         atoms = self.atoms
         return [atoms[i][0] for i in keys.tolist()], inverse
@@ -361,14 +455,7 @@ class LengthFactored:
         """(base, level) int64 arrays over the lengths n whose level q^n is
         below 2^62: level[n] = q^n exactly and base[n] = number of strings
         shorter than n, so base[n] + offset is the shortlex code of a draw."""
-        q = self.alphabet.size
-        levels = []
-        p = 1
-        while p < _FLOAT_OFFSET_LIMIT and len(levels) <= self.max_sample_length:
-            levels.append(p)
-            p *= q
-        level = np.asarray(levels, dtype=np.int64)
-        return np.cumsum(level) - level, level
+        return _code_levels(self.alphabet.size, self.max_sample_length)
 
     def _length_prob(self, n: int) -> float:
         if n < len(self.length_probs):
@@ -393,7 +480,9 @@ class LengthFactored:
     def sample_distinct(self, rng, size: int) -> tuple[list[Str], np.ndarray]:
         """(strings, inverse): the distinct strings among size draws and the
         index into strings of each draw. Strings below the 2^62 levels come
-        first, in shortlex order; longer ones follow in order of first draw."""
+        first, in shortlex order; longer ones follow in order of first draw.
+        size is an int >= 0."""
+        check_int(size, "size", 0)
         u_len = rng.random(size)
         u_off = rng.random(size)
         lengths = np.searchsorted(self._sampling_cum, u_len, side="right")
@@ -405,8 +494,7 @@ class LengthFactored:
                           level[n] - 1)
         keys, inverse_small = np.unique(base[n] + offs, return_inverse=True)
         key_lengths = np.searchsorted(base, keys, side="right") - 1
-        strings = [self._decode(off, length) for off, length in
-                   zip((keys - base[key_lengths]).tolist(), key_lengths.tolist())]
+        strings = _strings_at(self.alphabet, key_lengths, keys - base[key_lengths])
         inverse = np.empty(size, dtype=np.intp)
         inverse[small] = inverse_small
         large = np.flatnonzero(~small)
@@ -418,7 +506,7 @@ class LengthFactored:
             key = (length, min(int(Fraction(u) * size_n), size_n - 1))
             if key not in first:
                 first[key] = len(strings)
-                strings.append(self._decode(key[1], length))
+                strings.append(_string_at(self.alphabet, length, key[1]))
             inverse_large.append(first[key])
         inverse[large] = inverse_large
         return strings, inverse
@@ -426,13 +514,82 @@ class LengthFactored:
     def sample_batch(self, rng, size: int) -> list[Str]:
         return _expand(*self.sample_distinct(rng, size))
 
-    def _decode(self, off: int, n: int) -> Str:
-        """The string of length n at lexicographic offset off."""
-        q = self.alphabet.size
-        syms = [0] * n
-        for j in range(n - 1, -1, -1):
-            off, syms[j] = divmod(off, q)
-        return Str(self.alphabet, tuple(syms))
+
+def _code_levels(q: int, top: int):
+    """(base, level) int64 arrays over the lengths n <= top whose level q^n
+    is below 2^62: level[n] = q^n exactly and base[n] = the number of
+    strings shorter than n, so base[n] + offset is the shortlex code of the
+    string of length n at lexicographic offset `offset`."""
+    levels = []
+    p = 1
+    while p < _FLOAT_OFFSET_LIMIT and len(levels) <= top:
+        levels.append(p)
+        p *= q
+    level = np.asarray(levels, dtype=np.int64)
+    return np.cumsum(level) - level, level
+
+
+def _shortlex_codes(q: int, symbols, lengths: np.ndarray):
+    """(codes, big) of the strings whose symbols, each in [0, q), follow one
+    another in `symbols`, string i holding lengths[i] of them.
+
+    codes[i] is the int64 shortlex code of string i when its level q^n is
+    below 2^62, computed in numpy by Horner's rule (one np.add.reduceat
+    over each symbol times its place value q^k). A longer string gets
+    -1 - i, and big lists its (i, (length, offset)) with the exact offset.
+    """
+    base, level = _code_levels(q, int(lengths.max()))
+    short = lengths < len(level)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    offsets = np.zeros(len(lengths), dtype=np.int64)
+    nonempty = np.flatnonzero(lengths)
+    if len(level) > 1 and len(nonempty):  # q < 2^62, so every symbol fits an int64
+        symbols = np.asarray(symbols, dtype=np.int64)
+        # k, the number of symbols after each one in its string; place q^k
+        after = np.repeat(ends - 1, lengths) - np.arange(len(symbols))
+        place = np.where(np.repeat(short, lengths), level[np.minimum(after, len(level) - 1)], 0)
+        offsets[nonempty] = np.add.reduceat(symbols * place, starts[nonempty])
+    codes = -1 - np.arange(len(lengths), dtype=np.int64)
+    codes[short] = base[lengths[short]] + offsets[short]
+    big = []
+    for i in np.flatnonzero(~short).tolist():
+        offset = 0
+        for sym in symbols[starts[i]:ends[i]]:
+            offset = offset * q + int(sym)
+        big.append((i, (int(lengths[i]), offset)))
+    return codes, big
+
+
+def _strings_at(alphabet: Alphabet, lengths: np.ndarray, offsets: np.ndarray) -> list[Str]:
+    """The Strs of the given lengths at the given lexicographic offsets, in
+    order, each at a level q^n below 2^62: one digit matrix in numpy, then
+    one tolist() per run of equal lengths."""
+    order = np.argsort(lengths, kind="stable")
+    lengths, rest = lengths[order], offsets[order]
+    width = int(lengths[-1]) if len(lengths) else 0
+    # digits[i, width - 1 - k] is digit k of offsets[i], counted from the right
+    digits = np.empty((len(rest), width), dtype=np.int64)
+    for k in range(width - 1, -1, -1):
+        rest, digits[:, k] = np.divmod(rest, alphabet.size)
+    cuts = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()  # run bounds
+    strings = []
+    for a, b in zip(cuts, cuts[1:]):
+        strings += [Str(alphabet, tuple(row))
+                    for row in digits[a:b, width - int(lengths[a]):].tolist()]
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return [strings[i] for i in inverse.tolist()]
+
+
+def _string_at(alphabet: Alphabet, n: int, offset: int) -> Str:
+    """The Str of length n at lexicographic offset `offset`, in Python ints:
+    for levels of q^n >= 2^62."""
+    q = alphabet.size
+    syms = [0] * n
+    for j in range(n - 1, -1, -1):
+        offset, syms[j] = divmod(offset, q)
+    return Str(alphabet, tuple(syms))
 
 
 def _expand(strings: list[Str], inverse: np.ndarray) -> list[Str]:

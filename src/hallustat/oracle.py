@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import Alphabet, Str, shortlex_index, shortlex_string
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,9 @@ def generate_qualified(
     too: each input's first draw (np.minimum.at) orders the inputs, and its
     last draw (np.maximum.at) picks its output under the uniform labeler.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    check_int(m, "m", 0)
+    if not isinstance(labeler, Labeler):
+        raise DomainError(f"unsupported labeler {labeler!r}")
     strings, inverse = mu.sample_distinct(rng, m)
     draws = np.arange(m)
     first_draw = np.full(len(strings), m)
@@ -179,7 +180,7 @@ def generate_qualified(
     if labeler is Labeler.CANONICAL:
         table = _objects([(s, gt.canonical(s)) for s in strings])
         pick, last_pick = inverse, order
-    elif labeler is Labeler.UNIFORM_ACCEPTABLE:
+    else:
         u = rng.random(m)
         acceptable = [gt.acceptable(s) for s in strings]
         # pair j of input i sits at first[i] + j in the flat pair table
@@ -191,8 +192,6 @@ def generate_qualified(
         last_draw = np.zeros_like(first_draw)
         np.maximum.at(last_draw, inverse, draws)
         last_pick = pick[last_draw[order]]
-    else:
-        raise DomainError(f"unsupported labeler {labeler!r}")
     t = TrainingSequence(tuple(table[pick].tolist()))
     object.__setattr__(t, "_last_outputs", dict(table[last_pick].tolist()))
     return t

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from hallustat.core import Str, shortlex_string
+from hallustat.errors import DomainError
 from hallustat.limits import NflReport, TailCheck, general_lambda_t
 from hallustat.measures import FiniteSupport
 from hallustat.oracle import Labeler, TrainingSequence
@@ -16,6 +17,41 @@ def uniform_support(members) -> FiniteSupport:
     """The uniform law over distinct strings: every atom has mass 1/k."""
     members = tuple(members)
     return FiniteSupport(tuple((s, Fraction(1, len(members))) for s in members))
+
+
+class StrKeyedLaw:
+    """Reference for FiniteSupport: the atoms as Str keys of a dict, every
+    mass a Fraction, and every query a loop over the atoms in Python."""
+
+    def __init__(self, atoms):
+        self.atoms = tuple(atoms)
+        self.index = {}
+        for i, (s, _) in enumerate(self.atoms):
+            if s in self.index:
+                raise DomainError(f"atoms[{i}] repeats atoms[{self.index[s]}]")
+            self.index[s] = i
+
+    def pmf(self, s):
+        i = self.index.get(s)
+        return Fraction(0) if i is None else self.atoms[i][1]
+
+    def mass(self, mask):
+        return sum((p for (_, p), keep in zip(self.atoms, mask) if keep), Fraction(0))
+
+    def length_cdf(self, n):
+        return sum((p for s, p in self.atoms if len(s) <= n), Fraction(0))
+
+    def sample_distinct(self, rng, size):
+        """The distinct atoms drawn, in atom order, and each draw's index
+        into them: one bisection of the float cumulative masses per draw,
+        which are exactly 1.0 from the last atom of positive mass on."""
+        cum = np.cumsum([float(p) for _, p in self.atoms]).tolist()
+        last = max(i for i, (_, p) in enumerate(self.atoms) if p)
+        cum[last:] = [1.0] * (len(cum) - last)
+        drawn = [bisect.bisect_right(cum, u) for u in rng.random(size).tolist()]
+        keys = sorted(set(drawn))
+        at = {k: j for j, k in enumerate(keys)}
+        return [self.atoms[k][0] for k in keys], [at[i] for i in drawn]
 
 
 def product_probs(pmf, m):

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -231,55 +232,86 @@ def test_removed_monte_carlo_field_exit_2_before_any_draw(tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("mu", {"kind": "length_factored", "length_probs": ["x"], "tail_ratio": 0.5}),
-    ("mu", {"kind": "length_factored", "length_probs": ["0.5"], "tail_ratio": 0.5}),
-    ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "x"}),
-    ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "0.5"}),
-    ("mu", {"kind": "finite", "atoms": [{"s": []}]}),
-    ("ground_truth", {"default": {"kind": "index_shift", "shift": "x"}}),
-    ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0]}]}),
-    ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0], "accept": 3}]}),
-    ("ground_truth", {"default": {"kind": "echo"}, "overrides": 5}),
-    ("mu", {"kind": "uniform_set", "members": [[], [1.5]]}),
-    ("mu", {"kind": "uniform_set", "members": [[], ["0"]]}),
-    ("mu", {"kind": "uniform_set", "members": [[], [True, 0]]}),
-    ("mu", {"kind": "uniform_set", "members": ["01"]}),
-    ("mu", {"kind": "finite", "atoms": [{"s": [1.5], "prob": 1}]}),
+@pytest.mark.parametrize("field, value, path", [
+    ("mu", {"kind": "length_factored", "length_probs": ["x"], "tail_ratio": 0.5},
+     "mu.length_probs[0]"),
+    ("mu", {"kind": "length_factored", "length_probs": ["0.5"], "tail_ratio": 0.5},
+     "mu.length_probs[0]"),
+    ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "x"}, "mu.tail_ratio"),
+    ("mu", {"kind": "length_factored", "length_probs": [], "tail_ratio": "0.5"}, "mu.tail_ratio"),
+    ("mu", {"kind": "finite", "atoms": [{"s": []}]}, "mu.atoms[0].prob"),
+    ("ground_truth", {"default": {"kind": "index_shift", "shift": "x"}},
+     "ground_truth.default.shift"),
+    ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0]}]},
+     "ground_truth.overrides[0].accept"),
+    ("ground_truth", {"default": {"kind": "echo"}, "overrides": [{"s": [0], "accept": 3}]},
+     "ground_truth.overrides[0].accept"),
+    ("ground_truth", {"default": {"kind": "echo"}, "overrides": 5}, "ground_truth.overrides"),
+    ("mu", {"kind": "uniform_set", "members": [[], [1.5]]}, "mu.members[1]"),
+    ("mu", {"kind": "uniform_set", "members": [[], ["0"]]}, "mu.members[1]"),
+    ("mu", {"kind": "uniform_set", "members": [[], [True, 0]]}, "mu.members[1]"),
+    ("mu", {"kind": "uniform_set", "members": ["01"]}, "mu.members[0]"),
+    ("mu", {"kind": "uniform_set", "members": [[0], [1, 1], [0, 2]]}, "mu.members[2]"),
+    ("mu", {"kind": "uniform_set", "members": [[], [0, 10**30]]}, "mu.members[1]"),
+    ("mu", {"kind": "finite", "atoms": [{"s": [1.5], "prob": 1}]}, "mu.atoms[0].s"),
+    ("mu", {"kind": "finite", "atoms": [{"s": [0], "prob": "1/2"}, {"s": [-1], "prob": "1/2"}]},
+     "mu.atoms[1].s"),
     ("ground_truth", {"default": {"kind": "echo"},
-                      "overrides": [{"s": ["0"], "accept": [[0]]}]}),
+                      "overrides": [{"s": ["0"], "accept": [[0]]}]},
+     "ground_truth.overrides[0].s"),
     ("ground_truth", {"default": {"kind": "echo"},
-                      "overrides": [{"s": [0], "accept": [[True]]}]}),
-    ("ground_truth", {"default": {"kind": "constant", "output": [1.0]}}),
-    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": float("inf")}]}),
-    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": -float("inf")}]}),
-    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": float("inf"), "den": 2}}]}),
+                      "overrides": [{"s": [0], "accept": [[True]]}]},
+     "ground_truth.overrides[0].accept[0]"),
+    ("ground_truth", {"default": {"kind": "constant", "output": [1.0]}},
+     "ground_truth.default.output"),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": float("inf")}]}, "mu.atoms[0].prob"),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": -float("inf")}]}, "mu.atoms[0].prob"),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": float("inf"), "den": 2}}]},
+     "mu.atoms[0].prob.num"),
     # each read as 1/2 once, which with the second atom made a valid law
     ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": 1.9, "den": 2}},
-                                        {"s": [0], "prob": "1/2"}]}),
+                                        {"s": [0], "prob": "1/2"}]}, "mu.atoms[0].prob.num"),
     ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": 1, "den": 2.7}},
-                                        {"s": [0], "prob": "1/2"}]}),
+                                        {"s": [0], "prob": "1/2"}]}, "mu.atoms[0].prob.den"),
     ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": {"num": True, "den": 2}},
-                                        {"s": [0], "prob": "1/2"}]}),
+                                        {"s": [0], "prob": "1/2"}]}, "mu.atoms[0].prob.num"),
     # a denominator of 5001 digits, past json's limit for a config integer
-    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": "1e-5000"}]}),
+    ("mu", {"kind": "finite", "atoms": [{"s": [], "prob": "1e-5000"}]}, "mu.atoms[0].prob"),
 ], ids=["mu-length_probs", "mu-length_probs-numeric-text", "mu-tail_ratio",
         "mu-tail_ratio-numeric-text",
         "mu-atom-without-prob", "ground_truth-shift-text",
         "ground_truth-override-without-accept", "ground_truth-accept-scalar",
         "ground_truth-overrides-scalar", "mu-member-fraction", "mu-member-text",
-        "mu-member-bool", "mu-member-string", "mu-atom-fraction",
+        "mu-member-bool", "mu-member-string", "mu-member-symbol-outside",
+        "mu-member-symbol-past-int64", "mu-atom-fraction", "mu-atom-symbol-negative",
         "ground_truth-override-text", "ground_truth-accept-bool",
         "ground_truth-constant-float", "mu-atom-prob-inf", "mu-atom-prob-minus-inf",
         "mu-atom-prob-num-inf", "mu-atom-prob-num-float", "mu-atom-prob-den-float",
         "mu-atom-prob-num-bool", "mu-atom-prob-exponent-digits"])
-def test_train_eval_bad_field_exit_2(tmp_path, capsys, field, value):
+def test_train_eval_bad_field_exit_2(tmp_path, capsys, field, value, path):
     doc = train_eval_cfg()
     doc["mu"] = {"kind": "length_factored", "length_probs": [], "tail_ratio": 0.5}
     doc[field] = value
     cfg = write_cfg(tmp_path, doc)
     assert run(["train-eval", "--config", cfg]) == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the full path, not a prefix of a longer one: mu.atoms[0].prob, not .prob.num
+    assert re.search(re.escape(path) + r"(?![\w.\[])", err), err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "uniform_set", "members": [[], [0], [0]]}, "mu.members[2] repeats mu.members[1]"),
+    ({"kind": "uniform_set", "members": [[1] * 64, [0], [1] * 64, [0]]},
+     "mu.members[2] repeats mu.members[0]"),
+    ({"kind": "finite", "atoms": [{"s": [0, 1], "prob": "1/2"}, {"s": [], "prob": 0},
+                                  {"s": [0, 1], "prob": "1/2"}]},
+     "mu.atoms[2].s repeats mu.atoms[0].s"),
+], ids=["member", "member-past-2^62", "atom"])
+def test_train_eval_repeated_atom_exit_3_names_both_fields(tmp_path, capsys, spec, message):
+    doc = train_eval_cfg()
+    doc["mu"] = spec
+    assert run(["train-eval", "--config", write_cfg(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.rstrip().endswith(message)
 
 
 # -------------------------------------------------------------------- sweep

@@ -79,9 +79,14 @@ def test_derive_stream_branches_differ():
     assert not np.array_equal(a, c)
 
 
-def test_derive_stream_rejects_negative_seed():
-    with pytest.raises(DomainError):
-        derive_stream(-1, 0)
+@pytest.mark.parametrize("seed, branch", [
+    (-1, (0,)), (True, (0,)), (1.5, ()), (np.int64(1), ()),
+    (7, (True,)), (7, (0, -1)), (7, (0.5,)), (7, (np.int64(0),)),
+], ids=["seed-negative", "seed-bool", "seed-float", "seed-numpy", "branch-bool",
+        "branch-negative", "branch-float", "branch-numpy"])
+def test_derive_stream_rejects_a_seed_or_branch_that_is_not_an_int_ge_0(seed, branch):
+    with pytest.raises(DomainError, match="must be"):
+        derive_stream(seed, *branch)
 
 
 def test_hoeffding_halfwidth_value():
@@ -870,6 +875,37 @@ def test_run_trial_takes_only_an_int_m(m, monkeypatch):
     for _path, trainer, mu, gt in one_instance_per_path():
         assert_rejected_before_any_draw(
             lambda rng: run_trial(trainer, mu, gt, m, Labeler.CANONICAL, rng), monkeypatch)
+
+
+def sized_entry_points(size):
+    """name -> call(rng) of each library entry point that takes a sample
+    size, on a length-factored and on a finite law."""
+    gt = GroundTruth(A2, Echo())
+    calls = {"threshold_length": lambda rng: threshold_length(size, A2, HALF_BOUND)}
+    for law, mu in (("length_factored", half_geometric()),
+                    ("finite", uniform_support((empty_string(A2), s(0), s(1, 1))))):
+        calls.update({
+            f"generate_qualified-{law}":
+                lambda rng, mu=mu: generate_qualified(mu, gt, size, Labeler.CANONICAL, rng),
+            f"mc_hp-{law}": lambda rng, mu=mu: mc_hp(MemorizerModel(A2), mu, gt, size, 0.95, rng),
+            f"sample_distinct-{law}": lambda rng, mu=mu: mu.sample_distinct(rng, size),
+            f"sample_batch-{law}": lambda rng, mu=mu: mu.sample_batch(rng, size),
+        })
+    return calls
+
+
+@pytest.mark.parametrize("size", [10.5, True, -1, np.int64(10)],
+                         ids=["float", "bool", "negative", "numpy"])
+@pytest.mark.parametrize("entry", list(sized_entry_points(1)))
+def test_sized_entry_points_take_only_an_int_size_before_any_draw(entry, size, monkeypatch):
+    assert_rejected_before_any_draw(sized_entry_points(size)[entry], monkeypatch)
+
+
+def test_generate_qualified_takes_only_a_labeler_before_any_draw(monkeypatch):
+    for mu in (half_geometric(), uniform_support((empty_string(A2), s(0)))):
+        assert_rejected_before_any_draw(
+            lambda rng: generate_qualified(mu, GroundTruth(A2, Echo()), 10, "canonical", rng),
+            monkeypatch)
 
 
 def test_sweep_checks_its_budget_before_any_draw(monkeypatch):

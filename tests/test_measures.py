@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallustat import cli
 from hallustat.core import Alphabet, Str, empty_string, shortlex_string, strings_upto
 from hallustat.errors import DomainError
 from hallustat.measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 
-from helpers import sample_batch_per_draw, uniform_support
+from helpers import StrKeyedLaw, sample_batch_per_draw, uniform_support
 
 A2 = Alphabet(2)
 
@@ -206,6 +207,103 @@ def test_finite_support_duplicate_atom_error_names_its_symbols():
                    (b, Fraction(1, 3)))):
         with pytest.raises(DomainError, match=r"duplicate atom \(0, 1\)"):
             FiniteSupport(atoms)
+
+
+# Lengths on both sides of the first level of q^n >= 2^62, per alphabet size.
+_EXACT_EDGE = {2: (61, 62, 63, 64), 3: (38, 39, 40, 41)}
+
+
+@st.composite
+def code_laws(draw):
+    """(alphabet, strings, masses, uniform): 1 to 10 distinct strings, short
+    ones and ones on both sides of the 2^62 levels, at q = 2 or 3, with
+    equal masses or mixed denominators (zeros included)."""
+    q = draw(st.sampled_from([2, 3]))
+    length = st.one_of(st.integers(0, 4), st.sampled_from(_EXACT_EDGE[q]))
+    strings = draw(st.lists(
+        length.flatmap(lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
+        min_size=1, max_size=10, unique_by=tuple))
+    n = len(strings)
+    uniform = draw(st.booleans())
+    if uniform:
+        masses = [Fraction(1, n)] * n
+    else:
+        weights = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
+                                min_size=n, max_size=n))
+        weights[draw(st.integers(0, n - 1))] += 1
+        masses = [w / sum(weights) for w in weights]
+    return Alphabet(q), strings, masses, uniform
+
+
+def _config_law(alphabet, strings, masses, uniform):
+    """The law the CLI parses from a config holding these atoms."""
+    if uniform:
+        spec = {"kind": "uniform_set", "members": strings}
+    else:
+        spec = {"kind": "finite", "atoms": [{"s": s, "prob": f"{p.numerator}/{p.denominator}"}
+                                             for s, p in zip(strings, masses)]}
+    return cli._distribution(alphabet, {"mu": spec})
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_laws(), st.integers(0, 2**32 - 1))
+def test_code_keyed_law_matches_a_str_keyed_reference(law, seed):
+    alphabet, strings, masses, uniform = law
+    atoms = [(Str(alphabet, tuple(s)), p) for s, p in zip(strings, masses)]
+    ref = StrKeyedLaw(atoms)
+    q, n = alphabet.size, len(atoms)
+    probes = [s for s, _ in atoms] + [
+        Str(alphabet, (q - 1,) * k) for k in (0, 1, 3, *_EXACT_EDGE[q])] + [
+        Str(Alphabet(q + 1), tuple(strings[0])), Str(Alphabet(q + 1), (q,))]
+    masks = [np.arange(n) % 2 == 0, np.arange(n) % 3 == 1, np.ones(n, dtype=bool)]
+    for mu in (FiniteSupport(atoms), _config_law(alphabet, strings, masses, uniform)):
+        assert mu.atoms == tuple(atoms)
+        for s in probes:
+            assert mu.pmf(s) == ref.pmf(s) and isinstance(mu.pmf(s), Fraction)
+        for mask in masks:
+            assert mu._mass(mask) == ref.mass(mask)
+        for k in range(max(map(len, strings)) + 2):
+            assert mu.length_cdf(k) == ref.length_cdf(k)
+            assert mu.defect(k) == 1 - ref.length_cdf(k)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, inverse = mu.sample_distinct(rng, 200)
+        want, want_inverse = ref.sample_distinct(ref_rng, 200)
+        assert got == want and inverse.tolist() == want_inverse
+        assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(code_laws(), st.data())
+def test_a_repeated_atom_is_rejected_by_both_constructors(law, data):
+    alphabet, strings, masses, uniform = law
+    i = data.draw(st.integers(0, len(strings) - 1))
+    j = data.draw(st.integers(0, len(strings)))
+    strings = strings[:j] + [strings[i]] + strings[j:]
+    # the pair named: the earliest atom that repeats one before it
+    later = next(k for k, s in enumerate(strings) if strings.index(s) < k)
+    first = strings.index(strings[later])
+    masses = [Fraction(1, len(strings))] * len(strings)
+    atoms = [(Str(alphabet, tuple(s)), p) for s, p in zip(strings, masses)]
+    with pytest.raises(DomainError, match=rf"atoms\[{later}\] repeats atoms\[{first}\]"):
+        StrKeyedLaw(atoms)
+    with pytest.raises(DomainError, match=rf"^duplicate atom .*: atoms\[{later}\] repeats "
+                                           rf"atoms\[{first}\]$"):
+        FiniteSupport(atoms)
+    name = (r"mu\.members\[{}\]" if uniform else r"mu\.atoms\[{}\]\.s").format
+    with pytest.raises(DomainError, match=rf"{name(later)} repeats {name(first)}$"):
+        _config_law(alphabet, strings, masses, uniform)
+
+
+def test_one_mass_samples_through_the_floats_of_per_atom_masses():
+    # a uniform_set keeps one mass; its cumulative table is the cumsum of n
+    # copies of that float, as a law with n equal masses computes it
+    for n in (1, 3, 10, 1023):
+        members = [list(shortlex_string(A2, r).symbols) for r in range(n)]
+        one = cli._distribution(A2, {"mu": {"kind": "uniform_set", "members": members}})
+        each = uniform_support(Str(A2, tuple(s)) for s in members)
+        assert one._masses is None and one._uniform == Fraction(1, n)
+        assert one._sampling_cum.tolist() == each._sampling_cum.tolist()
+        assert one._sampling_cum[-1] == 1.0
 
 
 def test_uniform_over_set_exact_queries():
