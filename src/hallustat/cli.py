@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import Alphabet, Str, count_upto, shortlex_string
-from .errors import ConfigError, DominationError, WorkbenchError
+from .errors import ConfigError, DomainError, DominationError, WorkbenchError
 from .evaluation import (
     DEFAULT_BUDGET,
     check_trial_budget,
@@ -120,43 +120,35 @@ def _alphabet(doc: dict) -> Alphabet:
     return Alphabet(size, None if labels is None else tuple(labels))
 
 
-def _strings(alphabet: Alphabet, values: list, name):
-    """Many string fields at once, each a list of JSON integer symbol
-    indices: (symbols, lengths), the symbols of all of them one after
-    another (an int64 array unless a symbol is past int64) and the length
-    of each. name(i) is the full path of field i; the first bad one is named.
-    Types are checked once over the flattened symbols, and ranges in numpy."""
-    if set(map(type, values)) - {list}:
-        i = next(i for i, v in enumerate(values) if type(v) is not list)
-        raise ConfigError(f"{name(i)} must be a list of integer symbols, got {values[i]!r}")
-    flat = list(itertools.chain.from_iterable(values))
-    ends = np.cumsum(np.fromiter(map(len, values), np.int64, len(values)))
-
-    def owner(k: int) -> int:  # the field that holds flat[k]
-        return int(np.searchsorted(ends, k, side="right"))
-
-    # type() rather than isinstance(): true and false are not symbols.
-    if set(map(type, flat)) - {int}:
-        i = owner(next(k for k, x in enumerate(flat) if type(x) is not int))
-        raise ConfigError(f"{name(i)} must be a list of integer symbols, got {values[i]!r}")
-    q = alphabet.size
-    try:
-        symbols = np.fromiter(flat, np.int64, len(flat))
-        bad = (symbols < 0) | (symbols >= q)
-    except OverflowError:  # a symbol past int64, valid only in as large an alphabet
-        symbols = flat
-        bad = np.fromiter((not 0 <= x < q for x in flat), bool, len(flat))
-    if bad.any():
-        k = int(bad.argmax())
-        raise ConfigError(f"bad string {name(owner(k))} {values[owner(k)]!r}: "
-                          f"symbol {flat[k]} outside alphabet of size {q}")
-    return symbols, np.diff(ends, prepend=0)
-
-
 def _string(alphabet: Alphabet, value, name: str) -> Str:
     """A string field: a list of JSON integer symbol indices."""
-    _strings(alphabet, [value], lambda i: name)
-    return Str(alphabet, tuple(value))
+    # type() rather than isinstance(): true and false are not symbols.
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ConfigError(f"{name} must be a list of integer symbols, got {value!r}")
+    try:
+        return Str(alphabet, tuple(value))
+    except DomainError as exc:  # a symbol outside the alphabet
+        raise ConfigError(f"bad string {name} {value!r}: {exc}") from exc
+
+
+def _strings(alphabet: Alphabet, values: list, name):
+    """Many string fields at once, as (symbols, lengths): the symbols of all
+    of them one after another, in an int64 array unless one is past int64,
+    and the length of each. The types are checked once over the flattened
+    symbols and the ranges in numpy; only when a check fails does _string
+    find the first bad field, named by name(i), its full path."""
+    if not set(map(type, values)) - {list}:
+        flat = list(itertools.chain.from_iterable(values))
+        if not set(map(type, flat)) - {int}:
+            try:
+                symbols = np.fromiter(flat, np.int64, len(flat))
+            except OverflowError:  # a symbol past int64, valid only in as large an alphabet
+                symbols = np.array(flat, dtype=object)
+            if ((symbols >= 0) & (symbols < alphabet.size)).all():
+                return symbols, np.fromiter(map(len, values), np.int64, len(values))
+    for i, value in enumerate(values):
+        _string(alphabet, value, name(i))
+    raise AssertionError("a string field failed a bulk check but passed _string")
 
 
 def _cdf_bound(doc: dict, name: str = "cdf_bound") -> CdfLowerBound:

@@ -3,6 +3,11 @@
 Strings are ordered by length first, then lexicographically by symbol index;
 rank 0 is the empty string. All counting uses exact integer arithmetic, so
 ranks and counts stay correct at any length.
+
+The bulk helpers at the end work on int64 shortlex codes, the ranks of the
+strings whose level q^n is below CODE_LIMIT = 2^62: they encode many strings
+at once, and build the Strs of many codes at once, in numpy. A longer string
+is keyed by its exact (length, offset) in Python ints.
 """
 
 from __future__ import annotations
@@ -10,7 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
+
+# The int64 code space: lengths whose level q^n reaches it use exact
+# (length, offset) keys in Python ints instead.
+CODE_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -112,11 +123,7 @@ def shortlex_string(alphabet: Alphabet, rank: int) -> Str:
         n += 1
         level *= q
         total += level
-    offset = rank - (total - level)
-    syms = [0] * n
-    for i in range(n - 1, -1, -1):
-        offset, syms[i] = divmod(offset, q)
-    return Str(alphabet, tuple(syms))
+    return string_at(alphabet, n, rank - (total - level))
 
 
 def strings_of_length(alphabet: Alphabet, n: int):
@@ -131,3 +138,82 @@ def strings_upto(alphabet: Alphabet, n: int):
     """All strings of length <= n, in shortlex order."""
     for length in range(n + 1):
         yield from strings_of_length(alphabet, length)
+
+
+def code_levels(q: int, top: int):
+    """(base, level) int64 arrays over the lengths n <= top whose level q^n
+    is below 2^62: level[n] = q^n exactly and base[n] = the number of
+    strings shorter than n, so base[n] + offset is the shortlex code of the
+    string of length n at lexicographic offset `offset`."""
+    levels = []
+    p = 1
+    while p < CODE_LIMIT and len(levels) <= top:
+        levels.append(p)
+        p *= q
+    level = np.asarray(levels, dtype=np.int64)
+    return np.cumsum(level) - level, level
+
+
+def shortlex_codes(q: int, symbols, lengths: np.ndarray):
+    """(codes, big) of the strings whose symbols, each in [0, q), follow one
+    another in `symbols`, string i holding lengths[i] of them.
+
+    codes[i] is the int64 shortlex code of string i when its level q^n is
+    below 2^62, computed in numpy by Horner's rule (one np.add.reduceat
+    over each symbol times its place value q^k). A longer string gets
+    -1 - i, and big lists its (i, (length, offset)) with the exact offset.
+    """
+    base, level = code_levels(q, int(lengths.max()))
+    short = lengths < len(level)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    offsets = np.zeros(len(lengths), dtype=np.int64)
+    nonempty = np.flatnonzero(lengths)
+    if len(level) > 1 and len(nonempty):  # q < 2^62, so every symbol fits an int64
+        symbols = np.asarray(symbols, dtype=np.int64)
+        # k, the number of symbols after each one in its string; place q^k
+        after = np.repeat(ends - 1, lengths) - np.arange(len(symbols))
+        place = np.where(np.repeat(short, lengths), level[np.minimum(after, len(level) - 1)], 0)
+        offsets[nonempty] = np.add.reduceat(symbols * place, starts[nonempty])
+    codes = -1 - np.arange(len(lengths), dtype=np.int64)
+    codes[short] = base[lengths[short]] + offsets[short]
+    big = []
+    for i in np.flatnonzero(~short).tolist():
+        offset = 0
+        for sym in symbols[starts[i]:ends[i]]:
+            offset = offset * q + int(sym)
+        big.append((i, (int(lengths[i]), offset)))
+    return codes, big
+
+
+def strings_at(alphabet: Alphabet, base: np.ndarray, codes: np.ndarray) -> list[Str]:
+    """The Strs of the increasing int64 shortlex codes `codes`, each at a
+    level q^n below 2^62 that `base` (from code_levels) covers: one digit
+    matrix in numpy, then one tolist() per run of equal lengths."""
+    q = alphabet.size
+    lengths = np.searchsorted(base, codes, side="right") - 1
+    width = int(lengths[-1]) if len(codes) else 0
+    if not width:  # no code or only the empty string's: q may be past int64
+        return [Str(alphabet, ()) for _ in codes.tolist()]
+    # digits[i, width - 1 - k] is digit k of the offset of codes[i], from the right
+    digits = np.empty((len(codes), width), dtype=np.int64)
+    np.floor_divide((codes - base[lengths])[:, None], q ** np.arange(width - 1, -1, -1), out=digits)
+    digits %= q
+    strings = []
+    start = 0
+    for n, end in enumerate(np.cumsum(np.bincount(lengths)).tolist()):
+        if end > start:
+            strings += [Str(alphabet, row)
+                        for row in map(tuple, digits[start:end, width - n:].tolist())]
+        start = end
+    return strings
+
+
+def string_at(alphabet: Alphabet, n: int, offset: int) -> Str:
+    """The Str of length n at lexicographic offset `offset`, in Python ints:
+    for levels of q^n >= 2^62."""
+    q = alphabet.size
+    syms = [0] * n
+    for j in range(n - 1, -1, -1):
+        offset, syms[j] = divmod(offset, q)
+    return Str(alphabet, tuple(syms))

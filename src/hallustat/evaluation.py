@@ -99,7 +99,8 @@ def derive_stream(master_seed: int, *branch: int):
     seed and every branch are ints >= 0."""
     check_int(master_seed, "master seed", 0)
     for i, b in enumerate(branch):
-        check_int(b, f"branch[{i}]", 0)
+        if type(b) is not int or b < 0:  # a branch's name is built only when it is bad
+            check_int(b, f"branch[{i}]", 0)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=branch))
 
 

@@ -13,7 +13,8 @@ n) + (lexicographic offset within length n), for the lengths whose level
 q^n is below 2^62; a longer string is keyed by its exact (length, offset)
 in Python ints. A FiniteSupport keeps its atoms as codes and builds their
 Str objects only at the API boundary (atoms, support(), the strings
-sample_distinct returns). Both laws build the Strs of many codes at once,
+sample_distinct returns). Both laws encode and decode codes in bulk through
+core's helpers: Horner codes by np.add.reduceat, and the Strs of many codes
 from one digit matrix in numpy.
 
 CdfLowerBound is a nondecreasing lower bound on Pr(len(S) <= n). Every
@@ -52,12 +53,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Alphabet, Str
+from .core import (
+    CODE_LIMIT,
+    Alphabet,
+    Str,
+    code_levels,
+    count_upto,
+    shortlex_codes,
+    shortlex_index,
+    string_at,
+    strings_at,
+)
 from .errors import DomainError, check_int
 
 _SUM_TOL = 1e-12
-# int64 code space; offsets above this use exact big-int arithmetic instead
-_FLOAT_OFFSET_LIMIT = 2**62
 _MAX_TAIL_TABLE = 4_000_000
 
 
@@ -108,13 +117,14 @@ class CdfLowerBound:
 class FiniteSupport:
     """Explicit atoms (string, mass) with exact rational masses summing to 1.
 
-    The law keeps its atoms as int64 shortlex codes (`_codes`, in atom
-    order) with their lengths (`_lengths`). An atom at a level of
-    q^n >= 2^62 has no code there: it gets the code -1 - position, outside
-    the code space, and its exact (length, offset) key in `_big`. pmf finds
-    a string by bisecting the sorted codes, or in `_big`. The Str atoms are
-    built only at the API boundary: `atoms`, `support()` and the strings
-    `sample_distinct` returns, all from one lazily decoded tuple.
+    The law keeps its atoms as int64 shortlex codes in increasing order,
+    each with its atom's position (`_sorted`), and the atom lengths in atom
+    order (`_lengths`). An atom at a level of q^n >= 2^62 has no code there:
+    it gets the code -1 - position, outside the code space, and its exact
+    (length, offset) key in `_big`. pmf finds a string by bisecting the
+    sorted codes, or in `_big`. The Str atoms are built only at the API
+    boundary: `atoms`, `support()` and the strings `sample_distinct`
+    returns, all from one lazily decoded tuple.
 
     Masses are exact rationals. A uniform law (`_uniform`) stores its one
     mass and builds no Fraction and no float per atom; any other law keeps
@@ -158,7 +168,7 @@ class FiniteSupport:
             raise DomainError("finite-support distribution needs at least one atom")
         self.alphabet = alphabet
         self._lengths = lengths
-        codes, big = _shortlex_codes(alphabet.size, symbols, lengths)
+        codes, big = shortlex_codes(alphabet.size, symbols, lengths)
         # The first atom i that repeats an earlier atom j: among the coded
         # atoms by np.unique, among the others by their keys.
         keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -175,7 +185,6 @@ class FiniteSupport:
             end = int(lengths[:i + 1].sum())
             syms = tuple(int(x) for x in symbols[end - int(lengths[i]):end])
             raise DomainError(f"duplicate atom {syms}: {name(i)} repeats {name(j)}")
-        self._codes = codes
         self._sorted = keys, first
         if isinstance(mass, Fraction):
             self._uniform, self._masses = mass, None
@@ -218,13 +227,9 @@ class FiniteSupport:
         (length, offset) key; None when s is not an atom."""
         if s.alphabet is not self.alphabet and s.alphabet != self.alphabet:
             return None
-        q, n = self.alphabet.size, len(s.symbols)
-        offset = 0
-        for sym in s.symbols:
-            offset = offset * q + sym
-        if q**n >= _FLOAT_OFFSET_LIMIT:
-            return self._big.get((n, offset))
-        code = (q**n - 1) // (q - 1) + offset  # the strings shorter than s, then its offset
+        code, n = shortlex_index(s), len(s.symbols)
+        if self.alphabet.size**n >= CODE_LIMIT:
+            return self._big.get((n, code - count_upto(self.alphabet, n - 1)))
         keys, positions = self._sorted
         at = int(np.searchsorted(keys, code))
         return int(positions[at]) if at < len(keys) and keys[at] == code else None
@@ -240,17 +245,16 @@ class FiniteSupport:
     @cached_property
     def atoms(self) -> tuple[tuple[Str, Fraction], ...]:
         """The (string, mass) pairs in atom order, built on first use."""
-        short = self._codes >= 0
-        lengths = self._lengths[short]
-        base, _ = _code_levels(self.alphabet.size, int(self._lengths.max()))
-        strings = np.empty(len(self._lengths), dtype=object)
-        strings[short] = np.fromiter(
-            _strings_at(self.alphabet, lengths, self._codes[short] - base[lengths]),
-            dtype=object, count=len(lengths))
+        keys, positions = self._sorted
+        short = keys >= 0  # the codes sort after the -1 - position of every longer atom
+        base, _ = code_levels(self.alphabet.size, int(self._lengths.max()))
+        strings = [None] * len(self._lengths)
+        for i, s in zip(positions[short].tolist(), strings_at(self.alphabet, base, keys[short])):
+            strings[i] = s
         for (n, offset), i in self._big.items():
-            strings[i] = _string_at(self.alphabet, n, offset)
+            strings[i] = string_at(self.alphabet, n, offset)
         masses = itertools.repeat(self._uniform) if self._masses is None else self._masses
-        return tuple(zip(strings.tolist(), masses))
+        return tuple(zip(strings, masses))
 
     @property
     def is_support_infinite(self) -> bool:
@@ -452,10 +456,9 @@ class LengthFactored:
 
     @cached_property
     def _code_tables(self):
-        """(base, level) int64 arrays over the lengths n whose level q^n is
-        below 2^62: level[n] = q^n exactly and base[n] = number of strings
-        shorter than n, so base[n] + offset is the shortlex code of a draw."""
-        return _code_levels(self.alphabet.size, self.max_sample_length)
+        """core.code_levels up to the longest length drawn: base[n] + offset
+        is the shortlex code of a draw of length n."""
+        return code_levels(self.alphabet.size, self.max_sample_length)
 
     def _length_prob(self, n: int) -> float:
         if n < len(self.length_probs):
@@ -493,8 +496,7 @@ class LengthFactored:
         offs = np.minimum((u_off[small] * level[n].astype(np.float64)).astype(np.int64),
                           level[n] - 1)
         keys, inverse_small = np.unique(base[n] + offs, return_inverse=True)
-        key_lengths = np.searchsorted(base, keys, side="right") - 1
-        strings = _strings_at(self.alphabet, key_lengths, keys - base[key_lengths])
+        strings = strings_at(self.alphabet, base, keys)
         inverse = np.empty(size, dtype=np.intp)
         inverse[small] = inverse_small
         large = np.flatnonzero(~small)
@@ -506,90 +508,13 @@ class LengthFactored:
             key = (length, min(int(Fraction(u) * size_n), size_n - 1))
             if key not in first:
                 first[key] = len(strings)
-                strings.append(_string_at(self.alphabet, length, key[1]))
+                strings.append(string_at(self.alphabet, length, key[1]))
             inverse_large.append(first[key])
         inverse[large] = inverse_large
         return strings, inverse
 
     def sample_batch(self, rng, size: int) -> list[Str]:
         return _expand(*self.sample_distinct(rng, size))
-
-
-def _code_levels(q: int, top: int):
-    """(base, level) int64 arrays over the lengths n <= top whose level q^n
-    is below 2^62: level[n] = q^n exactly and base[n] = the number of
-    strings shorter than n, so base[n] + offset is the shortlex code of the
-    string of length n at lexicographic offset `offset`."""
-    levels = []
-    p = 1
-    while p < _FLOAT_OFFSET_LIMIT and len(levels) <= top:
-        levels.append(p)
-        p *= q
-    level = np.asarray(levels, dtype=np.int64)
-    return np.cumsum(level) - level, level
-
-
-def _shortlex_codes(q: int, symbols, lengths: np.ndarray):
-    """(codes, big) of the strings whose symbols, each in [0, q), follow one
-    another in `symbols`, string i holding lengths[i] of them.
-
-    codes[i] is the int64 shortlex code of string i when its level q^n is
-    below 2^62, computed in numpy by Horner's rule (one np.add.reduceat
-    over each symbol times its place value q^k). A longer string gets
-    -1 - i, and big lists its (i, (length, offset)) with the exact offset.
-    """
-    base, level = _code_levels(q, int(lengths.max()))
-    short = lengths < len(level)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    offsets = np.zeros(len(lengths), dtype=np.int64)
-    nonempty = np.flatnonzero(lengths)
-    if len(level) > 1 and len(nonempty):  # q < 2^62, so every symbol fits an int64
-        symbols = np.asarray(symbols, dtype=np.int64)
-        # k, the number of symbols after each one in its string; place q^k
-        after = np.repeat(ends - 1, lengths) - np.arange(len(symbols))
-        place = np.where(np.repeat(short, lengths), level[np.minimum(after, len(level) - 1)], 0)
-        offsets[nonempty] = np.add.reduceat(symbols * place, starts[nonempty])
-    codes = -1 - np.arange(len(lengths), dtype=np.int64)
-    codes[short] = base[lengths[short]] + offsets[short]
-    big = []
-    for i in np.flatnonzero(~short).tolist():
-        offset = 0
-        for sym in symbols[starts[i]:ends[i]]:
-            offset = offset * q + int(sym)
-        big.append((i, (int(lengths[i]), offset)))
-    return codes, big
-
-
-def _strings_at(alphabet: Alphabet, lengths: np.ndarray, offsets: np.ndarray) -> list[Str]:
-    """The Strs of the given lengths at the given lexicographic offsets, in
-    order, each at a level q^n below 2^62: one digit matrix in numpy, then
-    one tolist() per run of equal lengths."""
-    order = np.argsort(lengths, kind="stable")
-    lengths, rest = lengths[order], offsets[order]
-    width = int(lengths[-1]) if len(lengths) else 0
-    # digits[i, width - 1 - k] is digit k of offsets[i], counted from the right
-    digits = np.empty((len(rest), width), dtype=np.int64)
-    for k in range(width - 1, -1, -1):
-        rest, digits[:, k] = np.divmod(rest, alphabet.size)
-    cuts = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()  # run bounds
-    strings = []
-    for a, b in zip(cuts, cuts[1:]):
-        strings += [Str(alphabet, tuple(row))
-                    for row in digits[a:b, width - int(lengths[a]):].tolist()]
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    return [strings[i] for i in inverse.tolist()]
-
-
-def _string_at(alphabet: Alphabet, n: int, offset: int) -> Str:
-    """The Str of length n at lexicographic offset `offset`, in Python ints:
-    for levels of q^n >= 2^62."""
-    q = alphabet.size
-    syms = [0] * n
-    for j in range(n - 1, -1, -1):
-        offset, syms[j] = divmod(offset, q)
-    return Str(alphabet, tuple(syms))
 
 
 def _expand(strings: list[Str], inverse: np.ndarray) -> list[Str]:

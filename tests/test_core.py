@@ -1,16 +1,22 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallustat.core import (
+    CODE_LIMIT,
     Alphabet,
     Str,
+    code_levels,
     count_upto,
     empty_string,
+    shortlex_codes,
     shortlex_index,
     shortlex_string,
+    string_at,
+    strings_at,
     strings_of_length,
     strings_upto,
 )
@@ -155,3 +161,27 @@ def test_str_hash_is_tuple_hash():
     a = Alphabet(3, ("x", "y", "z"))
     for syms in ((), (0,), (2, 1, 0)):
         assert hash(Str(a, syms)) == hash((a, syms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda q: st.tuples(st.just(q), st.lists(
+    st.one_of(st.integers(0, 6), st.sampled_from({2: (61, 62, 64), 3: (38, 39, 41),
+                                                  5: (26, 27, 29)}[q]))
+    .flatmap(lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
+    min_size=1, max_size=12))))
+def test_bulk_codes_equal_shortlex_ranks(case):
+    q, strings = case
+    a = Alphabet(q)
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    codes, big = shortlex_codes(q, [x for s in strings for x in s], lengths)
+    short = [i for i, s in enumerate(strings) if q ** len(s) < CODE_LIMIT]
+    assert [i for i, _ in big] == [i for i in range(len(strings)) if i not in short]
+    for i, (n, offset) in big:
+        assert string_at(a, n, offset) == Str(a, tuple(strings[i]))
+        assert codes[i] == -1 - i
+    assert [int(codes[i]) for i in short] == [shortlex_index(Str(a, tuple(strings[i])))
+                                              for i in short]
+    # decoding the distinct codes in increasing order gives back their strings
+    keys = np.unique(codes[short])
+    base, _ = code_levels(q, int(lengths.max()))
+    assert strings_at(a, base, keys) == [shortlex_string(a, int(k)) for k in keys.tolist()]

@@ -209,16 +209,17 @@ def test_finite_support_duplicate_atom_error_names_its_symbols():
             FiniteSupport(atoms)
 
 
-# Lengths on both sides of the first level of q^n >= 2^62, per alphabet size.
-_EXACT_EDGE = {2: (61, 62, 63, 64), 3: (38, 39, 40, 41)}
+# Lengths on both sides of the first level of q^n >= 2^62, per alphabet size;
+# past int64, every nonempty string is past it and its symbols may be too.
+_EXACT_EDGE = {2: (61, 62, 63, 64), 3: (38, 39, 40, 41), 2**70: (1, 2)}
 
 
 @st.composite
 def code_laws(draw):
     """(alphabet, strings, masses, uniform): 1 to 10 distinct strings, short
-    ones and ones on both sides of the 2^62 levels, at q = 2 or 3, with
+    ones and ones on both sides of the 2^62 levels, at q = 2, 3 or 2^70, with
     equal masses or mixed denominators (zeros included)."""
-    q = draw(st.sampled_from([2, 3]))
+    q = draw(st.sampled_from(list(_EXACT_EDGE)))
     length = st.one_of(st.integers(0, 4), st.sampled_from(_EXACT_EDGE[q]))
     strings = draw(st.lists(
         length.flatmap(lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
