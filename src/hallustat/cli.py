@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .core import Alphabet, Str, count_upto, shortlex_string
+from .core import Alphabet, Str, count_upto, shortlex_symbols
 from .errors import ConfigError, DomainError, DominationError, WorkbenchError
 from .evaluation import (
     DEFAULT_BUDGET,
@@ -390,7 +390,8 @@ def _nfl_strings(alphabet: Alphabet, cfg: dict, list_key: str, size: int):
     if list_key in cfg:
         return tuple(_string(alphabet, v, f"{list_key}[{i}]")
                      for i, v in enumerate(cfg[list_key]))
-    return tuple(shortlex_string(alphabet, i) for i in range(size))
+    return tuple(Str(alphabet, syms)
+                 for syms in itertools.islice(shortlex_symbols(alphabet.size), size))
 
 
 def cmd_nfl(cfg: dict, args) -> int:

@@ -2,7 +2,8 @@
 
 Strings are ordered by length first, then lexicographically by symbol index;
 rank 0 is the empty string. All counting uses exact integer arithmetic, so
-ranks and counts stay correct at any length.
+ranks and counts stay correct at any length. This module owns the order:
+ranking, unranking, and enumerating every string in turn (shortlex_symbols).
 
 The bulk helpers at the end work on int64 shortlex codes, the ranks of the
 strings whose level q^n is below CODE_LIMIT = 2^62: they encode many strings
@@ -124,6 +125,13 @@ def shortlex_string(alphabet: Alphabet, rank: int) -> Str:
         level *= q
         total += level
     return string_at(alphabet, n, rank - (total - level))
+
+
+def shortlex_symbols(q: int):
+    """Symbol tuples of every string over q symbols, lazily, in shortlex order;
+    itertools.product holds all q symbols, so it starts only at length 2."""
+    longer = (itertools.product(range(q), repeat=n) for n in itertools.count(2))
+    return itertools.chain([()], zip(range(q)), itertools.chain.from_iterable(longer))
 
 
 def strings_of_length(alphabet: Alphabet, n: int):

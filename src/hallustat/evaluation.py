@@ -76,13 +76,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .core import count_upto, empty_string
+from .core import CODE_LIMIT, count_upto, empty_string
 from .errors import DomainError, check_budget, check_int
 from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
-from .oracle import GroundTruth, Labeler, generate_qualified
+from .oracle import GroundTruth, Labeler, check_labeler, generate_qualified
 
-_FAST_CODE_LIMIT = 2**62
 _FIRST_CHUNK = 512  # training draws in the first chunk, the one decoded in full
 # The most seen-table entries, and the most kept draws before a decode, that a
 # batch of coded trials holds.
@@ -349,7 +348,7 @@ def _trial_path(trainer, mu, gt: GroundTruth) -> str:
         if isinstance(mu, FiniteSupport):
             return "atom"
         if (isinstance(mu, LengthFactored) and not gt.overrides
-                and count_upto(mu.alphabet, mu.max_sample_length) < _FAST_CODE_LIMIT):
+                and count_upto(mu.alphabet, mu.max_sample_length) < CODE_LIMIT):
             return "coded"
     return "object"
 
@@ -365,7 +364,7 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
     checked before any draw.
     """
     check_int(m, "m", 0)
-    _check_labeler(labeler)
+    check_labeler(labeler)
     path = _trial_path(trainer, mu, gt)
     if path == "atom":
         return _atom_trial(trainer, mu, gt, m, labeler, rng)
@@ -373,11 +372,6 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
         return _fast_trial(trainer, mu, gt, m, labeler, [rng])[0]
     model = trainer(generate_qualified(mu, gt, m, labeler, rng))
     return evaluate_hp(model, mu, gt, rng).estimate
-
-
-def _check_labeler(labeler) -> None:
-    if not isinstance(labeler, Labeler):
-        raise DomainError(f"labeler must be a Labeler, got {labeler!r}")
 
 
 def check_trial_budget(m_grid, trials: int, budget: int) -> None:
@@ -432,7 +426,7 @@ def sweep(
     check_int(budget, "budget", 0)
     if not 0.0 < epsilon_h <= 1.0:  # also rejects NaN
         raise DomainError(f"epsilon_h must lie in (0,1], got {epsilon_h}")
-    _check_labeler(labeler)
+    check_labeler(labeler)
     check_trial_budget(m_grid, trials, budget)
     path = _trial_path(trainer, mu, gt)
     rows = []

@@ -17,29 +17,39 @@ from .measures import CdfLowerBound
 from .oracle import TrainingSequence
 
 
-def threshold_length(m: int, alphabet: Alphabet, bound: CdfLowerBound) -> int:
-    """Largest n' >= 0 with m > (q^(n'+1)/d) * ln(q^(n'+1)/(2d)) where
-    d = 1 - bound(n'); -1 when no n' qualifies.
+def sample_size_at(n: int, alphabet: Alphabet, bound: CdfLowerBound) -> float:
+    """The sufficient sample size at length n, (x/d) * ln(x/(2d)) with x = q^(n+1)
+    and d = 1 - bound(n); +inf where d = 0 or the value leaves the float range."""
+    d = bound.defect(n)
+    try:
+        x = float(alphabet.size ** (n + 1))
+    except OverflowError:
+        return math.inf
+    return x / d * math.log(x / (2.0 * d)) if d > 0.0 else math.inf
 
-    d = 0 never qualifies (the factor is +infinity). The right side is
-    nondecreasing in n', so the qualifying set is a prefix and the scan can
-    stop once q^(n'+1) alone reaches max(m, 6): from there x*ln(x/2) >= x >= m.
+
+def threshold_length(m: int, alphabet: Alphabet, bound: CdfLowerBound) -> int:
+    """Largest n' >= 0 with m > sample_size_at(n'); -1 when no n' qualifies.
+
+    m must fit a float: against a size past the float range, which reads
+    +inf, a larger m would wrongly fail. The size is nondecreasing in n', so
+    the qualifying set is a prefix and the scan can stop once q^(n'+1) alone
+    reaches max(m, 6): from there x*ln(x/2) >= x >= m.
     """
     check_int(m, "m", 0)
-    q = alphabet.size
+    try:
+        float(m)
+    except OverflowError:
+        raise DomainError(f"m must fit a float, got a {m.bit_length()}-bit number") from None
     stop = max(m, 6)
     best = -1
     n = 0
-    level = q
+    level = alphabet.size
     while level <= stop:
-        d = bound.defect(n)
-        if d > 0.0:
-            x = float(level)
-            rhs = x / d * math.log(x / (2.0 * d))
-            if m > rhs:
-                best = n
+        if m > sample_size_at(n, alphabet, bound):
+            best = n
         n += 1
-        level *= q
+        level *= alphabet.size
     return best
 
 

@@ -9,8 +9,8 @@ reverse-Markov tail inequality, and a diagonal construction that differs
 from every model in a finite list.
 
 Everything necessity-side is exact rational arithmetic; only the
-sufficiency formula (a logarithm) uses floats, with a 1e-9 guard before the
-ceiling.
+sufficient sample size, flrm.sample_size_at (a logarithm), uses floats;
+m̄ is the least integer above it plus a 1e-9 guard.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string
-from .errors import DomainError, check_budget
-from .flrm import MemorizerModel
+from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string, shortlex_symbols
+from .errors import DomainError, _int_text, check_budget
+from .flrm import MemorizerModel, sample_size_at
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
 
@@ -42,28 +42,27 @@ def required_sample_size(
     epsilon_h: float, epsilon_t: float, alphabet: Alphabet, bound: CdfLowerBound
 ) -> SufficiencyBound:
     """Smallest length n with defect below min(eps)/2, and the sample size
-    ceil((q^(n+1)/d) * ln(q^(n+1)/(2d))) that provably suffices there."""
+    that provably suffices there: the least integer above
+    sample_size_at(n) + 1e-9, so threshold_length at that size reaches n
+    even where the float has an integer value (as every float from 2^52 on
+    does) and the guard is lost in rounding."""
     for name, eps in (("epsilon_h", epsilon_h), ("epsilon_t", epsilon_t)):
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"{name} must lie in (0,1], got {eps}")
     target = min(epsilon_h, epsilon_t) / 2.0
+    if target == 0.0:
+        raise DomainError(f"half of epsilon {min(epsilon_h, epsilon_t)!r} rounds to 0.0, "
+                          "below every bound defect")
     n_bar = 0
-    while bound.defect(n_bar) >= target:
+    # Once q^(n+1) is past the float range, so is the size: the scan stops there.
+    while bound.defect(n_bar) >= target and alphabet.size ** (n_bar + 1) < 2**1024:
         n_bar += 1
-        if n_bar > 10_000_000:
-            raise DomainError("bound tail never crosses the required level")
-    d = bound.defect(n_bar)
-    if d <= 0.0:
-        raise DomainError(
-            "bound reaches 1 at the target length; the sample-size formula "
-            "needs a positive tail defect"
-        )
-    try:
-        x = float(alphabet.size ** (n_bar + 1))
-    except OverflowError as exc:
-        raise DomainError("alphabet level count overflows the formula") from exc
-    m_bar = math.ceil(x / d * math.log(x / (2.0 * d)) + 1e-9)
-    return SufficiencyBound(epsilon_h, epsilon_t, n_bar, int(m_bar))
+    m_bar = sample_size_at(n_bar, alphabet, bound)
+    if m_bar == math.inf:
+        why = ("needs a positive tail defect; the bound reaches 1 there"
+               if bound.defect(n_bar) <= 0.0 else "is past the float range")
+        raise DomainError(f"the sample-size formula at length {n_bar} {why}")
+    return SufficiencyBound(epsilon_h, epsilon_t, n_bar, math.floor(m_bar + 1e-9) + 1)
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def construct_hard_support(
         "hard support would hold {} strings (cap {})", (size, max_size),
         max_size, 0, lambda: size,
     )
-    return [shortlex_string(alphabet, i) for i in range(size)]
+    return [Str(alphabet, syms) for syms in itertools.islice(shortlex_symbols(alphabet.size), size)]
 
 
 def lambda_t(lambda_h) -> Fraction:
@@ -485,13 +484,6 @@ def diagonalize(
     return DiagonalConstruction(models=models, alphabet=alphabet, horizon=horizon, psi=tuple(psi))
 
 
-def _shortlex_symbols(q: int):
-    """Symbol tuples of every string over q symbols, lazily, in shortlex order."""
-    return itertools.chain.from_iterable(
-        itertools.product(range(q), repeat=n) for n in itertools.count()
-    )
-
-
 def verify_diagonal(construction: DiagonalConstruction) -> bool:
     """Recheck both that every covered model differs from the diagonal map on
     every window string and that each psi value is the least candidate.
@@ -514,8 +506,8 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
     if any(p > min(i, k_models) + 1 for i, p in enumerate(psi, 1)):
         return False
     calls = [type(model).__call__.__get__(model) for model in models[: construction.horizon]]
-    candidates = list(itertools.islice(_shortlex_symbols(alphabet.size), max(psi, default=0)))
-    for i, (p, symbols) in enumerate(zip(psi, _shortlex_symbols(alphabet.size)), 1):
+    candidates = list(itertools.islice(shortlex_symbols(alphabet.size), max(psi, default=0)))
+    for i, (p, symbols) in enumerate(zip(psi, shortlex_symbols(alphabet.size)), 1):
         s_i = Str(alphabet, symbols)
         answers = [call(s_i) for call in calls[:i]]
         seen = {
@@ -544,11 +536,15 @@ def random_table_models(
     for name, value in (("count", count), ("table_size", table_size), ("max_len", max_len)):
         if value < 0:
             raise DomainError(f"{name} must be >= 0, got {value}")
-    universe = count_upto(alphabet, max_len)
-    if universe >= 2**63:
+    # q^max_len has more than `low` bits. U is counted, and printed, only
+    # while that leaves it a few thousand bits at most.
+    low = max_len * (alphabet.size.bit_length() - 1)
+    universe = count_upto(alphabet, max_len) if low <= 4096 else None
+    if universe is None or universe >= 2**63:
+        many = universe or f"more than 2^{_int_text(low)}"
         raise DomainError(
-            f"max_len {max_len} gives {universe} strings over {alphabet.size} "
-            "symbols; their ranks must stay below 2^63"
+            f"max_len {_int_text(max_len)} gives {many} strings over an alphabet of "
+            f"size {_int_text(alphabet.size)}; their ranks must stay below 2^63"
         )
     size = min(table_size, universe)
     decoded: dict[int, Str] = {}

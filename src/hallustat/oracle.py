@@ -129,6 +129,12 @@ class Labeler(enum.Enum):
     UNIFORM_ACCEPTABLE = "uniform_acceptable"
 
 
+def check_labeler(labeler) -> None:
+    """Raise DomainError, before any draw, unless labeler is a Labeler."""
+    if not isinstance(labeler, Labeler):
+        raise DomainError(f"labeler must be a Labeler, got {labeler!r}")
+
+
 @dataclass(frozen=True)
 class TrainingSequence:
     """Ordered (input, output) pairs; order matters to the memorizer.
@@ -170,8 +176,7 @@ def generate_qualified(
     last draw (np.maximum.at) picks its output under the uniform labeler.
     """
     check_int(m, "m", 0)
-    if not isinstance(labeler, Labeler):
-        raise DomainError(f"unsupported labeler {labeler!r}")
+    check_labeler(labeler)
     strings, inverse = mu.sample_distinct(rng, m)
     draws = np.arange(m)
     first_draw = np.full(len(strings), m)

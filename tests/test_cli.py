@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hallustat.cli as cli
+import hallustat.core as core
 from hallustat import evaluation
 from hallustat.limits import NflReport, TailCheck
 
@@ -66,6 +67,21 @@ def test_bounds_zero_epsilon_exit_3(tmp_path):
         "epsilon_t": 0.1,
     })
     assert run(["bounds", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("epsilon_h, words", [
+    (1e-200, "the sample-size formula at length 665 is past the float range"),
+    (5e-324, "half of epsilon 5e-324 rounds to 0.0"),
+], ids=["m_bar-past-float", "half-epsilon-zero"])
+def test_bounds_out_of_float_range_exit_3(tmp_path, capsys, epsilon_h, words):
+    cfg = write_cfg(tmp_path, {
+        "alphabet": {"size": 2},
+        "cdf_bound": HALF_BOUND_DOC,
+        "epsilon_h": epsilon_h,
+        "epsilon_t": 0.1,
+    })
+    assert run(["bounds", "--config", cfg]) == 3
+    assert words in capsys.readouterr().err
 
 
 def test_bounds_non_numeric_epsilon_exit_2(tmp_path, capsys):
@@ -370,6 +386,13 @@ def test_sweep_epsilon_outside_unit_interval_exit_3(tmp_path, capsys, raw):
     assert "epsilon_h" in capsys.readouterr().err
 
 
+def test_sweep_m_past_the_float_range_exit_3(tmp_path, capsys):
+    # a budget that admits m = 10^400: the coded row's threshold rejects it
+    doc = sweep_cfg() | {"m_grid": [10**400], "trials": 1, "budget": 10**401}
+    assert run(["sweep", "--config", write_cfg(tmp_path, doc)]) == 3
+    assert "m must fit a float" in capsys.readouterr().err
+
+
 def test_sweep_nan_length_probability_exit_3(tmp_path, capsys):
     text = json.dumps(sweep_cfg()).replace(
         '"length_probs": []', '"length_probs": [0.5, 0.25, NaN]')
@@ -586,7 +609,7 @@ def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, mo
     def refuse(*args):
         raise AssertionError("a domain string was built before the budget check")
 
-    monkeypatch.setattr(cli, "shortlex_string", refuse)
+    monkeypatch.setattr(core, "shortlex_symbols", refuse)
     doc = nfl_cfg()
     doc["domain_size"] = 10**6
     assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
@@ -806,6 +829,18 @@ def test_diagonalize_max_len_past_int64_ranks_exit_3(tmp_path, capsys):
     out = tmp_path / "diag.csv"
     assert run(["diagonalize", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 4 + 10
+
+
+@pytest.mark.parametrize("fields, words", [
+    ({"max_len": 20000}, "max_len 20000 gives more than 2^20000 strings"),
+    ({"max_len": 10**400}, "strings over an alphabet of size 2;"),
+    ({"alphabet": {"size": 10**1000}}, "max_len 6 gives more than 2^19926 strings"),
+], ids=["max_len-20000", "max_len-10^400", "size-10^1000"])
+def test_diagonalize_huge_universe_exit_3_before_counting(tmp_path, capsys, fields, words):
+    # q^max_len >= 2^63 fails the rank check without the count being formed
+    doc = {"alphabet": {"size": 2}, "models": 5, "horizon": 20} | fields
+    assert run(["diagonalize", "--config", write_cfg(tmp_path, doc)]) == 3
+    assert words in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- typical-set

@@ -15,6 +15,7 @@ from hallustat.core import (
     shortlex_codes,
     shortlex_index,
     shortlex_string,
+    shortlex_symbols,
     string_at,
     strings_at,
     strings_of_length,
@@ -95,6 +96,21 @@ def test_shortlex_order_is_length_then_lex():
     for prev, cur in zip(ranked, ranked[1:]):
         if len(prev) == len(cur):
             assert prev.symbols < cur.symbols
+
+
+def test_shortlex_symbols_follow_the_ranks():
+    for q in (2, 3):
+        a = Alphabet(q)
+        count = count_upto(a, 4)
+        ranked = [shortlex_string(a, r) for r in range(count)]
+        symbols = itertools.islice(shortlex_symbols(q), count)
+        assert [Str(a, syms) for syms in symbols] == ranked
+
+
+def test_shortlex_symbols_of_a_huge_alphabet_hold_no_symbol_range():
+    # length 1 is enumerated lazily: these would otherwise build 10^30 symbols
+    first = list(itertools.islice(shortlex_symbols(10**30), 4))
+    assert first == [(), (0,), (1,), (2,)]
 
 
 def test_shortlex_string_rejects_negative_rank():

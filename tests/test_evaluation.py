@@ -856,6 +856,16 @@ def test_trials_take_only_a_labeler_on_every_path(labeler, monkeypatch):
             lambda rng: sweep(trainer, mu, gt, [10], 2, labeler, 5), monkeypatch)
 
 
+def test_labeler_check_reads_the_same_everywhere():
+    _path, trainer, mu, gt = one_instance_per_path()[0]
+    calls = (lambda: generate_qualified(mu, gt, 10, "canonical", derive_stream(0)),
+             lambda: run_trial(trainer, mu, gt, 10, "canonical", derive_stream(0)),
+             lambda: sweep(trainer, mu, gt, [10], 2, "canonical", 5))
+    for call in calls:
+        with pytest.raises(DomainError, match="^labeler must be a Labeler, got 'canonical'$"):
+            call()
+
+
 @pytest.mark.parametrize("kwargs", [
     {"m_grid": [100.5]}, {"m_grid": [10, True]}, {"m_grid": [np.int64(10)]},
     {"trials": 2.5}, {"trials": True}, {"budget": 1.5}, {"budget": True},

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from hallustat.flrm import (
     MemorizerModel,
     model_from_json,
     model_to_json,
+    sample_size_at,
     threshold_length,
     train,
 )
@@ -56,6 +58,29 @@ def test_threshold_with_saturated_bound_is_minus_one():
     # bound value 1 everywhere -> zero defect -> no level ever qualifies
     saturated = CdfLowerBound((1.0,))
     assert threshold_length(10**9, A2, saturated) == -1
+
+
+def test_sample_size_at_is_the_inline_formula_bit_for_bit():
+    for n in range(61):
+        d = HALF_BOUND.defect(n)
+        x = float(2 ** (n + 1))
+        expected = x / d * math.log(x / (2.0 * d))
+        assert sample_size_at(n, A2, HALF_BOUND).hex() == expected.hex()
+
+
+def test_sample_size_at_is_infinite_at_zero_defect_and_past_the_float_range():
+    assert sample_size_at(0, A2, CdfLowerBound((1.0,))) == math.inf
+    assert sample_size_at(665, A2, HALF_BOUND) == math.inf  # x/d = 2^1332
+    assert sample_size_at(1100, A2, HALF_BOUND) == math.inf  # x = 2^1101 is past a float
+
+
+def test_threshold_rejects_an_m_past_the_float_range():
+    # m > +inf would fail at every length, so n̄ would read too small
+    with pytest.raises(DomainError, match="must fit a float, got a 1329-bit number"):
+        threshold_length(10**400, A2, HALF_BOUND)
+    m = int(sys.float_info.max)  # the largest m that fits is scanned to the end
+    expected = max(n for n in range(1100) if m > sample_size_at(n, A2, HALF_BOUND))
+    assert threshold_length(m, A2, HALF_BOUND) == expected
 
 
 def test_threshold_negative_m_rejected():

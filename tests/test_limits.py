@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hallustat.core import (
     strings_upto,
 )
 from hallustat.errors import BudgetExceeded, DomainError
-from hallustat.flrm import FlrmTrainer, MemorizerModel
+from hallustat.flrm import FlrmTrainer, MemorizerModel, threshold_length
 import hallustat.limits as limits
 from hallustat.limits import (
     DiagonalConstruction,
@@ -86,6 +87,45 @@ def test_required_sample_size_zero_defect_rejected():
     saturated = CdfLowerBound((0.5,))
     with pytest.raises(DomainError):
         required_sample_size(0.2, 0.2, A2, saturated)
+
+
+def test_required_sample_size_past_the_float_range_names_the_length():
+    # n̄ = 665, where q^(n̄+1)/d = 2^1332 is past the float range
+    with pytest.raises(DomainError, match="at length 665 is past the float range"):
+        required_sample_size(1e-200, 0.1, A2, HALF_BOUND)
+
+
+def test_required_sample_size_scan_stops_where_the_size_leaves_the_float_range():
+    # the defect 0.5 * r^n falls below 5e-11 only at n = 23 025 840; the size
+    # is past the float range from n = 1023 on, where the scan stops
+    slow = CdfLowerBound((0.5,), 0.999999)
+    with pytest.raises(DomainError, match="at length 1023 is past the float range"):
+        required_sample_size(1e-10, 1e-10, A2, slow)
+
+
+def test_required_sample_size_rejects_an_epsilon_whose_half_is_zero(monkeypatch):
+    # 5e-324 / 2 rounds to 0.0, below every defect: rejected before the scan
+    def refuse(self, n):
+        raise AssertionError("the bound was scanned")
+
+    monkeypatch.setattr(CdfLowerBound, "defect", refuse)
+    with pytest.raises(DomainError, match="5e-324"):
+        required_sample_size(0.5, 5e-324, A2, HALF_BOUND)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("bound, epsilons", [
+    (HALF_BOUND, (0.8, 0.4, 0.2, 0.1, 0.05, 0.01, 1e-6)),
+    (CdfLowerBound((0.1, 0.3), 0.7), (0.9, 0.5, 0.1, 1e-3)),
+    # one_at_n: the defect is 0 from length 4 on, so epsilon/2 stays above 0.05
+    (CdfLowerBound((0.25, 0.5, 0.9, 0.95)), (1.0, 0.8, 0.4, 0.2)),
+], ids=["half", "geometric", "one_at_n"])
+def test_threshold_at_m_bar_reaches_n_bar(q, bound, epsilons):
+    # both read the one sample-size formula, so m̄ trains a threshold of n̄
+    alphabet = Alphabet(q)
+    for eps in epsilons:
+        r = required_sample_size(eps, eps, alphabet, bound)
+        assert threshold_length(r.m_bar, alphabet, bound) >= r.n_bar
 
 
 def test_m_bar_grows_as_epsilon_shrinks():
@@ -722,6 +762,23 @@ def test_random_table_models_rejects_bad_sizes():
         random_table_models(A2, 2, rng, max_len=63)
     models = random_table_models(A2, 2, rng, max_len=62)
     assert all(len(m.table) == 8 for m in models)
+
+
+@pytest.mark.parametrize("alphabet, max_len, words", [
+    (A2, 20000, "more than 2^20000 strings over an alphabet of size 2"),
+    (A2, 10**400, "more than 2^1" + "0" * 400 + " strings"),
+    (Alphabet(10**5000), 6, "of size a 16610-bit number"),
+], ids=["max_len-20000", "max_len-10^400", "size-10^5000"])
+def test_random_table_models_rejects_huge_universes_without_counting_them(
+        alphabet, max_len, words, monkeypatch):
+    # q^max_len >= 2^63 fails the rank check whatever its exact value; a
+    # number past the int-to-str limit is printed by its bit length
+    def refuse(*args):
+        raise AssertionError("the strings were counted")
+
+    monkeypatch.setattr(limits, "count_upto", refuse)
+    with pytest.raises(DomainError, match=re.escape(words)):
+        random_table_models(alphabet, 2, np.random.default_rng(0), max_len=max_len)
 
 
 def test_f0_outside_window_rejected():
