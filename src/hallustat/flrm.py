@@ -17,14 +17,19 @@ from .measures import CdfLowerBound
 from .oracle import TrainingSequence
 
 
+def level_float(n: int, alphabet: Alphabet) -> float:
+    """q^(n+1) as a float; +inf past the float range."""
+    try:
+        return float(alphabet.size ** (n + 1))
+    except OverflowError:
+        return math.inf
+
+
 def sample_size_at(n: int, alphabet: Alphabet, bound: CdfLowerBound) -> float:
     """The sufficient sample size at length n, (x/d) * ln(x/(2d)) with x = q^(n+1)
     and d = 1 - bound(n); +inf where d = 0 or the value leaves the float range."""
     d = bound.defect(n)
-    try:
-        x = float(alphabet.size ** (n + 1))
-    except OverflowError:
-        return math.inf
+    x = level_float(n, alphabet)
     return x / d * math.log(x / (2.0 * d)) if d > 0.0 else math.inf
 
 

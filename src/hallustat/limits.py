@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string, shortlex_symbols
 from .errors import DomainError, _int_text, check_budget
-from .flrm import MemorizerModel, sample_size_at
+from .flrm import MemorizerModel, level_float, sample_size_at
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
 
@@ -55,7 +55,7 @@ def required_sample_size(
                           "below every bound defect")
     n_bar = 0
     # Once q^(n+1) is past the float range, so is the size: the scan stops there.
-    while bound.defect(n_bar) >= target and alphabet.size ** (n_bar + 1) < 2**1024:
+    while bound.defect(n_bar) >= target and level_float(n_bar, alphabet) < math.inf:
         n_bar += 1
     m_bar = sample_size_at(n_bar, alphabet, bound)
     if m_bar == math.inf:

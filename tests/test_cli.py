@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hallustat.cli as cli
-import hallustat.core as core
 from hallustat import evaluation
 from hallustat.limits import NflReport, TailCheck
 
@@ -609,7 +608,7 @@ def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, mo
     def refuse(*args):
         raise AssertionError("a domain string was built before the budget check")
 
-    monkeypatch.setattr(core, "shortlex_symbols", refuse)
+    monkeypatch.setattr(cli, "shortlex_symbols", refuse)
     doc = nfl_cfg()
     doc["domain_size"] = 10**6
     assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
