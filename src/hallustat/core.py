@@ -30,11 +30,13 @@ class Alphabet:
     """Finite symbol set of size >= 2; symbols are the indices 0..size-1.
 
     Optional labels give symbols a printable form but play no role in
-    ordering or counting.
+    ordering or counting. The hash is computed once, at construction, as
+    hash((size, labels)), the value a generated dataclass hash returns.
     """
 
     size: int
     labels: tuple[str, ...] | None = None
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.size < 2:
@@ -44,6 +46,15 @@ class Alphabet:
                 raise DomainError("label count must equal alphabet size")
             if len(set(self.labels)) != self.size:
                 raise DomainError("labels must be distinct")
+        object.__setattr__(self, "_hash", hash((self.size, self.labels)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild rather than restore the cached hash: str hashes differ
+        # between processes.
+        return (Alphabet, (self.size, self.labels))
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,9 +59,11 @@ place in the PCG64 stream (one output is one double, and PCG64 jumps ahead
 in O(log n) steps), so the training draws after the table fills and the
 label draws are never drawn. Its HP comes from the seen-table's count per
 length through the same closed-form sum as the object path's, so the two
-paths agree bit for bit and neither draws evaluation samples. It leaves the
-stream where generate_qualified leaves it. A trial in a batch reads,
-decodes and returns what it would alone.
+paths agree bit for bit and neither draws evaluation samples. A trial in a
+batch reads the blocks, decodes the draws and returns the HP it would
+alone. run_trial leaves its stream where generate_qualified leaves it;
+inside sweep, which drops each stream after its trial, a batched trial
+leaves its stream after its last block.
 
 sweep and train-eval bound their work before any draw (check_trial_budget):
 trials times the sum of m + 1 over the m grid.
@@ -219,7 +221,7 @@ def _coded_top(trainer: FlrmTrainer, mu: LengthFactored, m: int) -> tuple[int, i
 
 
 def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, gt: GroundTruth, m: int,
-                labeler: Labeler, rngs) -> list[float]:
+                labeler: Labeler, rngs, *, end_read: bool = True) -> list[float]:
     """Exact HP of one coded trial per stream in rngs, all at m, on an
     instance _trial_path sends to the coded trial.
 
@@ -230,7 +232,10 @@ def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, gt: GroundTruth, m: in
     The caller bounds that table, as sweep does. Each trial reads its own
     blocks at the positions and sizes a lone trial reads, into one buffer
     reused across the trials, and keeps the draws from its own lowest open
-    level up to top. Every stream is checked before any is read.
+    level up to top. Every stream is checked before any is read. With
+    end_read (run_trial's case), each stream is then moved to where
+    generate_qualified leaves it; a caller that drops the streams, as sweep
+    does, passes end_read=False and leaves each after its last block.
 
     The seen-table row over lengths <= top <= max(n̄, 0) is bounded by the
     sample: n̄ >= 1 implies m > q^(n̄+1)*ln 2, so it holds at most
@@ -270,10 +275,12 @@ def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, gt: GroundTruth, m: in
     low_of = np.concatenate(([0.0], cum[:top]))
     no_mass = cum[:top + 1] == low_of
 
-    def mark(kept):
-        """Decode the kept draws of (row offset, u_len, u_off) and mark them."""
+    def mark(kept, low):
+        """Decode the kept draws of (row offset, u_len, u_off), all of length
+        >= low, and mark them."""
         offsets, u_len, u_off = zip(*kept)
-        codes, _ = kernels.sample_codes(np.concatenate(u_len), np.concatenate(u_off), *tables)
+        codes, _ = kernels.sample_codes(np.concatenate(u_len), np.concatenate(u_off),
+                                        *tables, low)
         flat[codes + np.repeat(offsets, [len(u) for u in u_len])] = True
 
     start, chunk = 0, _FIRST_CHUNK
@@ -286,37 +293,43 @@ def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, gt: GroundTruth, m: in
         alive = np.flatnonzero(open_at.any(axis=1)).tolist()
         if not alive:
             break
-        lows = low_of[open_at.argmax(axis=1)].tolist()
+        first_open = open_at.argmax(axis=1)
+        lows = low_of[first_open].tolist()
+        low = int(first_open[alive].min())  # every kept draw has length >= low
         size = min(chunk, m - start)  # a longer read would run into the offsets
         u_len, u_off = np.empty(size), np.empty(size)
         kept, pending = [], 0
         for t in alive:
             read(t, start, u_len)
             read(t, m + start, u_off)
-            new = (lows[t] <= u_len) & (u_len < cut)
+            new = (lows[t] <= u_len) & (u_len < cut) if lows[t] else u_len < cut
             kept_len = u_len[new]
             kept.append((t * width, kept_len, u_off[new]))
             pending += len(kept_len)
             if pending >= _BATCH_ENTRIES:
-                mark(kept)
+                mark(kept, low)
                 kept, pending = [], 0
         if kept:
-            mark(kept)
+            mark(kept, low)
         start += chunk
         chunk *= 2
-    end, empty = (3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m), np.empty(0)
-    for t in range(len(rngs)):
-        read(t, end, empty)
+    if end_read:
+        end, empty = (3 * m if labeler is Labeler.UNIFORM_ACCEPTABLE else 2 * m), np.empty(0)
+        for t in range(len(rngs)):
+            read(t, end, empty)
     # Every memorized string is answered right. Lengths in (top, n̄] carry
-    # no sampling mass and were never drawn.
+    # no sampling mass and were never drawn. Trials with equal counts per
+    # length share one sum.
     q = trainer.alphabet.size
-    longer = [0] * (max(n_bar, 0) - top)
-    hps = []
-    for seen_at in np.add.reduceat(seen, starts, axis=1, dtype=np.int64).tolist():
+    longer = (0,) * (max(n_bar, 0) - top)
+    rows = [tuple(counts) for counts in
+            np.add.reduceat(seen, starts, axis=1, dtype=np.int64).tolist()]
+    hp_of = {}
+    for seen_at in set(rows):
         wrong = [q**n - k if n >= gt._empty_wrong_from else 0
                  for n, k in enumerate(seen_at + longer)]
-        hps.append(_level_sum_hp(mu, gt, wrong))
-    return hps
+        hp_of[seen_at] = _level_sum_hp(mu, gt, wrong)
+    return [hp_of[seen_at] for seen_at in rows]
 
 
 def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int,
@@ -414,7 +427,8 @@ def sweep(
 
     A coded row runs its trials in batches through _fast_trial, each of at
     most _BATCH_ENTRIES // count_upto(top) trials (at least one), with the
-    streams of one batch derived at a time. Every other row calls run_trial
+    streams of one batch derived at a time and dropped after it, so their
+    end read is skipped. Every other row calls run_trial
     once per stream. Rows run one after another in the calling thread: under
     the interpreter lock a second thread gets no CPU time for them.
     """
@@ -438,7 +452,7 @@ def sweep(
             for first in range(0, trials, batch):
                 rngs = [derive_stream(master_seed, row, index)
                         for index in range(first, min(first + batch, trials))]
-                hps += _fast_trial(trainer, mu, gt, m, labeler, rngs)
+                hps += _fast_trial(trainer, mu, gt, m, labeler, rngs, end_read=False)
         else:
             hps = [run_trial(trainer, mu, gt, m, labeler,
                              derive_stream(master_seed, row, index))

@@ -2,6 +2,8 @@
 
 import bisect
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -149,28 +151,65 @@ def nfl_per_sequence(inst, lambda_h_grid=(Fraction(1, 8), Fraction(1, 4))) -> Nf
             h_rows[r] = outputs_for(seq, tuple(labels))
         expected_counts += np.count_nonzero(h_rows[inverse] != f_matrix, axis=1)
 
-    d_total = len(sequences)
     worst_q = int(np.argmax(expected_counts))
-    worst_expected = Fraction(int(expected_counts[worst_q]), d_total * n)
-    bound_mu = Fraction(p - 1, 2 * p)
     worst_row = f_matrix[worst_q]
-    hp_counts = []
+    hist = Counter()
     for seq in sequences:
         out = outputs_for(seq, tuple(int(worst_row[x]) for x in seq))
-        hp_counts.append(int(np.count_nonzero(out != worst_row)))
+        hist[int(np.count_nonzero(out != worst_row))] += 1
+    return nfl_report(worst_q, hist, n, p, lambda_h_grid)
+
+
+def nfl_report(worst_f_index, hist, n, p, lambda_h_grid) -> NflReport:
+    """The NflReport of a worst labeling on which hist[c] of the training
+    sequences leave c of the n domain strings mismatched."""
+    total = sum(hist.values())
+    worst_expected = Fraction(sum(c * count for c, count in hist.items()), total * n)
+    bound_mu = Fraction(p - 1, 2 * p)
     checks = []
     for lh in lambda_h_grid:
         lh = Fraction(lh)
-        prob = Fraction(sum(1 for hp in hp_counts if Fraction(hp, n) >= lh), d_total)
+        prob = Fraction(sum(count for c, count in hist.items() if Fraction(c, n) >= lh), total)
         bound_t = general_lambda_t(p, lh)
-        checks.append(TailCheck(lambda_h=lh, probability=prob, bound=bound_t, holds=prob >= bound_t))
+        checks.append(TailCheck(lambda_h=lh, probability=prob, bound=bound_t,
+                                holds=prob >= bound_t))
     return NflReport(
-        worst_f_index=worst_q,
+        worst_f_index=worst_f_index,
         worst_expected_hp=worst_expected,
         bound_mu=bound_mu,
         tail_check=tuple(checks),
         verified=worst_expected >= bound_mu and all(ch.holds for ch in checks),
     )
+
+
+def nfl_memorizer_report(n, codomain, m, k, fallback,
+                         lambda_h_grid=(Fraction(1, 8), Fraction(1, 4))) -> NflReport:
+    """Closed form of nfl_brute_force's report on n domain strings at
+    training size m, for an order-invariant memorizer: a learner that answers
+    each of k fixed domain strings with its label once it is drawn, and every
+    other domain string with one fixed string, fallback. Both CLI learners
+    are such memorizers: memorize_constant (k = n, fallback codomain[0]) and
+    flrm (k = the domain strings no longer than n̄(m), fallback ε).
+
+    A labeling errs on a sequence exactly on its domain strings whose label
+    is not the fallback and that the sequence did not memorize. So the worst
+    labelings are those that differ from the fallback everywhere, and the
+    first of them in index order is all ones when the fallback is
+    codomain[0] (index (p^n - 1)/(p - 1)) and all zeros otherwise, ties
+    included (a fallback outside the codomain makes every labeling worst).
+    For p = 1 with the fallback as the one codomain string, the one labeling
+    never errs. On the worst labeling, C(k, j) * sum_i (-1)^i C(j, i)
+    (n - k + j - i)^m of the n^m sequences memorize exactly j strings and
+    leave n - j mismatches.
+    """
+    p = len(codomain)
+    if fallback in codomain and p == 1:
+        return nfl_report(0, {0: n**m}, n, p, lambda_h_grid)
+    worst = (p**n - 1) // (p - 1) if codomain[0] == fallback else 0
+    hist = {n - j: math.comb(k, j) * sum((-1) ** i * math.comb(j, i) * (n - k + j - i) ** m
+                                         for i in range(j + 1))
+            for j in range(k + 1)}
+    return nfl_report(worst, hist, n, p, lambda_h_grid)
 
 
 def diagonalize_by_queries(models, alphabet, horizon) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import numpy as np
 
 import hallustat as h
 
-from helpers import uniform_support
+from helpers import nfl_memorizer_report, uniform_support
 
 A2 = h.Alphabet(2)
 HALF_BOUND = h.CdfLowerBound((0.5,), 0.5)
@@ -83,6 +83,24 @@ def test_criterion_04_nfl_exact_verification():
                 assert rep.worst_expected_hp >= rep.bound_mu
                 assert all(ch.holds for ch in rep.tail_check)
                 assert rep.verified
+        # An explicit domain of mixed lengths and a codomain holding ε (flrm's
+        # fallback, not first): both reports equal the closed form for
+        # order-invariant memorizers.
+        domain = tuple(h.Str(A2, syms)
+                       for syms in ((), (1,), (0, 1), (1, 0), (1, 1, 0), (0, 0, 1)))
+        codomain = (h.Str(A2, (0,)), h.empty_string(A2), h.Str(A2, (1, 1)))
+        m = 3
+        n_bar = h.threshold_length(m, A2, HALF_BOUND)
+        for learner, k, fallback in (
+            (h.memorize_constant_trainer(codomain), len(domain), codomain[0]),
+            (h.FlrmTrainer(A2, HALF_BOUND), sum(len(s) <= n_bar for s in domain),
+             h.empty_string(A2)),
+        ):
+            inst = h.NflInstance(domain=domain, codomain=codomain, m=m, learner=learner,
+                                 order_invariant=True)
+            rep = h.nfl_brute_force(inst, grid)
+            assert rep == nfl_memorizer_report(len(domain), codomain, m, k, fallback, grid)
+            assert rep.verified
 
 
 def test_criterion_05_hard_support_construction():

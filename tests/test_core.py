@@ -1,4 +1,8 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +181,34 @@ def test_str_hash_is_tuple_hash():
     a = Alphabet(3, ("x", "y", "z"))
     for syms in ((), (0,), (2, 1, 0)):
         assert hash(Str(a, syms)) == hash((a, syms))
+
+
+def test_alphabet_hash_is_tuple_hash():
+    for size, labels in ((2, None), (3, None), (3, ("x", "y", "z"))):
+        assert hash(Alphabet(size, labels)) == hash((size, labels))
+
+
+def test_pickles_rebuild_alphabet_and_str_hashes():
+    a = Alphabet(3, ("x", "y", "z"))
+    s = Str(a, (2, 0))
+    for value in (a, s):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+    # Label hashes differ between processes, so a pickle made under another
+    # hash seed must load with this process's hashes.
+    other_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    made = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from hallustat.core import Alphabet, Str; "
+         "a = Alphabet(3, ('x', 'y', 'z')); "
+         "sys.stdout.buffer.write(pickle.dumps((a, Str(a, (2, 0)))))"],
+        capture_output=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": other_seed,
+             "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+    ).stdout
+    a_back, s_back = pickle.loads(made)
+    assert (a_back, s_back) == (a, s)
+    assert hash(a_back) == hash(a) and hash(s_back) == hash(s)
 
 
 @settings(max_examples=100, deadline=None)

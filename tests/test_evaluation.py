@@ -459,8 +459,10 @@ def open_levels_differ():
 def assert_batch_equals_lone_trials(trainer, mu, gt, m, labeler, streams):
     """_fast_trial on the streams of derive_stream(seed, 0, i), i < streams,
     as one batch gives each stream the HP run_trial gives it alone, bit for
-    bit, and leaves each stream at the same next uniform. Returns the batch
-    generators as RecordingReads."""
+    bit, and leaves each stream at the same next uniform. Run without the
+    end read, the batch gives the same HPs and reads the same blocks, but
+    stops short of that last read. Returns the batch generators, with the
+    end read, as RecordingReads."""
     rngs = [RecordingReads(derive_stream(seed, 0)) for seed in range(streams)]
     hps = evaluation._fast_trial(trainer, mu, gt, m, labeler, rngs)
     assert len(hps) == streams
@@ -468,6 +470,10 @@ def assert_batch_equals_lone_trials(trainer, mu, gt, m, labeler, streams):
         alone = derive_stream(seed, 0)
         assert hp == run_trial(trainer, mu, gt, m, labeler, alone)  # bitwise
         assert rng._rng.random() == alone.random()
+    dropped = [RecordingReads(derive_stream(seed, 0)) for seed in range(streams)]
+    assert evaluation._fast_trial(trainer, mu, gt, m, labeler, dropped, end_read=False) == hps
+    for rng, short in zip(rngs, dropped):
+        assert rng.sizes[-1] == 0 and short.sizes == rng.sizes[:-1]
     return rngs
 
 
@@ -530,9 +536,9 @@ def test_sweep_runs_a_coded_row_in_batches_bounded_by_its_seen_table(monkeypatch
     batches = []
     fast_trial = evaluation._fast_trial
 
-    def spy(trainer, mu, gt, m, labeler, rngs):
+    def spy(trainer, mu, gt, m, labeler, rngs, **options):
         batches.append(len(rngs))
-        return fast_trial(trainer, mu, gt, m, labeler, rngs)
+        return fast_trial(trainer, mu, gt, m, labeler, rngs, **options)
 
     mu, gt = seven_strings(), GroundTruth(A2, Echo())
     expected = sweep(TRAINER, mu, gt, [3000], 7, Labeler.CANONICAL, 9)
@@ -540,6 +546,30 @@ def test_sweep_runs_a_coded_row_in_batches_bounded_by_its_seen_table(monkeypatch
     monkeypatch.setattr(evaluation, "_BATCH_ENTRIES", 3 * count_upto(A2, 2) + 2)
     assert sweep(TRAINER, mu, gt, [3000], 7, Labeler.CANONICAL, 9) == expected
     assert batches == [3, 3, 1]
+
+
+def test_sweep_skips_the_end_read_that_run_trial_makes(monkeypatch):
+    # sweep drops each stream after its trial, so its coded rows skip the
+    # read that only moves the stream; run_trial hands the stream back and
+    # makes it. Each row still has the HPs run_trial gives its streams.
+    end_reads = []
+    fast_trial = evaluation._fast_trial
+
+    def spy(*args, **options):
+        end_reads.append(options.get("end_read", True))
+        return fast_trial(*args, **options)
+
+    monkeypatch.setattr(evaluation, "_fast_trial", spy)
+    gt, labeler = GroundTruth(A2, Echo()), Labeler.UNIFORM_ACCEPTABLE
+    m_grid, trials = [0, 100, 3000], 4
+    rows = sweep(TRAINER, half_geometric(), gt, m_grid, trials, labeler, 11)
+    assert len(end_reads) == len(m_grid) and not any(end_reads)
+    end_reads.clear()
+    for r, (row, m) in enumerate(zip(rows, m_grid)):
+        hps = [run_trial(TRAINER, half_geometric(), gt, m, labeler, derive_stream(11, r, i))
+               for i in range(trials)]
+        assert (row.mean_hp, row.std_hp) == (float(np.mean(hps)), float(np.std(hps)))
+    assert end_reads == [True] * len(m_grid) * trials
 
 
 def mixed_support(a, seed):

@@ -13,6 +13,7 @@ from hallustat.core import (
     Alphabet,
     Str,
     count_upto,
+    empty_string,
     shortlex_index,
     shortlex_string,
     strings_upto,
@@ -33,6 +34,7 @@ from hallustat.limits import (
     memorize_constant_trainer,
     nfl_brute_force,
     nfl_sizes,
+    nfl_work,
     random_table_models,
     required_sample_size,
     verify_diagonal,
@@ -46,6 +48,7 @@ from hallustat.shannon import SourceModel, smallest_high_mass_set
 
 from helpers import (
     diagonalize_by_queries,
+    nfl_memorizer_report,
     nfl_per_sequence,
     uniform_support,
     verify_diagonal_by_pairs,
@@ -528,6 +531,52 @@ def test_nfl_memorize_constant_closed_form(n, m, calls, expected):
     assert r.worst_expected_hp == expected == (1 - Fraction(1, n)) ** m
     assert r.verified
     assert len(seen) == calls == sum(math.comb(n, k) * 2**k for k in range(1, m + 1))
+
+
+def cli_learner(kind, alphabet, domain, codomain, bound, m):
+    """(learner, k, fallback) for one of nfl-verify's learner kinds: the
+    learner, how many domain strings it memorizes once drawn at training
+    size m, and what it answers off its table."""
+    if kind == "memorize_constant":
+        return memorize_constant_trainer(codomain), len(domain), codomain[0]
+    n_bar = threshold_length(m, alphabet, bound)
+    return (FlrmTrainer(alphabet, bound), sum(len(s) <= n_bar for s in domain),
+            empty_string(alphabet))
+
+
+@st.composite
+def nfl_memorizer_cases(draw):
+    # Explicit domains and codomains drawn from the strings of length <= 3,
+    # so of mixed lengths and with or without ε. At m <= 4, n̄ reaches 1
+    # under the zero bound (q = 2, m >= 3) and stays below 1 under
+    # HALF_BOUND, so flrm memorizes some, all or none of a domain.
+    q = draw(st.sampled_from([2, 3]))
+    a = Alphabet(q)
+    pool = list(strings_upto(a, 3))
+    n = draw(st.integers(1, 8))
+    domain = tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True)))
+    p = draw(st.integers(1, 3))
+    codomain = tuple(draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p, unique=True)))
+    m = draw(st.integers(0, n // 2))
+    kind = draw(st.sampled_from(["memorize_constant", "flrm"]))
+    bound = draw(st.sampled_from([HALF_BOUND, CdfLowerBound((0.0, 0.0, 0.0), 0.5)]))
+    return a, domain, codomain, m, kind, bound
+
+
+NFL_GRID = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nfl_memorizer_cases())
+def test_nfl_brute_force_equals_the_memorizer_closed_form(case):
+    a, domain, codomain, m, kind, bound = case
+    n = len(domain)
+    assert nfl_work(n, len(codomain), m, order_invariant=True) <= 10**8  # the default budget
+    learner, k, fallback = cli_learner(kind, a, domain, codomain, bound, m)
+    inst = NflInstance(domain=domain, codomain=codomain, m=m, learner=learner,
+                       order_invariant=True)
+    assert nfl_brute_force(inst, NFL_GRID) == nfl_memorizer_report(
+        n, codomain, m, k, fallback, NFL_GRID)
 
 
 # --------------------------------------------------------------- diagonals
