@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 # The int64 code space: lengths whose level q^n reaches it use exact
 # (length, offset) keys in Python ints instead.
@@ -39,9 +39,12 @@ class Alphabet:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.size < 2:
-            raise DomainError(f"alphabet size must be >= 2, got {self.size}")
+        check_int(self.size, "alphabet size", 2)
         if self.labels is not None:
+            if not (isinstance(self.labels, tuple)
+                    and all(isinstance(label, str) for label in self.labels)):
+                raise DomainError(f"alphabet labels must be None or a tuple of str, "
+                                  f"got {self.labels!r}")
             if len(self.labels) != self.size:
                 raise DomainError("label count must equal alphabet size")
             if len(set(self.labels)) != self.size:

@@ -46,6 +46,15 @@ def check_int(value, name: str, minimum: int) -> None:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_draw_count(m: int, name: str) -> None:
+    """Raise DomainError, before any draw, for an m no array of m double
+    draws can hold: 8m bytes pass the 2^63 - 1 that numpy allows one array
+    from m = 2^60 on. Only a caller that holds its m draws checks it."""
+    if m >= 2**60:
+        raise DomainError(f"{name} must be below 2^60, the most doubles one numpy array "
+                          f"holds; got a {m.bit_length()}-bit number")
+
+
 def _int_text(n: int) -> str:
     """n in decimal, or its bit length when n has more digits than Python's
     int-to-str limit allows."""

@@ -3,6 +3,11 @@ the sweep, the one experiment driver.
 
 Randomness contract: every trial draws from its own stream derived as
 (master_seed, row, trial), so results are independent of execution order.
+Each stream is still the PCG64 Generator of SeedSequence(master_seed,
+spawn_key=(row, trial)), with an equal bit_generator state; sweep derives
+the streams of a batch in one pass (streams.derive_streams). A stream's
+bit_generator.seed_seq holds only its four PCG64 seed words: it is not a
+numpy SeedSequence and cannot spawn.
 A coded trial reads its stream by position, not in order, so it needs a
 numpy Generator over PCG64, which derive_stream returns; it rejects any
 other generator before it draws. Monte Carlo confidence intervals are
@@ -66,7 +71,10 @@ inside sweep, which drops each stream after its trial, a batched trial
 leaves its stream after its last block.
 
 sweep and train-eval bound their work before any draw (check_trial_budget):
-trials times the sum of m + 1 over the m grid.
+trials times the sum of m + 1 over the m grid. Off the coded path, which
+never holds its draws, an m whose draws no numpy array can hold is rejected
+before any draw too (check_draw_count): by sweep for its whole grid, by
+generate_qualified and by the atom trial.
 """
 
 from __future__ import annotations
@@ -79,30 +87,25 @@ import numpy as np
 
 from . import kernels
 from .core import CODE_LIMIT, count_upto, empty_string
-from .errors import DomainError, check_budget, check_int
+from .errors import DomainError, check_budget, check_draw_count, check_int
 from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
 from .oracle import GroundTruth, Labeler, check_labeler, generate_qualified
+from .streams import derive_stream, derive_streams
 
 _FIRST_CHUNK = 512  # training draws in the first chunk, the one decoded in full
 # The most seen-table entries, and the most kept draws before a decode, that a
 # batch of coded trials holds.
 _BATCH_ENTRIES = 2**16
+# The streams an object or atom row of sweep derives at a time: enough to
+# spread one derivation's fixed cost, few enough that a row of many trials
+# does not hold a generator (about 1 kB) per trial.
+_STREAM_GROUP = 64
 # The work sweep and train-eval allow unless told otherwise (check_trial_budget).
 DEFAULT_BUDGET = 10**8
 # (draws, confidence) of evaluate_hp's Monte Carlo estimate for a model it
 # cannot sum exactly; a caller that wants another size calls mc_hp.
 MC_FALLBACK = (10_000, 0.95)
-
-
-def derive_stream(master_seed: int, *branch: int):
-    """Independent generator for one unit of work under a master seed; the
-    seed and every branch are ints >= 0."""
-    check_int(master_seed, "master seed", 0)
-    for i, b in enumerate(branch):
-        if type(b) is not int or b < 0:  # a branch's name is built only when it is bad
-            check_int(b, f"branch[{i}]", 0)
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=branch))
 
 
 def hoeffding_halfwidth(n_samples: int, confidence: float) -> float:
@@ -373,13 +376,15 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
 
     A model that evaluate_hp cannot sum exactly (from a trainer other than
     a threshold memorizer) gets a Monte Carlo estimate from rng at
-    MC_FALLBACK. m must be an int >= 0 and labeler a Labeler; both are
-    checked before any draw.
+    MC_FALLBACK. m must be an int >= 0 and labeler a Labeler, and off the
+    coded path m must pass check_draw_count; all of it is checked before
+    any draw.
     """
     check_int(m, "m", 0)
     check_labeler(labeler)
     path = _trial_path(trainer, mu, gt)
     if path == "atom":
+        check_draw_count(m, "m")
         return _atom_trial(trainer, mu, gt, m, labeler, rng)
     if path == "coded":
         return _fast_trial(trainer, mu, gt, m, labeler, [rng])[0]
@@ -422,15 +427,17 @@ def sweep(
     run_trial's: exact for a threshold memorizer, so a row's spread is
     between training samples only. The whole sweep must fit the budget
     (check_trial_budget). Each m of m_grid, trials and budget must be an
-    int, not a bool, and labeler a Labeler; all of it is checked before any
-    stream is derived.
+    int, not a bool, labeler a Labeler, and off the coded path each m must
+    pass check_draw_count; all of it is checked before any stream is
+    derived.
 
-    A coded row runs its trials in batches through _fast_trial, each of at
-    most _BATCH_ENTRIES // count_upto(top) trials (at least one), with the
-    streams of one batch derived at a time and dropped after it, so their
-    end read is skipped. Every other row calls run_trial
-    once per stream. Rows run one after another in the calling thread: under
-    the interpreter lock a second thread gets no CPU time for them.
+    Each row derives its streams in groups through derive_streams, one
+    group at a time, and drops them after it. A coded row's group is a
+    batch for _fast_trial of at most _BATCH_ENTRIES // count_upto(top)
+    trials (at least one), so their end read is skipped. Every other row
+    derives _STREAM_GROUP streams at a time and calls run_trial once per
+    stream. Rows run one after another in the calling thread: under the
+    interpreter lock a second thread gets no CPU time for them.
     """
     if not m_grid:
         raise DomainError("m grid must be non-empty")
@@ -443,20 +450,23 @@ def sweep(
     check_labeler(labeler)
     check_trial_budget(m_grid, trials, budget)
     path = _trial_path(trainer, mu, gt)
+    if path != "coded":  # a coded trial never holds its m draws
+        for i, m in enumerate(m_grid):
+            check_draw_count(m, f"m_grid[{i}]")
     rows = []
     for row, m in enumerate(m_grid):
         if path == "coded":
             width = count_upto(mu.alphabet, _coded_top(trainer, mu, m)[1])
             batch = max(1, _BATCH_ENTRIES // width)
-            hps = []
-            for first in range(0, trials, batch):
-                rngs = [derive_stream(master_seed, row, index)
-                        for index in range(first, min(first + batch, trials))]
-                hps += _fast_trial(trainer, mu, gt, m, labeler, rngs, end_read=False)
         else:
-            hps = [run_trial(trainer, mu, gt, m, labeler,
-                             derive_stream(master_seed, row, index))
-                   for index in range(trials)]
+            batch = _STREAM_GROUP
+        hps = []
+        for first in range(0, trials, batch):
+            rngs = derive_streams(master_seed, (row,), range(first, min(first + batch, trials)))
+            if path == "coded":
+                hps += _fast_trial(trainer, mu, gt, m, labeler, rngs, end_read=False)
+            else:
+                hps += [run_trial(trainer, mu, gt, m, labeler, rng) for rng in rngs]
         hps = np.asarray(hps)
         fraction = int(np.count_nonzero(hps >= epsilon_h)) / trials
         rows.append(

@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import Alphabet, Str, shortlex_index, shortlex_string
-from .errors import DomainError, check_int
+from .errors import DomainError, check_draw_count, check_int
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,7 @@ def generate_qualified(
     last draw (np.maximum.at) picks its output under the uniform labeler.
     """
     check_int(m, "m", 0)
+    check_draw_count(m, "m")
     check_labeler(labeler)
     strings, inverse = mu.sample_distinct(rng, m)
     draws = np.arange(m)

@@ -454,8 +454,12 @@ def test_sweep_matches_committed_artifact(tmp_path, name):
     # leave a batch at different chunks, a uniform_set of all 1023 binary
     # strings of length <= 9 in a fixed shuffle, and a finite law with
     # unequal masses, a trailing zero-mass atom and an atom of length 64
-    # (shortlex code past 2^62). The run is replayed from the seed and config
-    # in its own header.
+    # (shortlex code past 2^62), all at seed 0. The files named *_seed2p64m5
+    # are at seed 2^64 - 5, two 32-bit words: the README law at q = 2 with
+    # 200 trials at the m where length 1 may stay unseen (coded rows) and at
+    # q = 3 (object rows), CI's zero-mass law at q = 3 (object rows, length 2
+    # stays open) and CI's finite law (atom rows). The run is replayed from
+    # the seed and config in its own header.
     golden = (GOLDEN / name).read_bytes()
     header = dict(line[2:].split(": ", 1) for line in golden.decode().splitlines()
                   if line.startswith("# "))
@@ -495,13 +499,45 @@ def test_sweep_and_train_eval_over_budget_exit_5_before_any_draw(tmp_path, capsy
     def refuse(*args, **kwargs):
         raise AssertionError("a stream was derived before the budget check")
 
+    # Every name a stream is derived through: train-eval's, and the batch
+    # derivation each sweep row calls.
     monkeypatch.setattr(cli, "derive_stream", refuse)
     monkeypatch.setattr(evaluation, "derive_stream", refuse)
+    monkeypatch.setattr(evaluation, "derive_streams", refuse)
     doc = train_eval_cfg() if command == "train-eval" else sweep_cfg()
     doc.update(fields)
     out = tmp_path / "out"
     assert run([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 5
     assert "over the budget of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("sweep", {"alphabet": {"size": 3}, "m_grid": [10, 10**400], "trials": 1}),
+    ("sweep", {"mu": train_eval_cfg()["mu"], "cdf_bound": {"table": [0.25, 0.5], "tail": {
+        "kind": "one_at_n"}}, "m_grid": [10, 10**400], "trials": 1}),
+    ("train-eval", {"alphabet": {"size": 3}, "mu": sweep_cfg()["mu"], "m": 10**400}),
+], ids=["sweep-object", "sweep-atom", "train-eval"])
+def test_an_m_numpy_cannot_allocate_exits_3_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                             command, fields):
+    # Within the budget, but m doubles are past what one numpy array holds:
+    # the README law at q = 3 (object path) and a uniform_set (atom path).
+    # A sweep checks its grid before it derives a stream; train-eval's
+    # stream is never read.
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError("the stream was read before m was checked")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was derived before m was checked")
+
+    monkeypatch.setattr(cli, "derive_stream", lambda *branch: Unread())
+    monkeypatch.setattr(evaluation, "derive_streams", refuse)
+    doc = train_eval_cfg() if command == "train-eval" else sweep_cfg()
+    doc.update(fields, budget=10**401)
+    out = tmp_path / "out"
+    assert run([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    assert "must be below 2^60" in capsys.readouterr().err
     assert not out.exists()
 
 

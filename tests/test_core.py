@@ -41,6 +41,20 @@ def test_alphabet_validation():
     assert Alphabet(3, ("x", "y", "z")).labels == ("x", "y", "z")
 
 
+@pytest.mark.parametrize("size", [2.5, 2.0, True, np.int64(2), "2"])
+def test_alphabet_size_must_be_an_int(size):
+    # Alphabet(2.5) once built, and count_upto over it returned a float.
+    with pytest.raises(DomainError, match="alphabet size must be an int"):
+        Alphabet(size)
+
+
+@pytest.mark.parametrize("labels", [("a", 3), ["a", "b"], "ab", (b"a", b"b")])
+def test_alphabet_labels_must_be_a_tuple_of_str(labels):
+    # Alphabet(2, ("a", 3)) once built and failed only in Str.text().
+    with pytest.raises(DomainError, match="labels must be None or a tuple of str"):
+        Alphabet(2, labels)
+
+
 def test_str_validation():
     a = Alphabet(2)
     with pytest.raises(DomainError):

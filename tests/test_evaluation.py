@@ -8,18 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hallustat import evaluation, kernels
+from hallustat import evaluation, kernels, streams
 from hallustat.cli import main as cli_main
 from hallustat.core import (
     Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
     strings_of_length, strings_upto,
 )
-from hallustat.errors import BudgetExceeded, DomainError
+from hallustat.errors import BudgetExceeded, DomainError, check_draw_count
 from hallustat.evaluation import (
     CSV_COLUMNS,
     MC_FALLBACK,
     HallucinationReport,
     derive_stream,
+    derive_streams,
     evaluate_hp,
     exact_hp,
     hoeffding_halfwidth,
@@ -87,6 +88,63 @@ def test_derive_stream_branches_differ():
 def test_derive_stream_rejects_a_seed_or_branch_that_is_not_an_int_ge_0(seed, branch):
     with pytest.raises(DomainError, match="must be"):
         derive_stream(seed, *branch)
+    if branch:
+        with pytest.raises(DomainError, match="must be"):
+            derive_streams(seed, branch[:-1], [0, branch[-1]])
+
+
+def seed_sequence_state(seed, branch):
+    """The oracle: the state numpy's own SeedSequence gives the stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=branch)).bit_generator.state
+
+
+# Ints of one to five 32-bit words, at the word boundaries.
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**130]
+
+
+@pytest.mark.parametrize("seed", WORD_EDGES)
+def test_derive_stream_state_equals_seed_sequence(seed):
+    assert derive_stream(seed).bit_generator.state == seed_sequence_state(seed, ())
+    for row in WORD_EDGES:
+        assert derive_stream(seed, row).bit_generator.state == seed_sequence_state(seed, (row,))
+        for index in WORD_EDGES:
+            branch = (row, 2**40 + 3, index)
+            assert derive_stream(seed, *branch).bit_generator.state == \
+                seed_sequence_state(seed, branch)
+
+
+@pytest.mark.parametrize("seed", WORD_EDGES)
+@pytest.mark.parametrize("head", [(), (5,), (2**64, 0)])
+def test_derive_streams_equal_seed_sequence_across_word_counts(seed, head):
+    # One batch whose indices straddle 2^32 and mix every word count, in an
+    # order that is not sorted by it.
+    indices = [2**32 + 1] + list(range(2**32 - 3, 2**32 + 3)) + WORD_EDGES[::-1] + [7]
+    streams = derive_streams(seed, head, indices)
+    assert [g.bit_generator.state for g in streams] == \
+        [seed_sequence_state(seed, head + (i,)) for i in indices]
+    assert [g.random() for g in derive_streams(seed, head, range(3))] == \
+        [derive_stream(seed, *head, i).random() for i in range(3)]
+    assert derive_streams(seed, head, []) == []
+
+
+def test_derive_streams_rejects_before_deriving(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was derived before the arguments were checked")
+
+    monkeypatch.setattr(streams, "_pcg64_seeds", refuse)
+    for seed, head, indices in [(-1, (0,), [0]), (7, (True,), [0]), (7, (0,), [0, 1, -1]),
+                                (7, (0,), [2**40, np.int64(1)]), (7, (), [0.5])]:
+        with pytest.raises(DomainError, match="must be"):
+            derive_streams(seed, head, indices)
+
+
+def test_derive_stream_seed_holds_only_the_pcg64_state():
+    seed_seq = derive_stream(3, 1).bit_generator.seed_seq
+    assert np.array_equal(seed_seq.generate_state(4, np.uint64),
+                          np.random.SeedSequence(3, spawn_key=(1,)).generate_state(4, np.uint64))
+    with pytest.raises(ValueError):
+        seed_seq.generate_state(8)
+    assert not hasattr(seed_seq, "spawn")
 
 
 def test_hoeffding_halfwidth_value():
@@ -871,6 +929,7 @@ def assert_rejected_before_any_draw(call, monkeypatch):
     rng = derive_stream(11, 0)
     with monkeypatch.context() as patch:
         patch.setattr(evaluation, "derive_stream", refuse)
+        patch.setattr(evaluation, "derive_streams", refuse)
         with pytest.raises(DomainError):
             call(rng)
     assert rng.random() == derive_stream(11, 0).random()
@@ -908,6 +967,52 @@ def test_sweep_takes_only_int_trial_sizes(kwargs, monkeypatch):
         assert_rejected_before_any_draw(
             lambda rng: sweep(trainer, mu, gt, sizes["m_grid"], sizes["trials"],
                               Labeler.CANONICAL, 5, budget=sizes["budget"]), monkeypatch)
+
+
+def test_trials_that_hold_their_draws_reject_an_m_from_2_60_before_any_draw(monkeypatch):
+    # m doubles past 2^63 - 1 bytes: numpy cannot allocate them. The coded
+    # trial never holds its draws, so a law that stops at length 2 runs there.
+    check_draw_count(2**60 - 1, "m")
+    for path, trainer, mu, gt in one_instance_per_path():
+        trial = lambda rng: run_trial(trainer, mu, gt, 2**60, Labeler.CANONICAL, rng)
+        row = lambda rng: sweep(trainer, mu, gt, [0, 10**400], 1, Labeler.CANONICAL, 5,
+                                budget=10**401)
+        if path == "coded":
+            with pytest.raises(DomainError, match="must fit a float"):
+                row(None)
+            continue
+        assert_rejected_before_any_draw(trial, monkeypatch)
+        assert_rejected_before_any_draw(row, monkeypatch)
+        with pytest.raises(DomainError, match=r"m_grid\[1\] must be below 2\^60"):
+            row(None)
+    gt = GroundTruth(A2, Echo())
+    assert run_trial(TRAINER, seven_strings(), gt, 2**60, Labeler.CANONICAL,
+                     derive_stream(0, 0)) == 0.0
+    assert sweep(TRAINER, seven_strings(), gt, [2**60], 2, Labeler.CANONICAL, 5,
+                 budget=2**62)[0].mean_hp == 0.0
+
+
+def test_sweep_derives_an_object_or_atom_row_in_bounded_groups(monkeypatch):
+    # _STREAM_GROUP streams at a time, here 3: a 7-trial row derives 3 + 3 + 1,
+    # and the rows are those of the unpatched sweep.
+    groups = []
+    derive = evaluation.derive_streams
+
+    def spy(seed, head, indices):
+        groups.append((head, list(indices)))
+        return derive(seed, head, indices)
+
+    for path, trainer, mu, gt in one_instance_per_path():
+        if path == "coded":
+            continue
+        expected = sweep(trainer, mu, gt, [5, 20], 7, Labeler.CANONICAL, 9)
+        groups.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "derive_streams", spy)
+            patch.setattr(evaluation, "_STREAM_GROUP", 3)
+            assert sweep(trainer, mu, gt, [5, 20], 7, Labeler.CANONICAL, 9) == expected
+        assert groups == [((row,), first) for row in (0, 1)
+                          for first in ([0, 1, 2], [3, 4, 5], [6])]
 
 
 @pytest.mark.parametrize("m", [10.5, True, np.int64(10)], ids=["float", "bool", "numpy"])
@@ -955,6 +1060,7 @@ def test_sweep_checks_its_budget_before_any_draw(monkeypatch):
     gt = GroundTruth(A2, Echo())
     with monkeypatch.context() as patch:
         patch.setattr(evaluation, "derive_stream", refuse)
+        patch.setattr(evaluation, "derive_streams", refuse)
         # trials * sum(m + 1): 1 * (10^30 + 1), then 2 * (4 + 6) = 20
         with pytest.raises(BudgetExceeded, match="over the budget of 100000000"):
             sweep(TRAINER, half_geometric(), gt, [10**30], 1, Labeler.CANONICAL, 5)
