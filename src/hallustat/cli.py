@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .core import Alphabet, Str, count_upto, shortlex_symbols
+from .core import Alphabet, Str, count_upto, shortlex_strings
 from .errors import ConfigError, DomainError, DominationError, WorkbenchError
 from .evaluation import (
     DEFAULT_BUDGET,
@@ -34,22 +34,13 @@ from .evaluation import (
     sweep_csv,
 )
 from .flrm import FlrmTrainer, model_to_json, train
-from .limits import (
-    NflInstance,
-    check_diagonal_budget,
-    check_nfl_budget,
-    diagonalize,
-    general_lambda_t,
-    memorize_constant_trainer,
-    nfl_brute_force,
-    nfl_sizes,
-    random_table_models,
-    required_sample_size,
-    verify_diagonal,
-)
+from .limits import (DIAGONAL_BUDGET, MODEL_MAX_LEN, MODEL_TABLE_SIZE, NFL_BUDGET,
+                     NFL_LAMBDA_H_GRID, NflInstance, check_diagonal_budget, check_nfl_budget,
+                     diagonalize, general_lambda_t, memorize_constant_trainer, nfl_brute_force,
+                     nfl_sizes, random_table_models, required_sample_size, verify_diagonal)
 from .measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
-from .shannon import SourceModel, smallest_high_mass_set
+from .shannon import TYPICAL_BUDGET, SourceModel, smallest_high_mass_set
 
 
 # ---------------------------------------------------------------- config
@@ -99,7 +90,7 @@ def _fraction(value, name: str) -> Fraction:
         if isinstance(value, dict):
             return Fraction(_int_value(_require(value, "num", f"{name}.num"), f"{name}.num"),
                             _int_value(_require(value, "den", f"{name}.den"), f"{name}.den"))
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
+        if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, float) and math.isfinite(value):
             return Fraction(value)
@@ -193,7 +184,7 @@ def _distribution(alphabet: Alphabet, doc: dict):
         if ratio is not None:
             ratio = _float_value(ratio, "mu.tail_ratio")
         return LengthFactored(alphabet, probs, ratio)
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+    raise ConfigError(f"unknown distribution kind {kind!r} in mu.kind")
 
 
 def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
@@ -209,7 +200,7 @@ def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
         shift = _require(default, "shift", "ground_truth.default.shift")
         rule = IndexShift(_int_value(shift, "ground_truth.default.shift", 0))
     else:
-        raise ConfigError(f"unknown default rule kind {kind!r}")
+        raise ConfigError(f"unknown default rule kind {kind!r} in ground_truth.default.kind")
     entries = _list_field(spec, "overrides", "ground_truth.overrides", default=[])
     overrides = tuple(
         (
@@ -390,8 +381,7 @@ def _nfl_strings(alphabet: Alphabet, cfg: dict, list_key: str, size: int):
     if list_key in cfg:
         return tuple(_string(alphabet, v, f"{list_key}[{i}]")
                      for i, v in enumerate(cfg[list_key]))
-    return tuple(Str(alphabet, syms)
-                 for syms in itertools.islice(shortlex_symbols(alphabet.size), size))
+    return tuple(shortlex_strings(alphabet, 0, size))
 
 
 def cmd_nfl(cfg: dict, args) -> int:
@@ -399,7 +389,7 @@ def cmd_nfl(cfg: dict, args) -> int:
     n = _nfl_size(alphabet, cfg, "domain", "domain_size")
     p = _nfl_size(alphabet, cfg, "codomain", "codomain_size")
     m = _int_field(cfg, "m", 0)
-    budget = _int_field(cfg, "budget", 0, 10**8)
+    budget = _int_field(cfg, "budget", 0, NFL_BUDGET)
     # Checked before any string is built as well as inside nfl_brute_force.
     # Both learner kinds below see a training sequence only through its
     # length and its set of distinct pairs.
@@ -413,9 +403,9 @@ def cmd_nfl(cfg: dict, args) -> int:
     elif kind == "flrm":
         learner = FlrmTrainer(alphabet, _cdf_bound(learner_spec, "learner.cdf_bound"))
     else:
-        raise ConfigError(f"unknown learner kind {kind!r}")
+        raise ConfigError(f"unknown learner kind {kind!r} in learner.kind")
     grid = tuple(_fraction(v, f"lambda_h_grid[{i}]") for i, v in
-                 enumerate(_list_field(cfg, "lambda_h_grid", default=["1/8", "1/4"])))
+                 enumerate(_list_field(cfg, "lambda_h_grid", default=list(NFL_LAMBDA_H_GRID))))
     # Each entry's tail bound is emitted as JSON integers; check it fits before
     # the enumeration rather than fail to write it after.
     for i, lh in enumerate(grid):
@@ -450,9 +440,9 @@ def cmd_diag(cfg: dict, args) -> int:
     alphabet = _alphabet(cfg)
     count = _int_field(cfg, "models", 1)
     horizon = _int_field(cfg, "horizon", 1)
-    table_size = _int_field(cfg, "table_size", 0, 8)
-    max_len = _int_field(cfg, "max_len", 0, 6)
-    budget = _int_field(cfg, "budget", 0, 10**8)
+    table_size = _int_field(cfg, "table_size", 0, MODEL_TABLE_SIZE)
+    max_len = _int_field(cfg, "max_len", 0, MODEL_MAX_LEN)
+    budget = _int_field(cfg, "budget", 0, DIAGONAL_BUDGET)
     # Checked before the models are built as well as inside diagonalize.
     check_diagonal_budget(horizon, count, budget)
     rng = derive_stream(args.seed)
@@ -475,7 +465,7 @@ def cmd_typical(cfg: dict, args) -> int:
     pmf = tuple(_float_value(v, f"pmf[{i}]") for i, v in enumerate(_list_field(cfg, "pmf")))
     m = _int_field(cfg, "m", 1)
     delta = _float_value(_require(cfg, "delta"), "delta")
-    budget = _int_field(cfg, "budget", 0, 10**7)
+    budget = _int_field(cfg, "budget", 0, TYPICAL_BUDGET)
     report = smallest_high_mass_set(SourceModel(pmf), m, delta, budget)
     lines = [f"# {line}" for line in _preamble(cfg, args.seed)]
     lines.append("m,delta,set_size,rate,mass,entropy_gap")

@@ -3,7 +3,9 @@
 Strings are ordered by length first, then lexicographically by symbol index;
 rank 0 is the empty string. All counting uses exact integer arithmetic, so
 ranks and counts stay correct at any length. This module owns the order:
-ranking, unranking, and enumerating every string in turn (shortlex_symbols).
+ranking, unranking, and enumerating every string in turn (shortlex_symbols,
+whose Strs shortlex_strings builds). count_upto, shortlex_string and the
+string enumerators take their length or rank as an int >= 0 (check_int).
 
 The bulk helpers at the end work on int64 shortlex codes, the ranks of the
 strings whose level q^n is below CODE_LIMIT = 2^62: they encode many strings
@@ -107,28 +109,25 @@ def empty_string(alphabet: Alphabet) -> Str:
 
 
 def count_upto(alphabet: Alphabet, n: int) -> int:
-    """Number of strings of length <= n: (q^(n+1) - 1) / (q - 1), exactly."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    """Number of strings of length <= n, an int >= 0: (q^(n+1) - 1) / (q - 1)."""
+    check_int(n, "n", 0)
     q = alphabet.size
     return (q ** (n + 1) - 1) // (q - 1)
 
 
 def shortlex_index(s: Str) -> int:
-    """Rank of s in shortlex order; the empty string has rank 0."""
+    """Rank of s in shortlex order, the empty string's being 0: s read in
+    bijective base q, with digit sym + 1 for each symbol."""
     q = s.alphabet.size
-    n = len(s.symbols)
-    below = count_upto(s.alphabet, n - 1) if n > 0 else 0
-    offset = 0
+    rank = 0
     for sym in s.symbols:
-        offset = offset * q + sym
-    return below + offset
+        rank = rank * q + sym + 1
+    return rank
 
 
 def shortlex_string(alphabet: Alphabet, rank: int) -> Str:
-    """Inverse of shortlex_index: the string of the given rank."""
-    if rank < 0:
-        raise DomainError(f"rank must be >= 0, got {rank}")
+    """Inverse of shortlex_index: the string of a given rank, an int >= 0."""
+    check_int(rank, "rank", 0)
     q = alphabet.size
     # Find the length: smallest n with |Sigma^{<=n}| > rank.
     n = 0
@@ -148,18 +147,21 @@ def shortlex_symbols(q: int):
     return itertools.chain([()], zip(range(q)), itertools.chain.from_iterable(longer))
 
 
+def shortlex_strings(alphabet: Alphabet, start: int, stop: int):
+    """The Strs of the shortlex ranks start..stop - 1, lazily and in order."""
+    return (Str(alphabet, syms)
+            for syms in itertools.islice(shortlex_symbols(alphabet.size), start, stop))
+
+
 def strings_of_length(alphabet: Alphabet, n: int):
-    """All strings of exactly length n, in lexicographic order."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    for syms in itertools.product(range(alphabet.size), repeat=n):
-        yield Str(alphabet, syms)
+    """All strings of exactly length n, an int >= 0, in lexicographic order."""
+    stop = count_upto(alphabet, n)
+    return shortlex_strings(alphabet, stop - alphabet.size**n, stop)
 
 
 def strings_upto(alphabet: Alphabet, n: int):
-    """All strings of length <= n, in shortlex order."""
-    for length in range(n + 1):
-        yield from strings_of_length(alphabet, length)
+    """All strings of length <= n, an int >= 0, in shortlex order."""
+    return shortlex_strings(alphabet, 0, count_upto(alphabet, n))
 
 
 def code_levels(q: int, top: int):

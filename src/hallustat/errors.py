@@ -64,8 +64,9 @@ def _int_text(n: int) -> str:
         return f"a {n.bit_length()}-bit number"
 
 
-def check_budget(template: str, numbers, budget: int, low_bits: int, work) -> None:
-    """Raise BudgetExceeded when work() exceeds the budget; its message is
+def check_budget(template: str, numbers, budget: int, low_bits: int, work, name="budget") -> None:
+    """Raise BudgetExceeded when work() exceeds the budget, an int >= 0 that
+    check_int checks first under its caller's name for it; the message is
     template.format(*numbers), each number rendered by _int_text.
 
     low_bits is a cheap lower bound on the bit length of the work. Past
@@ -73,6 +74,7 @@ def check_budget(template: str, numbers, budget: int, low_bits: int, work) -> No
     calling work(), whose exact integer could take seconds to form, and
     `required` is then None.
     """
+    check_int(budget, name, 0)
     if low_bits > max(budget.bit_length(), 2**16):
         required = None
     else:

@@ -396,7 +396,7 @@ def check_trial_budget(m_grid, trials: int, budget: int) -> None:
     """Raise BudgetExceeded, before any draw, when running `trials` trials
     at each m of m_grid costs more than budget: trials * sum(m + 1). A trial
     at m draws at most 3m uniforms; the + 1 charges the trial itself, so
-    a grid of zeros is bounded too."""
+    a grid of zeros is bounded too. budget is an int >= 0 (check_int)."""
     work = trials * sum(m + 1 for m in m_grid)
     check_budget(
         "running {} trials at each of {} sample sizes costs {} (trials times the "
@@ -444,7 +444,6 @@ def sweep(
     for i, m in enumerate(m_grid):
         check_int(m, f"m_grid[{i}]", 0)
     check_int(trials, "trials", 1)
-    check_int(budget, "budget", 0)
     if not 0.0 < epsilon_h <= 1.0:  # also rejects NaN
         raise DomainError(f"epsilon_h must lie in (0,1], got {epsilon_h}")
     check_labeler(labeler)

@@ -63,9 +63,9 @@ class MemorizerModel:
     """Finite lookup table capped at a length threshold; unknown inputs map
     to the empty string, built once per model as `default_output`.
 
-    No table key is longer than the threshold, so `predict` answers a Str
-    longer than it with `default_output` without looking it up (or hashing
-    it); any other argument is looked up in the table.
+    The threshold is an int >= -1 (check_int) and no table key is longer,
+    so `predict` answers a longer Str with `default_output` without looking
+    it up (or hashing it); any other argument is looked up in the table.
     """
 
     alphabet: Alphabet
@@ -74,8 +74,7 @@ class MemorizerModel:
     default_output: Str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.threshold < -1:
-            raise DomainError(f"threshold must be >= -1, got {self.threshold}")
+        check_int(self.threshold, "threshold", -1)
         alphabet = self.alphabet
         frozen = types.MappingProxyType(dict(self.table))
         for s, y in frozen.items():

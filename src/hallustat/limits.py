@@ -23,11 +23,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string, shortlex_symbols
-from .errors import DomainError, _int_text, check_budget
+from .core import (Alphabet, Str, count_upto, shortlex_index, shortlex_string, shortlex_strings,
+                   shortlex_symbols)
+from .errors import DomainError, _int_text, check_budget, check_int
 from .flrm import MemorizerModel, level_float, sample_size_at
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
+
+# Defaults of nfl_brute_force, diagonalize and random_table_models; the CLI reads them too.
+NFL_LAMBDA_H_GRID = (Fraction(1, 8), Fraction(1, 4))
+NFL_BUDGET = DIAGONAL_BUDGET = 10**8
+MODEL_TABLE_SIZE, MODEL_MAX_LEN = 8, 6
 
 
 @dataclass(frozen=True)
@@ -107,14 +113,12 @@ def construct_hard_support(
     """The uniform support realizing the necessity bound: full length-levels
     while they fit under the argmin objective, one partial level of
     shortlex-least strings, nothing beyond. Equivalently: the shortlex-first
-    floor(objective) strings."""
+    floor(objective) strings. max_size is an int >= 0 (check_int)."""
     _, objective = _necessity_argmin(alphabet, bound)
     size = objective.numerator // objective.denominator
-    check_budget(
-        "hard support would hold {} strings (cap {})", (size, max_size),
-        max_size, 0, lambda: size,
-    )
-    return [Str(alphabet, syms) for syms in itertools.islice(shortlex_symbols(alphabet.size), size)]
+    check_budget("hard support would hold {} strings (cap {})", (size, max_size), max_size, 0,
+                 lambda: size, "max_size")
+    return list(shortlex_strings(alphabet, 0, size))
 
 
 def lambda_t(lambda_h) -> Fraction:
@@ -126,9 +130,9 @@ def lambda_t(lambda_h) -> Fraction:
 
 
 def general_lambda_t(p: int, lambda_h) -> Fraction:
-    """(mu - lh) / (1 - lh) with mu = (p-1)/(2p), exactly."""
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    """(mu - lh) / (1 - lh) with mu = (p-1)/(2p), exactly; p is an int >= 1
+    (check_int)."""
+    check_int(p, "p", 1)
     lh = Fraction(lambda_h)
     if not 0 < lh < 1:
         raise DomainError(f"lambda_h must lie in (0,1), got {lambda_h}")
@@ -180,7 +184,8 @@ class NflInstance:
     training sequence only through its length and its set of distinct pairs
     (true of the memorizers and of FLRM, whose threshold reads only the
     length). nfl_brute_force then trains once per support instead of once
-    per sequence; the declaration is trusted, not checked.
+    per sequence; the declaration is trusted, not checked. m is an int
+    (check_int) with 0 <= m <= floor(|domain|/2).
     """
 
     domain: tuple[Str, ...]
@@ -199,7 +204,8 @@ class NflInstance:
             raise DomainError("codomain must be non-empty")
         if len(set(self.codomain)) != len(self.codomain):
             raise DomainError("codomain strings must be distinct")
-        if not 0 <= self.m <= n // 2:
+        check_int(self.m, "m", 0)
+        if self.m > n // 2:
             raise DomainError(
                 f"m must satisfy 0 <= m <= floor(|domain|/2) = {n // 2}, got {self.m}"
             )
@@ -243,7 +249,7 @@ def check_nfl_budget(n: int, p: int, m: int, budget: int, order_invariant: bool 
     The work has at least floor(log2 n) + n*floor(log2 p) bits, plus
     m*floor(log2 n) for the n^m passes of a learner that is not
     order-invariant, or min(m, n//2) for the at least C(n, min(m, n//2))
-    supports of one that is.
+    supports of one that is. budget is an int >= 0 (check_int).
     """
     low_bits = (n.bit_length() - 1) + n * (p.bit_length() - 1)
     low_bits += min(m, n // 2) if order_invariant else m * (n.bit_length() - 1)
@@ -275,7 +281,7 @@ class NflReport:
 
 
 def nfl_brute_force(
-    inst: NflInstance, lambda_h_grid=(Fraction(1, 8), Fraction(1, 4)), budget: int = 10**8
+    inst: NflInstance, lambda_h_grid=NFL_LAMBDA_H_GRID, budget: int = NFL_BUDGET
 ) -> NflReport:
     """Exhaustive, exact verification that some labeling forces the learner's
     expected hallucination probability to at least (p-1)/(2p).
@@ -292,7 +298,8 @@ def nfl_brute_force(
 
     Per-labeling counts of sequences by number of mismatched domain strings
     are int64 numpy sums; the expected HP and the exact tail probabilities
-    of the worst labeling are assembled from them as Fractions.
+    of the worst labeling are assembled from them as Fractions. The budget
+    is an int >= 0 (check_int) that bounds nfl_work (check_nfl_budget).
     """
     n = len(inst.domain)
     p = len(inst.codomain)
@@ -427,7 +434,8 @@ class DiagonalConstruction:
 def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
     """Bound the work of diagonalizing K = k_models models over H = `horizon`
     strings by the queries verify_diagonal makes, sum_i min(i, K):
-    K(K+1)/2 + (H - K)K for K < H, else H(H+1)/2."""
+    K(K+1)/2 + (H - K)K for K < H, else H(H+1)/2. budget is an int >= 0
+    (check_int)."""
     k = min(k_models, horizon)
     queries = k * (k + 1) // 2 + (horizon - k) * k
     check_budget(
@@ -438,7 +446,7 @@ def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
 
 
 def diagonalize(
-    models, alphabet: Alphabet, horizon: int, budget: int = 10**8
+    models, alphabet: Alphabet, horizon: int, budget: int = DIAGONAL_BUDGET
 ) -> DiagonalConstruction:
     """Pick, for each of the first `horizon` strings, the shortlex-least
     string avoided by the first min(i, K) models' answers.
@@ -447,10 +455,10 @@ def diagonalize(
     its table entry on a string in its table and its default output on
     every other string, so the answers on the window come from inverting
     the tables, without querying any model. The budget still bounds the
-    sum_i min(i, K) queries that verify_diagonal makes.
+    sum_i min(i, K) queries that verify_diagonal makes. horizon is an int
+    >= 1 and budget an int >= 0 (check_int).
     """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    check_int(horizon, "horizon", 1)
     models = tuple(models)
     k_models = len(models)
     check_diagonal_budget(horizon, k_models, budget)
@@ -523,7 +531,7 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
 
 
 def random_table_models(
-    alphabet: Alphabet, count: int, rng, table_size: int = 8, max_len: int = 6
+    alphabet: Alphabet, count: int, rng, table_size=MODEL_TABLE_SIZE, max_len=MODEL_MAX_LEN
 ) -> list[MemorizerModel]:
     """Random finite lookup models (empty-string default), for diagonal demos.
 
@@ -531,11 +539,11 @@ def random_table_models(
     ranks, among the U = count_upto(alphabet, max_len) strings of length at
     most max_len; numpy draws them as int64, so U must stay below 2^63. Each
     distinct drawn rank, at most 2 * count * table_size of them, is decoded
-    into a Str once and shared by every table that drew it.
+    into a Str once and shared by every table that drew it. count,
+    table_size and max_len are ints >= 0 (check_int).
     """
     for name, value in (("count", count), ("table_size", table_size), ("max_len", max_len)):
-        if value < 0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
+        check_int(value, name, 0)
     # q^max_len has more than `low` bits. U is counted, and printed, only
     # while that leaves it a few thousand bits at most.
     low = max_len * (alphabet.size.bit_length() - 1)

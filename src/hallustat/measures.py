@@ -76,7 +76,8 @@ class CdfLowerBound:
 
     table[n] is the bound at length n for n <= N = len(table) - 1. Beyond the
     table the defect 1 - value is (1 - table[N]) * tail_ratio^(n - N), or 0
-    when tail_ratio is None; either way the bound converges to 1.
+    when tail_ratio is None; either way the bound converges to 1. Every
+    length n is an int >= 0 (check_int).
     """
 
     table: tuple[float, ...]
@@ -96,16 +97,14 @@ class CdfLowerBound:
             raise DomainError(f"tail ratio must lie in (0,1), got {self.tail_ratio}")
 
     def value(self, n: int) -> float:
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
+        check_int(n, "n", 0)
         if n < len(self.table):
             return self.table[n]
         return 1.0 - self.defect(n)
 
     def defect(self, n: int) -> float:
         """1 - value(n), computed without cancellation in the tail."""
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
+        check_int(n, "n", 0)
         last = len(self.table) - 1
         if n <= last:
             return 1.0 - self.table[n]
@@ -134,7 +133,7 @@ class FiniteSupport:
     addition per denominator; the sum-to-1 check, the length CDF and every
     exact HP go through it. The length CDF is a table: `_cdf[i]` is the mass
     of the atoms no longer than `_cdf_lengths[i - 1]`, the distinct lengths
-    in increasing order (`_cdf[0]` is 0).
+    in increasing order (`_cdf[0]` is 0). A length n is an int >= 0 (check_int).
     """
 
     def __init__(self, atoms):
@@ -309,8 +308,7 @@ class FiniteSupport:
         return self._uniform if self._masses is None else self._masses[i]
 
     def length_cdf(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
+        check_int(n, "n", 0)
         return self._cdf[bisect.bisect_right(self._cdf_lengths, n)]
 
     def defect(self, n: int) -> Fraction:
@@ -361,7 +359,7 @@ class LengthFactored:
     length_probs[i] = Pr(len = i) for i < L; with tail_ratio r, the remaining
     mass 1 - sum(length_probs) is spread as Pr(len = L + j) proportional to
     r^j. The empty table with r = 1/2 gives Pr(len = i) = (1/2)^(i+1), whose
-    tail Pr(len >= m) = (1/2)^m exactly.
+    tail Pr(len >= m) = (1/2)^m exactly. A length n is an int >= 0 (check_int).
     """
 
     alphabet: Alphabet
@@ -406,8 +404,7 @@ class LengthFactored:
         """1 - length_cdf(n), computed without cancellation: the sum of the
         table entries past n plus the tail mass, and for n >= L
         tail_mass * tail_ratio^(n - L + 1)."""
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
+        check_int(n, "n", 0)
         last = len(self.length_probs)
         if n < last:
             return math.fsum((*self.length_probs[n + 1:], self.tail_mass))
@@ -473,8 +470,7 @@ class LengthFactored:
         return self._length_prob(n) * float(self.alphabet.size) ** (-n)
 
     def length_cdf(self, n: int) -> float:
-        if n < 0:
-            raise DomainError(f"n must be >= 0, got {n}")
+        check_int(n, "n", 0)
         table = self._cdf_table
         if n < len(table):
             return table[n]

@@ -37,15 +37,13 @@ class Constant:
 
 @dataclass(frozen=True)
 class IndexShift:
-    """Acceptable set = {string whose shortlex rank is rank(s) + shift}."""
+    """Acceptable set = {string whose shortlex rank is rank(s) + shift}; the
+    shift is an int >= 0 (check_int)."""
 
     shift: int
 
     def __post_init__(self):
-        if isinstance(self.shift, bool) or not isinstance(self.shift, int):
-            raise DomainError(f"shift must be an int, got {self.shift!r}")
-        if self.shift < 0:
-            raise DomainError(f"shift must be >= 0, got {self.shift}")
+        check_int(self.shift, "shift", 0)
 
 
 DefaultRule = Echo | Constant | IndexShift

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, check_budget
+from .errors import DomainError, check_budget, check_int
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,12 @@ def _types(m: int, k: int):
         counts.append((s + 1, t + 1))
 
 
+# The most blocks smallest_high_mass_set enumerates unless told otherwise.
+TYPICAL_BUDGET = 10**7
+
+
 def smallest_high_mass_set(
-    source: SourceModel, m: int, delta: float, budget: int = 10**7
+    source: SourceModel, m: int, delta: float, budget: int = TYPICAL_BUDGET
 ) -> TypicalSetReport:
     """Exactly find the size of the smallest set of m-blocks with mass above
     1 - delta (greedy by probability, which is optimal).
@@ -90,9 +94,9 @@ def smallest_high_mass_set(
     blocks the set is chosen from, which the number of types never exceeds,
     and the block length m of each type, which exceeds K^m only at K = 1.
     K^m has at least m*floor(log2 K) bits, which check_budget compares first.
+    m is an int >= 1 and budget an int >= 0 (check_int).
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    check_int(m, "m", 1)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
     k = len(source.pmf)

@@ -7,12 +7,30 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from hallustat import evaluation
 from hallustat.core import Str, shortlex_string
 from hallustat.errors import DomainError
+from hallustat.evaluation import derive_stream
 from hallustat.limits import NflReport, TailCheck, general_lambda_t
 from hallustat.measures import FiniteSupport
 from hallustat.oracle import Labeler, TrainingSequence
+
+
+def assert_rejected_before_any_draw(call, monkeypatch, match=None):
+    """call(rng) raises DomainError (matching `match`, if given), derives no
+    stream and reads nothing of rng."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was derived before the arguments were checked")
+
+    rng = derive_stream(11, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "derive_stream", refuse)
+        patch.setattr(evaluation, "derive_streams", refuse)
+        with pytest.raises(DomainError, match=match):
+            call(rng)
+    assert rng.random() == derive_stream(11, 0).random()
 
 
 def uniform_support(members) -> FiniteSupport:

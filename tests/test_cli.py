@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hallustat.cli as cli
-from hallustat import evaluation
+from hallustat import core, evaluation
 from hallustat.limits import NflReport, TailCheck
 
 
@@ -644,7 +644,7 @@ def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, mo
     def refuse(*args):
         raise AssertionError("a domain string was built before the budget check")
 
-    monkeypatch.setattr(cli, "shortlex_symbols", refuse)
+    monkeypatch.setattr(core, "shortlex_symbols", refuse)  # the enumerator the CLI builds from
     doc = nfl_cfg()
     doc["domain_size"] = 10**6
     assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
@@ -751,10 +751,16 @@ GEOMETRIC = {"kind": "geometric", "ratio": 0.5}
                                                              "tail": GEOMETRIC}}),
      "learner.cdf_bound.table[1]"),
     ("typical-set", {"pmf": [0.5, "0.5"], "m": 4, "delta": 0.1}, "pmf[1]"),
+    ("sweep", with_field(sweep_cfg(), ("mu", "kind"), "zipf"), "'zipf' in mu.kind"),
+    ("sweep", with_field(sweep_cfg(), ("ground_truth", "default", "kind"), "rot13"),
+     "'rot13' in ground_truth.default.kind"),
+    ("nfl-verify", with_field(nfl_cfg(), ("learner", "kind"), "oracle"),
+     "'oracle' in learner.kind"),
 ], ids=["sweep-tail-ratio", "sweep-tail-kind", "sweep-tail", "sweep-table-index",
         "sweep-m_grid-index", "sweep-length_probs-index", "bounds-tail-ratio",
         "nfl-learner-kind", "nfl-learner-cdf_bound", "nfl-learner-tail-kind",
-        "nfl-learner-table-index", "typical-pmf-index"])
+        "nfl-learner-table-index", "typical-pmf-index", "sweep-unknown-mu-kind",
+        "sweep-unknown-default-rule-kind", "nfl-unknown-learner-kind"])
 def test_config_errors_name_the_full_field_path(tmp_path, capsys, command, doc, expected):
     assert run([command, "--config", write_cfg(tmp_path, doc)]) == 2
     assert expected in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hallustat.cli as cli
 from hallustat.core import (
     CODE_LIMIT,
     Alphabet,
@@ -19,6 +20,7 @@ from hallustat.core import (
     shortlex_codes,
     shortlex_index,
     shortlex_string,
+    shortlex_strings,
     shortlex_symbols,
     string_at,
     strings_at,
@@ -26,6 +28,8 @@ from hallustat.core import (
     strings_upto,
 )
 from hallustat.errors import DomainError
+from hallustat.limits import construct_hard_support
+from hallustat.measures import CdfLowerBound
 
 
 def test_alphabet_validation():
@@ -141,6 +145,23 @@ def test_strings_of_length_enumeration():
     assert [s.symbols for s in strings_of_length(a, 0)] == [()]
     assert [s.symbols for s in strings_of_length(a, 2)] == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_every_shortlex_str_builder_keeps_the_order():
+    # strings_of_length, strings_upto, the hard support and the CLI's
+    # generated domain all build their Strs through shortlex_strings
+    up_to_four = CdfLowerBound((0.0, 0.0, 0.0, 0.0, 1.0))  # hard support: every string to length 4
+    for q in (2, 3):
+        a = Alphabet(q)
+        by_length = [[Str(a, syms) for syms in itertools.product(range(q), repeat=n)]
+                     for n in range(5)]
+        ordered = [s for level in by_length for s in level]
+        assert [list(strings_of_length(a, n)) for n in range(5)] == by_length
+        assert list(strings_upto(a, 4)) == ordered
+        assert construct_hard_support(a, up_to_four) == ordered
+        assert cli._nfl_strings(a, {}, "domain", len(ordered)) == tuple(ordered)
+        for start in range(len(ordered) + 1):
+            assert list(shortlex_strings(a, start, len(ordered))) == ordered[start:]
 
 
 def test_strings_upto_matches_ranks():

@@ -46,7 +46,7 @@ from hallustat.oracle import (
     generate_qualified,
 )
 
-from helpers import sample_batch_per_draw, uniform_support
+from helpers import assert_rejected_before_any_draw, sample_batch_per_draw, uniform_support
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -919,20 +919,6 @@ def one_instance_per_path():
         ("object", FlrmTrainer(a3, HALF_BOUND), LengthFactored(a3, (), 0.5),
          GroundTruth(a3, Echo())),
     ]
-
-
-def assert_rejected_before_any_draw(call, monkeypatch):
-    """call(rng) raises DomainError, derives no stream and reads nothing of rng."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a stream was derived before the arguments were checked")
-
-    rng = derive_stream(11, 0)
-    with monkeypatch.context() as patch:
-        patch.setattr(evaluation, "derive_stream", refuse)
-        patch.setattr(evaluation, "derive_streams", refuse)
-        with pytest.raises(DomainError):
-            call(rng)
-    assert rng.random() == derive_stream(11, 0).random()
 
 
 @pytest.mark.parametrize("labeler", ["uniform_acceptable", "canonical", None])
