@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .core import Alphabet, Str, count_upto, shortlex_strings
-from .errors import ConfigError, DomainError, DominationError, WorkbenchError
+from .core import Alphabet, count_upto, shortlex_strings, string_from_json
+from .errors import ConfigError, DominationError, WorkbenchError
 from .evaluation import (
     DEFAULT_BUDGET,
     check_trial_budget,
@@ -111,23 +111,13 @@ def _alphabet(doc: dict) -> Alphabet:
     return Alphabet(size, None if labels is None else tuple(labels))
 
 
-def _string(alphabet: Alphabet, value, name: str) -> Str:
-    """A string field: a list of JSON integer symbol indices."""
-    # type() rather than isinstance(): true and false are not symbols.
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ConfigError(f"{name} must be a list of integer symbols, got {value!r}")
-    try:
-        return Str(alphabet, tuple(value))
-    except DomainError as exc:  # a symbol outside the alphabet
-        raise ConfigError(f"bad string {name} {value!r}: {exc}") from exc
-
-
 def _strings(alphabet: Alphabet, values: list, name):
     """Many string fields at once, as (symbols, lengths): the symbols of all
     of them one after another, in an int64 array unless one is past int64,
     and the length of each. The types are checked once over the flattened
-    symbols and the ranges in numpy; only when a check fails does _string
-    find the first bad field, named by name(i), its full path."""
+    symbols and the ranges in numpy; only when a check fails does
+    string_from_json find the first bad field, named by name(i), its full
+    path."""
     if not set(map(type, values)) - {list}:
         flat = list(itertools.chain.from_iterable(values))
         if not set(map(type, flat)) - {int}:
@@ -138,8 +128,8 @@ def _strings(alphabet: Alphabet, values: list, name):
             if ((symbols >= 0) & (symbols < alphabet.size)).all():
                 return symbols, np.fromiter(map(len, values), np.int64, len(values))
     for i, value in enumerate(values):
-        _string(alphabet, value, name(i))
-    raise AssertionError("a string field failed a bulk check but passed _string")
+        string_from_json(alphabet, value, name(i))
+    raise AssertionError("a string field failed a bulk check but passed string_from_json")
 
 
 def _cdf_bound(doc: dict, name: str = "cdf_bound") -> CdfLowerBound:
@@ -195,7 +185,7 @@ def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
         rule = Echo()
     elif kind == "constant":
         output = _require(default, "output", "ground_truth.default.output")
-        rule = Constant(_string(alphabet, output, "ground_truth.default.output"))
+        rule = Constant(string_from_json(alphabet, output, "ground_truth.default.output"))
     elif kind == "index_shift":
         shift = _require(default, "shift", "ground_truth.default.shift")
         rule = IndexShift(_int_value(shift, "ground_truth.default.shift", 0))
@@ -204,9 +194,9 @@ def _ground_truth(alphabet: Alphabet, doc: dict) -> GroundTruth:
     entries = _list_field(spec, "overrides", "ground_truth.overrides", default=[])
     overrides = tuple(
         (
-            _string(alphabet, _require(entry, "s", f"ground_truth.overrides[{i}].s"),
-                    f"ground_truth.overrides[{i}].s"),
-            tuple(_string(alphabet, y, f"ground_truth.overrides[{i}].accept[{j}]")
+            string_from_json(alphabet, _require(entry, "s", f"ground_truth.overrides[{i}].s"),
+                             f"ground_truth.overrides[{i}].s"),
+            tuple(string_from_json(alphabet, y, f"ground_truth.overrides[{i}].accept[{j}]")
                   for j, y in enumerate(
                       _list_field(entry, "accept", f"ground_truth.overrides[{i}].accept"))),
         )
@@ -379,7 +369,7 @@ def _nfl_size(alphabet: Alphabet, cfg: dict, list_key: str, size_key: str) -> in
 
 def _nfl_strings(alphabet: Alphabet, cfg: dict, list_key: str, size: int):
     if list_key in cfg:
-        return tuple(_string(alphabet, v, f"{list_key}[{i}]")
+        return tuple(string_from_json(alphabet, v, f"{list_key}[{i}]")
                      for i, v in enumerate(cfg[list_key]))
     return tuple(shortlex_strings(alphabet, 0, size))
 

@@ -7,10 +7,10 @@ ranking, unranking, and enumerating every string in turn (shortlex_symbols,
 whose Strs shortlex_strings builds). count_upto, shortlex_string and the
 string enumerators take their length or rank as an int >= 0 (check_int).
 
-The bulk helpers at the end work on int64 shortlex codes, the ranks of the
-strings whose level q^n is below CODE_LIMIT = 2^62: they encode many strings
-at once, and build the Strs of many codes at once, in numpy. A longer string
-is keyed by its exact (length, offset) in Python ints.
+A string's one key outside Str is its shortlex rank. The bulk helpers at the
+end rank many strings at once, and build the Strs of many ranks at once. They
+work in numpy on int64 shortlex codes, the ranks of the strings whose level
+q^n is below CODE_LIMIT = 2^62; a longer string's rank is an exact Python int.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import ConfigError, DomainError, check_int
 
-# The int64 code space: lengths whose level q^n reaches it use exact
-# (length, offset) keys in Python ints instead.
+# The int64 code space: a string whose level q^n reaches it is ranked in
+# Python ints instead.
 CODE_LIMIT = 2**62
 
 
@@ -108,6 +108,18 @@ def empty_string(alphabet: Alphabet) -> Str:
     return Str(alphabet, ())
 
 
+def string_from_json(alphabet: Alphabet, value, name: str) -> Str:
+    """A string field of a JSON document: a list of JSON integer symbol
+    indices, else ConfigError naming the field's full path, `name`."""
+    # type() rather than isinstance(): true and false are not symbols.
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ConfigError(f"{name} must be a list of integer symbols, got {value!r}")
+    try:
+        return Str(alphabet, tuple(value))
+    except DomainError as exc:  # a symbol outside the alphabet
+        raise ConfigError(f"bad string {name} {value!r}: {exc}") from exc
+
+
 def count_upto(alphabet: Alphabet, n: int) -> int:
     """Number of strings of length <= n, an int >= 0: (q^(n+1) - 1) / (q - 1)."""
     check_int(n, "n", 0)
@@ -126,18 +138,15 @@ def shortlex_index(s: Str) -> int:
 
 
 def shortlex_string(alphabet: Alphabet, rank: int) -> Str:
-    """Inverse of shortlex_index: the string of a given rank, an int >= 0."""
+    """Inverse of shortlex_index: the string of a given rank, an int >= 0,
+    its bijective base-q digits read off from the right."""
     check_int(rank, "rank", 0)
     q = alphabet.size
-    # Find the length: smallest n with |Sigma^{<=n}| > rank.
-    n = 0
-    total = 1
-    level = 1
-    while total <= rank:
-        n += 1
-        level *= q
-        total += level
-    return string_at(alphabet, n, rank - (total - level))
+    syms = []
+    while rank:
+        rank, sym = divmod(rank - 1, q)
+        syms.append(sym)
+    return Str(alphabet, tuple(reversed(syms)))
 
 
 def shortlex_symbols(q: int):
@@ -178,14 +187,15 @@ def code_levels(q: int, top: int):
     return np.cumsum(level) - level, level
 
 
-def shortlex_codes(q: int, symbols, lengths: np.ndarray):
-    """(codes, big) of the strings whose symbols, each in [0, q), follow one
-    another in `symbols`, string i holding lengths[i] of them.
+def shortlex_codes(q: int, symbols, lengths: np.ndarray) -> list[int]:
+    """The shortlex ranks, as Python ints, of the strings whose symbols, each
+    in [0, q), follow one another in `symbols`, string i holding lengths[i]
+    of them.
 
-    codes[i] is the int64 shortlex code of string i when its level q^n is
-    below 2^62, computed in numpy by Horner's rule (one np.add.reduceat
-    over each symbol times its place value q^k). A longer string gets
-    -1 - i, and big lists its (i, (length, offset)) with the exact offset.
+    Where string i's level q^n is below 2^62 its rank is its int64 code,
+    computed in numpy by Horner's rule (one np.add.reduceat over each symbol
+    times its place value q^k). A longer string's rank is read exactly, as
+    shortlex_index reads it.
     """
     base, level = code_levels(q, int(lengths.max()))
     short = lengths < len(level)
@@ -199,15 +209,15 @@ def shortlex_codes(q: int, symbols, lengths: np.ndarray):
         after = np.repeat(ends - 1, lengths) - np.arange(len(symbols))
         place = np.where(np.repeat(short, lengths), level[np.minimum(after, len(level) - 1)], 0)
         offsets[nonempty] = np.add.reduceat(symbols * place, starts[nonempty])
-    codes = -1 - np.arange(len(lengths), dtype=np.int64)
+    codes = np.zeros(len(lengths), dtype=np.int64)
     codes[short] = base[lengths[short]] + offsets[short]
-    big = []
+    ranks = codes.tolist()
     for i in np.flatnonzero(~short).tolist():
-        offset = 0
+        rank = 0
         for sym in symbols[starts[i]:ends[i]]:
-            offset = offset * q + int(sym)
-        big.append((i, (int(lengths[i]), offset)))
-    return codes, big
+            rank = rank * q + int(sym) + 1
+        ranks[i] = rank
+    return ranks
 
 
 def strings_at(alphabet: Alphabet, base: np.ndarray, codes: np.ndarray) -> list[Str]:
@@ -232,12 +242,3 @@ def strings_at(alphabet: Alphabet, base: np.ndarray, codes: np.ndarray) -> list[
         start = end
     return strings
 
-
-def string_at(alphabet: Alphabet, n: int, offset: int) -> Str:
-    """The Str of length n at lexicographic offset `offset`, in Python ints:
-    for levels of q^n >= 2^62."""
-    q = alphabet.size
-    syms = [0] * n
-    for j in range(n - 1, -1, -1):
-        offset, syms[j] = divmod(offset, q)
-    return Str(alphabet, tuple(syms))

@@ -11,7 +11,7 @@ import math
 import types
 from dataclasses import dataclass, field
 
-from .core import Alphabet, Str, empty_string
+from .core import Alphabet, Str, empty_string, string_from_json
 from .errors import ConfigError, DomainError, check_int
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
@@ -126,12 +126,16 @@ def model_to_json(model: MemorizerModel) -> dict:
 
 
 def model_from_json(alphabet: Alphabet, doc: dict) -> MemorizerModel:
+    """The model of a model_to_json document, its numbers taken as they are:
+    MemorizerModel checks the threshold, and each table string is a string
+    field (string_from_json, which names table[i].s or table[i].y). A
+    missing key is a ConfigError too."""
     try:
-        threshold = int(doc["threshold"])
-        table = {
-            Str(alphabet, tuple(entry["s"])): Str(alphabet, tuple(entry["y"]))
-            for entry in doc["table"]
-        }
+        threshold = doc["threshold"]
+        table = {}
+        for i, entry in enumerate(doc["table"]):
+            s, y = (string_from_json(alphabet, entry[key], f"table[{i}].{key}") for key in "sy")
+            table[s] = y
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model document: {exc}") from exc
     return MemorizerModel(alphabet, table, threshold)

@@ -249,8 +249,12 @@ def check_nfl_budget(n: int, p: int, m: int, budget: int, order_invariant: bool 
     The work has at least floor(log2 n) + n*floor(log2 p) bits, plus
     m*floor(log2 n) for the n^m passes of a learner that is not
     order-invariant, or min(m, n//2) for the at least C(n, min(m, n//2))
-    supports of one that is. budget is an int >= 0 (check_int).
+    supports of one that is. n and p are ints >= 1, and m and budget ints
+    >= 0 (check_int), the sizes checked before the budget.
     """
+    check_int(n, "n", 1)
+    check_int(p, "p", 1)
+    check_int(m, "m", 0)
     low_bits = (n.bit_length() - 1) + n * (p.bit_length() - 1)
     low_bits += min(m, n // 2) if order_invariant else m * (n.bit_length() - 1)
     check_budget(
@@ -434,8 +438,11 @@ class DiagonalConstruction:
 def check_diagonal_budget(horizon: int, k_models: int, budget: int) -> None:
     """Bound the work of diagonalizing K = k_models models over H = `horizon`
     strings by the queries verify_diagonal makes, sum_i min(i, K):
-    K(K+1)/2 + (H - K)K for K < H, else H(H+1)/2. budget is an int >= 0
-    (check_int)."""
+    K(K+1)/2 + (H - K)K for K < H, else H(H+1)/2. horizon is an int >= 1,
+    and k_models and budget ints >= 0 (check_int), the sizes checked before
+    the budget."""
+    check_int(horizon, "horizon", 1)
+    check_int(k_models, "k_models", 0)
     k = min(k_models, horizon)
     queries = k * (k + 1) // 2 + (horizon - k) * k
     check_budget(

@@ -8,14 +8,14 @@ Two distribution families over the strings of an alphabet:
   LengthFactored  a law on lengths (table plus optional geometric tail),
                   uniform over all strings of a given length
 
-Both work on int64 shortlex codes: code = (number of strings shorter than
-n) + (lexicographic offset within length n), for the lengths whose level
-q^n is below 2^62; a longer string is keyed by its exact (length, offset)
-in Python ints. A FiniteSupport keeps its atoms as codes and builds their
-Str objects only at the API boundary (atoms, support(), the strings
-sample_distinct returns). Both laws encode and decode codes in bulk through
-core's helpers: Horner codes by np.add.reduceat, and the Strs of many codes
-from one digit matrix in numpy.
+Both key a string by its shortlex rank: (number of strings shorter than n)
++ (lexicographic offset within length n). Where the level q^n is below 2^62
+the rank is an int64 shortlex code; a longer string's rank is an exact
+Python int. A FiniteSupport keeps one dict from atom rank to atom position
+and builds its Str objects only at the API boundary (atoms, support(), the
+strings sample_distinct returns). Both laws encode and decode codes in bulk
+through core's helpers: Horner codes by np.add.reduceat, and the Strs of
+many codes from one digit matrix in numpy.
 
 CdfLowerBound is a nondecreasing lower bound on Pr(len(S) <= n). Every
 length law here, bound or distribution, is a table followed by one tail rule:
@@ -31,7 +31,7 @@ through one index sampler, sample_distinct, which returns the distinct
 strings drawn and, per draw, the index of its string; sample_batch is that
 expansion. FiniteSupport dedupes atom indices; LengthFactored dedupes int
 shortlex codes with numpy, and draws at levels of q^n >= 2^62 by their exact
-(length, offset), so it builds one Str per distinct string drawn.
+rank, so it builds one Str per distinct string drawn.
 
 Both invert a float cumulative table. LengthFactored bisects its lengths'
 table with np.searchsorted. FiniteSupport looks each uniform up in an exact
@@ -54,14 +54,13 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    CODE_LIMIT,
     Alphabet,
     Str,
     code_levels,
     count_upto,
     shortlex_codes,
     shortlex_index,
-    string_at,
+    shortlex_string,
     strings_at,
 )
 from .errors import DomainError, check_int
@@ -116,14 +115,13 @@ class CdfLowerBound:
 class FiniteSupport:
     """Explicit atoms (string, mass) with exact rational masses summing to 1.
 
-    The law keeps its atoms as int64 shortlex codes in increasing order,
-    each with its atom's position (`_sorted`), and the atom lengths in atom
-    order (`_lengths`). An atom at a level of q^n >= 2^62 has no code there:
-    it gets the code -1 - position, outside the code space, and its exact
-    (length, offset) key in `_big`. pmf finds a string by bisecting the
-    sorted codes, or in `_big`. The Str atoms are built only at the API
-    boundary: `atoms`, `support()` and the strings `sample_distinct`
-    returns, all from one lazily decoded tuple.
+    The law keeps one dict, `_index`, from each atom's shortlex rank to its
+    position, so its keys are the ranks in atom order, and the atom lengths
+    in atom order (`_lengths`). An atom at a level of q^n below 2^62 has an
+    int64 code for its rank; a longer atom is kept by its exact rank. pmf
+    finds a string by one lookup of its rank. The Str atoms are built only
+    at the API boundary: `atoms`, `support()` and the strings
+    `sample_distinct` returns, all from one lazily decoded tuple.
 
     Masses are exact rationals. A uniform law (`_uniform`) stores its one
     mass and builds no Fraction and no float per atom; any other law keeps
@@ -167,24 +165,15 @@ class FiniteSupport:
             raise DomainError("finite-support distribution needs at least one atom")
         self.alphabet = alphabet
         self._lengths = lengths
-        codes, big = shortlex_codes(alphabet.size, symbols, lengths)
-        # The first atom i that repeats an earlier atom j: among the coded
-        # atoms by np.unique, among the others by their keys.
-        keys, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        repeats = [(i, int(first[inverse[i]])) for i in
-                   np.flatnonzero(first[inverse] != np.arange(n))[:1].tolist()]
-        self._big = {}
-        for i, key in big:
-            j = self._big.setdefault(key, i)
-            if j != i:
-                repeats.append((i, j))
-                break
-        if repeats:
-            i, j = min(repeats)
+        ranks = shortlex_codes(alphabet.size, symbols, lengths)
+        self._index = dict(zip(ranks, range(n)))
+        if len(self._index) < n:  # name the first atom i that repeats an earlier atom j
+            first = {}
+            i = next(i for i, rank in enumerate(ranks) if first.setdefault(rank, i) != i)
+            j = first[ranks[i]]
             end = int(lengths[:i + 1].sum())
             syms = tuple(int(x) for x in symbols[end - int(lengths[i]):end])
             raise DomainError(f"duplicate atom {syms}: {name(i)} repeats {name(j)}")
-        self._sorted = keys, first
         if isinstance(mass, Fraction):
             self._uniform, self._masses = mass, None
             masses = (mass,)
@@ -222,16 +211,11 @@ class FiniteSupport:
         return total
 
     def _find(self, s: Str) -> int | None:
-        """The position of atom s, by its shortlex code or its exact
-        (length, offset) key; None when s is not an atom."""
+        """The position of atom s, by its shortlex rank; None when s is not
+        an atom."""
         if s.alphabet is not self.alphabet and s.alphabet != self.alphabet:
             return None
-        code, n = shortlex_index(s), len(s.symbols)
-        if self.alphabet.size**n >= CODE_LIMIT:
-            return self._big.get((n, code - count_upto(self.alphabet, n - 1)))
-        keys, positions = self._sorted
-        at = int(np.searchsorted(keys, code))
-        return int(positions[at]) if at < len(keys) and keys[at] == code else None
+        return self._index.get(shortlex_index(s))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSupport):
@@ -243,15 +227,20 @@ class FiniteSupport:
 
     @cached_property
     def atoms(self) -> tuple[tuple[Str, Fraction], ...]:
-        """The (string, mass) pairs in atom order, built on first use."""
-        keys, positions = self._sorted
-        short = keys >= 0  # the codes sort after the -1 - position of every longer atom
-        base, _ = code_levels(self.alphabet.size, int(self._lengths.max()))
-        strings = [None] * len(self._lengths)
-        for i, s in zip(positions[short].tolist(), strings_at(self.alphabet, base, keys[short])):
+        """The (string, mass) pairs in atom order, built on first use: the
+        int64 codes decoded in bulk, in increasing order, and each longer
+        atom from its rank."""
+        ranks = list(self._index)
+        base, level = code_levels(self.alphabet.size, int(self._lengths.max()))
+        short = self._lengths < len(level)
+        positions = np.flatnonzero(short)
+        codes = np.fromiter(itertools.compress(ranks, short.tolist()), np.int64, len(positions))
+        order = np.argsort(codes)
+        strings = [None] * len(ranks)
+        for i, s in zip(positions[order].tolist(), strings_at(self.alphabet, base, codes[order])):
             strings[i] = s
-        for (n, offset), i in self._big.items():
-            strings[i] = string_at(self.alphabet, n, offset)
+        for i in np.flatnonzero(~short).tolist():
+            strings[i] = shortlex_string(self.alphabet, ranks[i])
         masses = itertools.repeat(self._uniform) if self._masses is None else self._masses
         return tuple(zip(strings, masses))
 
@@ -496,16 +485,17 @@ class LengthFactored:
         inverse = np.empty(size, dtype=np.intp)
         inverse[small] = inverse_small
         large = np.flatnonzero(~small)
-        first = {}  # (length, offset) -> index into strings
+        first = {}  # rank -> index into strings
         inverse_large = []
         q = self.alphabet.size
         for length, u in zip(lengths[large].tolist(), u_off[large].tolist()):
             size_n = q**length  # exact, one draw at a time
-            key = (length, min(int(Fraction(u) * size_n), size_n - 1))
-            if key not in first:
-                first[key] = len(strings)
-                strings.append(string_at(self.alphabet, length, key[1]))
-            inverse_large.append(first[key])
+            offset = min(int(Fraction(u) * size_n), size_n - 1)
+            rank = count_upto(self.alphabet, length - 1) + offset
+            if rank not in first:
+                first[rank] = len(strings)
+                strings.append(shortlex_string(self.alphabet, rank))
+            inverse_large.append(first[rank])
         inverse[large] = inverse_large
         return strings, inverse
 

@@ -452,14 +452,17 @@ def test_sweep_matches_committed_artifact(tmp_path, name):
     # Each file holds the bytes an earlier version wrote: the README sweep,
     # CI's zero-mass sweep under the uniform labeler, a law whose trials
     # leave a batch at different chunks, a uniform_set of all 1023 binary
-    # strings of length <= 9 in a fixed shuffle, and a finite law with
-    # unequal masses, a trailing zero-mass atom and an atom of length 64
-    # (shortlex code past 2^62), all at seed 0. The files named *_seed2p64m5
-    # are at seed 2^64 - 5, two 32-bit words: the README law at q = 2 with
-    # 200 trials at the m where length 1 may stay unseen (coded rows) and at
-    # q = 3 (object rows), CI's zero-mass law at q = 3 (object rows, length 2
-    # stays open) and CI's finite law (atom rows). The run is replayed from
-    # the seed and config in its own header.
+    # strings of length <= 9 in a fixed shuffle, a finite law with unequal
+    # masses, a trailing zero-mass atom and an atom of length 64 (shortlex
+    # rank past 2^62), and a uniform_set with members of lengths 61 to 64 and
+    # overrides on two of the long ones, [1]*64 and [0]*63 (its m = 0 row
+    # reads 7/9 only if the override on [1]*64 is found by its rank), all at
+    # seed 0. The files named *_seed2p64m5 are at seed 2^64 - 5, two 32-bit
+    # words: the README law at q = 2 with 200 trials at the m where length 1
+    # may stay unseen (coded rows) and at q = 3 (object rows), CI's zero-mass
+    # law at q = 3 (object rows, length 2 stays open) and CI's finite law
+    # (atom rows). The run is replayed from the seed and config in its own
+    # header.
     golden = (GOLDEN / name).read_bytes()
     header = dict(line[2:].split(": ", 1) for line in golden.decode().splitlines()
                   if line.startswith("# "))
@@ -472,8 +475,9 @@ def test_sweep_matches_committed_artifact(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("train_eval_*.json")))
 def test_train_eval_matches_committed_artifact(tmp_path, name):
-    # The train-eval report on the finite law of sweep_finite_long_atom_seed0.csv,
-    # replayed from the seed and config it embeds.
+    # The train-eval reports on the laws of sweep_finite_long_atom_seed0.csv
+    # and sweep_long_overrides_seed0.csv, replayed from the seed and config
+    # each embeds.
     golden = (GOLDEN / name).read_bytes()
     doc = json.loads(golden)
     cfg = write_cfg(tmp_path, doc["config"])
@@ -649,6 +653,18 @@ def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, mo
     doc["domain_size"] = 10**6
     assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 5
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, message", [("domain", "n must be >= 1"),
+                                            ("codomain", "p must be >= 1")])
+def test_nfl_verify_empty_string_list_exit_3_at_any_budget(tmp_path, capsys, field, message):
+    # An empty list is a domain error even where no work fits the budget.
+    doc = nfl_cfg()
+    del doc["domain_size"], doc["codomain_size"]
+    doc.update(domain=[[0], [1]], codomain=[[0]], m=0, budget=0)
+    doc[field] = []
+    assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_nfl_verify_m_out_of_regime_exit_3(tmp_path):

@@ -22,7 +22,6 @@ from hallustat.core import (
     shortlex_string,
     shortlex_strings,
     shortlex_symbols,
-    string_at,
     strings_at,
     strings_of_length,
     strings_upto,
@@ -256,15 +255,12 @@ def test_bulk_codes_equal_shortlex_ranks(case):
     q, strings = case
     a = Alphabet(q)
     lengths = np.array([len(s) for s in strings], dtype=np.int64)
-    codes, big = shortlex_codes(q, [x for s in strings for x in s], lengths)
+    ranks = shortlex_codes(q, [x for s in strings for x in s], lengths)
+    assert ranks == [shortlex_index(Str(a, tuple(s))) for s in strings]
+    assert all(type(rank) is int for rank in ranks)
+    assert [shortlex_string(a, rank).symbols for rank in ranks] == [tuple(s) for s in strings]
+    # decoding the distinct int64 codes in increasing order gives back their strings
     short = [i for i, s in enumerate(strings) if q ** len(s) < CODE_LIMIT]
-    assert [i for i, _ in big] == [i for i in range(len(strings)) if i not in short]
-    for i, (n, offset) in big:
-        assert string_at(a, n, offset) == Str(a, tuple(strings[i]))
-        assert codes[i] == -1 - i
-    assert [int(codes[i]) for i in short] == [shortlex_index(Str(a, tuple(strings[i])))
-                                              for i in short]
-    # decoding the distinct codes in increasing order gives back their strings
-    keys = np.unique(codes[short])
+    keys = np.unique(np.array([ranks[i] for i in short], dtype=np.int64))
     base, _ = code_levels(q, int(lengths.max()))
     assert strings_at(a, base, keys) == [shortlex_string(a, int(k)) for k in keys.tolist()]

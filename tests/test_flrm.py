@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -186,6 +187,25 @@ def test_model_from_json_rejects_malformed():
         model_from_json(A2, {"table": []})  # missing threshold
     with pytest.raises(ConfigError):
         model_from_json(A2, {"threshold": 1, "table": [{"s": [0]}]})
+
+
+@pytest.mark.parametrize("threshold", [2.5, "3", True, None])
+def test_model_from_json_takes_the_threshold_as_it_is(threshold):
+    with pytest.raises(DomainError, match="^threshold must be "):
+        model_from_json(A2, {"threshold": threshold, "table": []})
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"s": [1.5], "y": [1]}, "table[1].s"),
+    ({"s": [1], "y": [True]}, "table[1].y"),
+    ({"s": ["1"], "y": []}, "table[1].s"),
+    ({"s": 1, "y": []}, "table[1].s"),
+    ({"s": [0, 2], "y": []}, "table[1].s"),  # a symbol outside the alphabet
+])
+def test_model_from_json_names_a_bad_table_string(entry, field):
+    doc = {"threshold": 2, "table": [{"s": [0], "y": [1]}, entry]}
+    with pytest.raises(ConfigError, match=rf"\b{re.escape(field)} "):
+        model_from_json(A2, doc)
 
 
 def test_memorized_strings_score_zero_on_echo():

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hallustat import cli
-from hallustat.core import Alphabet, Str, empty_string, shortlex_string, strings_upto
+from hallustat.core import CODE_LIMIT, Alphabet, Str, empty_string, shortlex_string, strings_upto
 from hallustat.errors import DomainError
 from hallustat.measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 
@@ -293,6 +293,52 @@ def test_a_repeated_atom_is_rejected_by_both_constructors(law, data):
     name = (r"mu\.members\[{}\]" if uniform else r"mu\.atoms\[{}\]\.s").format
     with pytest.raises(DomainError, match=rf"{name(later)} repeats {name(first)}$"):
         _config_law(alphabet, strings, masses, uniform)
+
+
+# Lengths of test_core's bulk-code test: short ones, and ones on both sides
+# of the first level of q^n >= 2^62.
+_RANK_EDGE = {2: (61, 62, 64), 3: (38, 39, 41), 5: (26, 27, 29)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(_RANK_EDGE)).flatmap(lambda q: st.tuples(st.just(q), st.lists(
+    st.one_of(st.integers(0, 6), st.sampled_from(_RANK_EDGE[q]))
+    .flatmap(lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
+    min_size=1, max_size=12, unique_by=tuple))), st.data())
+def test_one_rank_index_keys_atoms_on_both_sides_of_the_int64_levels(case, data):
+    q, strings = case
+    a, n = Alphabet(q), len(strings)
+    atoms = [Str(a, tuple(s)) for s in strings]
+    masses = [Fraction(2 * (i + 1), n * (n + 1)) for i in range(n)]  # distinct masses
+    symbols = np.array([x for s in strings for x in s], dtype=np.int64)
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    # the same length with another last or first symbol, where that is no atom
+    others = {Str(a, s[:-1] + ((s[-1] + 1) % q,)) for s in map(tuple, strings) if s}
+    others |= {Str(a, ((s[0] + 1) % q,) + s[1:]) for s in map(tuple, strings) if s}
+    others -= set(atoms)
+    for law in (FiniteSupport(zip(atoms, masses)),
+                FiniteSupport._from_symbols(a, symbols, lengths, masses, "atoms[{}]".format)):
+        assert law.atoms == tuple(zip(atoms, masses))
+        for i, s in enumerate(atoms):
+            assert law._find(s) == i and law.pmf(s) == masses[i]
+            foreign = Str(Alphabet(q + 1), s.symbols)
+            assert law._find(foreign) is None and law.pmf(foreign) == 0
+        for s in others:
+            assert law._find(s) is None and law.pmf(s) == 0
+    # a long atom repeated later: the copy at j names the atom i it repeats
+    long_atoms = [i for i, s in enumerate(strings) if q ** len(s) >= CODE_LIMIT]
+    assume(long_atoms)
+    i = data.draw(st.sampled_from(long_atoms))
+    j = data.draw(st.integers(i + 1, n))
+    strings = strings[:j] + [strings[i]] + strings[j:]
+    mass = Fraction(1, n + 1)
+    with pytest.raises(DomainError, match=rf"^duplicate atom .*: atoms\[{j}\] repeats "
+                                           rf"atoms\[{i}\]$"):
+        FiniteSupport((Str(a, tuple(s)), mass) for s in strings)
+    symbols = np.array([x for s in strings for x in s], dtype=np.int64)
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    with pytest.raises(DomainError, match=rf"members\[{j}\] repeats members\[{i}\]$"):
+        FiniteSupport._from_symbols(a, symbols, lengths, mass, "members[{}]".format)
 
 
 def test_one_mass_samples_through_the_floats_of_per_atom_masses():

@@ -62,7 +62,12 @@ SIZES = {
     "NflInstance.m": (0, lambda v, rng: NflInstance(DOMAIN, DOMAIN[:2], v, never)),
     "nfl_brute_force.budget":
         (0, lambda v, rng: nfl_brute_force(NflInstance(DOMAIN, DOMAIN[:2], 1, never), budget=v)),
+    "check_nfl_budget.n": (1, lambda v, rng: check_nfl_budget(v, 2, 1, 10**6)),
+    "check_nfl_budget.p": (1, lambda v, rng: check_nfl_budget(4, v, 1, 10**6)),
+    "check_nfl_budget.m": (0, lambda v, rng: check_nfl_budget(4, 2, v, 10**6)),
     "check_nfl_budget.budget": (0, lambda v, rng: check_nfl_budget(4, 2, 1, v)),
+    "check_diagonal_budget.horizon": (1, lambda v, rng: check_diagonal_budget(v, 1, 10)),
+    "check_diagonal_budget.k_models": (0, lambda v, rng: check_diagonal_budget(3, v, 10)),
     "check_diagonal_budget.budget": (0, lambda v, rng: check_diagonal_budget(3, 1, v)),
     "check_trial_budget.budget": (0, lambda v, rng: check_trial_budget([10], 2, v)),
     "sweep.budget": (0, lambda v, rng: sweep(FlrmTrainer(A2, BOUND), README_LAW,
