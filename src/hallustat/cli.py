@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import Alphabet, count_upto, shortlex_strings, string_from_json
-from .errors import ConfigError, DominationError, WorkbenchError
+from .errors import ConfigError, DomainError, DominationError, WorkbenchError
 from .evaluation import (
     DEFAULT_BUDGET,
     check_trial_budget,
@@ -358,9 +358,13 @@ def cmd_sweep(cfg: dict, args) -> int:
 
 
 def _nfl_size(alphabet: Alphabet, cfg: dict, list_key: str, size_key: str) -> int:
-    """Length of the explicit string list, else the validated size field."""
+    """Length of the explicit string list, which must be non-empty (exit 3,
+    naming the field), else the validated size field."""
     if list_key in cfg:
-        return len(_list_field(cfg, list_key))
+        size = len(_list_field(cfg, list_key))
+        if size < 1:
+            raise DomainError(f"{list_key} must be non-empty")
+        return size
     size = _int_field(cfg, size_key, 1)
     if size > count_upto(alphabet, 32):
         raise ConfigError(f"{size_key} {size} is too large to enumerate")

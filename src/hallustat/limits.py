@@ -34,6 +34,8 @@ from .oracle import TrainingSequence
 NFL_LAMBDA_H_GRID = (Fraction(1, 8), Fraction(1, 4))
 NFL_BUDGET = DIAGONAL_BUDGET = 10**8
 MODEL_TABLE_SIZE, MODEL_MAX_LEN = 8, 6
+# nfl_brute_force's batch cap: labelings x units x domain strings per batch.
+NFL_BATCH_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,42 @@ class NflReport:
     verified: bool
 
 
+def _nfl_units(n: int, m: int, k: int, order_invariant: bool):
+    """Lazily, each unit of support size k in enumeration order: (support,
+    positions), where the training inputs are support[i] for i in positions.
+    An order-invariant learner has one unit per support, the support in
+    domain order padded to length m with its last element; any other learner
+    one per arrangement of the support into a length-m sequence."""
+    for support in itertools.combinations(range(n), k):
+        if order_invariant:
+            yield support, tuple(range(k)) + (k - 1,) * (m - k)
+        else:
+            for positions in itertools.product(range(k), repeat=m):
+                if len(set(positions)) == k:
+                    yield support, positions
+
+
+def _score_batch(hist, f_matrix, outputs, supports, p: int, weight: int) -> None:
+    """Add weight to the flat hist[q * (n + 1) + c] once for each unit of a
+    batch whose hypothesis trained on labeling q's pairs gets c domain strings
+    wrong (np.add.at, as the units of a batch repeat each q).
+
+    supports[u] is unit u's support (k domain indices), and outputs holds, unit
+    after unit, its hypotheses' label codes on the domain: one row of n per
+    restricted labeling, in lexicographic order.
+    """
+    q_total, n = f_matrix.shape
+    h_rows = np.array(outputs, dtype=f_matrix.dtype).reshape(-1, n)
+    # rows[u, q] = u * p^k + f_q|S read as a mixed-radix integer (first column
+    # most significant), the row of h_rows that unit u trained on f_q|S.
+    rows = np.arange(len(supports), dtype=np.int64)[:, None]
+    for column in supports.T:
+        rows = rows * p + f_matrix[:, column].T
+    wrong = np.count_nonzero(h_rows[rows] != f_matrix, axis=2)
+    wrong += np.arange(0, hist.size, n + 1)
+    np.add.at(hist, wrong.ravel(), weight)
+
+
 def nfl_brute_force(
     inst: NflInstance, lambda_h_grid=NFL_LAMBDA_H_GRID, budget: int = NFL_BUDGET
 ) -> NflReport:
@@ -298,12 +336,21 @@ def nfl_brute_force(
     (S, f|S), on S in domain order padded to length m with its last element,
     and its mismatches weigh as many as the k! * S(m, k) sequences with
     support S (k = |S|). Any other learner is trained on every such
-    sequence. Learner outputs outside the codomain always count as wrong.
+    sequence. Each hypothesis is asked once for each domain string, in domain
+    order; its outputs outside the codomain always count as wrong.
 
+    A unit is a support with its training sequence: one per support for an
+    order-invariant learner, one per arrangement otherwise. Within each
+    support size, units come lazily in batches of as many as keep labelings
+    x units x n within NFL_BATCH_CELLS = 2^16, and at least one (32 units at
+    8/2/4, one at 12/2/6). A batch makes its learner calls in enumeration
+    order, then scores every labeling against every unit in one numpy pass,
+    on label codes -1..p-1 of the narrowest signed int type that holds them
+    (int8 up to p = 128).
     Per-labeling counts of sequences by number of mismatched domain strings
-    are int64 numpy sums; the expected HP and the exact tail probabilities
-    of the worst labeling are assembled from them as Fractions. The budget
-    is an int >= 0 (check_int) that bounds nfl_work (check_nfl_budget).
+    are int64 sums; the expected HP and the exact tail probabilities of the
+    worst labeling are assembled from them as Fractions. The budget is an
+    int >= 0 (check_int) that bounds nfl_work (check_nfl_budget).
     """
     n = len(inst.domain)
     p = len(inst.codomain)
@@ -314,47 +361,35 @@ def nfl_brute_force(
             f"{n}^{m} training sequences times {n} domain strings overflow int64 counts"
         )
     q_total = p**n
-    # F[q, j] = codomain index assigned to domain[j] by labeling q.
+    # F[q, j] = codomain index assigned to domain[j] by labeling q, as a
+    # label code of the narrowest signed type holding -p, so -1..p-1 too.
     qs = np.arange(q_total, dtype=np.int64)
-    f_matrix = np.empty((q_total, n), dtype=np.int64)
+    f_matrix = np.empty((q_total, n), dtype=np.min_scalar_type(-p))
     for j in range(n):
         f_matrix[:, j] = (qs // p ** (n - 1 - j)) % p
-    codomain_rank = {y: r for r, y in enumerate(inst.codomain)}
+    domain, learner = inst.domain, inst.learner
+    rank = {y: r for r, y in enumerate(inst.codomain)}.get
+    # pairs[i][j] is the one training pair (domain[i], codomain[j]).
+    pairs = [tuple((x, y) for y in inst.codomain) for x in domain]
+    per_batch = max(1, NFL_BATCH_CELLS // (q_total * n))
 
-    def outputs(seq, support_labels, position) -> list[int]:
-        t = TrainingSequence(tuple(
-            (inst.domain[x], inst.codomain[support_labels[position[x]]]) for x in seq
-        ))
-        h = inst.learner(t)
-        return [codomain_rank.get(h(x), -1) for x in inst.domain]
-
-    # hist[q, c] = number of training sequences on which the learner trained
-    # on labeling q's pairs gets exactly c domain strings wrong.
-    hist = np.zeros((q_total, n + 1), dtype=np.int64)
+    # hist[q * (n + 1) + c] = number of training sequences on which the
+    # learner trained on labeling q's pairs gets exactly c domain strings wrong.
+    hist = np.zeros(q_total * (n + 1), dtype=np.int64)
     for k in _support_sizes(n, m):
-        weight = _surjections(m, k)
-        # Every labeling's restriction to a k-set is one of these label
-        # tuples; read as a mixed-radix integer (first column most
-        # significant), it is its index in this lexicographic list.
-        restricted = list(itertools.product(range(p), repeat=k))
-        radix = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        for support in itertools.combinations(range(n), k):
-            keys = f_matrix[:, np.array(support, dtype=np.intp)] @ radix
-            position = {x: i for i, x in enumerate(support)}
-            if inst.order_invariant:
-                arrangements = [(support + support[-1:] * (m - k), weight)]
-            else:
-                arrangements = (
-                    (seq, 1) for seq in itertools.product(support, repeat=m)
-                    if len(set(seq)) == k
-                )
-            for seq, w in arrangements:
-                h_rows = np.array(
-                    [outputs(seq, labels, position) for labels in restricted],
-                    dtype=np.int64,
-                )
-                mismatches = np.count_nonzero(h_rows[keys] != f_matrix, axis=1)
-                hist[qs, mismatches] += w
+        weight = _surjections(m, k) if inst.order_invariant else 1
+        units = _nfl_units(n, m, k, inst.order_invariant)
+        while batch := list(itertools.islice(units, per_batch)):
+            outputs = []
+            for support, positions in batch:
+                # The restricted labelings in lexicographic order, each as
+                # the pair it gives each support element.
+                for chosen in itertools.product(*(pairs[x] for x in support)):
+                    h = learner(TrainingSequence(tuple(map(chosen.__getitem__, positions))))
+                    outputs.extend(map(rank, map(h, domain), itertools.repeat(-1)))
+            supports = np.array([s for s, _ in batch], dtype=np.intp)
+            _score_batch(hist, f_matrix, outputs, supports, p, weight)
+    hist = hist.reshape(q_total, n + 1)
 
     d_total = n**m
     expected_counts = hist @ np.arange(n + 1, dtype=np.int64)
@@ -390,7 +425,7 @@ def memorize_constant_trainer(codomain):
     fallback = codomain[0]
 
     def trainer(t: TrainingSequence):
-        table = {s: y for s, y in t}
+        table = dict(t.pairs)
 
         def h(s: Str) -> Str:
             return table.get(s, fallback)
@@ -524,7 +559,7 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
     candidates = list(itertools.islice(shortlex_symbols(alphabet.size), max(psi, default=0)))
     for i, (p, symbols) in enumerate(zip(psi, shortlex_symbols(alphabet.size)), 1):
         s_i = Str(alphabet, symbols)
-        answers = [call(s_i) for call in calls[:i]]
+        answers = [call(s_i) for call in (calls[:i] if i < len(calls) else calls)]
         seen = {
             ans.symbols for ans in answers
             if type(ans) is Str and (ans.alphabet is alphabet or ans.alphabet == alphabet)

@@ -486,6 +486,20 @@ def test_train_eval_matches_committed_artifact(tmp_path, name):
     assert out.read_bytes() == golden
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("nfl_verify_*.json")))
+def test_nfl_verify_matches_committed_artifact(tmp_path, name):
+    # CI's 8/2/4 memorize_constant instance, an flrm learner that memorizes
+    # the domain strings of length <= 1 under a non-default lambda_h_grid,
+    # and 130 codomain strings over 2 domain strings (label codes past 127),
+    # replayed from the seed and config each embeds.
+    golden = (GOLDEN / name).read_bytes()
+    doc = json.loads(golden)
+    cfg = write_cfg(tmp_path, doc["config"])
+    out = tmp_path / "out.json"
+    assert run(["nfl-verify", "--config", cfg, "--seed", str(doc["seed"]), "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+
+
 @pytest.mark.parametrize("command, fields", [
     ("sweep", {"m_grid": [10**30]}),
     ("sweep", {"trials": 1, "m_grid": [10**8]}),  # m + 1 is one past the default
@@ -655,16 +669,16 @@ def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, mo
     assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, message", [("domain", "n must be >= 1"),
-                                            ("codomain", "p must be >= 1")])
-def test_nfl_verify_empty_string_list_exit_3_at_any_budget(tmp_path, capsys, field, message):
-    # An empty list is a domain error even where no work fits the budget.
+@pytest.mark.parametrize("field", ["domain", "codomain"])
+def test_nfl_verify_empty_string_list_exit_3_at_any_budget(tmp_path, capsys, field):
+    # An empty list is a domain error even where no work fits the budget, and
+    # the message names the config field.
     doc = nfl_cfg()
     del doc["domain_size"], doc["codomain_size"]
     doc.update(domain=[[0], [1]], codomain=[[0]], m=0, budget=0)
     doc[field] = []
     assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc)]) == 3
-    assert message in capsys.readouterr().err
+    assert f"{field} must be non-empty" in capsys.readouterr().err
 
 
 def test_nfl_verify_m_out_of_regime_exit_3(tmp_path):

@@ -511,6 +511,99 @@ def test_nfl_supports_match_per_sequence_oracle(learner_kind, order_invariant, m
     assert nfl_brute_force(inst, grid) == nfl_per_sequence(inst, grid)
 
 
+def batch_sizes(monkeypatch, units_per_batch, p, n):
+    """Cap nfl_brute_force's batches at units_per_batch units of p^n
+    labelings over n domain strings, and record how many units each scores."""
+    monkeypatch.setattr(limits, "NFL_BATCH_CELLS", units_per_batch * p**n * n)
+    sizes = []
+    score = limits._score_batch
+
+    def recording(hist, f_matrix, outputs, supports, *args):
+        sizes.append(len(supports))
+        score(hist, f_matrix, outputs, supports, *args)
+
+    monkeypatch.setattr(limits, "_score_batch", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("units_per_batch", [1, 2, 5])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("learner_kind, order_invariant", [
+    ("memorize_constant", True), ("memorize_constant", False), ("last_pair", False),
+])
+def test_nfl_batches_match_per_sequence_oracle(monkeypatch, learner_kind, order_invariant, p,
+                                               units_per_batch):
+    # Every support size splits into several batches, down to one unit each.
+    dom = domain_strings(6)
+    cod = tuple(shortlex_string(A2, i + 1) for i in range(p))
+    learner = (memorize_constant_trainer(cod) if learner_kind == "memorize_constant"
+               else last_pair_trainer(cod))
+    inst = NflInstance(domain=dom, codomain=cod, m=3, learner=learner,
+                       order_invariant=order_invariant)
+    sizes = batch_sizes(monkeypatch, units_per_batch, p, 6)
+    assert nfl_brute_force(inst, NFL_GRID) == nfl_per_sequence(inst, NFL_GRID)
+    units = 6 + 15 + 20 if order_invariant else 6 * 1 + 15 * 6 + 20 * 6  # C(6, k) k! S(3, k)
+    assert sum(sizes) == units
+    assert max(sizes) == units_per_batch
+    assert len(sizes) > 3  # more batches than support sizes
+
+
+@pytest.mark.parametrize("units_per_batch", [1, 3, None])
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("order_invariant", [True, False])
+def test_nfl_learner_sees_the_enumeration_order_and_one_query_per_string(
+        monkeypatch, order_invariant, m, units_per_batch):
+    # The training sequences, in the order of the loop that trains on each
+    # support's sequences and, for each, on every restricted labeling in
+    # lexicographic order; each hypothesis is asked once per domain string,
+    # in domain order, before the next training call.
+    n, p = 6, 3
+    dom = domain_strings(n)
+    cod = tuple(shortlex_string(A2, i + 1) for i in range(p))
+    if units_per_batch is not None:
+        batch_sizes(monkeypatch, units_per_batch, p, n)
+    trainer = memorize_constant_trainer(cod)
+    trained, queries = [], []
+
+    def recording(t):
+        assert all(len(asked) == n for asked in queries)
+        trained.append(t.pairs)
+        asked = []
+        queries.append(asked)
+        h = trainer(t)
+
+        def query(x):
+            asked.append(x)
+            return h(x)
+
+        return query
+
+    inst = NflInstance(domain=dom, codomain=cod, m=m, learner=recording,
+                       order_invariant=order_invariant)
+    nfl_brute_force(inst)
+    expected = []
+    for k in (range(1, m + 1) if m else range(1)):
+        for support in itertools.combinations(range(n), k):
+            position = {x: i for i, x in enumerate(support)}
+            sequences = ([support + support[-1:] * (m - k)] if order_invariant else
+                         [seq for seq in itertools.product(support, repeat=m)
+                          if len(set(seq)) == k])
+            for seq in sequences:
+                for labels in itertools.product(range(p), repeat=k):
+                    expected.append(tuple((dom[x], cod[labels[position[x]]]) for x in seq))
+    assert trained == expected
+    assert queries == [list(dom)] * len(expected)
+
+
+@pytest.mark.parametrize("p", [128, 129, 130])
+def test_nfl_label_codes_past_int8(p):
+    # Label codes run from -1 to p - 1: int8 up to p = 128, a wider type past it.
+    dom = domain_strings(2)
+    cod = tuple(shortlex_string(A2, i) for i in range(p))
+    inst = NflInstance(domain=dom, codomain=cod, m=1, learner=memorize_constant_trainer(cod))
+    assert nfl_brute_force(inst, NFL_GRID) == nfl_per_sequence(inst, NFL_GRID)
+
+
 @pytest.mark.parametrize("n, m, calls, expected", [
     (8, 4, 1_696, Fraction(2401, 4096)),
     (10, 5, 12_584, Fraction(59049, 100000)),
