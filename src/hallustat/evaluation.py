@@ -74,7 +74,10 @@ sweep and train-eval bound their work before any draw (check_trial_budget):
 trials times the sum of m + 1 over the m grid. Off the coded path, which
 never holds its draws, an m whose draws no numpy array can hold is rejected
 before any draw too (check_draw_count): by sweep for its whole grid, by
-generate_qualified and by the atom trial.
+generate_qualified and by the atom trial. On the coded path, an m whose
+seen-table has more than CODED_TABLE_CAP = 2^24 entries is rejected before
+any stream is derived or read (_coded_width): by sweep for its whole grid
+and by run_trial.
 """
 
 from __future__ import annotations
@@ -101,6 +104,10 @@ _BATCH_ENTRIES = 2**16
 # spread one derivation's fixed cost, few enough that a row of many trials
 # does not hold a generator (about 1 kB) per trial.
 _STREAM_GROUP = 64
+# The most seen-table entries one coded trial holds (_coded_width): a byte
+# each, plus 8 for the int64 copy np.add.reduceat counts them in, 151 MB.
+# The table has fewer than 1.45 m entries, so every m below 10^7 fits.
+CODED_TABLE_CAP = 2**24
 # The work sweep and train-eval allow unless told otherwise (check_trial_budget).
 DEFAULT_BUDGET = 10**8
 # (draws, confidence) of evaluate_hp's Monte Carlo estimate for a model it
@@ -232,10 +239,10 @@ def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, gt: GroundTruth, m: in
     each chunk's kept draws of every open trial go through one
     kernels.sample_codes call (or one per _BATCH_ENTRIES kept draws), whose
     codes mark a (trials, count_upto(top)) seen-table with one scatter.
-    The caller bounds that table, as sweep does. Each trial reads its own
-    blocks at the positions and sizes a lone trial reads, into one buffer
-    reused across the trials, and keeps the draws from its own lowest open
-    level up to top. Every stream is checked before any is read. With
+    The caller bounds that table, as sweep and run_trial do (_coded_width).
+    Each trial reads its own blocks at the positions and sizes a lone trial
+    reads, into one buffer reused across the trials, and keeps the draws
+    from its own lowest open level up to top. Every stream is checked before any is read. With
     end_read (run_trial's case), each stream is then moved to where
     generate_qualified leaves it; a caller that drops the streams, as sweep
     does, passes end_read=False and leaves each after its last block.
@@ -335,6 +342,16 @@ def _fast_trial(trainer: FlrmTrainer, mu: LengthFactored, gt: GroundTruth, m: in
     return [hp_of[seen_at] for seen_at in rows]
 
 
+def _coded_width(trainer: FlrmTrainer, mu: LengthFactored, m: int, name: str) -> int:
+    """count_upto(top), the width of a coded trial's seen-table at m (named
+    `name`); DomainError past CODED_TABLE_CAP, before any stream is read."""
+    width = count_upto(trainer.alphabet, _coded_top(trainer, mu, m)[1])
+    if width > CODED_TABLE_CAP:
+        raise DomainError(f"{name} must give a coded trial a seen-table of at most "
+                          f"{CODED_TABLE_CAP} entries, the most one holds; got {width}")
+    return width
+
+
 def _atom_trial(trainer: FlrmTrainer, mu: FiniteSupport, gt: GroundTruth, m: int,
                 labeler: Labeler, rng) -> float:
     """Exact HP of one memorizer trial on a finite support, from the indices
@@ -376,9 +393,9 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
 
     A model that evaluate_hp cannot sum exactly (from a trainer other than
     a threshold memorizer) gets a Monte Carlo estimate from rng at
-    MC_FALLBACK. m must be an int >= 0 and labeler a Labeler, and off the
-    coded path m must pass check_draw_count; all of it is checked before
-    any draw.
+    MC_FALLBACK. m must be an int >= 0 and labeler a Labeler. Off the
+    coded path m must pass check_draw_count, and on it its seen-table must
+    fit CODED_TABLE_CAP; all of it is checked before any draw.
     """
     check_int(m, "m", 0)
     check_labeler(labeler)
@@ -387,6 +404,7 @@ def run_trial(trainer, mu, gt: GroundTruth, m: int, labeler: Labeler, rng):
         check_draw_count(m, "m")
         return _atom_trial(trainer, mu, gt, m, labeler, rng)
     if path == "coded":
+        _coded_width(trainer, mu, m, "m")
         return _fast_trial(trainer, mu, gt, m, labeler, [rng])[0]
     model = trainer(generate_qualified(mu, gt, m, labeler, rng))
     return evaluate_hp(model, mu, gt, rng).estimate
@@ -427,9 +445,9 @@ def sweep(
     run_trial's: exact for a threshold memorizer, so a row's spread is
     between training samples only. The whole sweep must fit the budget
     (check_trial_budget). Each m of m_grid, trials and budget must be an
-    int, not a bool, labeler a Labeler, and off the coded path each m must
-    pass check_draw_count; all of it is checked before any stream is
-    derived.
+    int, not a bool, and labeler a Labeler. Off the coded path each m must
+    pass check_draw_count, and on it each m's seen-table must fit
+    CODED_TABLE_CAP; all of it is checked before any stream is derived.
 
     Each row derives its streams in groups through derive_streams, one
     group at a time, and drops them after it. A coded row's group is a
@@ -449,16 +467,14 @@ def sweep(
     check_labeler(labeler)
     check_trial_budget(m_grid, trials, budget)
     path = _trial_path(trainer, mu, gt)
-    if path != "coded":  # a coded trial never holds its m draws
+    if path == "coded":  # a coded trial never holds its m draws, only its seen-table
+        widths = [_coded_width(trainer, mu, m, f"m_grid[{i}]") for i, m in enumerate(m_grid)]
+    else:
         for i, m in enumerate(m_grid):
             check_draw_count(m, f"m_grid[{i}]")
     rows = []
     for row, m in enumerate(m_grid):
-        if path == "coded":
-            width = count_upto(mu.alphabet, _coded_top(trainer, mu, m)[1])
-            batch = max(1, _BATCH_ENTRIES // width)
-        else:
-            batch = _STREAM_GROUP
+        batch = max(1, _BATCH_ENTRIES // widths[row]) if path == "coded" else _STREAM_GROUP
         hps = []
         for first in range(0, trials, batch):
             rngs = derive_streams(master_seed, (row,), range(first, min(first + batch, trials)))

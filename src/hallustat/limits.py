@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (Alphabet, Str, count_upto, shortlex_index, shortlex_string, shortlex_strings,
-                   shortlex_symbols)
+from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string, shortlex_strings
 from .errors import DomainError, _int_text, check_budget, check_int
 from .flrm import MemorizerModel, level_float, sample_size_at
 from .measures import CdfLowerBound
@@ -534,42 +533,82 @@ def diagonalize(
     return DiagonalConstruction(models=models, alphabet=alphabet, horizon=horizon, psi=tuple(psi))
 
 
+def _answer_rank(answer, alphabet: Alphabet, cap: int) -> int:
+    """The shortlex rank of a model's answer, clipped to cap, or -1 when the
+    answer is not a Str over `alphabet` (the same object or an equal one)."""
+    if type(answer) is Str and (answer.alphabet is alphabet or answer.alphabet == alphabet):
+        return min(shortlex_index(answer), cap)
+    return -1
+
+
+def _window_answers(model, alphabet: Alphabet, start: int, stop: int, cap: int,
+                    window: list[Str]) -> np.ndarray:
+    """The int64 answers of `model` on the window strings of shortlex ranks
+    start..stop - 1, each as _answer_rank gives it.
+
+    A MemorizerModel whose type's __call__ is MemorizerModel.__call__
+    answers from its table, as model(s) would: its default output everywhere, and each
+    table key's value on the key. Any other model is asked once per string,
+    through its type's __call__ bound to it, as model(s) resolves it; the
+    window's Strs are built into `window` the first time they are needed.
+    """
+    if isinstance(model, MemorizerModel) and type(model).__call__ is MemorizerModel.__call__:
+        answers = np.full(stop - start, _answer_rank(model.default_output, alphabet, cap),
+                          dtype=np.int64)
+        # Over another alphabet than the window's, every answer reads -1.
+        for s, y in model.table.items():
+            r = shortlex_index(s)
+            if start <= r < stop and type(s) is Str:
+                answers[r - start] = _answer_rank(y, alphabet, cap)
+        return answers
+    if not window:
+        window.extend(shortlex_strings(alphabet, 0, stop))
+    call = type(model).__call__.__get__(model)
+    return np.fromiter((_answer_rank(call(s), alphabet, cap) for s in window[start:stop]),
+                       dtype=np.int64, count=stop - start)
+
+
 def verify_diagonal(construction: DiagonalConstruction) -> bool:
     """Recheck both that every covered model differs from the diagonal map on
     every window string and that each psi value is the least candidate.
 
-    The models are black boxes: each of the first min(i, K) models is asked
-    once for its answer on the i-th window string, sum_i min(i, K) queries in
-    all, and the construction's own table inversion is never read. The call
-    of each of the first min(K, H) models is bound once, through its type as
-    model(s) resolves it; a model past the horizon H is never touched. An answer
-    counts as a string only if it is a Str over the construction's alphabet
-    (the same object or an equal one), as Str equality has it. The target
-    and the candidates below it are then looked up among the answers' symbol
-    tuples. A psi_i above min(i, K) + 1 fails without a query: its psi_i - 1
-    candidates cannot all be among min(i, K) answers.
+    The models are black boxes, and the recheck runs model by model, not
+    string by string: model j (0-based) of the first min(K, H) answers once
+    for each window string of rank j..H-1, so the i-th string gets the
+    answers of the first min(i, K) models, sum_i min(i, K) in all. The
+    construction's own table inversion is never read, and a model past the
+    horizon H is never touched. A MemorizerModel whose type's __call__ is
+    MemorizerModel.__call__ (so also a subclass that overrides only predict)
+    answers from its table, as model(s) would, without a query. Any other
+    model is asked each covered pair exactly once, through its type's
+    __call__ bound to it, as model(s) resolves it (_window_answers). An
+    answer counts only if it is a Str over the construction's alphabet (the
+    same object or an equal one), as Str equality has it.
+
+    Only candidates below max(psi) are compared, so each answer is kept as
+    its shortlex rank clipped to max(psi), in one (H, max(psi) + 1) bool
+    presence table. A psi_i above min(i, K) + 1 fails first, without a
+    query: its psi_i - 1 candidates cannot all be among min(i, K) answers.
+    So the table holds at most twice the queries the diagonalize budget
+    charges, plus 2H. Any other failure is decided after all the answers:
+    the i-th string passes iff the first candidate absent from its row is
+    psi_i - 1.
     """
     alphabet = construction.alphabet
-    models = construction.models
+    horizon = construction.horizon
     psi = construction.psi
-    k_models = len(models)
+    k_models = len(construction.models)
     if any(p > min(i, k_models) + 1 for i, p in enumerate(psi, 1)):
         return False
-    calls = [type(model).__call__.__get__(model) for model in models[: construction.horizon]]
-    candidates = list(itertools.islice(shortlex_symbols(alphabet.size), max(psi, default=0)))
-    for i, (p, symbols) in enumerate(zip(psi, shortlex_symbols(alphabet.size)), 1):
-        s_i = Str(alphabet, symbols)
-        answers = [call(s_i) for call in (calls[:i] if i < len(calls) else calls)]
-        seen = {
-            ans.symbols for ans in answers
-            if type(ans) is Str and (ans.alphabet is alphabet or ans.alphabet == alphabet)
-        }
-        if candidates[p - 1] in seen:
-            return False
-        for c in range(p - 1):
-            if candidates[c] not in seen:
-                return False
-    return True
+    cap = max(psi)
+    present = np.zeros((horizon, cap + 1), dtype=bool)
+    window: list[Str] = []
+    for j, model in enumerate(construction.models[:horizon]):
+        answers = _window_answers(model, alphabet, j, horizon, cap, window)
+        rows = np.flatnonzero(answers >= 0)
+        present[rows + j, answers[rows]] = True
+    present[:, cap] = False  # an answer clipped to max(psi) is no candidate
+    return bool(np.all(present.argmin(axis=1) == np.asarray(psi) - 1))
 
 
 def random_table_models(

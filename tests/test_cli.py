@@ -559,6 +559,25 @@ def test_an_m_numpy_cannot_allocate_exits_3_before_any_draw(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_a_coded_sweep_whose_seen_table_cannot_be_held_exits_3_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # The README law at m = 10^20, inside a budget of 10^21, takes the coded
+    # path, whose seen-table would hold 2^30 - 1 entries: exit 3 before any
+    # stream is derived, with no traceback and no artifact.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was derived before the seen-table was charged")
+
+    monkeypatch.setattr(evaluation, "derive_streams", refuse)
+    doc = sweep_cfg()
+    doc.update(m_grid=[10**20], trials=1, budget=10**21)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "m_grid[0] must give a coded trial a seen-table of at most" in err
+    assert "got 1073741823" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_and_train_eval_run_at_exactly_their_budget(tmp_path, capsys):
     # trials * sum(m + 1) = 2 * (4 + 6) = 20 for the sweep, m + 1 for train-eval
     doc = sweep_cfg()

@@ -978,6 +978,32 @@ def test_trials_that_hold_their_draws_reject_an_m_from_2_60_before_any_draw(monk
                  budget=2**62)[0].mean_hp == 0.0
 
 
+def test_a_coded_seen_table_past_its_cap_is_rejected_before_any_stream(monkeypatch):
+    # README law at m = 10^20 (inside a budget of 10^21): the seen-table
+    # would cover every length the law samples, count_upto(29) = 2^30 - 1
+    # entries, and its int64 counts 8 GiB. The whole grid is checked first.
+    _path, trainer, mu, gt = one_instance_per_path()[0]
+    width = count_upto(A2, 29)
+    assert count_upto(A2, evaluation._coded_top(trainer, mu, 10**20)[1]) == width
+    words = (f"must give a coded trial a seen-table of at most {evaluation.CODED_TABLE_CAP} "
+             f"entries, the most one holds; got {width}$")
+    assert_rejected_before_any_draw(
+        lambda rng: run_trial(trainer, mu, gt, 10**20, Labeler.CANONICAL, rng), monkeypatch,
+        match="^m " + words)
+    assert_rejected_before_any_draw(
+        lambda rng: sweep(trainer, mu, gt, [10, 10**20], 1, Labeler.CANONICAL, 5,
+                          budget=10**21), monkeypatch, match=r"^m_grid\[1\] " + words)
+    # The cap admits a table of exactly its size.
+    width = count_upto(A2, evaluation._coded_top(trainer, mu, 1000)[1])
+    expected = sweep(trainer, mu, gt, [1000], 2, Labeler.CANONICAL, 5)
+    monkeypatch.setattr(evaluation, "CODED_TABLE_CAP", width)
+    assert sweep(trainer, mu, gt, [1000], 2, Labeler.CANONICAL, 5) == expected
+    monkeypatch.setattr(evaluation, "CODED_TABLE_CAP", width - 1)
+    assert_rejected_before_any_draw(
+        lambda rng: run_trial(trainer, mu, gt, 1000, Labeler.CANONICAL, rng), monkeypatch,
+        match=f"most {width - 1} entries, the most one holds; got {width}$")
+
+
 def test_sweep_derives_an_object_or_atom_row_in_bounded_groups(monkeypatch):
     # _STREAM_GROUP streams at a time, here 3: a 7-trial row derives 3 + 3 + 1,
     # and the rows are those of the unpatched sweep.

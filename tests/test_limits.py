@@ -843,6 +843,69 @@ def test_verify_diagonal_calls_models_as_model_of_s_does():
     assert not verify_diagonal(DiagonalConstruction((model,), A2, 8, (2,) * 8))
 
 
+class AnswersNext(MemorizerModel):
+    """A memorizer whose call operator answers the next string in shortlex
+    order: model(s) never reads its table."""
+
+    def __call__(self, s):
+        return shortlex_string(A2, shortlex_index(s) + 1)
+
+
+class PredictsNext(MemorizerModel):
+    """A memorizer that overrides predict only: model(s) still runs
+    MemorizerModel.predict, which __call__ names."""
+
+    def predict(self, s):
+        return shortlex_string(A2, shortlex_index(s) + 1)
+
+
+def test_verify_diagonal_reads_a_table_only_where_model_of_s_does():
+    tables = random_table_models(A2, 4, np.random.default_rng(3), max_len=3)
+    answers_next = AnswersNext(A2, tables[0].table, 3)
+    predicts_next = PredictsNext(A2, tables[1].table, 3)
+    labeled = Alphabet(2, ("a", "b"))
+    foreign = MemorizerModel(labeled, {Str(labeled, (0,)): Str(labeled, ())}, 1)
+    # Every answer of answers_next has rank >= 1, so "" is free everywhere;
+    # its table answers "" on s_4, where diagonalize reads psi_4 = 2.
+    psi = diagonalize_by_queries([answers_next], A2, 8)
+    assert psi == (1,) * 8 and diagonalize([tables[0]], A2, 8).psi[3] == 2
+    assert verify_diagonal(DiagonalConstruction((answers_next,), A2, 8, psi))
+    assert not verify_diagonal(DiagonalConstruction((answers_next,), A2, 8, (2,) * 8))
+    # predicts_next answers from its table, as diagonalize reads it.
+    assert predicts_next(empty_string(A2)) == tables[1](empty_string(A2))
+    assert diagonalize([predicts_next], A2, 8).psi == diagonalize_by_queries([predicts_next], A2, 8)
+    # No answer of a model over another alphabet counts, not even its "".
+    assert diagonalize_by_queries([foreign], A2, 8) == (1,) * 8
+    model_lists = [
+        (answers_next, predicts_next, *tables[2:]),
+        (foreign, *tables),
+        (tables[0], lambda x: x, foreign, tables[1], lambda x: shortlex_string(A2, 2),
+         answers_next, lambda x: None, tables[2]),
+    ]
+    for models in model_lists:
+        for horizon in (1, 3, 40):  # K > H, then K < H
+            psi = diagonalize_by_queries(models, A2, horizon)
+            c = DiagonalConstruction(models, A2, horizon, psi)
+            assert verify_diagonal(c)
+            assert_verdicts_match_pairs(c)
+
+
+def test_verify_diagonal_builds_no_string_for_plain_memorizers(monkeypatch):
+    models = random_table_models(A2, 50, np.random.default_rng(6), max_len=8)
+    c = diagonalize(models, A2, 300)
+    with_echo = DiagonalConstruction(c.models + (lambda x: x,), A2, 300, c.psi)
+    built = []
+    post_init = Str.__post_init__
+    monkeypatch.setattr(Str, "__post_init__", lambda self: built.append(self) or post_init(self))
+    assert verify_diagonal(c)
+    assert not built
+    # A model asked through the adapter is asked on the window's Strs,
+    # built once, and each answer it gives is one of them here.
+    verdict = verify_diagonal(with_echo)
+    assert [shortlex_index(x) for x in built] == list(range(300))
+    assert verdict == verify_diagonal_by_pairs(with_echo)
+
+
 def test_diagonal_construction_checks_psi():
     with pytest.raises(DomainError, match="psi holds 2 ranks"):
         DiagonalConstruction((), A2, 3, (1, 1))
