@@ -476,8 +476,10 @@ def test_sweep_matches_committed_artifact(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("train_eval_*.json")))
 def test_train_eval_matches_committed_artifact(tmp_path, name):
     # The train-eval reports on the laws of sweep_finite_long_atom_seed0.csv
-    # and sweep_long_overrides_seed0.csv, replayed from the seed and config
-    # each embeds.
+    # and sweep_long_overrides_seed0.csv, and on the README law at q = 3
+    # under the uniform labeler with an override inside n̄ = 2 and one past
+    # it (the closed-form sum over a memorizer's table), replayed from the
+    # seed and config each embeds.
     golden = (GOLDEN / name).read_bytes()
     doc = json.loads(golden)
     cfg = write_cfg(tmp_path, doc["config"])
@@ -497,6 +499,22 @@ def test_nfl_verify_matches_committed_artifact(tmp_path, name):
     cfg = write_cfg(tmp_path, doc["config"])
     out = tmp_path / "out.json"
     assert run(["nfl-verify", "--config", cfg, "--seed", str(doc["seed"]), "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("diagonalize_*.csv")))
+def test_diagonalize_matches_committed_artifact(tmp_path, name):
+    # The benchmark's diag op, 200 random table models over 600 binary
+    # strings, and CI's 50 models with 5 entries of length <= 4 over 400
+    # ternary strings, replayed from the seed and config in each preamble.
+    golden = (GOLDEN / name).read_bytes()
+    header = dict(line[2:].split(": ", 1) for line in golden.decode().splitlines()
+                  if line.startswith("# "))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(header["config"])
+    out = tmp_path / "out.csv"
+    assert run(["diagonalize", "--config", str(cfg), "--seed", header["seed"],
+                "--out", str(out)]) == 0
     assert out.read_bytes() == golden
 
 
