@@ -99,10 +99,6 @@ class Str:
             return "".join(str(sym) for sym in self.symbols)
         return "".join(labels[sym] for sym in self.symbols)
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Key realizing shortlex order under tuple comparison."""
-        return (len(self.symbols), self.symbols)
-
 
 def empty_string(alphabet: Alphabet) -> Str:
     return Str(alphabet, ())

@@ -1,5 +1,7 @@
 """Structured errors carrying the CLI exit code they map to."""
 
+DRAW_CAP = 2**23  # the most draws one object or atom trial holds (check_draw_count)
+
 
 class WorkbenchError(Exception):
     """Base class; exit_code is what the CLI process returns on this failure."""
@@ -47,12 +49,12 @@ def check_int(value, name: str, minimum: int) -> None:
 
 
 def check_draw_count(m: int, name: str) -> None:
-    """Raise DomainError, before any draw, for an m no array of m double
-    draws can hold: 8m bytes pass the 2^63 - 1 that numpy allows one array
-    from m = 2^60 on. Only a caller that holds its m draws checks it."""
-    if m >= 2**60:
-        raise DomainError(f"{name} must be below 2^60, the most doubles one numpy array "
-                          f"holds; got a {m.bit_length()}-bit number")
+    """Raise DomainError, before any draw, for an m past DRAW_CAP, the most
+    draws one object or atom trial holds: at about 90 bytes each at its peak
+    (tracemalloc, README law; an atom trial 33), 755 MB."""
+    if m > DRAW_CAP:
+        raise DomainError(f"{name} must be at most {DRAW_CAP}, the most draws one trial "
+                          f"holds; got {_int_text(m)}")
 
 
 def _int_text(n: int) -> str:

@@ -82,6 +82,7 @@ and by run_trial.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,7 +90,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .core import CODE_LIMIT, count_upto, empty_string
+from .core import CODE_LIMIT, count_upto, empty_string, shortlex_index
 from .errors import DomainError, check_budget, check_draw_count, check_int
 from .flrm import FlrmTrainer, MemorizerModel, threshold_length
 from .measures import FiniteSupport, LengthFactored
@@ -205,14 +206,20 @@ def _level_sum_hp(mu: LengthFactored, gt: GroundTruth, wrong, corrections=()) ->
 
 
 def _memorizer_hp(model: MemorizerModel, mu: LengthFactored, gt: GroundTruth) -> float:
-    """Closed-form HP of a memorizer, counted from its table and the ground
-    truth's overrides: every other string gets the empty output under the
-    default rule, which is wrong on all strings of a length or on none."""
+    """Closed-form HP of a memorizer, counted from its rank table and the
+    overrides: every other string gets the empty output under the default
+    rule, wrong on all strings of a length or on none. An entry off the
+    overrides is right iff its output rank is gt.default_rank's."""
     q = mu.alphabet.size
-    top = max(model.threshold, 0)  # table keys are no longer than the threshold
+    top = max(model.threshold, 0)  # every table key ranks below count_upto(top)
     wrong = [q**n if n >= gt._empty_wrong_from else 0 for n in range(top + 1)]
+    firsts = [count_upto(mu.alphabet, n) for n in range(top)]  # the ranks where lengths 1.. start
+    overrides = {shortlex_index(s): s for s, _ in gt.overrides}
+    for r in model.table.keys() - overrides.keys():
+        n = bisect.bisect_right(firsts, r)
+        wrong[n] += (model.table[r] != gt.default_rank(r)) - (n >= gt._empty_wrong_from)
     corrections = []
-    for s in set(model.table).union(key for key, _ in gt.overrides):
+    for s in overrides.values():
         n = len(s)
         delta = (not gt.accepts(s, model(s))) - (n >= gt._empty_wrong_from)
         if n <= top:
@@ -511,10 +518,5 @@ def sweep_csv(rows, preamble=()) -> str:
 
 
 def unmemorized_mass_lower_bound(model, mu) -> float:
-    """Mass of inputs longer than anything the model can have memorized."""
-    cap = model.threshold
-    for s in model.table:
-        cap = max(cap, len(s))
-    if cap < 0:
-        return 1.0
-    return float(mu.defect(cap))
+    """Mass of inputs longer than the model's threshold, past which no key is."""
+    return 1.0 if model.threshold < 0 else float(mu.defect(model.threshold))

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .core import Alphabet, Str, empty_string, string_from_json
-from .errors import ConfigError, DomainError, check_int
+from .core import Alphabet, Str, count_upto, shortlex_index, shortlex_string, string_from_json
+from .errors import ConfigError, DomainError, _int_text, check_int
 from .measures import CdfLowerBound
 from .oracle import TrainingSequence
 
@@ -60,50 +61,53 @@ def threshold_length(m: int, alphabet: Alphabet, bound: CdfLowerBound) -> int:
 
 @dataclass(frozen=True)
 class MemorizerModel:
-    """Finite lookup table capped at a length threshold; unknown inputs map
-    to the empty string, built once per model as `default_output`.
-
-    The threshold is an int >= -1 (check_int) and no table key is longer,
-    so `predict` answers a longer Str with `default_output` without looking
-    it up (or hashing it); any other argument is looked up in the table.
-    """
+    """Finite lookup table from each memorized input's shortlex rank to its
+    output's, read-only, ints >= 0 of any size (check_int); each key is below
+    count_upto(threshold), the threshold an int >= -1. `predict` looks up the
+    rank of a Str over the model's alphabet no longer than the threshold, and
+    answers anything else with the empty string, built on first use as
+    `default_output`."""
 
     alphabet: Alphabet
-    table: dict[Str, Str] = field(default_factory=dict)
+    table: dict[int, int] = field(default_factory=dict)
     threshold: int = -1
-    default_output: Str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_int(self.threshold, "threshold", -1)
-        alphabet = self.alphabet
         frozen = types.MappingProxyType(dict(self.table))
-        for s, y in frozen.items():
-            if len(s.symbols) > self.threshold:
-                raise DomainError(
-                    f"table key of length {len(s.symbols)} exceeds threshold {self.threshold}"
-                )
-            if not (s.alphabet is alphabet or s.alphabet == alphabet) or not (
-                y.alphabet is alphabet or y.alphabet == alphabet
-            ):
-                raise DomainError("table entries must use the model's alphabet")
+        for key, value in frozen.items():
+            if type(key) is not int or type(value) is not int or key < 0 or value < 0:
+                check_int(key, "table key rank", 0)
+                check_int(value, "table output rank", 0)
+        top = max(frozen, default=-1)
+        if top >= 0 and (self.threshold < 0 or top >= count_upto(self.alphabet, self.threshold)):
+            raise DomainError(f"table key rank {_int_text(top)} is past threshold {self.threshold}")
         object.__setattr__(self, "table", frozen)
-        object.__setattr__(self, "default_output", empty_string(self.alphabet))
+
+    @cached_property
+    def default_output(self) -> Str:
+        return Str(self.alphabet, ())
 
     def predict(self, s: Str) -> Str:
-        if type(s) is Str and len(s.symbols) > self.threshold:
+        if type(s) is not Str or len(s.symbols) > self.threshold or s.alphabet != self.alphabet:
             return self.default_output
-        return self.table.get(s, self.default_output)
+        y = self.table.get(shortlex_index(s))
+        return self.default_output if y is None else shortlex_string(self.alphabet, y)
 
     __call__ = predict
 
 
 def train(t: TrainingSequence, alphabet: Alphabet, bound: CdfLowerBound) -> MemorizerModel:
+    """The memorizer of t: the rank of each input no longer than n̄ maps to
+    that of its last output; every kept string must be over `alphabet`."""
     n_bar = threshold_length(len(t), alphabet, bound)
     # last_outputs() is dict(t.pairs): each input at its first place with
     # its last output, as a loop of overwrites would leave it, built once
     # per distinct input, not once per pair.
-    table = {s: y for s, y in t.last_outputs().items() if len(s) <= n_bar}
-    return MemorizerModel(alphabet, table, n_bar)
+    kept = [(s, y) for s, y in t.last_outputs().items() if len(s.symbols) <= n_bar]
+    if {x.alphabet for pair in kept for x in pair} - {alphabet}:
+        raise DomainError("table entries must use the model's alphabet")
+    return MemorizerModel(alphabet, {shortlex_index(s): shortlex_index(y) for s, y in kept}, n_bar)
 
 
 @dataclass(frozen=True)
@@ -118,24 +122,25 @@ class FlrmTrainer:
 
 
 def model_to_json(model: MemorizerModel) -> dict:
-    entries = sorted(model.table.items(), key=lambda kv: kv[0].sort_key())
+    """The threshold, and the table as symbol lists in key rank order."""
     return {
         "threshold": model.threshold,
-        "table": [{"s": list(s.symbols), "y": list(y.symbols)} for s, y in entries],
+        "table": [{key: list(shortlex_string(model.alphabet, rank).symbols)
+                   for key, rank in zip("sy", entry)} for entry in sorted(model.table.items())],
     }
 
 
 def model_from_json(alphabet: Alphabet, doc: dict) -> MemorizerModel:
     """The model of a model_to_json document, its numbers taken as they are:
     MemorizerModel checks the threshold, and each table string is a string
-    field (string_from_json, which names table[i].s or table[i].y). A
-    missing key is a ConfigError too."""
+    field (string_from_json, which names table[i].s or table[i].y), kept as
+    its rank. A missing key is a ConfigError too."""
     try:
         threshold = doc["threshold"]
         table = {}
         for i, entry in enumerate(doc["table"]):
             s, y = (string_from_json(alphabet, entry[key], f"table[{i}].{key}") for key in "sy")
-            table[s] = y
+            table[shortlex_index(s)] = shortlex_index(y)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed model document: {exc}") from exc
     return MemorizerModel(alphabet, table, threshold)

@@ -493,9 +493,9 @@ def diagonalize(
     string avoided by the first min(i, K) models' answers.
 
     The models must be MemorizerModels over `alphabet`. Such a model answers
-    its table entry on a string in its table and its default output on
-    every other string, so the answers on the window come from inverting
-    the tables, without querying any model. The budget still bounds the
+    its table entry on a string in its table and the empty string (rank 0)
+    on every other, so the answers' ranks on the window come from inverting
+    the rank tables, with no query and no Str. The budget still bounds the
     sum_i min(i, K) queries that verify_diagonal makes. horizon is an int
     >= 1 and budget an int >= 0 (check_int).
     """
@@ -514,10 +514,9 @@ def diagonalize(
             )
         if model.alphabet != alphabet:
             raise DomainError(f"model {j} uses another alphabet than the window")
-        for s, y in model.table.items():
-            r = shortlex_index(s)
+        for r, y in model.table.items():
             if j <= r < horizon:
-                table_answers.setdefault(r, []).append(shortlex_index(y))
+                table_answers.setdefault(r, []).append(y)
     psi = []
     for r in range(horizon):
         hits = table_answers.get(r, ())
@@ -547,19 +546,19 @@ def _window_answers(model, alphabet: Alphabet, start: int, stop: int, cap: int,
     start..stop - 1, each as _answer_rank gives it.
 
     A MemorizerModel whose type's __call__ is MemorizerModel.__call__
-    answers from its table, as model(s) would: its default output everywhere, and each
-    table key's value on the key. Any other model is asked once per string,
+    answers from its rank table, as model(s) would: rank 0 (its empty
+    default output; -1 everywhere over another alphabet) and each key's
+    output rank on the key. Any other model is asked once per string,
     through its type's __call__ bound to it, as model(s) resolves it; the
     window's Strs are built into `window` the first time they are needed.
     """
     if isinstance(model, MemorizerModel) and type(model).__call__ is MemorizerModel.__call__:
-        answers = np.full(stop - start, _answer_rank(model.default_output, alphabet, cap),
-                          dtype=np.int64)
-        # Over another alphabet than the window's, every answer reads -1.
-        for s, y in model.table.items():
-            r = shortlex_index(s)
-            if start <= r < stop and type(s) is Str:
-                answers[r - start] = _answer_rank(y, alphabet, cap)
+        if model.alphabet != alphabet:
+            return np.full(stop - start, -1, dtype=np.int64)
+        answers = np.zeros(stop - start, dtype=np.int64)
+        for r, y in model.table.items():
+            if start <= r < stop:
+                answers[r - start] = min(y, cap)
         return answers
     if not window:
         window.extend(shortlex_strings(alphabet, 0, stop))
@@ -579,11 +578,11 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
     construction's own table inversion is never read, and a model past the
     horizon H is never touched. A MemorizerModel whose type's __call__ is
     MemorizerModel.__call__ (so also a subclass that overrides only predict)
-    answers from its table, as model(s) would, without a query. Any other
-    model is asked each covered pair exactly once, through its type's
-    __call__ bound to it, as model(s) resolves it (_window_answers). An
-    answer counts only if it is a Str over the construction's alphabet (the
-    same object or an equal one), as Str equality has it.
+    answers from its rank table, as model(s) would, with no query or Str.
+    Any other model is asked each covered pair exactly once, through its
+    type's __call__ bound to it, as model(s) resolves it (_window_answers).
+    An answer counts only if it is a Str over the construction's alphabet
+    (the same object or an equal one), as Str equality has it.
 
     Only candidates below max(psi) are compared, so each answer is kept as
     its shortlex rank clipped to max(psi), in one (H, max(psi) + 1) bool
@@ -616,12 +615,11 @@ def random_table_models(
 ) -> list[MemorizerModel]:
     """Random finite lookup models (empty-string default), for diagonal demos.
 
-    Each model draws min(table_size, U) distinct key ranks, then as many value
-    ranks, among the U = count_upto(alphabet, max_len) strings of length at
-    most max_len; numpy draws them as int64, so U must stay below 2^63. Each
-    distinct drawn rank, at most 2 * count * table_size of them, is decoded
-    into a Str once and shared by every table that drew it. count,
-    table_size and max_len are ints >= 0 (check_int).
+    Each model draws min(table_size, U) distinct key ranks, then as many
+    output ranks, among the U = count_upto(alphabet, max_len) strings of
+    length at most max_len, and its table maps them in order; numpy draws
+    them as int64, so U must stay below 2^63. No rank is decoded into a Str.
+    count, table_size and max_len are ints >= 0 (check_int).
     """
     for name, value in (("count", count), ("table_size", table_size), ("max_len", max_len)):
         check_int(value, name, 0)
@@ -636,14 +634,9 @@ def random_table_models(
             f"size {_int_text(alphabet.size)}; their ranks must stay below 2^63"
         )
     size = min(table_size, universe)
-    decoded: dict[int, Str] = {}
     models = []
     for _ in range(count):
         keys = rng.choice(universe, size=size, replace=False).tolist()
         values = rng.integers(0, universe, size=size).tolist()
-        for rank in keys + values:
-            if rank not in decoded:
-                decoded[rank] = shortlex_string(alphabet, rank)
-        table = {decoded[k]: decoded[v] for k, v in zip(keys, values)}
-        models.append(MemorizerModel(alphabet, table, max_len))
+        models.append(MemorizerModel(alphabet, dict(zip(keys, values)), max_len))
     return models

@@ -71,14 +71,14 @@ class GroundTruth:
             if s in seen:
                 raise DomainError(f"duplicate override key {s.symbols}")
             seen.add(s)
-            dedup = sorted(set(acceptable), key=Str.sort_key)
+            dedup = sorted(set(acceptable), key=shortlex_index)
             if not dedup:
                 raise DomainError("acceptable sets must be non-empty")
             for y in dedup:
                 if y.alphabet != self.alphabet:
                     raise DomainError("acceptable outputs must use the same alphabet")
             norm.append((s, tuple(dedup)))
-        norm.sort(key=lambda pair: pair[0].sort_key())
+        norm.sort(key=lambda pair: shortlex_index(pair[0]))
         object.__setattr__(self, "overrides", tuple(norm))
 
     @cached_property
@@ -87,14 +87,9 @@ class GroundTruth:
 
     @cached_property
     def _empty_wrong_from(self) -> float:
-        """The length from which the default rule rejects the empty output
-        on every string, and below which it rejects it on none."""
-        rule = self.default_rule
-        if isinstance(rule, Constant):
-            return math.inf if len(rule.output) == 0 else 0
-        if isinstance(rule, IndexShift) and rule.shift > 0:
-            return 0
-        return 1
+        """The length from which the default rule rejects the empty output (rank
+        0) on every string, below which on none; each rule treats lengths >= 1 alike."""
+        return 0 if self.default_rank(0) else 1 if self.default_rank(1) else math.inf
 
     def acceptable(self, s: Str) -> tuple[Str, ...]:
         """The acceptable set of s, shortlex-sorted."""
@@ -110,6 +105,13 @@ class GroundTruth:
         if isinstance(rule, Constant):
             return rule.output
         return shortlex_string(self.alphabet, shortlex_index(s) + rule.shift)
+
+    def default_rank(self, rank: int) -> int:
+        """The rank of the default rule's output on the string of rank `rank`."""
+        rule = self.default_rule
+        if isinstance(rule, Constant):
+            return shortlex_index(rule.output)
+        return rank + rule.shift if isinstance(rule, IndexShift) else rank
 
     def canonical(self, s: Str) -> Str:
         """Shortlex-least acceptable output for s."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hallustat import evaluation
-from hallustat.core import Str, shortlex_string
+from hallustat.core import Str, shortlex_index, shortlex_string
 from hallustat.errors import DomainError
 from hallustat.evaluation import derive_stream
 from hallustat.limits import NflReport, TailCheck, general_lambda_t
@@ -31,6 +31,12 @@ def assert_rejected_before_any_draw(call, monkeypatch, match=None):
         with pytest.raises(DomainError, match=match):
             call(rng)
     assert rng.random() == derive_stream(11, 0).random()
+
+
+def rank_table(table) -> dict[int, int]:
+    """A Str -> Str lookup table as the key rank -> output rank map a
+    MemorizerModel holds."""
+    return {shortlex_index(s): shortlex_index(y) for s, y in table.items()}
 
 
 def uniform_support(members) -> FiniteSupport:

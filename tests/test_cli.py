@@ -553,11 +553,13 @@ def test_sweep_and_train_eval_over_budget_exit_5_before_any_draw(tmp_path, capsy
     ("sweep", {"mu": train_eval_cfg()["mu"], "cdf_bound": {"table": [0.25, 0.5], "tail": {
         "kind": "one_at_n"}}, "m_grid": [10, 10**400], "trials": 1}),
     ("train-eval", {"alphabet": {"size": 3}, "mu": sweep_cfg()["mu"], "m": 10**400}),
-], ids=["sweep-object", "sweep-atom", "train-eval"])
+    ("train-eval", {"alphabet": {"size": 3}, "mu": sweep_cfg()["mu"], "m": 2**59}),
+], ids=["sweep-object", "sweep-atom", "train-eval", "train-eval-2^59"])
 def test_an_m_numpy_cannot_allocate_exits_3_before_any_draw(tmp_path, capsys, monkeypatch,
                                                              command, fields):
-    # Within the budget, but m doubles are past what one numpy array holds:
+    # Within the budget, but past DRAW_CAP, the most draws one trial holds:
     # the README law at q = 3 (object path) and a uniform_set (atom path).
+    # At m = 2^59 numpy was once asked for 4 EiB.
     # A sweep checks its grid before it derives a stream; train-eval's
     # stream is never read.
     class Unread:
@@ -573,7 +575,7 @@ def test_an_m_numpy_cannot_allocate_exits_3_before_any_draw(tmp_path, capsys, mo
     doc.update(fields, budget=10**401)
     out = tmp_path / "out"
     assert run([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
-    assert "must be below 2^60" in capsys.readouterr().err
+    assert "must be at most 8388608, the most draws one trial holds" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -111,8 +111,9 @@ def test_shortlex_rank_roundtrip():
 def test_shortlex_order_is_length_then_lex():
     a = Alphabet(3)
     ranked = [shortlex_string(a, r) for r in range(count_upto(a, 3))]
-    keys = [s.sort_key() for s in ranked]
+    keys = [(len(s), s.symbols) for s in ranked]
     assert keys == sorted(keys)
+    assert sorted(reversed(ranked), key=shortlex_index) == ranked
     # and ties in length are broken lexicographically on symbols
     for prev, cur in zip(ranked, ranked[1:]):
         if len(prev) == len(cur):
@@ -204,7 +205,7 @@ def test_brute_force_rank_table():
     a = Alphabet(2)
     brute = sorted(
         (Str(a, t) for n in range(5) for t in itertools.product(range(2), repeat=n)),
-        key=lambda s: s.sort_key(),
+        key=lambda s: (len(s), s.symbols),
     )
     for rank, s in enumerate(brute):
         assert shortlex_index(s) == rank

@@ -14,7 +14,7 @@ from hallustat.core import (
     Alphabet, Str, count_upto, empty_string, shortlex_index, shortlex_string,
     strings_of_length, strings_upto,
 )
-from hallustat.errors import BudgetExceeded, DomainError, check_draw_count
+from hallustat.errors import DRAW_CAP, BudgetExceeded, DomainError, check_draw_count
 from hallustat.evaluation import (
     CSV_COLUMNS,
     MC_FALLBACK,
@@ -46,7 +46,8 @@ from hallustat.oracle import (
     generate_qualified,
 )
 
-from helpers import assert_rejected_before_any_draw, sample_batch_per_draw, uniform_support
+from helpers import (assert_rejected_before_any_draw, rank_table, sample_batch_per_draw,
+                     uniform_support)
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -310,8 +311,9 @@ def test_memorizer_hp_closed_form_equals_brute_force(q, rule):
         # Built directly: wrong table entries and an entry for an override
         # key; no threshold at all; every override key at or below the
         # threshold but none in the table.
-        wrong = MemorizerModel(a, {empty_string(a): Str(a, (1, 1)), Str(a, (0,)): Str(a, (1,)),
-                                   Str(a, (1,)): Str(a, (0, 0)), Str(a, (0, 1)): Str(a, (0, 1))}, 2)
+        wrong = MemorizerModel(a, rank_table({
+            empty_string(a): Str(a, (1, 1)), Str(a, (0,)): Str(a, (1,)),
+            Str(a, (1,)): Str(a, (0, 0)), Str(a, (0, 1)): Str(a, (0, 1))}), 2)
         for model in (wrong, MemorizerModel(a, {}, -1), MemorizerModel(a, {}, 4)):
             for mu in laws:
                 assert closed_form(model, mu, gt) == pytest.approx(
@@ -955,12 +957,16 @@ def test_sweep_takes_only_int_trial_sizes(kwargs, monkeypatch):
                               Labeler.CANONICAL, 5, budget=sizes["budget"]), monkeypatch)
 
 
-def test_trials_that_hold_their_draws_reject_an_m_from_2_60_before_any_draw(monkeypatch):
-    # m doubles past 2^63 - 1 bytes: numpy cannot allocate them. The coded
-    # trial never holds its draws, so a law that stops at length 2 runs there.
-    check_draw_count(2**60 - 1, "m")
+def test_trials_that_hold_their_draws_reject_an_m_past_the_draw_cap_before_any_draw(
+        monkeypatch):
+    # An object or atom trial holds its draws, about 90 bytes each: past
+    # DRAW_CAP = 2^23 they would pass 755 MB, and m = 2^59 asked numpy for
+    # 4 EiB. The coded trial never holds its draws, so a law that stops at
+    # length 2 runs there.
+    assert DRAW_CAP == 2**23
+    check_draw_count(DRAW_CAP, "m")
     for path, trainer, mu, gt in one_instance_per_path():
-        trial = lambda rng: run_trial(trainer, mu, gt, 2**60, Labeler.CANONICAL, rng)
+        trial = lambda rng: run_trial(trainer, mu, gt, DRAW_CAP + 1, Labeler.CANONICAL, rng)
         row = lambda rng: sweep(trainer, mu, gt, [0, 10**400], 1, Labeler.CANONICAL, 5,
                                 budget=10**401)
         if path == "coded":
@@ -969,8 +975,14 @@ def test_trials_that_hold_their_draws_reject_an_m_from_2_60_before_any_draw(monk
             continue
         assert_rejected_before_any_draw(trial, monkeypatch)
         assert_rejected_before_any_draw(row, monkeypatch)
-        with pytest.raises(DomainError, match=r"m_grid\[1\] must be below 2\^60"):
+        with pytest.raises(DomainError, match=rf"m_grid\[1\] must be at most {DRAW_CAP}, "):
             row(None)
+    # train-eval's case: the README law at q = 3, m = 2^59 within a budget of 2^60.
+    _path, _trainer, mu, gt = one_instance_per_path()[2]
+    assert_rejected_before_any_draw(
+        lambda rng: generate_qualified(mu, gt, 2**59, Labeler.UNIFORM_ACCEPTABLE, rng),
+        monkeypatch, match="^m must be at most 8388608, the most draws one trial holds; "
+                           "got 576460752303423488$")
     gt = GroundTruth(A2, Echo())
     assert run_trial(TRAINER, seven_strings(), gt, 2**60, Labeler.CANONICAL,
                      derive_stream(0, 0)) == 0.0
@@ -1157,4 +1169,5 @@ def test_unmemorized_mass_lower_bound():
     # 1 - length_cdf(60) cancels to 0.0 here; the mass left out is 2^-61.
     assert unmemorized_mass_lower_bound(MemorizerModel(A2, {}, 60), mu) == 0.5**61 > 0.0
     finite = FiniteSupport(((s(), Fraction(1, 3)), (s(0, 1), Fraction(2, 3))))
-    assert unmemorized_mass_lower_bound(MemorizerModel(A2, {s(): s()}, 1), finite) == 2 / 3
+    assert unmemorized_mass_lower_bound(MemorizerModel(A2, rank_table({s(): s()}), 1),
+                                        finite) == 2 / 3

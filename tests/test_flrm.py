@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from hallustat.core import Alphabet, Str, empty_string, shortlex_string, strings_upto
+from hallustat.core import (Alphabet, Str, empty_string, shortlex_index, shortlex_string,
+                            strings_upto)
 from hallustat.errors import ConfigError, DomainError
 from hallustat.flrm import (
     FlrmTrainer,
@@ -18,12 +19,21 @@ from hallustat.flrm import (
 from hallustat.measures import CdfLowerBound
 from hallustat.oracle import TrainingSequence
 
+from helpers import rank_table
+
 A2 = Alphabet(2)
 HALF_BOUND = CdfLowerBound((0.5,), 0.5)
 
 
 def s(*symbols):
     return Str(A2, symbols)
+
+
+def long_keys(a):
+    """Strings of lengths 62 to 64 over a's first two symbols; over two
+    symbols the last three rank past 2^63."""
+    return [Str(a, (1,) * 62), Str(a, (0,) * 63), Str(a, (1, 0) * 31 + (1,)),
+            Str(a, (0, 1) * 32), Str(a, (1,) * 64)]
 
 
 def test_threshold_reference_values():
@@ -111,7 +121,7 @@ def test_train_length_filter():
     t = TrainingSequence(pairs * 10)  # 50 pairs -> threshold 1
     model = train(t, A2, HALF_BOUND)
     assert model.threshold == 1
-    assert set(model.table) == {empty_string(A2), s(0)}
+    assert set(model.table) == {shortlex_index(empty_string(A2)), shortlex_index(s(0))}
 
 
 def test_unmemorized_prediction_is_empty_string():
@@ -122,17 +132,23 @@ def test_unmemorized_prediction_is_empty_string():
 
 
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("threshold", [-1, 0, 3])
+@pytest.mark.parametrize("threshold", [-1, 0, 3, 64])
 def test_predict_is_a_table_lookup(q, threshold):
-    # Every other string up to the threshold is a key; strings past it are
-    # answered without a lookup, and must get what the lookup would give.
+    # Every other string up to the threshold is a key, or at threshold 64
+    # the long keys; strings past it are answered without a lookup, and must
+    # get what a lookup in the Str dict of the same entries would give.
     a = Alphabet(q)
-    keys = list(strings_upto(a, threshold))[::2] if threshold >= 0 else []
-    model = MemorizerModel(a, {x: shortlex_string(a, r + 1) for r, x in enumerate(keys)}, threshold)
-    lookup = dict(model.table)
+    if threshold == 64:
+        keys = long_keys(a)
+        queried = keys + [Str(a, x.symbols[:-1] + (q - 1,)) for x in keys]
+        queried += [Str(a, x.symbols + (0,)) for x in keys]  # past the threshold
+    else:
+        keys = list(strings_upto(a, threshold))[::2] if threshold >= 0 else []
+        queried = list(strings_upto(a, threshold + 2))
+    lookup = {x: shortlex_string(a, r + 1) for r, x in enumerate(keys)}
+    model = MemorizerModel(a, rank_table(lookup), threshold)
     empty = empty_string(a)
-    queried = list(strings_upto(a, threshold + 2))
-    assert len(queried) > len(keys)
+    assert len(set(queried)) > len(keys)
     for x in queried:
         assert model.predict(x) == lookup.get(x, empty)
         # An equal, distinct alphabet finds the same entries; another
@@ -144,7 +160,7 @@ def test_predict_is_a_table_lookup(q, threshold):
 
 
 def test_predict_answers_a_non_str_with_the_default():
-    model = MemorizerModel(A2, {empty_string(A2): s(1), s(0): s(1)}, 1)
+    model = MemorizerModel(A2, rank_table({empty_string(A2): s(1), s(0): s(1)}), 1)
     for x in ((), (0,), (0, 1, 1), "0", 0, None):
         assert model.predict(x) is model.default_output
     # The benchmark's tracer counts queries through one function.
@@ -159,27 +175,37 @@ def test_trainer_object_matches_free_function():
 
 def test_model_validation():
     with pytest.raises(DomainError):
-        MemorizerModel(A2, {s(0, 1): s(0)}, 0)  # key longer than threshold
+        MemorizerModel(A2, rank_table({s(0, 1): s(0)}), 0)  # key longer than threshold
     with pytest.raises(DomainError):
-        MemorizerModel(A2, {empty_string(A2): s(0)}, -1)
+        MemorizerModel(A2, rank_table({empty_string(A2): s(0)}), -1)
+    # train checks the alphabet of each pair it keeps (40 pairs: threshold 1).
+    labeled = Alphabet(2, ("a", "b"))
+    for pair in ((Str(labeled, (0,)), s(1)), (s(0), Str(labeled, (1,)))):
+        with pytest.raises(DomainError, match="model's alphabet"):
+            train(TrainingSequence((pair,) * 40), A2, HALF_BOUND)
+    twin = Str(Alphabet(2), (0,))
+    assert train(TrainingSequence(((twin, s(1)),) * 40), A2, HALF_BOUND).table == {1: 2}
 
 
 def test_model_table_is_immutable():
-    model = MemorizerModel(A2, {s(0): s(1)}, 1)
+    model = MemorizerModel(A2, rank_table({s(0): s(1)}), 1)
     with pytest.raises(TypeError):
-        model.table[s(1)] = s(0)
+        model.table[2] = 1
 
 
 def test_json_roundtrip_and_key_order():
     table = {s(1): s(0), empty_string(A2): s(1, 1), s(0, 0): s(0)}
-    model = MemorizerModel(A2, table, 2)
+    table |= {x: Str(A2, x.symbols[::-1]) for x in reversed(long_keys(A2))}
+    model = MemorizerModel(A2, rank_table(table), 64)
     doc = model_to_json(model)
-    assert doc["threshold"] == 2
+    assert doc["threshold"] == 64
     listed = [tuple(e["s"]) for e in doc["table"]]
-    assert listed == [(), (1,), (0, 0)]  # shortlex order
+    assert listed == [(), (1,), (0, 0)] + [x.symbols for x in long_keys(A2)]  # shortlex order
+    assert [tuple(e["y"]) for e in doc["table"]] == [table[Str(A2, x)].symbols for x in listed]
     back = model_from_json(A2, doc)
     assert back.threshold == model.threshold
     assert back.table == model.table
+    assert model_to_json(back) == doc
 
 
 def test_model_from_json_rejects_malformed():

@@ -50,6 +50,7 @@ from helpers import (
     diagonalize_by_queries,
     nfl_memorizer_report,
     nfl_per_sequence,
+    rank_table,
     uniform_support,
     verify_diagonal_by_pairs,
 )
@@ -679,7 +680,7 @@ def constant_model(rank, max_len):
     """A table model answering the string of the given rank on every string
     of length <= max_len."""
     answer = shortlex_string(A2, rank)
-    return MemorizerModel(A2, {x: answer for x in strings_upto(A2, max_len)}, max_len)
+    return MemorizerModel(A2, rank_table({x: answer for x in strings_upto(A2, max_len)}), max_len)
 
 
 def test_diagonal_single_empty_model():
@@ -784,8 +785,8 @@ def test_verify_diagonal_accepts_equal_but_distinct_alphabet():
     twin = Alphabet(2)
     assert twin == A2 and twin is not A2
     models = [
-        MemorizerModel(twin, {Str(twin, (0,) * n): Str(twin, ()) for n in range(4)}, 3),
-        MemorizerModel(twin, {Str(twin, ()): Str(twin, (1,))}, 0),
+        MemorizerModel(twin, rank_table({Str(twin, (0,) * n): Str(twin, ()) for n in range(4)}), 3),
+        MemorizerModel(twin, rank_table({Str(twin, ()): Str(twin, (1,))}), 0),
     ]
     c = diagonalize(models, A2, 10)
     assert c.psi == diagonalize_by_queries(models, A2, 10)
@@ -864,7 +865,7 @@ def test_verify_diagonal_reads_a_table_only_where_model_of_s_does():
     answers_next = AnswersNext(A2, tables[0].table, 3)
     predicts_next = PredictsNext(A2, tables[1].table, 3)
     labeled = Alphabet(2, ("a", "b"))
-    foreign = MemorizerModel(labeled, {Str(labeled, (0,)): Str(labeled, ())}, 1)
+    foreign = MemorizerModel(labeled, rank_table({Str(labeled, (0,)): Str(labeled, ())}), 1)
     # Every answer of answers_next has rank >= 1, so "" is free everywhere;
     # its table answers "" on s_4, where diagonalize reads psi_4 = 2.
     psi = diagonalize_by_queries([answers_next], A2, 8)
@@ -891,14 +892,14 @@ def test_verify_diagonal_reads_a_table_only_where_model_of_s_does():
 
 
 def test_verify_diagonal_builds_no_string_for_plain_memorizers(monkeypatch):
-    models = random_table_models(A2, 50, np.random.default_rng(6), max_len=8)
-    c = diagonalize(models, A2, 300)
-    with_echo = DiagonalConstruction(c.models + (lambda x: x,), A2, 300, c.psi)
     built = []
     post_init = Str.__post_init__
     monkeypatch.setattr(Str, "__post_init__", lambda self: built.append(self) or post_init(self))
+    models = random_table_models(A2, 50, np.random.default_rng(6), max_len=8)
+    c = diagonalize(models, A2, 300)
     assert verify_diagonal(c)
     assert not built
+    with_echo = DiagonalConstruction(c.models + (lambda x: x,), A2, 300, c.psi)
     # A model asked through the adapter is asked on the window's Strs,
     # built once, and each answer it gives is one of them here.
     verdict = verify_diagonal(with_echo)
@@ -936,24 +937,22 @@ def test_random_table_models_diagonal():
 
 
 def test_random_table_models_decode_each_rank_once(monkeypatch):
-    # The same rng calls in the same order as decoding every table entry, so
-    # the same tables; each distinct drawn rank is decoded once.
+    # The same rng calls in the same order as drawing each table's key
+    # ranks, then its output ranks, so the same tables of rank pairs; no
+    # rank is decoded into a Str.
     q3 = Alphabet(3)
     universe = count_upto(q3, 2)
     rng = np.random.default_rng(8)
-    expected, drawn = [], set()
+    expected = []
     for _ in range(40):
         keys = rng.choice(universe, size=5, replace=False).tolist()
         values = rng.integers(0, universe, size=5).tolist()
-        drawn.update(keys + values)
-        expected.append([(shortlex_string(q3, k), shortlex_string(q3, v))
-                         for k, v in zip(keys, values)])
+        expected.append(list(zip(keys, values)))
     decoded = []
-    monkeypatch.setattr(limits, "shortlex_string",
-                        lambda a, r: decoded.append(r) or shortlex_string(a, r))
+    monkeypatch.setattr(Str, "__post_init__", lambda self: decoded.append(self))
     models = random_table_models(q3, 40, np.random.default_rng(8), table_size=5, max_len=2)
     assert [list(m.table.items()) for m in models] == expected
-    assert sorted(decoded) == sorted(drawn)
+    assert not decoded
 
 
 def test_random_table_models_rejects_bad_sizes():

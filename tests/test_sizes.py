@@ -25,14 +25,14 @@ from hallustat.measures import CdfLowerBound, LengthFactored
 from hallustat.oracle import Echo, GroundTruth, IndexShift, Labeler
 from hallustat.shannon import SourceModel, smallest_high_mass_set
 
-from helpers import assert_rejected_before_any_draw, uniform_support
+from helpers import assert_rejected_before_any_draw, rank_table, uniform_support
 
 A2 = Alphabet(2)
 BOUND = CdfLowerBound((0.5,), 0.5)
 README_LAW = LengthFactored(A2, (), 0.5)
 ATOMS = uniform_support(shortlex_string(A2, r) for r in range(3))
 DOMAIN = tuple(shortlex_string(A2, r) for r in range(4))
-MODELS = [MemorizerModel(A2, {DOMAIN[1]: DOMAIN[2]}, 1)]
+MODELS = [MemorizerModel(A2, rank_table({DOMAIN[1]: DOMAIN[2]}), 1)]
 SOURCE = SourceModel((0.5, 0.5))
 
 
@@ -51,6 +51,8 @@ SIZES = {
     "LengthFactored.defect.n": (0, lambda v, rng: README_LAW.defect(v)),
     "LengthFactored.length_cdf.n": (0, lambda v, rng: README_LAW.length_cdf(v)),
     "MemorizerModel.threshold": (-1, lambda v, rng: MemorizerModel(A2, {}, v)),
+    "MemorizerModel.table key rank": (0, lambda v, rng: MemorizerModel(A2, {v: 0}, 1)),
+    "MemorizerModel.table output rank": (0, lambda v, rng: MemorizerModel(A2, {0: v}, 1)),
     "IndexShift.shift": (0, lambda v, rng: IndexShift(v)),
     "general_lambda_t.p": (1, lambda v, rng: general_lambda_t(v, Fraction(1, 8))),
     "diagonalize.horizon": (1, lambda v, rng: diagonalize(MODELS, A2, v)),
