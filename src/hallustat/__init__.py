@@ -58,6 +58,7 @@ from .limits import (
     diagonalize,
     general_lambda_t,
     lambda_t,
+    learner_on_indices,
     markov_tail_check,
     memorize_constant_trainer,
     nfl_brute_force,

@@ -36,8 +36,9 @@ from .evaluation import (
 from .flrm import FlrmTrainer, model_to_json, train
 from .limits import (DIAGONAL_BUDGET, MODEL_MAX_LEN, MODEL_TABLE_SIZE, NFL_BUDGET,
                      NFL_LAMBDA_H_GRID, NflInstance, check_diagonal_budget, check_nfl_budget,
-                     diagonalize, general_lambda_t, memorize_constant_trainer, nfl_brute_force,
-                     nfl_sizes, random_table_models, required_sample_size, verify_diagonal)
+                     diagonalize, general_lambda_t, learner_on_indices,
+                     memorize_constant_trainer, nfl_brute_force, nfl_sizes,
+                     random_table_models, required_sample_size, verify_diagonal)
 from .measures import CdfLowerBound, FiniteSupport, LengthFactored, dominates
 from .oracle import Constant, Echo, GroundTruth, IndexShift, Labeler, generate_qualified
 from .shannon import TYPICAL_BUDGET, SourceModel, smallest_high_mass_set
@@ -393,9 +394,10 @@ def cmd_nfl(cfg: dict, args) -> int:
     learner_spec = _require(cfg, "learner")
     kind = _require(learner_spec, "kind", "learner.kind")
     if kind == "memorize_constant":
-        learner = memorize_constant_trainer(codomain)
+        learner = memorize_constant_trainer(n)
     elif kind == "flrm":
-        learner = FlrmTrainer(alphabet, _cdf_bound(learner_spec, "learner.cdf_bound"))
+        flrm = FlrmTrainer(alphabet, _cdf_bound(learner_spec, "learner.cdf_bound"))
+        learner = learner_on_indices(domain, codomain, flrm)
     else:
         raise ConfigError(f"unknown learner kind {kind!r} in learner.kind")
     grid = tuple(_fraction(v, f"lambda_h_grid[{i}]") for i, v in

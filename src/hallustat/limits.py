@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,7 +179,10 @@ def markov_tail_check(z_pmf, c, a) -> MarkovCheck:
 class NflInstance:
     """A finite domain/codomain pair with a training size and a black-box
     learner; the enumeration quantifies over every labeling f: domain -> codomain
-    and every training input sequence.
+    and every training input sequence. The learner works on indices: given a
+    training sequence as (domain index, codomain index) pairs, it returns a row
+    of n codomain indices in domain order, -1 outside the codomain; a Str
+    learner is passed as learner_on_indices(domain, codomain, learner).
 
     order_invariant declares that the learner's hypothesis depends on a
     training sequence only through its length and its set of distinct pairs
@@ -192,7 +195,7 @@ class NflInstance:
     domain: tuple[Str, ...]
     codomain: tuple[Str, ...]
     m: int
-    learner: Callable[[TrainingSequence], Callable[[Str], Str]]
+    learner: Callable[[tuple[tuple[int, int], ...]], Sequence[int]]
     order_invariant: bool = False
 
     def __post_init__(self):
@@ -305,12 +308,12 @@ def _score_batch(hist, f_matrix, outputs, supports, p: int, weight: int) -> None
     batch whose hypothesis trained on labeling q's pairs gets c domain strings
     wrong (np.add.at, as the units of a batch repeat each q).
 
-    supports[u] is unit u's support (k domain indices), and outputs holds, unit
-    after unit, its hypotheses' label codes on the domain: one row of n per
-    restricted labeling, in lexicographic order.
+    supports[u] is unit u's support (k domain indices), and the int array
+    outputs holds, unit after unit, its hypotheses' label codes on the domain:
+    one row of n per restricted labeling, in lexicographic order.
     """
     q_total, n = f_matrix.shape
-    h_rows = np.array(outputs, dtype=f_matrix.dtype).reshape(-1, n)
+    h_rows = outputs.astype(f_matrix.dtype).reshape(-1, n)
     # rows[u, q] = u * p^k + f_q|S read as a mixed-radix integer (first column
     # most significant), the row of h_rows that unit u trained on f_q|S.
     rows = np.arange(len(supports), dtype=np.int64)[:, None]
@@ -331,21 +334,20 @@ def nfl_brute_force(
     over the domain. Training sequences are grouped by their support, the
     set S of domain indices they use (1 <= |S| <= m, or the one empty
     sequence when m = 0), and a labeling reaches the learner only through
-    its restriction to S. An order-invariant learner is trained once per
-    (S, f|S), on S in domain order padded to length m with its last element,
-    and its mismatches weigh as many as the k! * S(m, k) sequences with
-    support S (k = |S|). Any other learner is trained on every such
-    sequence. Each hypothesis is asked once for each domain string, in domain
-    order; its outputs outside the codomain always count as wrong.
+    its restriction to S, as index pairs; it answers a row of n ints in
+    -1..p-1 (NflInstance), or DomainError names it, and -1 is always wrong.
+    An order-invariant learner is trained once per (S, f|S), on S in domain
+    order padded to length m with its last element, and its mismatches
+    weigh as many as the k! * S(m, k) sequences with support S (k = |S|).
+    Any other learner is trained on every such sequence.
 
     A unit is a support with its training sequence: one per support for an
     order-invariant learner, one per arrangement otherwise. Within each
     support size, units come lazily in batches of as many as keep labelings
     x units x n within NFL_BATCH_CELLS = 2^16, and at least one (32 units at
     8/2/4, one at 12/2/6). A batch makes its learner calls in enumeration
-    order, then scores every labeling against every unit in one numpy pass,
-    on label codes -1..p-1 of the narrowest signed int type that holds them
-    (int8 up to p = 128).
+    order, then scores every labeling against every unit in one numpy pass on
+    label codes -1..p-1 in the narrowest signed int type (int8 up to p = 128).
     Per-labeling counts of sequences by number of mismatched domain strings
     are int64 sums; the expected HP and the exact tail probabilities of the
     worst labeling are assembled from them as Fractions. The budget is an
@@ -366,10 +368,10 @@ def nfl_brute_force(
     f_matrix = np.empty((q_total, n), dtype=np.min_scalar_type(-p))
     for j in range(n):
         f_matrix[:, j] = (qs // p ** (n - 1 - j)) % p
-    domain, learner = inst.domain, inst.learner
-    rank = {y: r for r, y in enumerate(inst.codomain)}.get
-    # pairs[i][j] is the one training pair (domain[i], codomain[j]).
-    pairs = [tuple((x, y) for y in inst.codomain) for x in domain]
+    learner = inst.learner
+    name = getattr(learner, "__qualname__", None) or repr(learner)
+    # pairs[i][j] is the one training pair (i, j): domain[i] labeled codomain[j].
+    pairs = [tuple((x, y) for y in range(p)) for x in range(n)]
     per_batch = max(1, NFL_BATCH_CELLS // (q_total * n))
 
     # hist[q * (n + 1) + c] = number of training sequences on which the
@@ -384,10 +386,17 @@ def nfl_brute_force(
                 # The restricted labelings in lexicographic order, each as
                 # the pair it gives each support element.
                 for chosen in itertools.product(*(pairs[x] for x in support)):
-                    h = learner(TrainingSequence(tuple(map(chosen.__getitem__, positions))))
-                    outputs.extend(map(rank, map(h, domain), itertools.repeat(-1)))
+                    row = learner(tuple(map(chosen.__getitem__, positions)))
+                    if callable(row) or len(row) != n:
+                        raise DomainError(f"learner {name} gave {row!r:.60}, not a row of {n} "
+                                          "codes; a Str learner goes through learner_on_indices")
+                    outputs.extend(row)
+            codes = np.array(outputs)
+            ints = codes.dtype.kind in "iu" and codes.ndim == 1
+            if not ints or not -1 <= codes.min() <= codes.max() < p:
+                raise DomainError(f"learner {name} gave codes that are not ints in -1..{p - 1}")
             supports = np.array([s for s, _ in batch], dtype=np.intp)
-            _score_batch(hist, f_matrix, outputs, supports, p, weight)
+            _score_batch(hist, f_matrix, codes, supports, p, weight)
     hist = hist.reshape(q_total, n + 1)
 
     d_total = n**m
@@ -416,22 +425,30 @@ def nfl_brute_force(
     )
 
 
-def memorize_constant_trainer(codomain):
-    """Black-box learner: memorize the pairs, answer the first codomain
-    element on anything unseen."""
-    if not codomain:
-        raise DomainError("codomain must be non-empty")
-    fallback = codomain[0]
+def memorize_constant_trainer(n: int):
+    """Index learner over n domain strings (see NflInstance): memorize the
+    pairs, answer code 0, the first codomain string, on any unseen index."""
+    check_int(n, "n", 1)
 
-    def trainer(t: TrainingSequence):
-        table = dict(t.pairs)
-
-        def h(s: Str) -> Str:
-            return table.get(s, fallback)
-
-        return h
+    def trainer(pairs):
+        row = [0] * n
+        for x, y in pairs:
+            row[x] = y
+        return row
 
     return trainer
+
+
+def learner_on_indices(domain, codomain, learner):
+    """Str learner over domain and codomain in NflInstance's index form: trained
+    on the pairs' strings, each hypothesis asked once per domain string, in domain order."""
+    rank = {y: r for r, y in enumerate(codomain)}.get
+
+    def indexed(training):
+        h = learner(TrainingSequence(tuple((domain[x], codomain[y]) for x, y in training)))
+        return list(map(rank, map(h, domain), itertools.repeat(-1)))
+
+    return indexed
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,21 @@ def generate_qualified_per_draw(mu, gt, m, labeler, rng) -> TrainingSequence:
     return TrainingSequence(tuple(pairs))
 
 
+def memorize_constant_oracle(codomain):
+    """The Str form of nfl_brute_force's memorize_constant_trainer: memorize
+    the pairs, answer the first codomain string on anything unseen."""
+    def trainer(t: TrainingSequence):
+        table = dict(t.pairs)
+        return lambda s: table.get(s, codomain[0])
+
+    return trainer
+
+
 def nfl_per_sequence(inst, lambda_h_grid=(Fraction(1, 8), Fraction(1, 4))) -> NflReport:
     """Reference for nfl_brute_force: every one of the n^m training sequences,
     trained once per distinct restricted labeling, whatever the instance
-    declares about order invariance."""
+    declares about order invariance, each hypothesis read as its row of
+    codomain indices."""
     n = len(inst.domain)
     p = len(inst.codomain)
     q_total = p**n
@@ -144,7 +155,6 @@ def nfl_per_sequence(inst, lambda_h_grid=(Fraction(1, 8), Fraction(1, 4))) -> Nf
     f_matrix = np.empty((q_total, n), dtype=np.int64)
     for j in range(n):
         f_matrix[:, j] = (qs // p ** (n - 1 - j)) % p
-    codomain_rank = {y: r for r, y in enumerate(inst.codomain)}
     sequences = list(itertools.product(range(n), repeat=inst.m))
 
     cache: dict = {}
@@ -153,13 +163,8 @@ def nfl_per_sequence(inst, lambda_h_grid=(Fraction(1, 8), Fraction(1, 4))) -> Nf
         key = (seq, labels)
         found = cache.get(key)
         if found is None:
-            t = TrainingSequence(
-                tuple((inst.domain[x], inst.codomain[y]) for x, y in zip(seq, labels))
-            )
-            h = inst.learner(t)
-            found = np.array(
-                [codomain_rank.get(h(x), -1) for x in inst.domain], dtype=np.int64
-            )
+            found = np.array(inst.learner(tuple(zip(seq, labels))), dtype=np.int64)
+            assert found.shape == (n,)
             cache[key] = found
         return found
 

@@ -72,8 +72,8 @@ def test_criterion_04_nfl_exact_verification():
             domain = tuple(h.shortlex_string(A2, i) for i in range(n))
             codomain = tuple(h.shortlex_string(A2, i) for i in range(p))
             learners = (
-                h.memorize_constant_trainer(codomain),
-                h.FlrmTrainer(A2, HALF_BOUND),
+                h.memorize_constant_trainer(n),
+                h.learner_on_indices(domain, codomain, h.FlrmTrainer(A2, HALF_BOUND)),
             )
             for learner in learners:
                 inst = h.NflInstance(domain=domain, codomain=codomain, m=m,
@@ -92,9 +92,9 @@ def test_criterion_04_nfl_exact_verification():
         m = 3
         n_bar = h.threshold_length(m, A2, HALF_BOUND)
         for learner, k, fallback in (
-            (h.memorize_constant_trainer(codomain), len(domain), codomain[0]),
-            (h.FlrmTrainer(A2, HALF_BOUND), sum(len(s) <= n_bar for s in domain),
-             h.empty_string(A2)),
+            (h.memorize_constant_trainer(len(domain)), len(domain), codomain[0]),
+            (h.learner_on_indices(domain, codomain, h.FlrmTrainer(A2, HALF_BOUND)),
+             sum(len(s) <= n_bar for s in domain), h.empty_string(A2)),
         ):
             inst = h.NflInstance(domain=domain, codomain=codomain, m=m, learner=learner,
                                  order_invariant=True)

@@ -30,6 +30,7 @@ from hallustat.limits import (
     diagonalize,
     general_lambda_t,
     lambda_t,
+    learner_on_indices,
     markov_tail_check,
     memorize_constant_trainer,
     nfl_brute_force,
@@ -48,6 +49,7 @@ from hallustat.shannon import SourceModel, smallest_high_mass_set
 
 from helpers import (
     diagonalize_by_queries,
+    memorize_constant_oracle,
     nfl_memorizer_report,
     nfl_per_sequence,
     rank_table,
@@ -301,7 +303,7 @@ def domain_strings(k):
 
 def test_nfl_instance_validation():
     dom, cod = domain_strings(4), domain_strings(2)
-    learner = memorize_constant_trainer(cod)
+    learner = memorize_constant_trainer(4)
     with pytest.raises(DomainError):
         NflInstance(domain=dom, codomain=cod, m=3, learner=learner)  # m > n/2
     with pytest.raises(DomainError):
@@ -313,8 +315,7 @@ def test_nfl_instance_validation():
 
 def test_nfl_4_2_2_memorize_constant():
     dom, cod = domain_strings(4), domain_strings(2)
-    inst = NflInstance(domain=dom, codomain=cod, m=2,
-                       learner=memorize_constant_trainer(cod))
+    inst = NflInstance(domain=dom, codomain=cod, m=2, learner=memorize_constant_trainer(4))
     r = nfl_brute_force(inst)
     assert r.bound_mu == Fraction(1, 4)
     assert r.worst_expected_hp >= r.bound_mu
@@ -326,7 +327,7 @@ def test_nfl_4_2_2_memorize_constant():
 def test_nfl_4_2_2_flrm():
     dom, cod = domain_strings(4), domain_strings(2)
     inst = NflInstance(domain=dom, codomain=cod, m=2,
-                       learner=FlrmTrainer(A2, HALF_BOUND))
+                       learner=learner_on_indices(dom, cod, FlrmTrainer(A2, HALF_BOUND)))
     r = nfl_brute_force(inst)
     assert r.worst_expected_hp >= Fraction(1, 4)
     assert r.verified
@@ -335,10 +336,11 @@ def test_nfl_4_2_2_flrm():
 def test_nfl_3_2_1_against_independent_enumeration():
     # frozen from a from-scratch pure-python enumeration (no caching, no numpy)
     dom, cod = domain_strings(3), domain_strings(2)
-    learner = memorize_constant_trainer(cod)
-    inst = NflInstance(domain=dom, codomain=cod, m=1, learner=learner)
+    inst = NflInstance(domain=dom, codomain=cod, m=1, learner=memorize_constant_trainer(3))
     r = nfl_brute_force(inst)
     assert (r.worst_f_index, r.worst_expected_hp) == (7, Fraction(2, 3))
+
+    learner = memorize_constant_oracle(cod)
 
     best, best_q = Fraction(-1), None
     for q, f in enumerate(itertools.product(range(2), repeat=3)):
@@ -355,8 +357,7 @@ def test_nfl_3_2_1_against_independent_enumeration():
 
 def test_nfl_tail_probabilities_are_exact_counts():
     dom, cod = domain_strings(4), domain_strings(2)
-    inst = NflInstance(domain=dom, codomain=cod, m=2,
-                       learner=memorize_constant_trainer(cod))
+    inst = NflInstance(domain=dom, codomain=cod, m=2, learner=memorize_constant_trainer(4))
     r = nfl_brute_force(inst, lambda_h_grid=(Fraction(1, 8),))
     ch = r.tail_check[0]
     assert 0 <= ch.probability <= 1
@@ -367,8 +368,7 @@ def test_nfl_degenerate_single_output():
     # |codomain| = 1: the bound is 0 and the negative tail level always holds
     dom = domain_strings(2)
     cod = domain_strings(1)
-    inst = NflInstance(domain=dom, codomain=cod, m=1,
-                       learner=memorize_constant_trainer(cod))
+    inst = NflInstance(domain=dom, codomain=cod, m=1, learner=memorize_constant_trainer(2))
     r = nfl_brute_force(inst)
     assert r.bound_mu == 0
     assert r.verified
@@ -379,7 +379,7 @@ def test_nfl_budget_enforced():
     # size 1..3) and n outputs per learner call (C(6, k) * 3^k calls per size k)
     dom, cod = domain_strings(6), domain_strings(3)
     inst = NflInstance(domain=dom, codomain=cod, m=3,
-                       learner=memorize_constant_trainer(cod), order_invariant=True)
+                       learner=memorize_constant_trainer(6), order_invariant=True)
     with pytest.raises(BudgetExceeded) as err:
         nfl_brute_force(inst, budget=1000)
     assert err.value.required == 6 * 3**6 * (6 + 15 + 20) + 6 * (6 * 3 + 15 * 9 + 20 * 27)
@@ -443,27 +443,32 @@ def test_budget_message_renders_huge_numbers_by_bit_length():
 
 
 def test_nfl_arbitrary_learner_output_counts_as_wrong():
-    # a learner that answers outside the codomain hallucinates everywhere
+    # a learner that answers outside the codomain hallucinates everywhere:
+    # the adapter reads its answer as code -1, as an index learner may answer
     dom, cod = domain_strings(2), domain_strings(2)
     foreign = shortlex_string(A2, 20)
 
     def weird_learner(t):
         return lambda x: foreign
 
-    inst = NflInstance(domain=dom, codomain=cod, m=1, learner=weird_learner)
-    r = nfl_brute_force(inst)
-    assert r.worst_expected_hp == 1
+    for learner in (learner_on_indices(dom, cod, weird_learner), lambda pairs: [-1, -1]):
+        inst = NflInstance(domain=dom, codomain=cod, m=1, learner=learner)
+        assert nfl_brute_force(inst).worst_expected_hp == 1
 
 
 @pytest.mark.parametrize("m", [0, 2])
 @pytest.mark.parametrize("learner_kind", ["memorize_constant", "flrm"])
 def test_nfl_4_2_m_against_per_labeling_loop(learner_kind, m):
-    # no deduplication of training sets: every labeling trains on every sequence
+    # no deduplication of training sets: every labeling trains the Str learner
+    # on every sequence; nfl_brute_force runs its index form
     dom, cod = domain_strings(4), domain_strings(2)
-    learner = (memorize_constant_trainer(cod) if learner_kind == "memorize_constant"
-               else FlrmTrainer(A2, HALF_BOUND))
+    if learner_kind == "memorize_constant":
+        learner, indexed = memorize_constant_oracle(cod), memorize_constant_trainer(4)
+    else:
+        learner = FlrmTrainer(A2, HALF_BOUND)
+        indexed = learner_on_indices(dom, cod, learner)
     grid = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
-    r = nfl_brute_force(NflInstance(domain=dom, codomain=cod, m=m, learner=learner), grid)
+    r = nfl_brute_force(NflInstance(domain=dom, codomain=cod, m=m, learner=indexed), grid)
 
     sequences = list(itertools.product(range(4), repeat=m))
     hp_counts = []
@@ -502,9 +507,9 @@ def test_nfl_supports_match_per_sequence_oracle(learner_kind, order_invariant, m
     dom = domain_strings(max(2 * m, 2))
     cod = tuple(shortlex_string(A2, i + 1) for i in range(p))
     learner = {
-        "memorize_constant": lambda: memorize_constant_trainer(cod),
-        "flrm": lambda: FlrmTrainer(A2, HALF_BOUND),
-        "last_pair": lambda: last_pair_trainer(cod),
+        "memorize_constant": lambda: memorize_constant_trainer(len(dom)),
+        "flrm": lambda: learner_on_indices(dom, cod, FlrmTrainer(A2, HALF_BOUND)),
+        "last_pair": lambda: learner_on_indices(dom, cod, last_pair_trainer(cod)),
     }[learner_kind]()
     inst = NflInstance(domain=dom, codomain=cod, m=m, learner=learner,
                        order_invariant=order_invariant)
@@ -537,8 +542,8 @@ def test_nfl_batches_match_per_sequence_oracle(monkeypatch, learner_kind, order_
     # Every support size splits into several batches, down to one unit each.
     dom = domain_strings(6)
     cod = tuple(shortlex_string(A2, i + 1) for i in range(p))
-    learner = (memorize_constant_trainer(cod) if learner_kind == "memorize_constant"
-               else last_pair_trainer(cod))
+    learner = (memorize_constant_trainer(6) if learner_kind == "memorize_constant"
+               else learner_on_indices(dom, cod, last_pair_trainer(cod)))
     inst = NflInstance(domain=dom, codomain=cod, m=3, learner=learner,
                        order_invariant=order_invariant)
     sizes = batch_sizes(monkeypatch, units_per_batch, p, 6)
@@ -556,15 +561,17 @@ def test_nfl_learner_sees_the_enumeration_order_and_one_query_per_string(
         monkeypatch, order_invariant, m, units_per_batch):
     # The training sequences, in the order of the loop that trains on each
     # support's sequences and, for each, on every restricted labeling in
-    # lexicographic order; each hypothesis is asked once per domain string,
-    # in domain order, before the next training call.
+    # lexicographic order: as index pairs to the learner nfl_brute_force
+    # calls, and as Str pairs to the Str learner behind learner_on_indices,
+    # whose hypotheses are each asked once per domain string, in domain
+    # order, before the next training call.
     n, p = 6, 3
     dom = domain_strings(n)
     cod = tuple(shortlex_string(A2, i + 1) for i in range(p))
     if units_per_batch is not None:
         batch_sizes(monkeypatch, units_per_batch, p, n)
-    trainer = memorize_constant_trainer(cod)
-    trained, queries = [], []
+    trainer = memorize_constant_oracle(cod)
+    indexed, trained, queries = [], [], []
 
     def recording(t):
         assert all(len(asked) == n for asked in queries)
@@ -579,7 +586,13 @@ def test_nfl_learner_sees_the_enumeration_order_and_one_query_per_string(
 
         return query
 
-    inst = NflInstance(domain=dom, codomain=cod, m=m, learner=recording,
+    adapted = learner_on_indices(dom, cod, recording)
+
+    def index_recording(pairs):
+        indexed.append(pairs)
+        return adapted(pairs)
+
+    inst = NflInstance(domain=dom, codomain=cod, m=m, learner=index_recording,
                        order_invariant=order_invariant)
     nfl_brute_force(inst)
     expected = []
@@ -591,8 +604,9 @@ def test_nfl_learner_sees_the_enumeration_order_and_one_query_per_string(
                           if len(set(seq)) == k])
             for seq in sequences:
                 for labels in itertools.product(range(p), repeat=k):
-                    expected.append(tuple((dom[x], cod[labels[position[x]]]) for x in seq))
-    assert trained == expected
+                    expected.append(tuple((x, labels[position[x]]) for x in seq))
+    assert indexed == expected
+    assert trained == [tuple((dom[x], cod[y]) for x, y in pairs) for pairs in expected]
     assert queries == [list(dom)] * len(expected)
 
 
@@ -601,7 +615,7 @@ def test_nfl_label_codes_past_int8(p):
     # Label codes run from -1 to p - 1: int8 up to p = 128, a wider type past it.
     dom = domain_strings(2)
     cod = tuple(shortlex_string(A2, i) for i in range(p))
-    inst = NflInstance(domain=dom, codomain=cod, m=1, learner=memorize_constant_trainer(cod))
+    inst = NflInstance(domain=dom, codomain=cod, m=1, learner=memorize_constant_trainer(2))
     assert nfl_brute_force(inst, NFL_GRID) == nfl_per_sequence(inst, NFL_GRID)
 
 
@@ -611,20 +625,101 @@ def test_nfl_label_codes_past_int8(p):
 ])
 def test_nfl_memorize_constant_closed_form(n, m, calls, expected):
     # the worst labeling answers the fallback nowhere: HP = (1 - 1/n)^m, and an
-    # order-invariant learner trains once per (support, restricted labeling)
+    # order-invariant learner trains once per (support, restricted labeling),
+    # in its index form and as the Str learner behind learner_on_indices
     dom, cod = domain_strings(n), domain_strings(2)
-    trainer = memorize_constant_trainer(cod)
-    seen = []
+    oracle = memorize_constant_oracle(cod)
+    for trainer in (memorize_constant_trainer(n), learner_on_indices(dom, cod, oracle)):
+        seen = []
 
-    def counting(t):
-        seen.append(t)
-        return trainer(t)
+        def counting(pairs):
+            seen.append(pairs)
+            return trainer(pairs)
 
-    inst = NflInstance(domain=dom, codomain=cod, m=m, learner=counting, order_invariant=True)
-    r = nfl_brute_force(inst)  # 10/2/5 fits the default budget
-    assert r.worst_expected_hp == expected == (1 - Fraction(1, n)) ** m
-    assert r.verified
-    assert len(seen) == calls == sum(math.comb(n, k) * 2**k for k in range(1, m + 1))
+        inst = NflInstance(domain=dom, codomain=cod, m=m, learner=counting, order_invariant=True)
+        r = nfl_brute_force(inst)  # 10/2/5 fits the default budget
+        assert r.worst_expected_hp == expected == (1 - Fraction(1, n)) ** m
+        assert r.verified
+        assert len(seen) == calls == sum(math.comb(n, k) * 2**k for k in range(1, m + 1))
+
+
+def logged(learner, log):
+    """learner, appending each training sequence and the row it answers to log."""
+    def call(pairs):
+        row = learner(pairs)
+        log.append((pairs, tuple(row)))
+        return row
+
+    return call
+
+
+@pytest.mark.parametrize("n, p, m, order_invariant", [
+    (8, 2, 4, True), (10, 2, 5, True),
+    *((6, 3, m, inv) for m in range(4) for inv in (True, False)),
+    (2, 128, 1, False), (2, 129, 1, False), (2, 130, 1, False),
+])
+def test_nfl_memorize_constant_matches_its_str_oracle(n, p, m, order_invariant):
+    # The index learner and the Str memorizer behind learner_on_indices see
+    # the same training pairs, answer the same rows and give the same report,
+    # the closed form's.
+    dom, cod = domain_strings(n), tuple(shortlex_string(A2, i + 1) for i in range(p))
+    str_pairs, memorizer = [], memorize_constant_oracle(cod)
+
+    def oracle(t):
+        str_pairs.append(t.pairs)
+        return memorizer(t)
+
+    reports, logs = [], []
+    for learner in (memorize_constant_trainer(n), learner_on_indices(dom, cod, oracle)):
+        logs.append([])
+        inst = NflInstance(domain=dom, codomain=cod, m=m, learner=logged(learner, logs[-1]),
+                           order_invariant=order_invariant)
+        reports.append(nfl_brute_force(inst, NFL_GRID))
+    assert reports[0] == reports[1] == nfl_memorizer_report(n, cod, m, n, cod[0], NFL_GRID)
+    assert logs[0] == logs[1]
+    assert str_pairs == [tuple((dom[x], cod[y]) for x, y in pairs) for pairs, _ in logs[0]]
+
+
+def short_row(pairs):
+    return [0, 0, 0]
+
+
+def code_below_minus_one(pairs):
+    return [0, 0, -2, 0]
+
+
+def code_past_p(pairs):
+    return [0, 200, 0, 0]
+
+
+def float_code(pairs):
+    return [0, 0, 0, 1.0]
+
+
+def str_learner(t):
+    return lambda x: x
+
+
+@pytest.mark.parametrize("learner, match", [
+    (short_row, r"gave \[0, 0, 0\], not a row of 4 codes"),
+    (code_below_minus_one, r"not ints in -1\.\.1"),
+    (code_past_p, r"not ints in -1\.\.1"),
+    (float_code, r"not ints in -1\.\.1"),
+    (str_learner, "learner_on_indices"),
+])
+def test_nfl_row_contract_is_checked_before_any_scoring(monkeypatch, learner, match):
+    # Each row holds exactly n ints in -1..p-1; anything else names the
+    # learner before a batch is scored. A Str learner passed without its
+    # adapter returns a hypothesis, not a row.
+    def never(*args):
+        raise AssertionError("a batch was scored")
+
+    monkeypatch.setattr(limits, "_score_batch", never)
+    inst = NflInstance(domain=domain_strings(4), codomain=domain_strings(2), m=2,
+                       learner=learner, order_invariant=True)
+    with pytest.raises(DomainError, match=match) as err:
+        nfl_brute_force(inst)
+    assert learner.__qualname__ in str(err.value)
 
 
 def cli_learner(kind, alphabet, domain, codomain, bound, m):
@@ -632,10 +727,10 @@ def cli_learner(kind, alphabet, domain, codomain, bound, m):
     learner, how many domain strings it memorizes once drawn at training
     size m, and what it answers off its table."""
     if kind == "memorize_constant":
-        return memorize_constant_trainer(codomain), len(domain), codomain[0]
+        return memorize_constant_trainer(len(domain)), len(domain), codomain[0]
     n_bar = threshold_length(m, alphabet, bound)
-    return (FlrmTrainer(alphabet, bound), sum(len(s) <= n_bar for s in domain),
-            empty_string(alphabet))
+    return (learner_on_indices(domain, codomain, FlrmTrainer(alphabet, bound)),
+            sum(len(s) <= n_bar for s in domain), empty_string(alphabet))
 
 
 @st.composite
