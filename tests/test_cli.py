@@ -506,8 +506,11 @@ def test_nfl_verify_matches_committed_artifact(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("diagonalize_*.csv")))
 def test_diagonalize_matches_committed_artifact(tmp_path, name):
     # The benchmark's diag op, 200 random table models over 600 binary
-    # strings, and CI's 50 models with 5 entries of length <= 4 over 400
-    # ternary strings, replayed from the seed and config in each preamble.
+    # strings, CI's 50 models with 5 entries of length <= 4 over 400
+    # ternary strings, and CI's 700 models over 300 binary strings (K = H =
+    # 300 models built), replayed from the seed and config in each preamble.
+    # The exit status is verify_diagonal's verdict on the construction, so
+    # each replay must also exit 0.
     golden = (GOLDEN / name).read_bytes()
     header = dict(line[2:].split(": ", 1) for line in golden.decode().splitlines()
                   if line.startswith("# "))
