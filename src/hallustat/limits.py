@@ -35,6 +35,12 @@ NFL_BUDGET = DIAGONAL_BUDGET = 10**8
 MODEL_TABLE_SIZE, MODEL_MAX_LEN = 8, 6
 # nfl_brute_force's batch cap: labelings x units x domain strings per batch.
 NFL_BATCH_CELLS = 2**16
+# The most strings (domain and codomain) and labelings an NFL enumeration holds
+# (check_nfl_budget). tracemalloc reads nfl-verify's peak at about 380 B per
+# string (n = 1, p = 2^14 to 2^16) and 10n + 32 B per labeling of n strings
+# (n = 2 to 16: f_matrix and the int64 hist): 445 MB at 1/(2^20 - 1)/0 and
+# 243 MB at 20/2/0 (498 and 269 MB resident).
+NFL_STRING_CAP = NFL_LABELING_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -248,7 +254,9 @@ def nfl_work(n: int, p: int, m: int, order_invariant: bool = False) -> int:
 
 
 def check_nfl_budget(n: int, p: int, m: int, budget: int, order_invariant: bool = False) -> None:
-    """Bound the work of an NFL enumeration by nfl_work.
+    """Bound the work of an NFL enumeration by nfl_work, then its memory:
+    DomainError past NFL_STRING_CAP strings n + p or NFL_LABELING_CAP
+    labelings p^n, before any of them is built.
 
     The work has at least floor(log2 n) + n*floor(log2 p) bits, plus
     m*floor(log2 n) for the n^m passes of a learner that is not
@@ -269,6 +277,13 @@ def check_nfl_budget(n: int, p: int, m: int, budget: int, order_invariant: bool 
         low_bits,
         lambda: nfl_work(n, p, m, order_invariant),
     )
+    if n + p > NFL_STRING_CAP:
+        raise DomainError(f"{_int_text(n)} domain and {_int_text(p)} codomain strings are more "
+                          f"than the {NFL_STRING_CAP} an NFL enumeration holds")
+    # p^n is formed only once its bit-length bound is within the cap's.
+    if n * (p.bit_length() - 1) >= NFL_LABELING_CAP.bit_length() or p**n > NFL_LABELING_CAP:
+        raise DomainError(f"{_int_text(p)}^{_int_text(n)} labelings are more than the "
+                          f"{NFL_LABELING_CAP} an NFL enumeration holds")
 
 
 @dataclass(frozen=True)
@@ -310,7 +325,10 @@ def _score_batch(hist, f_matrix, outputs, supports, p: int, weight: int) -> None
 
     supports[u] is unit u's support (k domain indices), and the int array
     outputs holds, unit after unit, its hypotheses' label codes on the domain:
-    one row of n per restricted labeling, in lexicographic order.
+    one row of n per restricted labeling, in lexicographic order. Each
+    (unit, labeling)'s hypothesis row is gathered by np.take, which copies
+    rows of n codes far faster than fancy indexing, and its mismatches are
+    counted in one int64 einsum, as np.sum over an axis only n wide is slow.
     """
     q_total, n = f_matrix.shape
     h_rows = outputs.astype(f_matrix.dtype).reshape(-1, n)
@@ -319,7 +337,8 @@ def _score_batch(hist, f_matrix, outputs, supports, p: int, weight: int) -> None
     rows = np.arange(len(supports), dtype=np.int64)[:, None]
     for column in supports.T:
         rows = rows * p + f_matrix[:, column].T
-    wrong = np.count_nonzero(h_rows[rows] != f_matrix, axis=2)
+    mismatch = h_rows.take(rows, axis=0) != f_matrix
+    wrong = np.einsum("uqj->uq", mismatch.view(np.uint8), dtype=np.int64)
     wrong += np.arange(0, hist.size, n + 1)
     np.add.at(hist, wrong.ravel(), weight)
 
@@ -346,7 +365,7 @@ def nfl_brute_force(
     support size, units come lazily in batches of as many as keep labelings
     x units x n within NFL_BATCH_CELLS = 2^16, and at least one (32 units at
     8/2/4, one at 12/2/6). A batch makes its learner calls in enumeration
-    order, then scores every labeling against every unit in one numpy pass on
+    order, then scores every labeling against every unit in numpy passes on
     label codes -1..p-1 in the narrowest signed int type (int8 up to p = 128).
     Per-labeling counts of sequences by number of mismatched domain strings
     are int64 sums; the expected HP and the exact tail probabilities of the
@@ -559,24 +578,12 @@ def _answer_rank(answer, alphabet: Alphabet, cap: int) -> int:
 
 def _window_answers(model, alphabet: Alphabet, start: int, stop: int, cap: int,
                     window: list[Str]) -> np.ndarray:
-    """The int64 answers of `model` on the window strings of shortlex ranks
-    start..stop - 1, each as _answer_rank gives it.
-
-    A MemorizerModel whose type's __call__ is MemorizerModel.__call__
-    answers from its rank table, as model(s) would: rank 0 (its empty
-    default output; -1 everywhere over another alphabet) and each key's
-    output rank on the key. Any other model is asked once per string,
-    through its type's __call__ bound to it, as model(s) resolves it; the
-    window's Strs are built into `window` the first time they are needed.
+    """The int64 answers of a black-box `model` on the window strings of
+    shortlex ranks start..stop - 1, each as _answer_rank gives it: the model
+    is asked once per string, through its type's __call__ bound to it, as
+    model(s) resolves it. The window's Strs are built into `window` the
+    first time they are needed. Table models never come here (verify_diagonal).
     """
-    if isinstance(model, MemorizerModel) and type(model).__call__ is MemorizerModel.__call__:
-        if model.alphabet != alphabet:
-            return np.full(stop - start, -1, dtype=np.int64)
-        answers = np.zeros(stop - start, dtype=np.int64)
-        for r, y in model.table.items():
-            if start <= r < stop:
-                answers[r - start] = min(y, cap)
-        return answers
     if not window:
         window.extend(shortlex_strings(alphabet, 0, stop))
     call = type(model).__call__.__get__(model)
@@ -588,18 +595,21 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
     """Recheck both that every covered model differs from the diagonal map on
     every window string and that each psi value is the least candidate.
 
-    The models are black boxes, and the recheck runs model by model, not
-    string by string: model j (0-based) of the first min(K, H) answers once
-    for each window string of rank j..H-1, so the i-th string gets the
-    answers of the first min(i, K) models, sum_i min(i, K) in all. The
-    construction's own table inversion is never read, and a model past the
-    horizon H is never touched. A MemorizerModel whose type's __call__ is
+    Model j (0-based) of the first min(K, H) answers on each window string
+    of rank j..H-1, so the i-th string gets the answers of the first
+    min(i, K) models, sum_i min(i, K) in all. The construction's own table
+    inversion is never read, and a model past the horizon H is never
+    touched. A MemorizerModel whose type's __call__ is
     MemorizerModel.__call__ (so also a subclass that overrides only predict)
-    answers from its rank table, as model(s) would, with no query or Str.
-    Any other model is asked each covered pair exactly once, through its
-    type's __call__ bound to it, as model(s) resolves it (_window_answers).
-    An answer counts only if it is a Str over the construction's alphabet
-    (the same object or an equal one), as Str equality has it.
+    answers from its rank table, as model(s) would, with no query or Str:
+    such models over the window's alphabet go into one scatter of their
+    (key rank, output rank) entries with j <= key < H, and string r gets
+    the empty default answer (rank 0) where fewer entries land on it than
+    there are such models j <= r; over another alphabet, nothing counts.
+    Any other model is a black box, asked each covered pair exactly once,
+    model by model, through its type's __call__ bound to it, as model(s)
+    resolves it (_window_answers). An answer counts only if it is a Str over
+    the construction's alphabet (the same object or an equal one).
 
     Only candidates below max(psi) are compared, so each answer is kept as
     its shortlex rank clipped to max(psi), in one (H, max(psi) + 1) bool
@@ -619,10 +629,27 @@ def verify_diagonal(construction: DiagonalConstruction) -> bool:
     cap = max(psi)
     present = np.zeros((horizon, cap + 1), dtype=bool)
     window: list[Str] = []
+    # Table entries (key rank, output rank clipped to cap in Python, as
+    # ranks are ints of any size), and the index j of each table model.
+    keys: list[int] = []
+    outs: list[int] = []
+    tables: list[int] = []
     for j, model in enumerate(construction.models[:horizon]):
+        if isinstance(model, MemorizerModel) and type(model).__call__ is MemorizerModel.__call__:
+            if model.alphabet == alphabet:
+                tables.append(j)
+                for r, y in model.table.items():
+                    if j <= r < horizon:
+                        keys.append(r)
+                        outs.append(min(y, cap))
+            continue
         answers = _window_answers(model, alphabet, j, horizon, cap, window)
         rows = np.flatnonzero(answers >= 0)
         present[rows + j, answers[rows]] = True
+    present[keys, outs] = True
+    # A table model j <= r with no entry on s_r answers its default "" there.
+    covering = np.cumsum(np.bincount(tables, minlength=horizon))
+    present[:, 0] |= np.bincount(keys, minlength=horizon) < covering
     present[:, cap] = False  # an answer clipped to max(psi) is no candidate
     return bool(np.all(present.argmin(axis=1) == np.asarray(psi) - 1))
 

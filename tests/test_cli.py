@@ -712,6 +712,28 @@ def test_nfl_verify_budget_checked_before_strings_are_built(tmp_path, capsys, mo
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes, message", [
+    # work p + 1 fits the default budget; 10^8 strings would take about 39 GB
+    ({"domain_size": 1, "codomain_size": 99_999_999, "m": 0},
+     "1 domain and 99999999 codomain strings are more than the 1048576"),
+    # work 4.57 * 10^9 fits a raised budget; the 130^4 labelings alone take 4.6 GB
+    ({"domain_size": 4, "codomain_size": 130, "m": 1, "budget": 10**10},
+     "130^4 labelings are more than the 1048576"),
+])
+def test_nfl_verify_past_the_memory_caps_exit_3_before_any_string(tmp_path, capsys, monkeypatch,
+                                                                  sizes, message):
+    def refuse(*args):
+        raise AssertionError("an NFL string was built before the memory caps were checked")
+
+    monkeypatch.setattr(cli, "_nfl_strings", refuse)
+    doc = nfl_cfg()
+    doc.update(sizes)
+    out = tmp_path / "out.json"
+    assert run(["nfl-verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["domain", "codomain"])
 def test_nfl_verify_empty_string_list_exit_3_at_any_budget(tmp_path, capsys, field):
     # An empty list is a domain error even where no work fits the budget, and

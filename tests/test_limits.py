@@ -22,6 +22,7 @@ from hallustat.errors import BudgetExceeded, DomainError
 from hallustat.flrm import FlrmTrainer, MemorizerModel, threshold_length
 import hallustat.limits as limits
 from hallustat.limits import (
+    NFL_BUDGET,
     DiagonalConstruction,
     NflInstance,
     check_diagonal_budget,
@@ -418,6 +419,34 @@ def test_nfl_overflowing_counts_rejected_before_enumeration(monkeypatch):
     monkeypatch.setattr(limits, "np", None)  # any array built would fail first
     with pytest.raises(DomainError, match="overflow"):
         nfl_brute_force(inst, budget=10**12)
+
+
+def test_nfl_memory_caps_reject_strings_and_labelings_past_them(monkeypatch):
+    # Within a budget that admits them, n + p strings and p^n labelings are
+    # each allowed up to their cap and rejected one past it (exit 3).
+    budget = 10**5001
+    for n, p in ((20, 2), (1, 2**20 - 1), (2**20 - 1, 1), (2, 1024), (4, 32)):
+        check_nfl_budget(n, p, 0, budget)
+    past = {
+        (21, 2): "2^21 labelings are more than the 1048576",
+        (2, 1025): "1025^2 labelings",
+        (4, 130): "130^4 labelings",
+        (1, 2**20): "1 domain and 1048576 codomain strings are more than the 1048576",
+        (2**20, 1): "1048576 domain and 1 codomain strings",
+        (1, 99_999_999): "99999999 codomain strings",  # its work, p + 1, fits 10^8
+        (1, 10**5000): "a 16610-bit number codomain strings",
+    }
+    for (n, p), message in past.items():
+        with pytest.raises(DomainError, match=re.escape(message)):
+            check_nfl_budget(n, p, 0, budget)
+    with pytest.raises(DomainError, match="99999999 codomain"):
+        check_nfl_budget(1, 99_999_999, 0, NFL_BUDGET, order_invariant=True)
+    # nfl_brute_force checks before it builds an array.
+    inst = NflInstance(domain=domain_strings(21), codomain=domain_strings(2), m=0,
+                       learner=memorize_constant_trainer(21), order_invariant=True)
+    monkeypatch.setattr(limits, "np", None)
+    with pytest.raises(DomainError, match=re.escape("2^21 labelings")):
+        nfl_brute_force(inst, budget=10**10)
 
 
 def test_budget_message_formed_only_when_exceeded():
@@ -858,18 +887,20 @@ def test_verify_diagonal_matches_pairwise_recheck(seed, count, horizon, max_len)
     assert_verdicts_match_pairs(diagonalize(models, A2, horizon))
 
 
+LABELED = Alphabet(2, ("a", "b"))
+BLACK_BOXES = (
+    lambda x: x,
+    lambda x: shortlex_string(A2, 1),
+    lambda x: Str(LABELED, ()),  # over another alphabet: differs from every target
+    lambda x: None,
+    lambda x: shortlex_string(A2, len(x) + 2),
+)
+
+
 def test_verify_diagonal_matches_pairwise_recheck_on_black_boxes():
-    labeled = Alphabet(2, ("a", "b"))
-    models = (
-        lambda x: x,
-        lambda x: shortlex_string(A2, 1),
-        lambda x: Str(labeled, ()),  # over another alphabet: differs from every target
-        lambda x: None,
-        lambda x: shortlex_string(A2, len(x) + 2),
-    )
     for horizon in (1, 4, 12):
-        psi = diagonalize_by_queries(models, A2, horizon)
-        c = DiagonalConstruction(models, A2, horizon, psi)
+        psi = diagonalize_by_queries(BLACK_BOXES, A2, horizon)
+        c = DiagonalConstruction(BLACK_BOXES, A2, horizon, psi)
         assert verify_diagonal(c)
         assert_verdicts_match_pairs(c)
     # The third model's empty answer does not exclude the empty string.
@@ -984,6 +1015,64 @@ def test_verify_diagonal_reads_a_table_only_where_model_of_s_does():
             c = DiagonalConstruction(models, A2, horizon, psi)
             assert verify_diagonal(c)
             assert_verdicts_match_pairs(c)
+
+
+@st.composite
+def diagonal_model_mixes(draw):
+    """(models, horizon): a list drawn with repeats from a pool of table
+    models (empty tables included; over A2, an equal twin of it, or another
+    alphabet), AnswersNext / PredictsNext memorizers and black-box lambdas,
+    at a horizon above or below the number of models."""
+
+    def table_model(cls, alphabet):
+        threshold = draw(st.integers(-1, 4))
+        table = {}
+        if threshold >= 0:
+            keys = st.integers(0, count_upto(alphabet, threshold) - 1)
+            outputs = st.integers(0, 40) | st.sampled_from([2**63, 2**70 + 3])
+            table = draw(st.dictionaries(keys, outputs, max_size=6))
+        return cls(alphabet, table, threshold)
+
+    kinds = {
+        "table": lambda: table_model(MemorizerModel, A2),
+        "twin": lambda: table_model(MemorizerModel, Alphabet(2)),
+        "labeled": lambda: table_model(MemorizerModel, LABELED),
+        "ternary": lambda: table_model(MemorizerModel, Alphabet(3)),
+        "answers_next": lambda: table_model(AnswersNext, A2),
+        "predicts_next": lambda: table_model(PredictsNext, A2),
+        "black_box": lambda: draw(st.sampled_from(BLACK_BOXES)),
+    }
+    pool = [kinds[kind]() for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                                                    max_size=5))]
+    models = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return models, draw(st.integers(1, 14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_model_mixes())
+def test_verify_diagonal_matches_pairwise_recheck_on_model_mixes(mix):
+    models, horizon = mix
+    psi = diagonalize_by_queries(models, A2, horizon)
+    c = DiagonalConstruction(tuple(models), A2, horizon, psi)
+    assert verify_diagonal(c)
+    assert_verdicts_match_pairs(c)
+
+
+def test_verify_diagonal_clips_output_ranks_past_int64():
+    # Table output ranks are ints of any size: each is clipped to max(psi)
+    # before it enters an int64 array.
+    huge = MemorizerModel(A2, {0: 2**70}, 0)
+    c = diagonalize([huge], A2, 3)
+    assert c.psi == diagonalize_by_queries([huge], A2, 3) == (1, 2, 2)
+    assert verify_diagonal(c)
+    assert_verdicts_match_pairs(c)
+    models = [huge, MemorizerModel(A2, {1: 2**64, 2: 1, 4: 2**200}, 2),
+              PredictsNext(A2, {0: 2**63}, 0)]
+    for horizon in (2, 6):
+        c = diagonalize(models, A2, horizon)
+        assert c.psi == diagonalize_by_queries(models, A2, horizon)
+        assert verify_diagonal(c)
+        assert_verdicts_match_pairs(c)
 
 
 def test_verify_diagonal_builds_no_string_for_plain_memorizers(monkeypatch):
