@@ -507,8 +507,11 @@ def test_nfl_verify_matches_committed_artifact(tmp_path, name):
 def test_diagonalize_matches_committed_artifact(tmp_path, name):
     # The benchmark's diag op, 200 random table models over 600 binary
     # strings, CI's 50 models with 5 entries of length <= 4 over 400
-    # ternary strings, and CI's 700 models over 300 binary strings (K = H =
-    # 300 models built), replayed from the seed and config in each preamble.
+    # ternary strings, CI's 700 models over 300 binary strings (K = H =
+    # 300 models built), and CI's 100 models over 63 binary strings whose
+    # tables hold all 63 strings of length <= 5 (every key list a full
+    # permutation: the most repeated draws and the longest shuffle),
+    # replayed from the seed and config in each preamble.
     # The exit status is verify_diagonal's verdict on the construction, so
     # each replay must also exit 0.
     golden = (GOLDEN / name).read_bytes()
