@@ -41,6 +41,13 @@ NFL_BATCH_CELLS = 2**16
 # (n = 2 to 16: f_matrix and the int64 hist): 445 MB at 1/(2^20 - 1)/0 and
 # 243 MB at 20/2/0 (498 and 269 MB resident).
 NFL_STRING_CAP = NFL_LABELING_CAP = 2**20
+# The most bounded draws one rng.integers call of random_table_models holds,
+# and the most table entries, count * min(table_size, U), it draws.
+# tracemalloc reads its peak at 95 B per entry in 200 tables of 10^4
+# entries, 225 B in one table of 2^21 (273 B where choice would shuffle all
+# U places) and 433 B in 2^21 tables of one entry, where each model's own
+# objects dominate: 866 MiB at the cap (952 MB resident).
+TABLE_DRAW_CHUNK, TABLE_ENTRY_CAP = 2**16, 2**21
 
 
 @dataclass(frozen=True)
@@ -663,7 +670,12 @@ def random_table_models(
     output ranks, among the U = count_upto(alphabet, max_len) strings of
     length at most max_len, and its table maps them in order; numpy draws
     them as int64, so U must stay below 2^63. No rank is decoded into a Str.
-    count, table_size and max_len are ints >= 0 (check_int).
+    count, table_size and max_len are ints >= 0 (check_int), rng a
+    numpy.random.Generator, and count * min(table_size, U) at most
+    TABLE_ENTRY_CAP, or DomainError before any draw.
+
+    The tables, and the words read from rng, are those of per-model calls
+    rng.choice(U, size, replace=False), then rng.integers(0, U, size).
     """
     for name, value in (("count", count), ("table_size", table_size), ("max_len", max_len)):
         check_int(value, name, 0)
@@ -677,10 +689,44 @@ def random_table_models(
             f"max_len {_int_text(max_len)} gives {many} strings over an alphabet of "
             f"size {_int_text(alphabet.size)}; their ranks must stay below 2^63"
         )
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy.random.Generator, not {type(rng).__name__}")
     size = min(table_size, universe)
+    if count * size > TABLE_ENTRY_CAP:
+        raise DomainError(f"{_int_text(count)} tables of {_int_text(size)} entries are more "
+                          f"than the {TABLE_ENTRY_CAP} table entries random_table_models draws")
+    # Each step of choice and integers is one bounded draw; list each bound
+    # in stream order. choice takes Floyd's sample, then shuffles it, unless
+    # size is past U // 50 with U > 10^4: then it shuffles the last size
+    # places of range(U).
+    tail = universe > 10_000 and size > universe // 50
+    first = max(universe - size, 1)
+    highs = np.concatenate((
+        np.arange(universe, first, -1) if tail
+        else np.concatenate((np.arange(universe - size, universe) + 1, np.arange(size, 1, -1))),
+        np.full(size, universe)))
+    total = count * len(highs)
+    draws = itertools.chain.from_iterable(
+        rng.integers(0, highs[np.arange(k, min(k + TABLE_DRAW_CHUNK, total)) % len(highs)]).tolist()
+        for k in range(0, total, TABLE_DRAW_CHUNK))
+    # Replay choice's picks on the draws. Each zip reads its range first, so
+    # it takes no draw past the range.
     models = []
     for _ in range(count):
-        keys = rng.choice(universe, size=size, replace=False).tolist()
-        values = rng.integers(0, universe, size=size).tolist()
+        if tail:
+            perm = {}
+            for i, j in zip(range(universe - 1, first - 1, -1), draws):
+                perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
+            keys = [perm.get(i, i) for i in range(universe - size, universe)]
+        else:
+            keys = list(itertools.islice(draws, size))
+            if len(set(keys)) < size:  # Floyd: at step j, a draw picked already gives j
+                picked = {}
+                for j, v in zip(range(universe - size, universe), keys):
+                    picked[j if v in picked else v] = None
+                keys = list(picked)
+            for i, j in zip(range(size - 1, 0, -1), draws):
+                keys[i], keys[j] = keys[j], keys[i]
+        values = list(itertools.islice(draws, size))
         models.append(MemorizerModel(alphabet, dict(zip(keys, values)), max_len))
     return models

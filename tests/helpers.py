@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hallustat import evaluation
-from hallustat.core import Str, shortlex_index, shortlex_string
+from hallustat.core import Str, count_upto, shortlex_index, shortlex_string
 from hallustat.errors import DomainError
 from hallustat.evaluation import derive_stream
 from hallustat.limits import NflReport, TailCheck, general_lambda_t
@@ -270,3 +270,18 @@ def verify_diagonal_by_pairs(construction) -> bool:
             if shortlex_string(construction.alphabet, rank - 1) not in answers:
                 return False
     return True
+
+
+def random_table_models_per_model(alphabet, count, rng, table_size, max_len):
+    """Reference for random_table_models' tables, as lists of (key rank,
+    output rank) pairs in table order: per model, the key ranks from
+    rng.choice(U, size, replace=False) and then the output ranks from
+    rng.integers(0, U, size), U = count_upto(alphabet, max_len)."""
+    universe = count_upto(alphabet, max_len)
+    size = min(table_size, universe)
+    tables = []
+    for _ in range(count):
+        keys = rng.choice(universe, size=size, replace=False).tolist()
+        values = rng.integers(0, universe, size=size).tolist()
+        tables.append(list(zip(keys, values)))
+    return tables

@@ -53,6 +53,7 @@ from helpers import (
     memorize_constant_oracle,
     nfl_memorizer_report,
     nfl_per_sequence,
+    random_table_models_per_model,
     rank_table,
     uniform_support,
     verify_diagonal_by_pairs,
@@ -1121,22 +1122,80 @@ def test_random_table_models_diagonal():
 
 
 def test_random_table_models_decode_each_rank_once(monkeypatch):
-    # The same rng calls in the same order as drawing each table's key
-    # ranks, then its output ranks, so the same tables of rank pairs; no
-    # rank is decoded into a Str.
+    # The tables of per-model choice and integers calls; no rank is decoded
+    # into a Str.
     q3 = Alphabet(3)
-    universe = count_upto(q3, 2)
-    rng = np.random.default_rng(8)
-    expected = []
-    for _ in range(40):
-        keys = rng.choice(universe, size=5, replace=False).tolist()
-        values = rng.integers(0, universe, size=5).tolist()
-        expected.append(list(zip(keys, values)))
+    expected = random_table_models_per_model(q3, 40, np.random.default_rng(8), 5, 2)
     decoded = []
     monkeypatch.setattr(Str, "__post_init__", lambda self: decoded.append(self))
     models = random_table_models(q3, 40, np.random.default_rng(8), table_size=5, max_len=2)
     assert [list(m.table.items()) for m in models] == expected
     assert not decoded
+
+
+# (alphabet size, max_len, table_size, count): U = 127 with 8 and with all
+# 127 keys; U = 3 with 2 keys (repeated draws in Floyd's sample); U = 10 001
+# at the edge of choice's shuffle of all U places (200 keys: Floyd; 201: the
+# shuffle); U = 16 383 with 400 and 16 383 keys (the shuffle); U = 2^41 - 1
+# (64-bit draws); no keys; no models; U = 1.
+TABLE_SHAPES = [(2, 6, 8, 5), (2, 6, 127, 4), (2, 1, 2, 30), (10**4, 1, 200, 3),
+                (10**4, 1, 201, 3), (2, 13, 400, 3), (2, 13, 16383, 2), (2, 40, 8, 5),
+                (2, 6, 0, 3), (2, 6, 8, 0), (2, 0, 8, 4)]
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["whole", "pending-half"])
+@pytest.mark.parametrize("q, max_len, table_size, count", TABLE_SHAPES,
+                         ids=["127/8", "127/127", "3/2", "10001/200", "10001/201", "16383/400",
+                              "16383/16383", "2^41-1/8", "size-0", "count-0", "U-1"])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64],
+                         ids=lambda b: b.__name__)
+def test_random_table_models_read_the_stream_as_per_model_calls(
+        bit_generator, q, max_len, table_size, count, pending):
+    # The same tables as per-model choice and integers calls, and the stream
+    # left where they leave it, a pending 32-bit half included.
+    ours, theirs = np.random.Generator(bit_generator(17)), np.random.Generator(bit_generator(17))
+    if pending:
+        assert ours.integers(0, 2**32) == theirs.integers(0, 2**32)
+    alphabet = Alphabet(q)
+    models = random_table_models(alphabet, count, ours, table_size=table_size, max_len=max_len)
+    expected = random_table_models_per_model(alphabet, count, theirs, table_size, max_len)
+    assert [list(m.table.items()) for m in models] == expected
+    assert ours.integers(0, 2**32) == theirs.integers(0, 2**32)
+    assert ours.random() == theirs.random()
+
+
+class DrawRefused(Exception):
+    pass
+
+
+class RefusingGenerator(np.random.Generator):
+    def integers(self, *args, **kwargs):
+        raise DrawRefused
+
+
+@pytest.mark.parametrize("count, table_size, max_len, admitted", [
+    (2**21, 1, 6, True),
+    (2**21 + 1, 1, 6, False),
+    (2**20 + 1, 2, 6, False),
+    (2**21, 10**9, 0, True),  # min(table_size, U) = 1 entry per table
+    (2**21 + 1, 10**9, 0, False),
+])
+def test_random_table_models_charge_their_entries(count, table_size, max_len, admitted):
+    # count * min(table_size, U) past TABLE_ENTRY_CAP is refused before any
+    # draw; at the cap, the first draw is reached.
+    rng = RefusingGenerator(np.random.PCG64(0))
+    with pytest.raises(DrawRefused if admitted else DomainError,
+                       match=None if admitted else "table entries"):
+        random_table_models(A2, count, rng, table_size=table_size, max_len=max_len)
+    assert limits.TABLE_ENTRY_CAP == 2**21
+
+
+def test_random_table_models_reject_a_legacy_random_state():
+    rng = np.random.RandomState(4)
+    with pytest.raises(DomainError, match="numpy.random.Generator, not RandomState"):
+        random_table_models(A2, 3, rng)
+    assert rng.random_sample() == np.random.RandomState(4).random_sample()
 
 
 def test_random_table_models_rejects_bad_sizes():
