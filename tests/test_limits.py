@@ -23,6 +23,7 @@ from hallustat.flrm import FlrmTrainer, MemorizerModel, threshold_length
 import hallustat.limits as limits
 from hallustat.limits import (
     NFL_BUDGET,
+    TABLE_ENTRY_CAP,
     DiagonalConstruction,
     NflInstance,
     check_diagonal_budget,
@@ -1175,11 +1176,11 @@ class RefusingGenerator(np.random.Generator):
 
 
 @pytest.mark.parametrize("count, table_size, max_len, admitted", [
-    (2**21, 1, 6, True),
-    (2**21 + 1, 1, 6, False),
-    (2**20 + 1, 2, 6, False),
-    (2**21, 10**9, 0, True),  # min(table_size, U) = 1 entry per table
-    (2**21 + 1, 10**9, 0, False),
+    (TABLE_ENTRY_CAP, 1, 6, True),
+    (TABLE_ENTRY_CAP + 1, 1, 6, False),
+    (TABLE_ENTRY_CAP // 2 + 1, 2, 6, False),
+    (TABLE_ENTRY_CAP, 10**9, 0, True),  # min(table_size, U) = 1 entry per table
+    (TABLE_ENTRY_CAP + 1, 10**9, 0, False),
 ])
 def test_random_table_models_charge_their_entries(count, table_size, max_len, admitted):
     # count * min(table_size, U) past TABLE_ENTRY_CAP is refused before any
@@ -1188,7 +1189,6 @@ def test_random_table_models_charge_their_entries(count, table_size, max_len, ad
     with pytest.raises(DrawRefused if admitted else DomainError,
                        match=None if admitted else "table entries"):
         random_table_models(A2, count, rng, table_size=table_size, max_len=max_len)
-    assert limits.TABLE_ENTRY_CAP == 2**21
 
 
 def test_random_table_models_reject_a_legacy_random_state():
