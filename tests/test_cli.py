@@ -491,10 +491,11 @@ def test_train_eval_matches_committed_artifact(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("nfl_verify_*.json")))
 def test_nfl_verify_matches_committed_artifact(tmp_path, name):
     # CI's 8/2/4 memorize_constant instance, a 10/2/5 one (12 584 learner
-    # calls), an flrm learner that memorizes the domain strings of length
-    # <= 1 under a non-default lambda_h_grid, and 130 codomain strings over 2
-    # domain strings (label codes past 127), replayed from the seed and
-    # config each embeds.
+    # calls), a 9/3/4 one (12 825 learner calls; its 9 domain strings are
+    # one past a multiple of 8), an flrm learner that memorizes the domain
+    # strings of length <= 1 under a non-default lambda_h_grid, and 130
+    # codomain strings over 2 domain strings (label codes past 127),
+    # replayed from the seed and config each embeds.
     golden = (GOLDEN / name).read_bytes()
     doc = json.loads(golden)
     cfg = write_cfg(tmp_path, doc["config"])
