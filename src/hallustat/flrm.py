@@ -84,6 +84,17 @@ class MemorizerModel:
             raise DomainError(f"table key rank {_int_text(top)} is past threshold {self.threshold}")
         object.__setattr__(self, "table", frozen)
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, table: dict[int, int], threshold: int) -> MemorizerModel:
+        """The model of fields known to pass __post_init__'s checks, built
+        without them: table is a fresh dict the model alone holds, kept
+        read-only without a copy."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "alphabet", alphabet)
+        object.__setattr__(model, "table", types.MappingProxyType(table))
+        object.__setattr__(model, "threshold", threshold)
+        return model
+
     @cached_property
     def default_output(self) -> Str:
         return Str(self.alphabet, ())

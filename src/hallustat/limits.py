@@ -36,17 +36,19 @@ MODEL_TABLE_SIZE, MODEL_MAX_LEN = 8, 6
 # nfl_brute_force's batch cap: labelings x units x domain strings per batch.
 NFL_BATCH_CELLS = 2**16
 # The most strings (domain and codomain) and labelings an NFL enumeration holds
-# (check_nfl_budget). tracemalloc reads nfl-verify's peak at about 380 B per
-# string (n = 1, p = 2^14 to 2^16) and 10n + 32 B per labeling of n strings
-# (n = 2 to 16: f_matrix and the int64 hist): 445 MB at 1/(2^20 - 1)/0 and
-# 243 MB at 20/2/0 (498 and 269 MB resident).
+# (check_nfl_budget). tracemalloc reads nfl-verify's peak at about 380 to 430 B
+# per string (n = 1, p = 2^14 to 2^18) and, at m = 0, 8n + 2w + w/8 + 8 B per
+# labeling of n strings in int8 codes padded to w = 8 * ceil(n / 8) (n = 9 to
+# 20: f_matrix, the int64 hist and one batch's mismatch bytes and word counts):
+# about 466 MB at 1/(2^20 - 1)/0, and 230 MB at 20/2/0 (247 MB resident).
 NFL_STRING_CAP = NFL_LABELING_CAP = 2**20
 # The most bounded draws one rng.integers call of random_table_models holds,
-# and the most table entries, count * min(table_size, U), it draws.
+# and the most table entries, count * max(min(table_size, U), 1), it draws.
 # tracemalloc reads its peak at 95 B per entry in 200 tables of 10^4
 # entries, 225 B in one table of 2^21 (273 B where choice would shuffle all
 # U places) and 433 B in 2^21 tables of one entry, where each model's own
-# objects dominate: 866 MiB at the cap (952 MB resident).
+# objects dominate: 866 MiB at the cap (952 MB resident). A model of an empty
+# table still takes about 209 B (2^15 of them), so it is charged one entry.
 TABLE_DRAW_CHUNK, TABLE_ENTRY_CAP = 2**16, 2**21
 
 
@@ -325,29 +327,43 @@ def _nfl_units(n: int, m: int, k: int, order_invariant: bool):
                     yield support, positions
 
 
-def _score_batch(hist, f_matrix, outputs, supports, p: int, weight: int) -> None:
-    """Add weight to the flat hist[q * (n + 1) + c] once for each unit of a
-    batch whose hypothesis trained on labeling q's pairs gets c domain strings
+def _score_batch(hist, f_matrix, outputs, supports, labels, p: int, weight: int) -> None:
+    """Add weight to hist[q, c] once for each unit of a batch whose
+    hypothesis trained on labeling q's pairs gets c of the n domain strings
     wrong (np.add.at, as the units of a batch repeat each q).
 
-    supports[u] is unit u's support (k domain indices), and the int array
-    outputs holds, unit after unit, its hypotheses' label codes on the domain:
-    one row of n per restricted labeling, in lexicographic order. Each
-    (unit, labeling)'s hypothesis row is gathered by np.take, which copies
-    rows of n codes far faster than fancy indexing, and its mismatches are
-    counted in one int64 einsum, as np.sum over an axis only n wide is slow.
+    f_matrix[q] is labeling q's row of n label codes, padded with zero codes
+    to w columns, a multiple of 8. labels[j] holds domain[j]'s code under
+    every labeling (None when every support is empty). supports[u] is unit
+    u's support (k domain indices), and the int array outputs holds, unit
+    after unit, its hypotheses' label codes on the domain: one row of n per
+    restricted labeling, in lexicographic order. These rows are written into
+    the padded layout too, so the padding always matches. Each (unit,
+    labeling)'s hypothesis row is gathered by np.take, which copies rows far
+    faster than fancy indexing, and its mismatch bytes, each 0 or 1, are
+    counted by a popcount of each 8-byte word.
     """
-    q_total, n = f_matrix.shape
-    h_rows = outputs.astype(f_matrix.dtype).reshape(-1, n)
+    n = hist.shape[1] - 1
+    w = f_matrix.shape[1]
+    h_rows = np.zeros((len(outputs) // n, w), dtype=f_matrix.dtype)
+    h_rows[:, :n] = outputs.reshape(-1, n)
     # rows[u, q] = u * p^k + f_q|S read as a mixed-radix integer (first column
     # most significant), the row of h_rows that unit u trained on f_q|S.
     rows = np.arange(len(supports), dtype=np.int64)[:, None]
     for column in supports.T:
-        rows = rows * p + f_matrix[:, column].T
-    mismatch = h_rows.take(rows, axis=0) != f_matrix
-    wrong = np.einsum("uqj->uq", mismatch.view(np.uint8), dtype=np.int64)
+        rows = rows * p + labels[column]
+    # The bool mismatch array is a temporary, freed before wrong is built.
+    words = np.bitwise_count((h_rows.take(rows, axis=0) != f_matrix).view(np.uint64))
+    # Over a few words, a slice addition per word is far faster than np.sum
+    # along an axis that narrow; over many (n > 64, so p = 1), np.sum is.
+    if words.shape[2] > 8:
+        wrong = words.sum(axis=2, dtype=np.int64)
+    else:
+        wrong = words[..., 0].astype(np.int64)
+        for i in range(1, words.shape[2]):
+            wrong += words[..., i]
     wrong += np.arange(0, hist.size, n + 1)
-    np.add.at(hist, wrong.ravel(), weight)
+    np.add.at(hist.reshape(-1), wrong.ravel(), weight)
 
 
 def nfl_brute_force(
@@ -373,7 +389,8 @@ def nfl_brute_force(
     x units x n within NFL_BATCH_CELLS = 2^16, and at least one (32 units at
     8/2/4, one at 12/2/6). A batch makes its learner calls in enumeration
     order, then scores every labeling against every unit in numpy passes on
-    label codes -1..p-1 in the narrowest signed int type (int8 up to p = 128).
+    label codes -1..p-1 in the narrowest signed int type (int8 up to p = 128),
+    each row padded to a whole number of 8-byte words (_score_batch).
     Per-labeling counts of sequences by number of mismatched domain strings
     are int64 sums; the expected HP and the exact tail probabilities of the
     worst labeling are assembled from them as Fractions. The budget is an
@@ -388,21 +405,29 @@ def nfl_brute_force(
             f"{n}^{m} training sequences times {n} domain strings overflow int64 counts"
         )
     q_total = p**n
-    # F[q, j] = codomain index assigned to domain[j] by labeling q, as a
-    # label code of the narrowest signed type holding -p, so -1..p-1 too.
-    qs = np.arange(q_total, dtype=np.int64)
-    f_matrix = np.empty((q_total, n), dtype=np.min_scalar_type(-p))
+    # labels[j, q] = codomain index assigned to domain[j] by labeling q (its
+    # base-p digit j, the first most significant), as a label code of the
+    # narrowest signed type holding -p, so -1..p-1 too; f_matrix holds the
+    # same codes labeling by labeling, each row padded with zero codes to a
+    # whole number of 8-byte words.
+    code = np.min_scalar_type(-p)
+    labels = np.empty((n, q_total), dtype=code)
     for j in range(n):
-        f_matrix[:, j] = (qs // p ** (n - 1 - j)) % p
+        labels[j].reshape(p**j, p, -1)[...] = np.arange(p, dtype=code)[:, None]
+    f_matrix = np.zeros((q_total, -(-n // 8) * 8), dtype=code)
+    f_matrix[:, :n] = labels.T
+    if not m:
+        labels = None  # the one unit's support is empty: no column is read
     learner = inst.learner
     name = getattr(learner, "__qualname__", None) or repr(learner)
     # pairs[i][j] is the one training pair (i, j): domain[i] labeled codomain[j].
     pairs = [tuple((x, y) for y in range(p)) for x in range(n)]
+    identity = tuple(range(m))
     per_batch = max(1, NFL_BATCH_CELLS // (q_total * n))
 
-    # hist[q * (n + 1) + c] = number of training sequences on which the
-    # learner trained on labeling q's pairs gets exactly c domain strings wrong.
-    hist = np.zeros(q_total * (n + 1), dtype=np.int64)
+    # hist[q, c] = number of training sequences on which the learner
+    # trained on labeling q's pairs gets exactly c domain strings wrong.
+    hist = np.zeros((q_total, n + 1), dtype=np.int64)
     for k in _support_sizes(n, m):
         weight = _surjections(m, k) if inst.order_invariant else 1
         units = _nfl_units(n, m, k, inst.order_invariant)
@@ -410,9 +435,16 @@ def nfl_brute_force(
             outputs = []
             for support, positions in batch:
                 # The restricted labelings in lexicographic order, each as
-                # the pair it gives each support element.
-                for chosen in itertools.product(*(pairs[x] for x in support)):
-                    row = learner(tuple(map(chosen.__getitem__, positions)))
+                # the pair it gives each support element, arranged into the
+                # unit's training sequence.
+                chosen = itertools.product(*(pairs[x] for x in support))
+                if positions == identity:
+                    sequences = chosen
+                elif inst.order_invariant:
+                    sequences = (c + (c[-1],) * (m - k) for c in chosen)
+                else:
+                    sequences = (tuple(map(c.__getitem__, positions)) for c in chosen)
+                for row in map(learner, sequences):
                     if callable(row) or len(row) != n:
                         raise DomainError(f"learner {name} gave {row!r:.60}, not a row of {n} "
                                           "codes; a Str learner goes through learner_on_indices")
@@ -422,8 +454,7 @@ def nfl_brute_force(
             if not ints or not -1 <= codes.min() <= codes.max() < p:
                 raise DomainError(f"learner {name} gave codes that are not ints in -1..{p - 1}")
             supports = np.array([s for s, _ in batch], dtype=np.intp)
-            _score_batch(hist, f_matrix, codes, supports, p, weight)
-    hist = hist.reshape(q_total, n + 1)
+            _score_batch(hist, f_matrix, codes, supports, labels, p, weight)
 
     d_total = n**m
     expected_counts = hist @ np.arange(n + 1, dtype=np.int64)
@@ -671,8 +702,10 @@ def random_table_models(
     length at most max_len, and its table maps them in order; numpy draws
     them as int64, so U must stay below 2^63. No rank is decoded into a Str.
     count, table_size and max_len are ints >= 0 (check_int), rng a
-    numpy.random.Generator, and count * min(table_size, U) at most
-    TABLE_ENTRY_CAP, or DomainError before any draw.
+    numpy.random.Generator, and count * max(min(table_size, U), 1) at most
+    TABLE_ENTRY_CAP (an empty table still costs its model), or DomainError
+    before any draw. The draws lie in [0, U) by construction, so the models
+    are built without MemorizerModel's per-entry checks.
 
     The tables, and the words read from rng, are those of per-model calls
     rng.choice(U, size, replace=False), then rng.integers(0, U, size).
@@ -692,9 +725,10 @@ def random_table_models(
     if not isinstance(rng, np.random.Generator):
         raise DomainError(f"rng must be a numpy.random.Generator, not {type(rng).__name__}")
     size = min(table_size, universe)
-    if count * size > TABLE_ENTRY_CAP:
-        raise DomainError(f"{_int_text(count)} tables of {_int_text(size)} entries are more "
-                          f"than the {TABLE_ENTRY_CAP} table entries random_table_models draws")
+    if count * max(size, 1) > TABLE_ENTRY_CAP:
+        entries = f"{_int_text(size)} entries" if size else "no entries (each charged as one)"
+        raise DomainError(f"{_int_text(count)} tables of {entries} are more than the "
+                          f"{TABLE_ENTRY_CAP} table entries random_table_models draws")
     # Each step of choice and integers is one bounded draw; list each bound
     # in stream order. choice takes Floyd's sample, then shuffles it, unless
     # size is past U // 50 with U > 10^4: then it shuffles the last size
@@ -728,5 +762,5 @@ def random_table_models(
             for i, j in zip(range(size - 1, 0, -1), draws):
                 keys[i], keys[j] = keys[j], keys[i]
         values = list(itertools.islice(draws, size))
-        models.append(MemorizerModel(alphabet, dict(zip(keys, values)), max_len))
+        models.append(MemorizerModel._trusted(alphabet, dict(zip(keys, values)), max_len))
     return models

@@ -1,6 +1,8 @@
 import itertools
 import math
+import operator
 import re
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from hallustat.core import (
     shortlex_string,
     strings_upto,
 )
+from dataclasses import FrozenInstanceError
+
 from hallustat.errors import BudgetExceeded, DomainError
 from hallustat.flrm import FlrmTrainer, MemorizerModel, threshold_length
 import hallustat.limits as limits
@@ -753,6 +757,104 @@ def test_nfl_row_contract_is_checked_before_any_scoring(monkeypatch, learner, ma
     assert learner.__qualname__ in str(err.value)
 
 
+def memorize_or_minus_one(n):
+    """Index learner: memorize the pairs, answer -1 (no codomain string) on
+    any unseen index."""
+    def trainer(pairs):
+        row = [-1] * n
+        for x, y in pairs:
+            row[x] = y
+        return row
+
+    return trainer
+
+
+def last_pair_or_minus_one(n):
+    """Index learner, not order-invariant: answer the label of the last
+    training pair everywhere, -1 everywhere when there is none."""
+    return lambda pairs: [pairs[-1][1] if pairs else -1] * n
+
+
+def mismatch_hist(inst):
+    """hist[q][c]: how many of the n^m training sequences make the learner,
+    trained on labeling q's pairs, get c domain strings wrong, counted in
+    pure Python labeling by labeling (q in lexicographic order)."""
+    n, p, m = len(inst.domain), len(inst.codomain), inst.m
+    hist = [[0] * (n + 1) for _ in range(p**n)]
+    for seq in itertools.product(range(n), repeat=m):
+        rows = {}
+        for q, f in enumerate(itertools.product(range(p), repeat=n)):
+            training = tuple((x, f[x]) for x in seq)
+            if training not in rows:
+                rows[training] = list(inst.learner(training))
+            hist[q][sum(map(operator.ne, rows[training], f))] += 1
+    return hist
+
+
+def scored_hist(monkeypatch, inst):
+    """nfl_brute_force's histogram of inst, as every batch scored it."""
+    hists = []
+    score = limits._score_batch
+
+    def recording(hist, *args):
+        hists.append(hist)
+        score(hist, *args)
+
+    monkeypatch.setattr(limits, "_score_batch", recording)
+    nfl_brute_force(inst)
+    assert hists and all(hist is hists[0] for hist in hists)
+    return np.asarray(hists[0]).reshape(len(inst.codomain) ** len(inst.domain), -1).tolist()
+
+
+# (n, p, m): n around the 8-column words a scored row is padded to, p = 1,
+# 2, 3 and 130 (int16 label codes), and m = 0 where more would be slow.
+SCORING_SHAPES = [(1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 130, 0), (2, 130, 1),
+                  (7, 1, 3), (7, 2, 3), (7, 3, 1), (8, 1, 4), (8, 2, 2), (8, 3, 1),
+                  (9, 1, 4), (9, 2, 2), (9, 3, 0), (16, 1, 3), (16, 2, 0), (17, 1, 3), (17, 2, 0)]
+
+
+@pytest.mark.parametrize("n, p, m", SCORING_SHAPES, ids=lambda v: str(v))
+@pytest.mark.parametrize("learner_kind, order_invariant", [
+    ("memorize_constant", True), ("memorize_or_minus_one", True), ("last_pair_or_minus_one", False),
+])
+def test_nfl_scoring_matches_a_pure_python_mismatch_count(monkeypatch, learner_kind,
+                                                          order_invariant, n, p, m):
+    # Every (training sequence, labeling) adds one to the count of its
+    # hypothesis's wrong domain strings; -1 is always wrong.
+    learner = {"memorize_constant": memorize_constant_trainer,
+               "memorize_or_minus_one": memorize_or_minus_one,
+               "last_pair_or_minus_one": last_pair_or_minus_one}[learner_kind](n)
+    inst = NflInstance(domain=domain_strings(n), codomain=tuple(shortlex_string(A2, i) for i in range(p)),
+                       m=m, learner=learner, order_invariant=order_invariant)
+    assert scored_hist(monkeypatch, inst) == mismatch_hist(inst)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([1, 1, 1], r"gave \[1, 1, 1\], not a row of 4 codes"),
+    (str_learner, r"gave <function str_learner.*learner_on_indices"),
+    ([0, 0, 1.0, 0], r"gave codes that are not ints in -1\.\.1"),
+], ids=["short", "callable", "float"])
+@pytest.mark.parametrize("batch", [0, 1])
+def test_nfl_bad_third_row_of_a_batch_stops_that_batch_unscored(monkeypatch, bad, match, batch):
+    # At 4/2/2 the 4 units of support size 1 make one batch of 8 learner
+    # calls, and the 6 of size 2 one of 24: the third row of either batch is
+    # named, and only the batches before it are scored.
+    trainer = memorize_constant_trainer(4)
+    calls = []
+
+    def learner(pairs):
+        calls.append(pairs)
+        return bad if len(calls) == (0, 8)[batch] + 3 else trainer(pairs)
+
+    scored = batch_sizes(monkeypatch, 1024, 2, 4)
+    inst = NflInstance(domain=domain_strings(4), codomain=domain_strings(2), m=2,
+                       learner=learner, order_invariant=True)
+    with pytest.raises(DomainError, match=match) as err:
+        nfl_brute_force(inst)
+    assert f"learner {learner.__qualname__} gave" in str(err.value)
+    assert scored == [4] * batch
+
+
 def cli_learner(kind, alphabet, domain, codomain, bound, m):
     """(learner, k, fallback) for one of nfl-verify's learner kinds: the
     learner, how many domain strings it memorizes once drawn at training
@@ -1166,6 +1268,33 @@ def test_random_table_models_read_the_stream_as_per_model_calls(
     assert ours.random() == theirs.random()
 
 
+@pytest.mark.parametrize("q, max_len, table_size, count", TABLE_SHAPES,
+                         ids=["127/8", "127/127", "3/2", "10001/200", "10001/201", "16383/400",
+                              "16383/16383", "2^41-1/8", "size-0", "count-0", "U-1"])
+def test_random_table_models_equal_the_checked_models(q, max_len, table_size, count):
+    # Built without MemorizerModel's checks, each model is the checked model
+    # of its own fields: equal, read-only, and answering alike.
+    alphabet = Alphabet(q)
+    universe = count_upto(alphabet, max_len)
+    models = random_table_models(alphabet, count, np.random.default_rng(29),
+                                 table_size=table_size, max_len=max_len)
+    assert len(models) == count
+    for model in models:
+        checked = MemorizerModel(model.alphabet, dict(model.table), model.threshold)
+        assert model == checked
+        assert type(model.table) is types.MappingProxyType
+        with pytest.raises(TypeError):
+            model.table[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            model.threshold = max_len + 1
+        ranks = [*itertools.islice(model.table, 8), 0, universe - 1, universe]
+        probes = [shortlex_string(alphabet, r) for r in ranks]
+        probes += [empty_string(Alphabet(q + 1)), "not a Str"]
+        assert [model.predict(s) for s in probes] == [checked.predict(s) for s in probes]
+        assert [model(s) for s in probes] == [checked(s) for s in probes]
+        assert model.default_output == checked.default_output == empty_string(alphabet)
+
+
 class DrawRefused(Exception):
     pass
 
@@ -1181,13 +1310,28 @@ class RefusingGenerator(np.random.Generator):
     (TABLE_ENTRY_CAP // 2 + 1, 2, 6, False),
     (TABLE_ENTRY_CAP, 10**9, 0, True),  # min(table_size, U) = 1 entry per table
     (TABLE_ENTRY_CAP + 1, 10**9, 0, False),
+    (TABLE_ENTRY_CAP, 0, 6, True),  # an empty table is charged as one entry
+    (TABLE_ENTRY_CAP + 1, 0, 6, False),
 ])
-def test_random_table_models_charge_their_entries(count, table_size, max_len, admitted):
-    # count * min(table_size, U) past TABLE_ENTRY_CAP is refused before any
-    # draw; at the cap, the first draw is reached.
+def test_random_table_models_charge_their_entries(monkeypatch, count, table_size, max_len,
+                                                  admitted):
+    # count * max(min(table_size, U), 1) past TABLE_ENTRY_CAP is refused
+    # before any draw or model; at the cap, the first draw is reached, or the
+    # first model where the tables draw nothing.
+    class Refusing:
+        def __getattr__(self, name):
+            raise DrawRefused
+
+        def __call__(self, *args):
+            raise DrawRefused
+
+    monkeypatch.setattr(limits, "MemorizerModel", Refusing())
     rng = RefusingGenerator(np.random.PCG64(0))
+    size = min(table_size, count_upto(A2, max_len))
+    entries = f"{size} entries" if size else "no entries (each charged as one)"
+    words = f"{count} tables of {entries} are more than the {TABLE_ENTRY_CAP} table entries"
     with pytest.raises(DrawRefused if admitted else DomainError,
-                       match=None if admitted else "table entries"):
+                       match=None if admitted else re.escape(words)):
         random_table_models(A2, count, rng, table_size=table_size, max_len=max_len)
 
 
