@@ -4,6 +4,7 @@ import operator
 import re
 import types
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,6 @@ from hallustat.core import (
     shortlex_string,
     strings_upto,
 )
-from dataclasses import FrozenInstanceError
-
 from hallustat.errors import BudgetExceeded, DomainError
 from hallustat.flrm import FlrmTrainer, MemorizerModel, threshold_length
 import hallustat.limits as limits
@@ -824,8 +823,9 @@ def test_nfl_scoring_matches_a_pure_python_mismatch_count(monkeypatch, learner_k
     learner = {"memorize_constant": memorize_constant_trainer,
                "memorize_or_minus_one": memorize_or_minus_one,
                "last_pair_or_minus_one": last_pair_or_minus_one}[learner_kind](n)
-    inst = NflInstance(domain=domain_strings(n), codomain=tuple(shortlex_string(A2, i) for i in range(p)),
-                       m=m, learner=learner, order_invariant=order_invariant)
+    cod = tuple(shortlex_string(A2, i) for i in range(p))
+    inst = NflInstance(domain=domain_strings(n), codomain=cod, m=m, learner=learner,
+                       order_invariant=order_invariant)
     assert scored_hist(monkeypatch, inst) == mismatch_hist(inst)
 
 
@@ -1244,12 +1244,12 @@ def test_random_table_models_decode_each_rank_once(monkeypatch):
 TABLE_SHAPES = [(2, 6, 8, 5), (2, 6, 127, 4), (2, 1, 2, 30), (10**4, 1, 200, 3),
                 (10**4, 1, 201, 3), (2, 13, 400, 3), (2, 13, 16383, 2), (2, 40, 8, 5),
                 (2, 6, 0, 3), (2, 6, 8, 0), (2, 0, 8, 4)]
+TABLE_SHAPE_IDS = ["127/8", "127/127", "3/2", "10001/200", "10001/201", "16383/400",
+                   "16383/16383", "2^41-1/8", "size-0", "count-0", "U-1"]
 
 
 @pytest.mark.parametrize("pending", [False, True], ids=["whole", "pending-half"])
-@pytest.mark.parametrize("q, max_len, table_size, count", TABLE_SHAPES,
-                         ids=["127/8", "127/127", "3/2", "10001/200", "10001/201", "16383/400",
-                              "16383/16383", "2^41-1/8", "size-0", "count-0", "U-1"])
+@pytest.mark.parametrize("q, max_len, table_size, count", TABLE_SHAPES, ids=TABLE_SHAPE_IDS)
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
                                            np.random.Philox, np.random.SFC64],
                          ids=lambda b: b.__name__)
@@ -1268,9 +1268,7 @@ def test_random_table_models_read_the_stream_as_per_model_calls(
     assert ours.random() == theirs.random()
 
 
-@pytest.mark.parametrize("q, max_len, table_size, count", TABLE_SHAPES,
-                         ids=["127/8", "127/127", "3/2", "10001/200", "10001/201", "16383/400",
-                              "16383/16383", "2^41-1/8", "size-0", "count-0", "U-1"])
+@pytest.mark.parametrize("q, max_len, table_size, count", TABLE_SHAPES, ids=TABLE_SHAPE_IDS)
 def test_random_table_models_equal_the_checked_models(q, max_len, table_size, count):
     # Built without MemorizerModel's checks, each model is the checked model
     # of its own fields: equal, read-only, and answering alike.
